@@ -192,19 +192,13 @@ def _cmd_search(args) -> int:
             label = graph.label()
         vertices = graph.n_vertices
 
-    _print_table(_search_result_rows(label, vertices, result))
+    rows = _search_result_rows(label, vertices, result)
+    _print_table(rows)
     if args.witness:
         save_family(result.witness, args.witness)
         print(f"wrote witness to {args.witness}", file=sys.stderr)
     if args.json:
-        payload = {
-            "graph": label,
-            "vertices": vertices,
-            "optimum": result.optimum,
-            "status": result.status,
-            "nodes_explored": result.nodes_explored,
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.json).write_text(json.dumps(dict(rows), indent=2, sort_keys=True) + "\n")
     return 3 if result.status == NODE_LIMIT_HIT else 0
 
 

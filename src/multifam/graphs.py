@@ -13,6 +13,14 @@ Independent sets are intersecting (resp. t-intersecting, support-t-
 intersecting) families.  M(m,k) and M'(m,k,1) coincide edge for edge, as do
 M(m,k) and M(m,k,1).  Adjacency is stored as one bitmask per vertex, which
 is what the search module's word-parallel candidate operations consume.
+
+All five kinds share one bit-sliced construction.  Each vertex is a row of
+per-element multiplicities (the counts for M(m,k,t); 0/1 membership or
+support for the others), and columns[e][j] is the bitset of vertices whose
+multiplicity at e exceeds j.  |A ∩ B| is then the number of A's columns
+that contain B, so OR-ing A's columns through a saturating ladder of t
+bitsets yields every vertex meeting A at least t times at once.  The cost
+is O(n · k · t) big-integer operations instead of O(n²) pair tests.
 """
 
 from __future__ import annotations
@@ -130,36 +138,42 @@ def build_graph(
 
     if set_based:
         vertices = tuple(enumerate_k_subsets(m, k))
-        masks = [v.mask() for v in vertices]
+        rows = [[1 if x in v.members else 0 for x in range(1, m + 1)] for v in vertices]
     else:
         vertices = tuple(enumerate_k_multisets(m, k))
-        masks = [v.support_mask() for v in vertices]
+        if kind == KIND_MULTISET_T:
+            rows = [v.counts for v in vertices]
+        else:
+            rows = [[1 if c else 0 for c in v.counts] for v in vertices]
 
-    n = len(vertices)
-    adj = [0] * n
-
-    if kind in (KIND_KNESER, KIND_MULTISET_DISJOINT):
-        def edge(i: int, j: int) -> bool:
-            return masks[i] & masks[j] == 0
-    elif kind in (KIND_KNESER_T, KIND_MULTISET_SUPPORT_T):
-        def edge(i: int, j: int) -> bool:
-            return (masks[i] & masks[j]).bit_count() < t
-    else:  # KIND_MULTISET_T: true multiset intersection cardinality
-        counts = [v.counts for v in vertices]
-
-        def edge(i: int, j: int) -> bool:
-            total = 0
-            for a, b in zip(counts[i], counts[j]):
-                total += a if a < b else b
-                if total >= t:
-                    return False
-            return True
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if edge(i, j):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
+    adj = _below_t_adjacency(rows, m, k, t)
     family_kind = SET if set_based else MULTISET
     return DisjointnessGraph(kind, m, k, t, family_kind, vertices, adj)
+
+
+def _below_t_adjacency(rows, m: int, k: int, t: int) -> list[int]:
+    """adj[v] = bitset of u != v with sum_e min(rows[v][e], rows[u][e]) < t.
+
+    columns[e][j] holds the vertices whose multiplicity at e exceeds j, so v
+    occupies exactly the columns (e, j < rows[v][e]) and |v ∩ u| is the
+    number of v's columns that contain u.  A saturating ladder counts that
+    per u: after all of v's columns, ge[i] holds the u met at least i+1
+    times, and ge[t-1] is everything at or above the threshold."""
+    columns = [[0] * k for _ in range(m)]
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        for e, c in enumerate(row):
+            col = columns[e]
+            for j in range(c):
+                col[j] |= bit
+    full = (1 << len(rows)) - 1
+    adj = []
+    for v, row in enumerate(rows):
+        ge = [0] * t
+        for e, c in enumerate(row):
+            for col in columns[e][:c]:
+                for i in range(t - 1, 0, -1):
+                    ge[i] |= ge[i - 1] & col
+                ge[0] |= col
+        adj.append(full & ~ge[-1] & ~(1 << v))
+    return adj

@@ -29,18 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import (
     MULTISET,
     ContractError,
     Family,
-    Multiset,
     common_intersection,
-    enumerate_k_multisets,
     has_property_p_s1,
     is_support_t_intersecting,
     is_t_intersecting,
-    multichoose,
     multiset_rank,
 )
 from .graphs import (
@@ -51,7 +49,7 @@ from .graphs import (
     KIND_MULTISET_SUPPORT_T,
     KIND_MULTISET_T,
     DisjointnessGraph,
-    ScaleExceededError,
+    _bits,
     build_graph,
 )
 
@@ -90,13 +88,6 @@ class _CapHit(Exception):
     pass
 
 
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask ^= bit
-
-
 class _NodeCounter:
     __slots__ = ("nodes", "limit")
 
@@ -131,6 +122,19 @@ def _greedy_color(p_mask: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, colors
 
 
+def _relabel(adj: list[int], order: list[int]) -> list[int]:
+    """Adjacency renumbered so that new vertex i is old vertex order[i].
+
+    Each row is permuted at C level: its n-bit string (most significant bit
+    first, so character n-1-b is bit b) is reordered by one itemgetter."""
+    n = len(adj)
+    if not n:
+        return []
+    pick = itemgetter(*(n - 1 - order[n - 1 - p] for p in range(n)))
+    width = f"0{n}b"
+    return [int("".join(pick(format(adj[old], width))), 2) for old in order]
+
+
 class _MaxCliqueSolver:
     """Exact maximum clique with colouring bounds (Tomita-style)."""
 
@@ -138,11 +142,7 @@ class _MaxCliqueSolver:
         self.n = len(adj)
         order = sorted(range(self.n), key=lambda v: (-adj[v].bit_count(), v))
         self.to_old = order
-        new_index = {old: new for new, old in enumerate(order)}
-        self.adj = [0] * self.n
-        for old, mask in enumerate(adj):
-            for old_nb in _bits(mask):
-                self.adj[new_index[old]] |= 1 << new_index[old_nb]
+        self.adj = _relabel(adj, order)
         self.counter = _NodeCounter(node_limit)
         self.best = 0
         self.best_mask = 0
@@ -399,34 +399,7 @@ class _SmallCoreSolver:
             p_mask &= ~bit
 
 
-def _multiset_universe(m: int, k: int, vertex_cap: int) -> list[Multiset]:
-    count = multichoose(m, k)
-    if count > vertex_cap:
-        raise ScaleExceededError(
-            f"universe has {count} vertices, exceeding the cap of {vertex_cap}"
-        )
-    return list(enumerate_k_multisets(m, k))
-
-
-def _pairwise_compat_masks(counts: list[tuple[int, ...]], t: int) -> list[int]:
-    n = len(counts)
-    compat = [0] * n
-    for i in range(n):
-        ci = counts[i]
-        for j in range(i + 1, n):
-            total = 0
-            for a, b in zip(ci, counts[j]):
-                total += a if a < b else b
-                if total >= t:
-                    break
-            if total >= t:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    return compat
-
-
-def _seed_mask_for(universe: list[Multiset], seed: Family | None, m: int, k: int,
-                   t_pair: int, core_limit: int) -> int:
+def _seed_mask_for(seed: Family | None, m: int, k: int, t_pair: int, core_limit: int) -> int:
     if seed is None:
         return 0
     if seed.kind != MULTISET or seed.m != m or seed.k != k:
@@ -450,13 +423,12 @@ def _small_core_search(
     seed: Family | None,
     vertex_cap: int,
 ) -> SearchResult:
-    universe = _multiset_universe(m, k, vertex_cap)
-    counts = [a.counts for a in universe]
-    compat = _pairwise_compat_masks(counts, t_pair)
-    seed_mask = _seed_mask_for(universe, seed, m, k, t_pair, core_limit)
-    solver = _SmallCoreSolver(counts, compat, core_limit, node_limit)
+    graph = build_graph(KIND_MULTISET_T, m, k, t_pair, vertex_cap=vertex_cap)
+    counts = [a.counts for a in graph.vertices]
+    seed_mask = _seed_mask_for(seed, m, k, t_pair, core_limit)
+    solver = _SmallCoreSolver(counts, _complement_adj(graph), core_limit, node_limit)
     best, mask, nodes, limited = solver.solve(seed_mask)
-    witness = Family.of_multisets(m, k, (universe[v] for v in _bits(mask)))
+    witness = graph.family_from_mask(mask)
     if not is_t_intersecting(witness, t_pair):
         raise RuntimeError("internal error: witness fails pairwise compatibility")
     if len(witness) and common_intersection(witness).cardinality >= core_limit:

@@ -38,7 +38,9 @@ from .search import (
     induced_bipartite_search,
     max_independent_set,
     max_intersecting_empty_common,
+    max_p_s1_family,
     max_t_intersecting_nontrivial,
+    max_union_two_intersecting,
 )
 
 THEOREM_IDS = ("T1.1", "T1.4", "T2.3", "T2.4", "T3.3", "T3.4", "T3.5", "T4.1", "T4.8")
@@ -168,8 +170,6 @@ def _bind_t34(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis m > (2k-1)s not met (m={m}, k={k}, s={s})"]
     bound = families.hit_s_size(m, k, s)
     constructed = families.hit_s(m, k, range(1, s + 1))
-    from .search import max_p_s1_family
-
     result = max_p_s1_family(m, k, s, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -182,8 +182,6 @@ def _bind_t35(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis m > (1+sqrt(5))k/2+1 not met (m={m}, k={k})"]
     bound = multichoose(m, k - 1) + multichoose(m - 1, k - 1)
     constructed = families.hit_s(m, k, (1, 2))
-    from .search import max_union_two_intersecting
-
     result = max_union_two_intersecting(m, k, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from multifam import (
     ContractError,
@@ -28,6 +29,9 @@ from multifam.search import (
     _BipartiteSolver,
     _CliqueFreeSolver,
     _MaxCliqueSolver,
+    _SmallCoreSolver,
+    _complement_adj,
+    _relabel,
 )
 
 from bruteforce import (
@@ -35,6 +39,9 @@ from bruteforce import (
     brute_max_clique_free,
     brute_max_independent_set,
     brute_max_induced_bipartite,
+    pair_loop_graph,
+    pairwise_compat_masks,
+    relabel_by_bits,
 )
 from conftest import random_adjacency
 
@@ -69,6 +76,48 @@ def test_support_t1_graph_equals_disjointness_graph():
     assert plain.adj == support.adj == true_t.adj
 
 
+def _graph_instances():
+    for kind in ("K", "M", "K_t", "M_t", "M_support_t"):
+        for m in range(1, 8):
+            for k in range(0, 5):
+                for t in [1] if kind in ("K", "M") else range(1, k + 2):
+                    yield kind, m, k, t
+
+
+def test_bit_sliced_builder_matches_pair_loop():
+    # t = k+1 exceeds every self-intersection, so only the builder's own
+    # self-bit clearing keeps the diagonal empty there
+    for kind, m, k, t in _graph_instances():
+        graph = build_graph(kind, m, k, t)
+        vertices, adj = pair_loop_graph(kind, m, k, t)
+        assert graph.vertices == vertices, (kind, m, k, t)
+        assert graph.adj == adj, (kind, m, k, t)
+        assert not any(mask >> v & 1 for v, mask in enumerate(graph.adj))
+
+
+def test_small_core_compat_matches_pairwise_masks(monkeypatch):
+    for m in range(1, 7):
+        for k in range(1, 5):
+            for t in range(1, k + 1):
+                graph = build_graph("M_t", m, k, t)
+                counts = [a.counts for a in graph.vertices]
+                assert _complement_adj(graph) == pairwise_compat_masks(counts, t)
+
+    seen = []
+
+    class Recording(_SmallCoreSolver):
+        def __init__(self, counts, compat, core_limit, node_limit):
+            seen.append((counts, compat, core_limit))
+            super().__init__(counts, compat, core_limit, node_limit)
+
+    monkeypatch.setattr("multifam.search._SmallCoreSolver", Recording)
+    max_intersecting_empty_common(5, 3)
+    max_t_intersecting_nontrivial(5, 3, 2)
+    assert [limit for _c, _m, limit in seen] == [1, 2]
+    for (counts, compat, _limit), t in zip(seen, (1, 2)):
+        assert compat == pairwise_compat_masks(counts, t)
+
+
 def test_graph_cap_and_kind_validation():
     with pytest.raises(ScaleExceededError):
         build_graph("M", 20, 10, vertex_cap=100)
@@ -86,6 +135,26 @@ def test_mis_matches_bruteforce(adj):
     assert best == brute_max_independent_set(adj)
     assert mask.bit_count() == best
     assert all(adj[v] & mask == 0 for v in bits(mask))
+
+
+@st.composite
+def _adjacency_and_order(draw):
+    adj = draw(random_adjacency(max_n=12))
+    full = (1 << len(adj)) - 1
+    adj = [draw(st.sampled_from((mask, 0, full))) for mask in adj]
+    return adj, draw(st.permutations(range(len(adj))))
+
+
+@given(_adjacency_and_order())
+def test_relabel_matches_per_bit_loop(case):
+    adj, order = case
+    assert _relabel(adj, order) == relabel_by_bits(adj, order)
+
+
+@pytest.mark.parametrize("adj", [[], [0], [1]])
+def test_relabel_tiny_graphs(adj):
+    order = list(range(len(adj)))
+    assert _relabel(adj, order) == relabel_by_bits(adj, order) == adj
 
 
 def test_mis_reference_values():
