@@ -220,17 +220,16 @@ def random_t_intersecting_family(m: int, k: int, t: int, rng: random.Random) -> 
     target = rng.randint(1, max(2, len(universe) // 2))
     rate = rng.uniform(0.4, 1.0)
     chosen: list[Multiset] = []
-    chosen_counts: list[tuple[int, ...]] = []
+    chosen_masks: list[int] = []
     for a in universe:
         if len(chosen) >= target:
             break
         if rng.random() > rate:
             continue
-        if all(
-            sum(min(x, y) for x, y in zip(a.counts, c)) >= t for c in chosen_counts
-        ):
+        mask = a.unary_mask(k)
+        if all((mask & c).bit_count() >= t for c in chosen_masks):
             chosen.append(a)
-            chosen_counts.append(a.counts)
+            chosen_masks.append(mask)
     if not chosen:
         chosen = [universe[0]]
     return Family.of_multisets(m, k, chosen)

@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except CompressionInvariantError as err:
         print(f"internal invariant violation: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,12 @@ Shifts inside one pass are applied sequentially against the current family
 state, members in canonical order.  A shift target always contains j while
 members that contain j never move, so this agrees with evaluating
 membership against the original family; sequential update keeps the
-size-preservation argument local and obvious.
+size-preservation argument local and obvious.  Most shifts move nothing;
+shift_family then returns its input unchanged instead of rebuilding it.
+
+|F1 ∩ F2 ∩ T| is the popcount of the AND of three unary masks
+(`Multiset.unary_mask`, one field per element as wide as the largest member
+multiplicity; T's counts are clipped to that width so none spills over).
 
 The guarantees are stated for m >= 2k-t.  Below that regime the operation
 is still well defined, so callers may opt in with allow_out_of_regime=True;
@@ -33,6 +38,7 @@ from .core import (
     ContractError,
     Family,
     Multiset,
+    _all_pairs_share,
     is_support_t_intersecting,
     is_t_intersecting,
 )
@@ -101,21 +107,9 @@ def is_t_kernel(fam: Family, T: Multiset, t: int) -> bool:
         raise ContractError("t-kernels are defined for multiset families")
     if T.ground_size != fam.m:
         raise ContractError(f"kernel ground size {T.ground_size} != family ground {fam.m}")
-    counts = [a.counts for a in fam.members]
-    tc = T.counts
-    for i in range(len(counts)):
-        ci = counts[i]
-        for j in range(i + 1, len(counts)):
-            cj = counts[j]
-            total = 0
-            for a, b, w in zip(ci, cj, tc):
-                x = a if a < b else b
-                if w < x:
-                    x = w
-                total += x
-            if total < t:
-                return False
-    return True
+    width = max((max(a.counts) for a in fam.members), default=0)
+    kernel = T.unary_mask(width)
+    return _all_pairs_share([a.unary_mask(width) & kernel for a in fam.members], t)
 
 
 def shift_multiset(a: Multiset, p: ShiftParams) -> Multiset:
@@ -142,12 +136,14 @@ def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = N
         raise ContractError("shift_family operates on multiset families")
     current = {a.counts for a in fam.members}
     out: list[Multiset] = []
+    moved = False
     for a in fam.members:
         b = shift_multiset(a, p)
-        if b.counts != a.counts and b.counts not in current:
+        if b is not a and b.counts not in current:
             current.discard(a.counts)
             current.add(b.counts)
             out.append(b)
+            moved = True
             if on_shift is not None:
                 on_shift(
                     {
@@ -160,6 +156,8 @@ def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = N
                 )
         else:
             out.append(a)
+    if not moved:
+        return fam
     result = Family.of_multisets(fam.m, fam.k, out)
     if len(result) != len(fam):
         raise CompressionInvariantError("shift_family changed the family size")
@@ -241,20 +239,13 @@ def down_compress_full(
             break
         i = surplus[0]
         passes += 1
+        traced = None
         if on_shift is not None:
-            pass_no = passes
-
-            def traced(record: dict, _pass_no: int = pass_no) -> None:
+            def traced(record: dict, _pass_no: int = passes) -> None:
                 on_shift({"pass": _pass_no, **record})
-
-            result, kernel = down_compress_pass(
-                result, kernel, i, t,
-                allow_out_of_regime=allow_out_of_regime, on_shift=traced,
-            )
-        else:
-            result, kernel = down_compress_pass(
-                result, kernel, i, t, allow_out_of_regime=allow_out_of_regime
-            )
+        result, kernel = down_compress_pass(
+            result, kernel, i, t, allow_out_of_regime=allow_out_of_regime, on_shift=traced
+        )
     if passes != (t - 1) * fam.m:
         raise CompressionInvariantError(
             f"expected {(t - 1) * fam.m} passes, ran {passes}"

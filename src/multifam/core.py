@@ -116,6 +116,15 @@ class Multiset:
                 mask |= 1 << i
         return mask
 
+    def unary_mask(self, width: int) -> int:
+        """Multiplicities in unary, one field of `width` bits per element
+        (bit e*width + j set iff j < min(counts[e], width)): the popcount of
+        the AND of two masks of one width is the intersection size."""
+        mask = 0
+        for c in reversed(self.counts):
+            mask = mask << width | (1 << (c if c < width else width)) - 1
+        return mask
+
     def intersect(self, other: "Multiset") -> "Multiset":
         """Element-wise minimum of multiplicities."""
         if self.ground_size != other.ground_size:
@@ -171,6 +180,8 @@ class KSet:
         for x in self.members:
             mask |= 1 << (x - 1)
         return mask
+
+    support_mask = mask  # a set is its own support
 
     def intersect(self, other: "KSet") -> "KSet":
         if self.ground_size != other.ground_size:
@@ -261,43 +272,40 @@ class Family:
         return {b.members for b in self.members}
 
 
-def _pair_intersection_size(a, b, kind: str) -> int:
-    if kind == MULTISET:
-        return sum(min(x, y) for x, y in zip(a.counts, b.counts))
-    return len(set(a.members) & set(b.members))
-
-
 # ---------------------------------------------------------------------------
 # family predicates
 # ---------------------------------------------------------------------------
 
+def _all_pairs_share(masks: list[int], t: int) -> bool:
+    """True iff every pair of masks shares at least t set bits."""
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if (a & b).bit_count() < t:
+                return False
+    return True
+
+
 def is_t_intersecting(fam: Family, t: int) -> bool:
     """True iff every pair of distinct members shares >= t elements,
     counted with multiplicity for multisets.  Vacuously true for families
-    with fewer than two members."""
-    if t < 1:
-        raise ContractError(f"t must be >= 1, got {t}")
-    members = fam.members
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if _pair_intersection_size(members[i], members[j], fam.kind) < t:
-                return False
-    return True
-
-
-def is_support_t_intersecting(fam: Family, t: int) -> bool:
-    """True iff every pair of distinct members' supports shares >= t elements."""
+    with fewer than two members.  A pair is one AND and popcount of element
+    masks, or of unary masks whose width is the largest multiplicity present."""
     if t < 1:
         raise ContractError(f"t must be >= 1, got {t}")
     if fam.kind == MULTISET:
-        masks = [a.support_mask() for a in fam.members]
+        width = max((max(a.counts) for a in fam.members), default=0)
+        masks = [a.unary_mask(width) for a in fam.members]
     else:
         masks = [b.mask() for b in fam.members]
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() < t:
-                return False
-    return True
+    return _all_pairs_share(masks, t)
+
+
+def is_support_t_intersecting(fam: Family, t: int) -> bool:
+    """True iff every pair of distinct members' supports shares >= t
+    elements; each pair is one AND and popcount of support masks."""
+    if t < 1:
+        raise ContractError(f"t must be >= 1, got {t}")
+    return _all_pairs_share([x.support_mask() for x in fam.members], t)
 
 
 def common_intersection(fam: Family):
@@ -324,10 +332,7 @@ def has_property_p_s1(fam: Family, s: int) -> bool:
     """
     if s < 1:
         raise ContractError(f"s must be >= 1, got {s}")
-    if fam.kind == MULTISET:
-        masks = [a.support_mask() for a in fam.members]
-    else:
-        masks = [b.mask() for b in fam.members]
+    masks = [x.support_mask() for x in fam.members]
     for combo in combinations(masks, s + 1):
         if all(
             combo[i] & combo[j] == 0

@@ -90,7 +90,12 @@ def parse_family(text: str) -> Family:
 
 
 def load_family(path: str | Path) -> Family:
-    return parse_family(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
+    return parse_family(text)
 
 
 def save_family(fam: Family, path: str | Path) -> None:

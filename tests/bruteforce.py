@@ -1,8 +1,8 @@
-"""Independent brute-force oracles for the search tests.
+"""Independent brute-force oracles and pair-loop references for the tests.
 
-These never touch the library's solvers: plain subset scans over bitmask
-adjacency, kept deliberately dumb so disagreement always indicts the fast
-path.
+These never touch the library's solvers or predicates: plain subset scans
+over bitmask adjacency and one-pair-at-a-time intersection counts, kept
+deliberately dumb so disagreement always indicts the fast path.
 """
 
 from itertools import combinations
@@ -132,3 +132,78 @@ def relabel_by_bits(adj, order):
         for old_nb in bits(mask):
             out[new_index[old]] |= 1 << new_index[old_nb]
     return out
+
+
+def pair_size(a, b):
+    """Multiplicity-counted |a ∩ b| for multisets, |a ∩ b| for sets."""
+    if hasattr(a, "counts"):
+        return sum(min(x, y) for x, y in zip(a.counts, b.counts))
+    return len(set(a.members) & set(b.members))
+
+
+def greedy_t_subfamily(fam, t):
+    """Members kept in order while they t-intersect every kept one, so a
+    predicate under test also sees families on which it must answer True."""
+    from multifam.core import Family
+
+    kept = []
+    for x in fam.members:
+        if all(pair_size(x, y) >= t for y in kept):
+            kept.append(x)
+    return Family(fam.m, fam.k, fam.kind, tuple(kept))
+
+
+def pair_loop_is_t_intersecting(fam, t):
+    """Reference t-intersection: one pair at a time on counts or elements."""
+    members = fam.members
+    return all(
+        pair_size(members[i], members[j]) >= t
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    )
+
+
+def pair_loop_is_support_t_intersecting(fam, t):
+    """Reference support t-intersection: one pair at a time on supports."""
+    supports = [
+        set(x.support().members) if hasattr(x, "counts") else set(x.members)
+        for x in fam.members
+    ]
+    return all(
+        len(supports[i] & supports[j]) >= t
+        for i in range(len(supports))
+        for j in range(i + 1, len(supports))
+    )
+
+
+def pair_loop_is_t_kernel(fam, T, t):
+    """Reference t-kernel test: |F1 ∩ F2 ∩ T| >= t for every pair, summed
+    element by element."""
+    counts = [a.counts for a in fam.members]
+    return all(
+        sum(min(a, b, w) for a, b, w in zip(counts[i], counts[j], T.counts)) >= t
+        for i in range(len(counts))
+        for j in range(i + 1, len(counts))
+    )
+
+
+def greedy_random_t_intersecting_family(m, k, t, rng):
+    """Reference for acceptance.random_t_intersecting_family: the same rng
+    draws, with compatibility summed from multiplicity vectors."""
+    from multifam.core import Family, enumerate_k_multisets
+
+    universe = list(enumerate_k_multisets(m, k))
+    rng.shuffle(universe)
+    target = rng.randint(1, max(2, len(universe) // 2))
+    rate = rng.uniform(0.4, 1.0)
+    chosen = []
+    for a in universe:
+        if len(chosen) >= target:
+            break
+        if rng.random() > rate:
+            continue
+        if all(pair_size(a, c) >= t for c in chosen):
+            chosen.append(a)
+    if not chosen:
+        chosen = [universe[0]]
+    return Family.of_multisets(m, k, chosen)

@@ -54,3 +54,30 @@ def random_adjacency(draw, max_n=12):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+@st.composite
+def family_and_t(draw, max_m=7, max_k=4, max_members=6, kinds=("multiset", "set")):
+    """A multiset or set family with m <= max_m, k <= max_k (0 included) and
+    0..max_members members before deduplication, plus a t in 1..k+1."""
+    from multifam import Family, KSet, Multiset
+
+    m = draw(st.integers(1, max_m))
+    count = draw(st.integers(0, max_members))
+    if draw(st.sampled_from(kinds)) == "multiset":
+        k = draw(st.integers(0, max_k))
+        members = [
+            Multiset.from_elements(m, draw(st.lists(st.integers(1, m), min_size=k, max_size=k)))
+            for _ in range(count)
+        ]
+        family = Family.of_multisets(m, k, members)
+    else:
+        k = draw(st.integers(0, min(max_k, m)))
+        members = [
+            KSet.from_elements(
+                m, draw(st.lists(st.integers(1, m), min_size=k, max_size=k, unique=True))
+            )
+            for _ in range(count)
+        ]
+        family = Family.of_sets(m, k, members)
+    return family, draw(st.integers(1, k + 1))

@@ -62,6 +62,47 @@ def test_compress_with_trace(tmp_path):
         assert {"pass", "i", "s", "j", "member_before", "member_after"} == set(record)
 
 
+# five shifts move members over two passes; the records and the output
+# were produced by the pair-loop implementation before the unary-mask rewrite
+MOVING_FIXTURE = "m=6 k=3 kind=multiset\n1 1 1\n1 1 3\n1 1 5\n1 1 6\n"
+MOVING_TRACE = (
+    '{"i": 1, "j": 2, "member_after": "1 2 6", "member_before": "1 1 6", "pass": 1, "s": 2}\n'
+    '{"i": 1, "j": 2, "member_after": "1 2 5", "member_before": "1 1 5", "pass": 1, "s": 2}\n'
+    '{"i": 1, "j": 2, "member_after": "1 2 3", "member_before": "1 1 3", "pass": 1, "s": 2}\n'
+    '{"i": 1, "j": 2, "member_after": "1 2 2", "member_before": "1 1 1", "pass": 1, "s": 2}\n'
+    '{"i": 2, "j": 4, "member_after": "1 2 4", "member_before": "1 2 2", "pass": 2, "s": 2}\n'
+)
+
+
+def test_compress_trace_is_byte_identical_to_reference(tmp_path):
+    fam_file = tmp_path / "family.txt"
+    out_file = tmp_path / "compressed.txt"
+    trace_file = tmp_path / "trace.jsonl"
+    fam_file.write_text(MOVING_FIXTURE)
+    assert run(
+        "compress", "-i", str(fam_file), "-t", "2", "-o", str(out_file),
+        "--trace", str(trace_file),
+    ) == 0
+    assert trace_file.read_bytes() == MOVING_TRACE.encode()
+    assert out_file.read_text() == "m=6 k=3 kind=multiset\n1 2 6\n1 2 5\n1 2 4\n1 2 3\n"
+
+
+def test_compress_unusable_paths_exit_2(tmp_path, capsys):
+    fam_file = tmp_path / "family.txt"
+    fam_file.write_text(MOVING_FIXTURE)
+    assert run("compress", "-i", str(fam_file), "-t", "2", "-o", f"{tmp_path}/") == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert run("compress", "-i", str(tmp_path), "-t", "2", "-o", str(tmp_path / "o.txt")) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_compress_non_utf8_input_exit_2(tmp_path, capsys):
+    fam_file = tmp_path / "family.txt"
+    fam_file.write_bytes(b"m=6 k=3 kind=multiset\n1 1 1\n1 1 \xff\n")
+    assert run("compress", "-i", str(fam_file), "-t", "2", "-o", str(tmp_path / "o.txt")) == 2
+    assert "line 3: not UTF-8" in capsys.readouterr().err
+
+
 def test_compress_refuses_out_of_regime(tmp_path, capsys):
     fam_file = tmp_path / "family.txt"
     fam_file.write_text("m=5 k=4 kind=multiset\n1 1 2 3\n1 1 2 4\n")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifam import (
@@ -22,9 +22,14 @@ from multifam import (
     shift_multiset,
     star,
 )
-from multifam.acceptance import random_t_intersecting_family
+from multifam.acceptance import _compression_grid, random_t_intersecting_family
 
-from conftest import multiset_family
+from bruteforce import (
+    greedy_random_t_intersecting_family,
+    greedy_t_subfamily,
+    pair_loop_is_t_kernel,
+)
+from conftest import family_and_t, multiset_family
 
 
 def ms(m, *elements):
@@ -69,7 +74,9 @@ def test_shift_preserves_cardinality_and_grows_support():
 def test_shift_family_blocked_by_existing_member():
     family = fam(3, 2, (1, 2), (1, 1))
     # {1,1} would shift to {1,2}, which is already present, so nothing moves
-    assert shift_family(family, ShiftParams(1, 2, 2)) == family
+    records = []
+    assert shift_family(family, ShiftParams(1, 2, 2), records.append) is family
+    assert records == []
 
 
 def test_shift_family_moves_when_target_absent():
@@ -80,15 +87,20 @@ def test_shift_family_moves_when_target_absent():
 
 def test_shift_family_no_candidates_is_identity():
     family = fam(4, 2, (1, 2), (1, 3))
-    assert shift_family(family, ShiftParams(1, 2, 4)) == family
+    records = []
+    assert shift_family(family, ShiftParams(1, 2, 4), records.append) is family
+    assert records == []
 
 
 @given(multiset_family(max_m=4, max_k=3), st.integers(1, 4), st.integers(1, 4), st.integers(2, 3))
 def test_shift_family_always_preserves_size(family, i, j, s):
     if i == j or i > family.m or j > family.m:
         return
-    shifted = shift_family(family, ShiftParams(i, s, j))
+    records = []
+    shifted = shift_family(family, ShiftParams(i, s, j), records.append)
     assert len(shifted) == len(family)
+    # the input comes back as the very same object exactly when nothing moved
+    assert (shifted is family) == (records == [])
 
 
 # -- kernels -------------------------------------------------------------------
@@ -106,6 +118,29 @@ def test_ground_set_kernel_iff_supports_intersect():
     assert not is_t_kernel(family, Multiset(5, (1, 1, 1, 1, 1)), 2)
     supported = frankl_multiset(5, 3, 2, 1)
     assert is_t_kernel(supported, Multiset(5, (1, 1, 1, 1, 1)), 2)
+
+
+@settings(max_examples=300)
+@given(family_and_t(kinds=("multiset",)), st.data())
+def test_is_t_kernel_matches_pair_loop_reference(case, data):
+    family, t = case
+    m, k = family.m, family.k
+    kernels = [
+        Multiset(m, (1,) * m),
+        Multiset(m, (k + 1,) * m),  # above every member multiplicity
+        Multiset(m, tuple(data.draw(st.lists(st.integers(0, k + 2), min_size=m, max_size=m)))),
+    ]
+    for sub in (family, greedy_t_subfamily(family, t)):
+        for T in kernels:
+            assert is_t_kernel(sub, T, t) == pair_loop_is_t_kernel(sub, T, t)
+
+
+def test_kernel_count_above_the_field_width_does_not_spill():
+    # the members share only one copy of 2; T holds 1 three times and 2 never,
+    # so an unclipped field for 1 would spill into 2's field and count it
+    family = fam(2, 2, (1, 2), (2, 2))
+    assert not is_t_kernel(family, Multiset(2, (3, 0)), 1)
+    assert is_t_kernel(family, Multiset(2, (0, 3)), 1)
 
 
 def test_kernel_validation():
@@ -170,6 +205,16 @@ def test_structured_families_are_fixed_points():
     for (m, k, t) in ((5, 3, 2), (6, 3, 2), (6, 4, 2), (6, 4, 3)):
         family = frankl_multiset(m, k, t, 1)
         assert down_compress_full(family, t) == family
+
+
+def test_random_family_generator_matches_reference():
+    for seed in range(20):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for m, k, t in _compression_grid():
+            assert random_t_intersecting_family(m, k, t, rng) == (
+                greedy_random_t_intersecting_family(m, k, t, reference_rng)
+            ), (seed, m, k, t)
+        assert rng.getstate() == reference_rng.getstate()
 
 
 def test_random_compression_battery_small():

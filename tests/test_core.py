@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifam import (
@@ -21,7 +21,12 @@ from multifam import (
     multiset_unrank,
 )
 
-from conftest import multiset_family, multiset_pair
+from bruteforce import (
+    greedy_t_subfamily,
+    pair_loop_is_support_t_intersecting,
+    pair_loop_is_t_intersecting,
+)
+from conftest import family_and_t, multiset_family, multiset_pair
 
 
 def ms(m, *elements):
@@ -129,6 +134,24 @@ def test_t_intersecting_is_monotone_in_t(family, t):
 def test_support_intersecting_implies_t_intersecting(family, t):
     if is_support_t_intersecting(family, t):
         assert is_t_intersecting(family, t)
+
+
+@settings(max_examples=300)
+@given(family_and_t())
+def test_predicates_match_pair_loop_references(case):
+    family, t = case
+    for sub in (family, greedy_t_subfamily(family, t)):
+        assert is_t_intersecting(sub, t) == pair_loop_is_t_intersecting(sub, t)
+        assert is_support_t_intersecting(sub, t) == pair_loop_is_support_t_intersecting(sub, t)
+    assert is_t_intersecting(greedy_t_subfamily(family, t), t)
+
+
+def test_unary_mask_counts_multiplicities_and_clips():
+    a = ms(3, 1, 1, 2, 3, 3, 3)
+    assert a.unary_mask(3) == 0b111_001_011
+    assert a.unary_mask(2) == 0b11_01_11
+    assert (a.unary_mask(3) & ms(3, 1, 3, 3).unary_mask(3)).bit_count() == 3
+    assert Multiset(2, (0, 0)).unary_mask(0) == 0
 
 
 def test_common_intersection():
