@@ -144,12 +144,13 @@ def _cmd_compress(args) -> int:
     trace_records: list[dict] = []
     on_shift = trace_records.append if args.trace else None
     compressed = down_compress_full(fam, args.t, on_shift=on_shift)
-    save_family(compressed, args.output)
+    # the trace goes first, so an unusable --trace path leaves no output file
     if args.trace:
         with open(args.trace, "w") as handle:
             for record in trace_records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
         print(f"wrote {len(trace_records)} shift records to {args.trace}", file=sys.stderr)
+    save_family(compressed, args.output)
     print(f"wrote {len(compressed)} members to {args.output}", file=sys.stderr)
     return 0
 
@@ -178,7 +179,7 @@ def _cmd_search(args) -> int:
             multichoose(args.m, args.k),
         )
     else:
-        graph = build_graph(args.kind, args.m, args.k, args.t or 1)
+        graph = build_graph(args.kind, args.m, args.k, 1 if args.t is None else args.t)
         if constraint == "bipartite":
             result = induced_bipartite_search(graph, args.node_limit)
             label = graph.label() + "+bipartite"

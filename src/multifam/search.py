@@ -17,8 +17,12 @@ Constrained variants:
     the core is small enough;
   * P(s,1) families (no s+1 pairwise disjoint members) exclude one vertex
     of a violated (s+1)-clique at a time, with earlier choices pinned;
-  * unions of two intersecting families assign each vertex to one of two
-    independent sides or drop it, first placed vertex pinned to side one.
+  * unions of two intersecting families are the largest independent sets
+    of G □ K₂ (one copy of G per side, the two copies of a vertex joined),
+    found as cliques of its complement.
+
+Clique expansion is one loop over an explicit stack, so search depth is
+bounded by memory, not by the interpreter's recursion limit.
 
 Every search re-validates its witness against the raw pairwise predicate,
 independent of the adjacency structure, and honest node-limit reporting
@@ -57,7 +61,6 @@ PROVED_OPTIMAL = "proved_optimal"
 NODE_LIMIT_HIT = "node_limit_hit"
 
 CLIQUE_FREE_VERTEX_CAP = 40
-BIPARTITE_VERTEX_CAP = 40
 
 
 @dataclass
@@ -92,6 +95,8 @@ class _NodeCounter:
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int | None):
+        if limit is not None and limit < 1:
+            raise ContractError(f"node limit must be at least 1, got {limit}")
         self.nodes = 0
         self.limit = limit
 
@@ -135,17 +140,70 @@ def _relabel(adj: list[int], order: list[int]) -> list[int]:
     return [int("".join(pick(format(adj[old], width))), 2) for old in order]
 
 
-class _MaxCliqueSolver:
-    """Exact maximum clique with colouring bounds (Tomita-style)."""
+class _CliqueSearch:
+    """Incumbent, node budget and the branch-and-bound clique loop
+    (Tomita-style colouring bounds) shared by every search; a subclass
+    supplies _search."""
+
+    def __init__(self, adj: list[int], node_limit: int | None):
+        self.adj = adj
+        self.counter = _NodeCounter(node_limit)
+        self.best = 0
+        self.best_mask = 0
+
+    def solve(self) -> tuple[int, int, int, bool]:
+        """Returns (optimum, witness mask, nodes explored, limit_hit)."""
+        limited = False
+        try:
+            self._search()
+        except _Budget:
+            limited = True
+        return self.best, self.best_mask, self.counter.nodes, limited
+
+    def _expand(self, r_size: int, r_mask: int, p_mask: int) -> None:
+        """Extend the clique r (r_size members, r_mask) from the candidates
+        p_mask.  Each stack frame is (r_size, r_mask, p_mask, colour order,
+        colours, index); the index walks the order from its last vertex, the
+        one with the highest colour, and the frame ends once the colour
+        bound can no longer beat the incumbent."""
+        adj = self.adj
+        tick = self.counter.tick
+        stack = []
+        tick()
+        order, colors = _greedy_color(p_mask, adj)
+        i = len(order)
+        while True:
+            i -= 1
+            if i < 0 or r_size + colors[i] <= self.best:
+                if not stack:
+                    return
+                r_size, r_mask, p_mask, order, colors, i = stack.pop()
+                continue
+            v = order[i]
+            bit = 1 << v
+            new_p = p_mask & adj[v]
+            p_mask &= ~bit
+            if new_p:
+                stack.append((r_size, r_mask, p_mask, order, colors, i))
+                r_size += 1
+                r_mask |= bit
+                p_mask = new_p
+                tick()
+                order, colors = _greedy_color(p_mask, adj)
+                i = len(order)
+            elif r_size + 1 > self.best:
+                self.best = r_size + 1
+                self.best_mask = r_mask | bit
+
+
+class _MaxCliqueSolver(_CliqueSearch):
+    """Exact maximum clique on a graph relabelled by descending degree."""
 
     def __init__(self, adj: list[int], node_limit: int | None = None):
         self.n = len(adj)
         order = sorted(range(self.n), key=lambda v: (-adj[v].bit_count(), v))
         self.to_old = order
-        self.adj = _relabel(adj, order)
-        self.counter = _NodeCounter(node_limit)
-        self.best = 0
-        self.best_mask = 0
+        super().__init__(_relabel(adj, order), node_limit)
 
     def _seed_greedy(self) -> None:
         chosen = 0
@@ -160,33 +218,15 @@ class _MaxCliqueSolver:
         self.best = size
         self.best_mask = chosen
 
-    def _expand(self, r_size: int, r_mask: int, p_mask: int) -> None:
-        self.counter.tick()
-        order, colors = _greedy_color(p_mask, self.adj)
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + colors[i] <= self.best:
-                return
-            v = order[i]
-            bit = 1 << v
-            new_p = p_mask & self.adj[v]
-            if new_p:
-                self._expand(r_size + 1, r_mask | bit, new_p)
-            elif r_size + 1 > self.best:
-                self.best = r_size + 1
-                self.best_mask = r_mask | bit
-            p_mask &= ~bit
+    def _search(self) -> None:
+        self._seed_greedy()
+        if self.n:
+            self._expand(0, 0, (1 << self.n) - 1)
 
     def solve(self) -> tuple[int, int, int, bool]:
-        """Returns (clique number, witness mask in original indexing,
-        nodes explored, limit_hit)."""
-        self._seed_greedy()
-        limited = False
-        try:
-            if self.n:
-                self._expand(0, 0, (1 << self.n) - 1)
-        except _Budget:
-            limited = True
-        return self.best, self._remap(self.best_mask), self.counter.nodes, limited
+        """As _CliqueSearch.solve, the witness in original indexing."""
+        best, mask, nodes, limited = super().solve()
+        return best, self._remap(mask), nodes, limited
 
     def _remap(self, mask: int) -> int:
         out = 0
@@ -288,15 +328,15 @@ def enumerate_maximum_independent_sets(
 # constrained search: common core below a cardinality limit
 # ---------------------------------------------------------------------------
 
-class _SmallCoreSolver:
+class _SmallCoreSolver(_CliqueSearch):
     """Maximum pairwise t_pair-intersecting multiset family whose common
     intersection ends with cardinality below core_limit.
 
     While the running core is still too large, branching is over the
     earliest included member that strictly shrinks it (earlier candidates
     barred, so the branches partition the space); once the core drops below
-    the limit it can never grow again and plain clique expansion takes
-    over."""
+    the limit it can never grow again and the shared clique loop takes
+    over on the compatibility rows."""
 
     def __init__(
         self,
@@ -305,36 +345,33 @@ class _SmallCoreSolver:
         core_limit: int,
         node_limit: int | None,
     ):
+        super().__init__(compat, node_limit)
         self.counts = counts
-        self.compat = compat
         self.limit = core_limit
-        self.counter = _NodeCounter(node_limit)
-        self.best = 0
-        self.best_mask = 0
 
     def solve(self, seed_mask: int = 0) -> tuple[int, int, int, bool]:
-        if seed_mask:
-            self.best = seed_mask.bit_count()
-            self.best_mask = seed_mask
-        limited = False
+        self.best = seed_mask.bit_count()
+        self.best_mask = seed_mask
+        return super().solve()
+
+    def _search(self) -> None:
         n = len(self.counts)
-        try:
-            if n:
-                self._dfs(0, 0, None, (1 << n) - 1)
-        except _Budget:
-            limited = True
-        return self.best, self.best_mask, self.counter.nodes, limited
+        if n:
+            self._dfs(0, 0, None, (1 << n) - 1)
 
     def _dfs(self, r_size: int, r_mask: int, core, p_mask: int) -> None:
         self.counter.tick()
         if core is not None and sum(core) < self.limit:
+            if r_size > self.best:
+                self.best = r_size
+                self.best_mask = r_mask
             self._expand(r_size, r_mask, p_mask)
             return
         if not p_mask:
             return
         # colouring runs on the compatibility graph itself: colour classes
         # are pairwise-incompatible sets, so #colours bounds the family size
-        order, colors = _greedy_color(p_mask, self.compat)
+        order, colors = _greedy_color(p_mask, self.adj)
         if r_size + colors[-1] <= self.best:
             return
         if core is not None and not self._core_fixable(core, p_mask):
@@ -347,7 +384,7 @@ class _SmallCoreSolver:
                 new_core = self.counts[v]
             else:
                 new_core = tuple(min(c, x) for c, x in zip(core, self.counts[v]))
-            self._dfs(r_size + 1, r_mask | bit, new_core, p_mask & self.compat[v] & ~banned)
+            self._dfs(r_size + 1, r_mask | bit, new_core, p_mask & self.adj[v] & ~banned)
             banned |= bit
 
     def _core_fixable(self, core, p_mask: int) -> bool:
@@ -378,25 +415,6 @@ class _SmallCoreSolver:
             if any(x < c for c, x in zip(core, cv)):
                 out.append(v)
         return out
-
-    def _expand(self, r_size: int, r_mask: int, p_mask: int) -> None:
-        self.counter.tick()
-        if r_size > self.best:
-            self.best = r_size
-            self.best_mask = r_mask
-        order, colors = _greedy_color(p_mask, self.compat)
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + colors[i] <= self.best:
-                return
-            v = order[i]
-            bit = 1 << v
-            new_p = p_mask & self.compat[v]
-            if new_p:
-                self._expand(r_size + 1, r_mask | bit, new_p)
-            elif r_size + 1 > self.best:
-                self.best = r_size + 1
-                self.best_mask = r_mask | bit
-            p_mask &= ~bit
 
 
 def _seed_mask_for(seed: Family | None, m: int, k: int, t_pair: int, core_limit: int) -> int:
@@ -471,7 +489,7 @@ def max_t_intersecting_nontrivial(
 # clique-free induced subgraphs: P(s,1) families
 # ---------------------------------------------------------------------------
 
-class _CliqueFreeSolver:
+class _CliqueFreeSolver(_CliqueSearch):
     """Maximum vertex subset whose induced subgraph has no (s+1)-clique.
 
     Branches on a violated clique: one vertex of it must leave, and the
@@ -479,22 +497,13 @@ class _CliqueFreeSolver:
     the space."""
 
     def __init__(self, adj: list[int], s: int, node_limit: int | None):
-        self.adj = adj
+        super().__init__(adj, node_limit)
         self.n = len(adj)
         self.s = s
-        self.counter = _NodeCounter(node_limit)
-        self.best = 0
-        self.best_mask = 0
 
-    def solve(self) -> tuple[int, int, int, bool]:
-        full = (1 << self.n) - 1 if self.n else 0
+    def _search(self) -> None:
         self._seed_greedy()
-        limited = False
-        try:
-            self._rec(full, 0)
-        except _Budget:
-            limited = True
-        return self.best, self.best_mask, self.counter.nodes, limited
+        self._rec((1 << self.n) - 1, 0)
 
     def _seed_greedy(self) -> None:
         chosen = 0
@@ -575,48 +584,35 @@ def max_p_s1_family(
 # induced bipartite subgraphs: unions of two intersecting families
 # ---------------------------------------------------------------------------
 
-class _BipartiteSolver:
-    """Maximum vertex subset inducing a bipartite subgraph: every chosen
-    vertex is assigned to one of two sides, each side independent."""
+def _max_induced_bipartite(
+    adj: list[int], node_limit: int | None
+) -> tuple[int, tuple[int, int], int, bool]:
+    """Largest induced bipartite subgraph of G as a maximum clique of the
+    complement of G □ K₂; returns (size, (side one, side two) masks, nodes
+    explored, limit_hit).
 
-    def __init__(self, adj: list[int], node_limit: int | None):
-        self.adj = adj
-        self.n = len(adj)
-        self.order = sorted(range(self.n), key=lambda v: (-adj[v].bit_count(), v))
-        self.counter = _NodeCounter(node_limit)
-        self.best = 0
-        self.best_sides = (0, 0)
-
-    def solve(self) -> tuple[int, tuple[int, int], int, bool]:
-        limited = False
-        try:
-            self._rec(0, 0, 0, 0)
-        except _Budget:
-            limited = True
-        return self.best, self.best_sides, self.counter.nodes, limited
-
-    def _rec(self, idx: int, a_mask: int, b_mask: int, count: int) -> None:
-        self.counter.tick()
-        if count + (self.n - idx) <= self.best:
-            return
-        if idx == self.n:
-            self.best = count
-            self.best_sides = (a_mask, b_mask)
-            return
-        v = self.order[idx]
-        bit = 1 << v
-        if not (self.adj[v] & a_mask):
-            self._rec(idx + 1, a_mask | bit, b_mask, count + 1)
-        if (a_mask | b_mask) and not (self.adj[v] & b_mask):
-            self._rec(idx + 1, a_mask, b_mask | bit, count + 1)
-        self._rec(idx + 1, a_mask, b_mask, count)
+    Side one holds vertex v at index v, side two holds vertex v >= 1 at
+    n + v - 1: some optimum keeps vertex 0 off side two (swap the sides
+    otherwise), so its side-two copy is dropped.  Copies on one side are
+    joined when the vertices are distinct and non-adjacent in G, copies on
+    opposite sides when the vertices are distinct."""
+    n = len(adj)
+    full = (1 << n) - 1
+    rows = []
+    for v in range(n):
+        others = full & ~(1 << v)
+        rows.append(others & ~adj[v] | others >> 1 << n)
+    for v in range(1, n):
+        others = full & ~(1 << v)
+        rows.append(others | (others & ~adj[v]) >> 1 << n)
+    best, mask, nodes, limited = _MaxCliqueSolver(rows, node_limit).solve()
+    return best, (mask & full, mask >> n << 1), nodes, limited
 
 
 def induced_bipartite_search(graph: DisjointnessGraph, node_limit: int | None = None) -> SearchResult:
     """Largest vertex subset of a disjointness graph inducing a bipartite
     subgraph; the two colour classes are two intersecting families."""
-    solver = _BipartiteSolver(graph.adj, node_limit)
-    best, (a_mask, b_mask), nodes, limited = solver.solve()
+    best, (a_mask, b_mask), nodes, limited = _max_induced_bipartite(graph.adj, node_limit)
     side_a = graph.family_from_mask(a_mask)
     side_b = graph.family_from_mask(b_mask)
     if not (is_t_intersecting(side_a, 1) and is_t_intersecting(side_b, 1)):
@@ -630,7 +626,7 @@ def max_union_two_intersecting(
     m: int,
     k: int,
     node_limit: int | None = None,
-    vertex_cap: int = BIPARTITE_VERTEX_CAP,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SearchResult:
     """Largest union of two intersecting families of k-multisets of [m]
     (equivalently, the largest induced bipartite subgraph of M(m,k))."""

@@ -149,7 +149,7 @@ def _bind_t24(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis n > (3+sqrt(5))k/2 not met (n={n}, k={k})"]
     bound = binomial(n - 1, k - 1) + binomial(n - 2, k - 1)
     constructed = families.hit_s_set(n, k, (1, 2))
-    graph = build_graph(KIND_KNESER, n, k, vertex_cap=64)
+    graph = build_graph(KIND_KNESER, n, k)
     result = induced_bipartite_search(graph, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 

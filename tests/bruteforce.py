@@ -207,3 +207,30 @@ def greedy_random_t_intersecting_family(m, k, t, rng):
     if not chosen:
         chosen = [universe[0]]
     return Family.of_multisets(m, k, chosen)
+
+
+def two_sided_max_induced_bipartite(adj):
+    """Reference two-family search: every vertex, in descending-degree
+    order, goes to side one, to side two or to neither, each side kept
+    independent and the first placed vertex pinned to side one.  Returns
+    (size, (side one mask, side two mask))."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    best = [0, (0, 0)]
+
+    def rec(idx, a_mask, b_mask, count):
+        if count + (n - idx) <= best[0]:
+            return
+        if idx == n:
+            best[:] = [count, (a_mask, b_mask)]
+            return
+        v = order[idx]
+        bit = 1 << v
+        if not adj[v] & a_mask:
+            rec(idx + 1, a_mask | bit, b_mask, count + 1)
+        if (a_mask | b_mask) and not adj[v] & b_mask:
+            rec(idx + 1, a_mask, b_mask | bit, count + 1)
+        rec(idx + 1, a_mask, b_mask, count)
+
+    rec(0, 0, 0, 0)
+    return best[0], best[1]

@@ -96,6 +96,18 @@ def test_compress_unusable_paths_exit_2(tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
 
 
+def test_compress_unusable_trace_path_writes_no_output(tmp_path, capsys):
+    fam_file = tmp_path / "family.txt"
+    fam_file.write_text(MOVING_FIXTURE)
+    out_file = tmp_path / "out.txt"
+    assert run(
+        "compress", "-i", str(fam_file), "-t", "2", "-o", str(out_file),
+        "--trace", f"{tmp_path}/",
+    ) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_compress_non_utf8_input_exit_2(tmp_path, capsys):
     fam_file = tmp_path / "family.txt"
     fam_file.write_bytes(b"m=6 k=3 kind=multiset\n1 1 1\n1 1 \xff\n")
@@ -138,6 +150,23 @@ def test_search_constraints(capsys):
 
 def test_search_node_limit_exit_code():
     assert run("search", "--m", "5", "--k", "3", "--node-limit", "1") == 3
+
+
+def test_deep_search_node_limit_exit_code():
+    # M(11,5) has 3003 vertices and an optimum of 1001 members
+    assert run("search", "--kind", "M", "--m", "11", "--k", "5", "--node-limit", "1000") == 3
+
+
+def test_node_limit_below_one_exit_2(capsys):
+    for limit in ("0", "-1"):
+        assert run("search", "--m", "4", "--k", "2", "--node-limit", limit) == 2
+        assert run("verify", "--theorem", "T1.4", "--m", "4", "--k", "2", "--node-limit", limit) == 2
+    assert "node limit must be at least 1" in capsys.readouterr().err
+
+
+def test_search_rejects_t_zero(capsys):
+    assert run("search", "--kind", "M_t", "--m", "4", "--k", "2", "--t", "0") == 2
+    assert "t must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_cli(tmp_path, capsys):

@@ -26,12 +26,13 @@ from multifam import (
 from multifam.search import (
     NODE_LIMIT_HIT,
     SUPPORT_INTERSECTION,
-    _BipartiteSolver,
     _CliqueFreeSolver,
     _MaxCliqueSolver,
     _SmallCoreSolver,
     _complement_adj,
+    _max_induced_bipartite,
     _relabel,
+    induced_bipartite_search,
 )
 
 from bruteforce import (
@@ -42,6 +43,7 @@ from bruteforce import (
     pair_loop_graph,
     pairwise_compat_masks,
     relabel_by_bits,
+    two_sided_max_induced_bipartite,
 )
 from conftest import random_adjacency
 
@@ -172,6 +174,34 @@ def test_mis_determinism():
     assert first.witness == second.witness
 
 
+# exact nodes_explored of the clique loop; a change here is a change of
+# traversal order and must be deliberate and logged in CHANGES.md
+PINNED_NODE_COUNTS = [
+    (lambda: max_independent_set(build_graph("M", 5, 3)), 15, 16),
+    (lambda: max_independent_set(build_graph("K", 7, 3)), 15, 101),
+    (lambda: max_independent_set(build_graph("M", 6, 3)), 21, 27),
+    (lambda: max_intersecting_empty_common(6, 3), 16, 2535),
+    (lambda: max_intersecting_empty_common(5, 3), 13, 412),
+    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 3855),
+    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 11300),
+]
+
+
+@pytest.mark.parametrize("search, optimum, nodes", PINNED_NODE_COUNTS)
+def test_pinned_node_counts(search, optimum, nodes):
+    result = search()
+    assert result.proved
+    assert (result.optimum, result.nodes_explored) == (optimum, nodes)
+
+
+def test_deep_clique_search_stops_at_the_node_limit():
+    # the optimum, 1001 members, is deeper than the default recursion limit
+    result = max_independent_set(build_graph("M", 11, 5), node_limit=1000)
+    assert result.status == NODE_LIMIT_HIT
+    assert result.nodes_explored == 1001
+    assert is_t_intersecting(result.witness, 1)
+
+
 def test_mis_edgeless_graph_takes_everything():
     graph = build_graph("K", 3, 2)  # all 2-subsets of [3] pairwise intersect
     result = max_independent_set(graph)
@@ -184,6 +214,21 @@ def test_node_limit_is_reported_not_silent():
     assert result.status == NODE_LIMIT_HIT
     assert result.optimum <= 15
     assert is_t_intersecting(result.witness, 1)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_node_limit_below_one_is_rejected(limit):
+    graph = build_graph("M", 4, 2)
+    for search in (
+        lambda: max_independent_set(graph, node_limit=limit),
+        lambda: enumerate_maximum_independent_sets(graph, node_limit=limit, optimum=4),
+        lambda: max_intersecting_empty_common(4, 2, node_limit=limit),
+        lambda: max_t_intersecting_nontrivial(4, 2, 1, node_limit=limit),
+        lambda: max_p_s1_family(4, 2, 2, node_limit=limit),
+        lambda: max_union_two_intersecting(4, 2, node_limit=limit),
+    ):
+        with pytest.raises(ContractError, match="node limit"):
+            search()
 
 
 def test_node_limit_on_every_constrained_solver():
@@ -284,7 +329,7 @@ def test_p_s1_saturated_s_takes_whole_universe():
 
 @given(random_adjacency(max_n=9))
 def test_bipartite_matches_bruteforce(adj):
-    best, (a_mask, b_mask), _nodes, limited = _BipartiteSolver(adj, None).solve()
+    best, (a_mask, b_mask), _nodes, limited = _max_induced_bipartite(adj, None)
     assert not limited
     assert best == brute_max_induced_bipartite(adj)
     assert (a_mask | b_mask).bit_count() == best
@@ -295,6 +340,25 @@ def test_bipartite_matches_bruteforce(adj):
 def test_bipartite_reference_values():
     assert max_union_two_intersecting(5, 2).optimum == 9
     assert max_union_two_intersecting(4, 1).optimum == 2
+
+
+@pytest.mark.parametrize("kind, m, k", [("M", 5, 2), ("K", 6, 2), ("K", 7, 2), ("M", 7, 2), ("M", 5, 3)])
+def test_product_search_matches_two_sided_reference(kind, m, k):
+    graph = build_graph(kind, m, k)
+    best, _sides = two_sided_max_induced_bipartite(graph.adj)
+    _best, (a_mask, b_mask), _nodes, _limited = _max_induced_bipartite(graph.adj, None)
+    assert a_mask & b_mask == 0
+    for side in (a_mask, b_mask):
+        assert is_t_intersecting(graph.family_from_mask(side), 1)
+    result = induced_bipartite_search(graph)
+    assert result.proved and result.optimum == len(result.witness) == best
+    assert result.witness == graph.family_from_mask(a_mask | b_mask)
+
+
+def test_union_of_two_above_the_old_cap():
+    # M(6,3) has 56 vertices
+    result = max_union_two_intersecting(6, 3)
+    assert result.proved and result.optimum == 36
 
 
 # -- t-intersecting searches ----------------------------------------------------------
