@@ -4,15 +4,22 @@ Constructors build the family by filtering the enumerated universe, so the
 member order is always canonical.  Closed-form sizes are provided where one
 exists; hm_t families have no closed form and are counted by enumeration.
 
-Isomorphism is relabeling of the ground set.  canonical_form scans all m!
-relabelings and keeps the lexicographically smallest sorted member list;
-that is unambiguous and fine at desk scale, guarded at m <= 9.
+Isomorphism is relabeling of the ground set.  canonical_form runs an
+individualisation-refinement search (McKay & Piperno, "Practical graph
+isomorphism, II", 2014) on the element-member incidence structure: colour
+refinement to an equitable colouring, branching on the first smallest
+non-singleton cell, and pruning of children that an automorphism found
+between two equal leaves maps onto an explored sibling.  Sets and multisets
+share the code (a set is its 0/1 count vector).  The representative is a
+ground-set relabelling of the input that does not depend on the input's
+labelling, so two families have equal canonical forms iff they are
+isomorphic; it is not, in general, the lexicographic minimum over all m!
+relabelings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterable, Sequence
 
 from .core import (
@@ -21,15 +28,12 @@ from .core import (
     Family,
     KSet,
     Multiset,
-    ScaleExceededError,
     binomial,
     enumerate_k_multisets,
     enumerate_k_subsets,
     is_t_intersecting,
     multichoose,
 )
-
-CANONICAL_FORM_MAX_GROUND = 9
 
 FAMILY_NAMES = (
     "star",
@@ -365,36 +369,147 @@ def apply_permutation(fam: Family, perm: Sequence[int]) -> Family:
     )
 
 
-def _member_key_lists(fam: Family) -> list[tuple[int, ...]]:
+def _supports(fam: Family) -> list[list[tuple[int, int]]]:
+    """Each member as its (element index, multiplicity) pairs; a set is
+    its 0/1 count vector."""
     if fam.kind == MULTISET:
-        return [a.counts for a in fam.members]
-    return [b.members for b in fam.members]
+        return [[(e, c) for e, c in enumerate(a.counts) if c] for a in fam.members]
+    return [[(x - 1, 1) for x in b.members] for b in fam.members]
+
+
+class _Canonizer:
+    """Individualisation-refinement search for a canonical relabelling.
+
+    A colouring of the ground elements is a list of dense colours 0..cells-1
+    whose order is label-independent, so the search tree depends only on
+    the family, not on its labelling.  Each leaf (a discrete colouring) is
+    a relabelling; the smallest sorted list of relabelled member codes over
+    all leaves is the canonical one.  Two leaves with equal codes give an
+    automorphism, used to skip symmetric children and to jump back out of a
+    subtree that mirrors one already explored."""
+
+    def __init__(self, fam: Family):
+        self.m = fam.m
+        self.supports = _supports(fam)
+        self.base = 1 + max((c for sup in self.supports for _, c in sup), default=0)
+        self.incidence: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
+        for i, sup in enumerate(self.supports):
+            for e, c in sup:
+                self.incidence[e].append((i, c))
+        self.weights = [self.base ** (self.m - 1 - p) for p in range(self.m)]
+        self.automorphisms: list[list[int]] = []
+        self.first = None  # (codes, path, inverse colouring) of the first leaf
+        self.best = None  # the same for the smallest leaf so far
+
+    def relabelling(self) -> list[int]:
+        """Canonical relabelling: element i becomes perm[i-1]."""
+        self._node([0] * self.m, 1 if self.m else 0, [])
+        inverse = self.best[2]
+        perm = [0] * self.m
+        for p, e in enumerate(inverse):
+            perm[e] = p + 1
+        return perm
+
+    def _refine(self, col: list[int], cells: int) -> tuple[list[int], int]:
+        """Recolour until equitable.  A member's colour ranks its sorted
+        (element colour, multiplicity) pairs; an element's colour ranks its
+        old colour with its sorted (member colour, multiplicity) pairs."""
+        base = self.base
+        while cells < self.m:
+            msig = [tuple(sorted([col[e] * base + c for e, c in sup])) for sup in self.supports]
+            rank = {sig: r for r, sig in enumerate(sorted(set(msig)))}
+            mcol = [rank[sig] * base for sig in msig]
+            esig = [
+                (col[e], tuple(sorted([mcol[i] + c for i, c in inc])))
+                for e, inc in enumerate(self.incidence)
+            ]
+            rank = {sig: r for r, sig in enumerate(sorted(set(esig)))}
+            if len(rank) == cells:
+                break
+            col = [rank[sig] for sig in esig]
+            cells = len(rank)
+        return col, cells
+
+    def _node(self, col: list[int], cells: int, path: list[int]) -> int:
+        """Search below one node; returns the depth of the ancestor where
+        the search resumes (len(path) - 1 unless a jump back is due)."""
+        depth = len(path)
+        col, cells = self._refine(col, cells)
+        if cells == self.m:
+            return self._leaf(col, path)
+        by_colour: list[list[int]] = [[] for _ in range(cells)]
+        for e, c in enumerate(col):
+            by_colour[c].append(e)
+        target = min((cell for cell in by_colour if len(cell) > 1), key=len)
+        colour = col[target[0]]
+        explored: list[int] = []
+        for v in target:
+            if explored and self._same_orbit(v, explored, path):
+                continue
+            # individualise v: it keeps its colour, the rest of its cell moves up
+            child = [c + (c > colour or (c == colour and e != v)) for e, c in enumerate(col)]
+            resume = self._node(child, cells + 1, path + [v])
+            if resume < depth:
+                return resume
+            explored.append(v)
+        return depth - 1
+
+    def _leaf(self, col: list[int], path: list[int]) -> int:
+        """Score a discrete colouring.  If its codes repeat the first or the
+        best leaf's, the automorphism between the two maps this leaf's
+        branch below the node where the paths part onto an explored one, so
+        the search resumes at that node."""
+        weights = self.weights
+        codes = sorted([sum([c * weights[col[e]] for e, c in sup]) for sup in self.supports])
+        inverse = [0] * self.m
+        for e, c in enumerate(col):
+            inverse[c] = e
+        leaf = (codes, path, inverse)
+        if self.first is None:
+            self.first = self.best = leaf
+            return len(path) - 1
+        for other in (self.first, self.best):
+            if codes == other[0]:
+                # element e sits where other[2] has the automorphic image of e
+                self.automorphisms.append([other[2][c] for c in col])
+                common = 0
+                while path[common] == other[1][common]:
+                    common += 1
+                return common
+        if codes < self.best[0]:
+            self.best = leaf
+        return len(path) - 1
+
+    def _same_orbit(self, v: int, explored: list[int], path: list[int]) -> bool:
+        """Is v in the orbit of an explored sibling under the automorphisms
+        found so far that fix the path pointwise?"""
+        parent = list(range(self.m))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for gamma in self.automorphisms:
+            if all(gamma[x] == x for x in path):
+                for x, y in enumerate(gamma):
+                    rx, ry = find(x), find(y)
+                    if rx != ry:
+                        parent[rx] = ry
+        root = find(v)
+        return any(find(u) == root for u in explored)
 
 
 def canonical_form(fam: Family) -> Family:
-    """Lexicographic minimum, over all m! relabelings, of the sorted member
-    list.  Permutation-invariant by construction."""
-    if fam.m > CANONICAL_FORM_MAX_GROUND:
-        raise ScaleExceededError(
-            f"canonical_form scans m! relabelings; m={fam.m} exceeds the "
-            f"guard of {CANONICAL_FORM_MAX_GROUND}"
-        )
-    m = fam.m
-    keys = _member_key_lists(fam)
-    best: list[tuple[int, ...]] | None = None
-    if fam.kind == MULTISET:
-        for perm in permutations(range(1, m + 1)):
-            relabeled = sorted(_relabel_counts(counts, perm) for counts in keys)
-            if best is None or relabeled < best:
-                best = relabeled
-        assert best is not None
-        return Family.of_multisets(m, fam.k, (Multiset(m, c) for c in best))
-    for perm in permutations(range(1, m + 1)):
-        relabeled = sorted(tuple(sorted(perm[x - 1] for x in mem)) for mem in keys)
-        if best is None or relabeled < best:
-            best = relabeled
-    assert best is not None
-    return Family.of_sets(m, fam.k, (KSet(m, mem) for mem in best))
+    """Canonical representative of the family's isomorphism class.
+
+    The result is a ground-set relabelling of the input; relabelling the
+    input does not change it, and two families have equal canonical forms
+    iff they are isomorphic.  It is the smallest leaf of an
+    individualisation-refinement search, not the lexicographic minimum
+    over all m! relabellings."""
+    return apply_permutation(fam, _Canonizer(fam).relabelling())
 
 
 def _iso_invariants(fam: Family):

@@ -22,7 +22,9 @@ Constrained variants:
     found as cliques of its complement.
 
 Clique expansion is one loop over an explicit stack, so search depth is
-bounded by memory, not by the interpreter's recursion limit.
+bounded by memory, not by the interpreter's recursion limit.  Enumerating
+all optima runs on the same loop: the incumbent is held at one below the
+proved optimum and each leaf is recorded instead of adopted.
 
 Every search re-validates its witness against the raw pairwise predicate,
 independent of the adjacency structure, and honest node-limit reporting
@@ -192,8 +194,12 @@ class _CliqueSearch:
                 order, colors = _greedy_color(p_mask, adj)
                 i = len(order)
             elif r_size + 1 > self.best:
-                self.best = r_size + 1
-                self.best_mask = r_mask | bit
+                self._leaf(r_size + 1, r_mask | bit)
+
+    def _leaf(self, size: int, mask: int) -> None:
+        """A clique the loop cannot extend that beats the incumbent."""
+        self.best = size
+        self.best_mask = mask
 
 
 class _MaxCliqueSolver(_CliqueSearch):
@@ -234,39 +240,41 @@ class _MaxCliqueSolver(_CliqueSearch):
             out |= 1 << self.to_old[v]
         return out
 
-    # -- enumeration of all cliques of a target size ------------------------
+
+class _CliqueEnumerator(_MaxCliqueSolver):
+    """Every clique of the clique number `target`, on the shared loop.
+
+    The incumbent stays at target - 1, so the colour bound keeps exactly
+    the branches that can still reach target, and a leaf is recorded
+    instead of adopted.  The loop drops each branched vertex from its later
+    siblings, so every clique is reached by one path."""
 
     def enumerate_target(self, target: int, cap: int | None) -> tuple[list[int], bool, int]:
-        """All cliques of exactly `target` vertices (each reported once), up
-        to `cap`; returns (masks in original indexing, complete, nodes)."""
+        """All cliques of `target` vertices, up to `cap`; returns (masks in
+        original indexing, complete, nodes).  `target` must be the clique
+        number: a larger clique is a contract error."""
         self.found: list[int] = []
         self.cap = cap
         self.target = target
+        self.best = target - 1
         complete = True
         try:
-            self._enum(0, 0, (1 << self.n) - 1)
-        except _CapHit:
-            complete = False
-        except _Budget:
+            if self.n:
+                self._expand(0, 0, (1 << self.n) - 1)
+            elif target == 0:
+                self.found.append(0)  # the empty clique of the empty graph
+        except (_CapHit, _Budget):
             complete = False
         return [self._remap(m) for m in self.found], complete, self.counter.nodes
 
-    def _enum(self, r_size: int, r_mask: int, p_mask: int) -> None:
-        self.counter.tick()
-        if r_size == self.target:
-            self.found.append(r_mask)
-            if self.cap is not None and len(self.found) >= self.cap:
-                raise _CapHit
-            return
-        if not p_mask:
-            return
-        order, colors = _greedy_color(p_mask, self.adj)
-        if r_size + colors[-1] < self.target:
-            return
-        for v in order:
-            bit = 1 << v
-            above = ~((bit << 1) - 1)
-            self._enum(r_size + 1, r_mask | bit, p_mask & self.adj[v] & above)
+    def _leaf(self, size: int, mask: int) -> None:
+        if size > self.target:
+            raise ContractError(
+                f"target {self.target} is below the clique number: found {size}"
+            )
+        self.found.append(mask)
+        if self.cap is not None and len(self.found) >= self.cap:
+            raise _CapHit
 
 
 def _complement_adj(graph: DisjointnessGraph) -> list[int]:
@@ -314,7 +322,7 @@ def enumerate_maximum_independent_sets(
             return EnumerationResult(base.optimum, [base.witness], False, base.nodes_explored)
         optimum = base.optimum
         nodes_total = base.nodes_explored
-    solver = _MaxCliqueSolver(comp, node_limit)
+    solver = _CliqueEnumerator(comp, node_limit)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     families = []
     for mask in masks:
@@ -363,8 +371,7 @@ class _SmallCoreSolver(_CliqueSearch):
         self.counter.tick()
         if core is not None and sum(core) < self.limit:
             if r_size > self.best:
-                self.best = r_size
-                self.best_mask = r_mask
+                self._leaf(r_size, r_mask)
             self._expand(r_size, r_mask, p_mask)
             return
         if not p_mask:

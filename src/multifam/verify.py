@@ -274,8 +274,6 @@ def _uniqueness_verdict(binding: _Binding, cap: int, node_limit) -> tuple[str, l
     graph = binding.graph_for_uniqueness
     if graph is None or not binding.result.proved:
         return NOT_CHECKED, None, 0
-    if graph.m > families.CANONICAL_FORM_MAX_GROUND:
-        return NOT_CHECKED, None, 0
     enum = enumerate_maximum_independent_sets(
         graph, cap=cap, node_limit=node_limit, optimum=binding.result.optimum
     )

@@ -234,3 +234,82 @@ def two_sided_max_induced_bipartite(adj):
 
     rec(0, 0, 0, 0)
     return best[0], best[1]
+
+
+def scan_canonical_form(fam):
+    """Reference canonical form: the lexicographic minimum, over all m!
+    relabelings, of the sorted member list (counts tuples for multisets,
+    element tuples for sets)."""
+    from itertools import permutations
+
+    from multifam.core import MULTISET, Family, KSet, Multiset
+
+    m = fam.m
+    best = None
+    if fam.kind == MULTISET:
+        for perm in permutations(range(m)):
+            relabeled = []
+            for a in fam.members:
+                out = [0] * m
+                for i, c in enumerate(a.counts):
+                    out[perm[i]] = c
+                relabeled.append(tuple(out))
+            relabeled.sort()
+            if best is None or relabeled < best:
+                best = relabeled
+        return Family.of_multisets(m, fam.k, (Multiset(m, c) for c in best))
+    for perm in permutations(range(1, m + 1)):
+        relabeled = sorted(tuple(sorted(perm[x - 1] for x in b.members)) for b in fam.members)
+        if best is None or relabeled < best:
+            best = relabeled
+    return Family.of_sets(m, fam.k, (KSet(m, mem) for mem in best))
+
+
+def recursive_enumerate_cliques(adj, target, cap=None):
+    """Reference enumeration: every clique of exactly `target` vertices, by
+    recursion over greedy-colour-bounded candidate sets; each clique is
+    reached once by adding vertices in increasing index.  Returns (masks,
+    complete, nodes)."""
+
+    def color_bound(p_mask):
+        order, colors, color, rest = [], [], 0, p_mask
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                bit = avail & -avail
+                v = bit.bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                rest ^= bit
+                avail = (avail ^ bit) & ~adj[v]
+        return order, colors
+
+    found = []
+    nodes = 0
+
+    class Cap(Exception):
+        pass
+
+    def rec(r_size, r_mask, p_mask):
+        nonlocal nodes
+        nodes += 1
+        if r_size == target:
+            found.append(r_mask)
+            if cap is not None and len(found) >= cap:
+                raise Cap
+            return
+        if not p_mask:
+            return
+        order, colors = color_bound(p_mask)
+        if r_size + colors[-1] < target:
+            return
+        for v in order:
+            bit = 1 << v
+            rec(r_size + 1, r_mask | bit, p_mask & adj[v] & ~((bit << 1) - 1))
+
+    try:
+        rec(0, 0, (1 << len(adj)) - 1)
+    except Cap:
+        return found, False, nodes
+    return found, True, nodes

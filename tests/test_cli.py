@@ -1,6 +1,6 @@
 import json
 
-from multifam import hm_multiset, load_family, star
+from multifam import Family, KSet, hm_multiset, load_family, star
 from multifam.cli import main
 from multifam.family_io import save_family
 
@@ -205,6 +205,27 @@ def test_isomorphic_exit_codes(tmp_path):
     save_family(frankl_multiset(4, 3, 1, 1), c)
     assert run("isomorphic", str(a), str(b)) == 0
     assert run("isomorphic", str(a), str(c)) == 1
+
+
+def test_isomorphic_above_nine_elements(tmp_path):
+    # 2-sets of [10] as graphs: a 10-cycle, a relabelled 10-cycle and two
+    # 5-cycles; all are 2-regular, so only the canonical forms tell them apart
+    def cycles(*loops):
+        edges = []
+        for loop in map(tuple, loops):
+            edges += [KSet.from_elements(10, (x, y)) for x, y in zip(loop, loop[1:] + loop[:1])]
+        return Family.of_sets(10, 2, edges)
+
+    paths = {
+        "a.txt": cycles(range(1, 11)),
+        "b.txt": cycles((3, 7, 1, 10, 2, 9, 5, 4, 8, 6)),
+        "c.txt": cycles(range(1, 6), range(6, 11)),
+    }
+    for name, fam in paths.items():
+        save_family(fam, tmp_path / name)
+    assert run("isomorphic", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")) == 0
+    assert run("isomorphic", str(tmp_path / "a.txt"), str(tmp_path / "c.txt")) == 1
+    assert run("isomorphic", str(tmp_path / "b.txt"), str(tmp_path / "c.txt")) == 1
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

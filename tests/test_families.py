@@ -6,7 +6,6 @@ from multifam import (
     ContractError,
     Family,
     Multiset,
-    ScaleExceededError,
     binomial,
     common_intersection,
     enumerate_k_subsets,
@@ -36,6 +35,8 @@ from multifam.families import (
     is_isomorphic,
     star_size,
 )
+
+from bruteforce import scan_canonical_form
 
 
 def ms(m, *elements):
@@ -248,10 +249,58 @@ def test_equal_sizes_but_not_isomorphic():
     assert not is_isomorphic(hm, frk)
 
 
-def test_canonical_form_guard():
+def test_canonical_form_above_nine_elements():
     wide = star(10, 2, 1)
-    with pytest.raises(ScaleExceededError):
-        canonical_form(wide)
+    perm = (4, 9, 1, 10, 7, 2, 8, 3, 6, 5)
+    assert canonical_form(apply_permutation(wide, perm)).members == canonical_form(wide).members
+    assert is_isomorphic(wide, star(10, 2, 7))
+
+
+def _family(m, k, kind, members):
+    if kind == "multiset":
+        return Family.of_multisets(m, k, members)
+    return Family.of_sets(m, k, members)
+
+
+@st.composite
+def family_pair(draw, max_m=7, max_members=10):
+    """A family of 0..max_members members (m <= max_m, k >= 1, either kind)
+    and a second family of the same shape: half the time a relabelled copy
+    of the first, otherwise drawn independently."""
+    m = draw(st.integers(1, max_m))
+    kind = draw(st.sampled_from(["multiset", "set"]))
+    k = draw(st.integers(1, 3 if kind == "multiset" else m))
+    universe = list(Family.universe(m, k, kind).members)
+    members = st.sets(st.sampled_from(universe), max_size=max_members)
+    first = _family(m, k, kind, draw(members))
+    perm = draw(st.permutations(list(range(1, m + 1))))
+    if draw(st.booleans()):
+        second = apply_permutation(first, perm)
+    else:
+        second = _family(m, k, kind, draw(members))
+    return first, second, perm
+
+
+@given(family_pair())
+def test_canonical_form_matches_the_relabelling_scan(pair):
+    first, second, perm = pair
+    canon = canonical_form(first)
+    scan = scan_canonical_form(first)
+    assert (canon.m, canon.k, canon.kind) == (first.m, first.k, first.kind)
+    # a ground-set relabelling of the input ...
+    assert scan_canonical_form(canon) == scan
+    # ... that does not depend on the input's labelling ...
+    assert canonical_form(apply_permutation(first, perm)) == canon
+    # ... and separates exactly the isomorphism classes
+    assert (canonical_form(second) == canon) == (scan_canonical_form(second) == scan)
+
+
+@pytest.mark.parametrize("kind, m, k", [("multiset", 4, 2), ("set", 6, 3), ("multiset", 5, 1)])
+def test_canonical_form_of_empty_family_and_full_universe(kind, m, k):
+    empty = _family(m, k, kind, [])
+    assert canonical_form(empty) == empty == scan_canonical_form(empty)
+    full = Family.universe(m, k, kind)
+    assert canonical_form(full) == full == scan_canonical_form(full)
 
 
 def test_apply_permutation_validates():

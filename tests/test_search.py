@@ -42,6 +42,7 @@ from bruteforce import (
     brute_max_induced_bipartite,
     pair_loop_graph,
     pairwise_compat_masks,
+    recursive_enumerate_cliques,
     relabel_by_bits,
     two_sided_max_induced_bipartite,
 )
@@ -272,6 +273,55 @@ def test_enumerate_cap_flags_partial_output():
     enum = enumerate_maximum_independent_sets(graph, cap=2)
     assert not enum.complete
     assert len(enum.families) == 2
+
+
+ENUM_GRID = [
+    ("K", 3, 4), ("K", 5, 2), ("K", 6, 2), ("K", 7, 3), ("K", 8, 3),
+    ("M", 3, 1), ("M", 4, 2), ("M", 4, 3), ("M", 5, 3), ("M", 6, 2),
+    ("M_t", 5, 3, 2), ("M_t", 6, 3, 2), ("M_t", 6, 4, 3),
+]
+
+
+@pytest.mark.parametrize("args", ENUM_GRID)
+def test_enumeration_matches_recursive_reference(args):
+    graph = build_graph(*args)
+    enum = enumerate_maximum_independent_sets(graph)
+    assert enum.complete
+    masks, complete, _nodes = recursive_enumerate_cliques(_complement_adj(graph), enum.optimum)
+    assert complete
+    expected = {graph.family_from_mask(mask) for mask in masks}
+    assert len(enum.families) == len(set(enum.families)) == len(expected)
+    assert set(enum.families) == expected
+
+
+# exact enumeration nodes given the optimum; a change here is a change of
+# traversal order and must be deliberate and logged in CHANGES.md
+PINNED_ENUMERATION_NODES = [
+    (("M", 5, 3), 15, 5, 70),
+    (("M", 4, 3), 10, 12, 60),
+    (("K", 7, 3), 15, 7, 258),
+    (("M_t", 7, 4, 2), 28, 28, 909),
+]
+
+
+@pytest.mark.parametrize("args, optimum, count, nodes", PINNED_ENUMERATION_NODES)
+def test_pinned_enumeration_node_counts(args, optimum, count, nodes):
+    enum = enumerate_maximum_independent_sets(build_graph(*args), optimum=optimum)
+    assert enum.complete
+    assert (len(enum.families), enum.nodes_explored) == (count, nodes)
+
+
+def test_enumeration_of_a_deep_optimum():
+    # K(13,7) has no edges: one optimum of 1716 members, deeper than the
+    # default recursion limit
+    enum = enumerate_maximum_independent_sets(build_graph("K", 13, 7))
+    assert enum.complete and enum.optimum == 1716
+    assert len(enum.families) == 1 and len(enum.families[0]) == 1716
+
+
+def test_enumeration_rejects_a_target_below_the_optimum():
+    with pytest.raises(ContractError, match="clique number"):
+        enumerate_maximum_independent_sets(build_graph("M", 4, 2), optimum=3)
 
 
 # -- empty common intersection ---------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from multifam import ContractError, is_isomorphic, star, verify_theorem
+from multifam import ContractError, frankl_set, is_isomorphic, star, verify_theorem
 from multifam.verify import (
     STATUS_HYPOTHESIS,
     STATUS_OK,
@@ -76,6 +76,20 @@ def test_uniqueness_above_the_boundary():
     assert report.uniqueness_verdict == UNIQUE
     assert report.optimum_classes is not None and len(report.optimum_classes) == 1
     assert is_isomorphic(report.optimum_classes[0], star(5, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "theorem_id, params, extremal",
+    [
+        ("T1.4", {"m": 10, "k": 3}, lambda: star(10, 3, 1)),
+        ("T1.1", {"m": 12, "k": 3}, lambda: frankl_set(12, 3, 1, 0)),
+    ],
+)
+def test_uniqueness_above_nine_elements(theorem_id, params, extremal):
+    report = verify_theorem(theorem_id, params, uniqueness=True)
+    assert report.uniqueness_verdict == UNIQUE
+    assert report.optimum_classes is not None and len(report.optimum_classes) == 1
+    assert is_isomorphic(report.optimum_classes[0], extremal())
 
 
 def test_uniqueness_at_the_boundary_reports_multiple_classes():
