@@ -191,11 +191,6 @@ class KSet:
         common = set(self.members) & set(other.members)
         return KSet(self.ground_size, tuple(sorted(common)))
 
-    def as_multiset(self, ground_size: int | None = None) -> Multiset:
-        """View as a multiset where every member has multiplicity one."""
-        m = self.ground_size if ground_size is None else ground_size
-        return Multiset.from_elements(m, self.members)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.members) + "}"
 

@@ -512,27 +512,9 @@ def canonical_form(fam: Family) -> Family:
     return apply_permutation(fam, _Canonizer(fam).relabelling())
 
 
-def _iso_invariants(fam: Family):
-    # cheap permutation-invariant screen: per-member multiplicity profiles
-    # and the sorted column usage histogram
-    if fam.kind == MULTISET:
-        profiles = sorted(tuple(sorted(a.counts, reverse=True)) for a in fam.members)
-        usage = sorted(
-            sum(a.counts[i] for a in fam.members) for i in range(fam.m)
-        )
-    else:
-        profiles = sorted((b.cardinality,) for b in fam.members)
-        usage = sorted(
-            sum(1 for b in fam.members if i + 1 in b.members) for i in range(fam.m)
-        )
-    return profiles, usage
-
-
 def is_isomorphic(fam1: Family, fam2: Family) -> bool:
     """True iff one family is a ground-set relabeling of the other."""
     if (fam1.m, fam1.k, fam1.kind, len(fam1)) != (fam2.m, fam2.k, fam2.kind, len(fam2)):
-        return False
-    if _iso_invariants(fam1) != _iso_invariants(fam2):
         return False
     return canonical_form(fam1).members == canonical_form(fam2).members
 

@@ -95,16 +95,6 @@ class DisjointnessGraph:
             return Family.of_multisets(self.m, self.k, chosen)
         return Family.of_sets(self.m, self.k, chosen)
 
-    def is_independent_mask(self, mask: int) -> bool:
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-            if self.adj[v] & mask:
-                return False
-            rest ^= bit
-        return True
-
 
 def _bits(mask: int):
     while mask:

@@ -15,8 +15,10 @@ Constrained variants:
     t-intersecting family with no common t-multiset) branch first on which
     member breaks the common core, then fall back to plain expansion once
     the core is small enough;
-  * P(s,1) families (no s+1 pairwise disjoint members) exclude one vertex
-    of a violated (s+1)-clique at a time, with earlier choices pinned;
+  * P(s,1) families (no s+1 pairwise disjoint members) are cliques of
+    the complement in which a candidate leaves once it would close an
+    (s+1)-clique of G; a colour class of the complement is a clique of G,
+    so the bound counts at most s vertices from each;
   * unions of two intersecting families are the largest independent sets
     of G □ K₂ (one copy of G per side, the two copies of a vertex joined),
     found as cliques of its complement.
@@ -61,8 +63,6 @@ from .graphs import (
 
 PROVED_OPTIMAL = "proved_optimal"
 NODE_LIMIT_HIT = "node_limit_hit"
-
-CLIQUE_FREE_VERTEX_CAP = 40
 
 
 @dataclass
@@ -145,7 +145,8 @@ def _relabel(adj: list[int], order: list[int]) -> list[int]:
 class _CliqueSearch:
     """Incumbent, node budget and the branch-and-bound clique loop
     (Tomita-style colouring bounds) shared by every search; a subclass
-    supplies _search."""
+    supplies _search and may override the loop's steps _color, _children
+    and _leaf."""
 
     def __init__(self, adj: list[int], node_limit: int | None):
         self.adj = adj
@@ -168,11 +169,12 @@ class _CliqueSearch:
         colours, index); the index walks the order from its last vertex, the
         one with the highest colour, and the frame ends once the colour
         bound can no longer beat the incumbent."""
-        adj = self.adj
+        color = self._color
+        children = self._children
         tick = self.counter.tick
         stack = []
         tick()
-        order, colors = _greedy_color(p_mask, adj)
+        order, colors = color(p_mask)
         i = len(order)
         while True:
             i -= 1
@@ -183,7 +185,7 @@ class _CliqueSearch:
                 continue
             v = order[i]
             bit = 1 << v
-            new_p = p_mask & adj[v]
+            new_p = children(r_mask, v, p_mask)
             p_mask &= ~bit
             if new_p:
                 stack.append((r_size, r_mask, p_mask, order, colors, i))
@@ -191,10 +193,20 @@ class _CliqueSearch:
                 r_mask |= bit
                 p_mask = new_p
                 tick()
-                order, colors = _greedy_color(p_mask, adj)
+                order, colors = color(p_mask)
                 i = len(order)
             elif r_size + 1 > self.best:
                 self._leaf(r_size + 1, r_mask | bit)
+
+    def _color(self, p_mask: int) -> tuple[list[int], list[int]]:
+        """Candidates in branching order with non-decreasing bounds: no
+        clique inside the first i+1 of them has more than colors[i]
+        vertices."""
+        return _greedy_color(p_mask, self.adj)
+
+    def _children(self, r_mask: int, v: int, p_mask: int) -> int:
+        """The candidates left once v joins the clique r_mask."""
+        return p_mask & self.adj[v]
 
     def _leaf(self, size: int, mask: int) -> None:
         """A clique the loop cannot extend that beats the incumbent."""
@@ -218,9 +230,9 @@ class _MaxCliqueSolver(_CliqueSearch):
         while cand:
             bit = cand & -cand
             v = bit.bit_length() - 1
+            cand = self._children(chosen, v, cand)
             chosen |= bit
             size += 1
-            cand &= self.adj[v]
         self.best = size
         self.best_mask = chosen
 
@@ -277,10 +289,9 @@ class _CliqueEnumerator(_MaxCliqueSolver):
             raise _CapHit
 
 
-def _complement_adj(graph: DisjointnessGraph) -> list[int]:
-    n = graph.n_vertices
-    full = (1 << n) - 1
-    return [full & ~graph.adj[v] & ~(1 << v) for v in range(n)]
+def _complement_adj(adj: list[int]) -> list[int]:
+    full = (1 << len(adj)) - 1
+    return [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 def _validate_witness(graph: DisjointnessGraph, fam: Family) -> None:
@@ -298,7 +309,7 @@ def max_independent_set(graph: DisjointnessGraph, node_limit: int | None = None)
     """Exact maximum independent set (= largest intersecting family for the
     graph's threshold).  The optimum, witness and node count are
     deterministic."""
-    solver = _MaxCliqueSolver(_complement_adj(graph), node_limit)
+    solver = _MaxCliqueSolver(_complement_adj(graph.adj), node_limit)
     best, mask, nodes, limited = solver.solve()
     witness = graph.family_from_mask(mask)
     _validate_witness(graph, witness)
@@ -314,7 +325,7 @@ def enumerate_maximum_independent_sets(
 ) -> EnumerationResult:
     """All maximum independent sets (up to `cap`), for uniqueness-class
     analysis.  complete=False flags a truncated enumeration."""
-    comp = _complement_adj(graph)
+    comp = _complement_adj(graph.adj)
     nodes_total = 0
     if optimum is None:
         base = max_independent_set(graph, node_limit)
@@ -451,7 +462,7 @@ def _small_core_search(
     graph = build_graph(KIND_MULTISET_T, m, k, t_pair, vertex_cap=vertex_cap)
     counts = [a.counts for a in graph.vertices]
     seed_mask = _seed_mask_for(seed, m, k, t_pair, core_limit)
-    solver = _SmallCoreSolver(counts, _complement_adj(graph), core_limit, node_limit)
+    solver = _SmallCoreSolver(counts, _complement_adj(graph.adj), core_limit, node_limit)
     best, mask, nodes, limited = solver.solve(seed_mask)
     witness = graph.family_from_mask(mask)
     if not is_t_intersecting(witness, t_pair):
@@ -496,63 +507,61 @@ def max_t_intersecting_nontrivial(
 # clique-free induced subgraphs: P(s,1) families
 # ---------------------------------------------------------------------------
 
-class _CliqueFreeSolver(_CliqueSearch):
-    """Maximum vertex subset whose induced subgraph has no (s+1)-clique.
+class _CliqueFreeSolver(_MaxCliqueSolver):
+    """Maximum vertex subset of G whose induced subgraph has no
+    (s+1)-clique, for s >= 2, as a clique search on the complement rows.
 
-    Branches on a violated clique: one vertex of it must leave, and the
-    vertices considered before it are pinned inside, so subtrees partition
-    the space."""
+    A greedy colour class of the complement is a clique of G, so at most s
+    of its vertices can be chosen: the colour bound counts min(|class|, s)
+    per class.  A candidate leaves when it would close an (s+1)-clique of G
+    with the new member and s-1 chosen ones."""
 
     def __init__(self, adj: list[int], s: int, node_limit: int | None):
-        super().__init__(adj, node_limit)
-        self.n = len(adj)
+        super().__init__(_complement_adj(adj), node_limit)
+        self.g = _relabel(adj, self.to_old)
         self.s = s
 
-    def _search(self) -> None:
-        self._seed_greedy()
-        self._rec((1 << self.n) - 1, 0)
+    def _color(self, p_mask: int) -> tuple[list[int], list[int]]:
+        order, colors = _greedy_color(p_mask, self.adj)
+        s = self.s
+        bounds = []
+        bound = last = run = 0
+        for c in colors:
+            run = run + 1 if c == last else 1
+            last = c
+            if run <= s:
+                bound += 1
+            bounds.append(bound)
+        return order, bounds
 
-    def _seed_greedy(self) -> None:
-        chosen = 0
-        for v in range(self.n):
-            if self._find_clique(chosen & self.adj[v], self.s) is None:
-                chosen |= 1 << v
-        self.best = chosen.bit_count()
-        self.best_mask = chosen
-
-    def _find_clique(self, cand_mask: int, size: int):
-        """Lexicographically first clique of `size` vertices inside
-        cand_mask, or None."""
-        if size == 0:
-            return []
-        if cand_mask.bit_count() < size:
-            return None
-        mask = cand_mask
-        while mask:
-            bit = mask & -mask
-            v = bit.bit_length() - 1
-            mask ^= bit
-            sub = cand_mask & self.adj[v] & ~((bit << 1) - 1)
-            rest = self._find_clique(sub, size - 1)
-            if rest is not None:
-                return [v] + rest
-        return None
-
-    def _rec(self, included: int, forced: int) -> None:
-        self.counter.tick()
-        if included.bit_count() <= self.best:
-            return
-        clique = self._find_clique(included, self.s + 1)
-        if clique is None:
-            self.best = included.bit_count()
-            self.best_mask = included
-            return
-        pinned = forced
-        for v in clique:
-            bit = 1 << v
-            if not (pinned & bit):
-                self._rec(included & ~bit, pinned)
-            pinned |= bit
+    def _children(self, r_mask: int, v: int, p_mask: int) -> int:
+        """Drop each G-neighbour w of v that is G-adjacent to every vertex
+        of some (s-1)-clique of G among v's chosen G-neighbours.  Those
+        cliques are walked on an explicit stack of (vertices still to try,
+        candidates adjacent to every vertex taken, vertices still needed)
+        frames; the last vertex of a clique is closed without a push."""
+        g = self.g
+        alive = p_mask & g[v]
+        stack = [(r_mask & g[v], alive, self.s - 1)]
+        while stack:
+            cand, common, need = stack.pop()
+            common &= alive
+            if not common or cand.bit_count() < need:
+                continue
+            if need == 1:
+                while cand and common:
+                    bit = cand & -cand
+                    cand ^= bit
+                    hit = common & g[bit.bit_length() - 1]
+                    common ^= hit
+                    alive ^= hit
+                continue
+            bit = cand & -cand
+            cand ^= bit
+            u = bit.bit_length() - 1
+            stack.append((cand, common, need))
+            stack.append((cand & g[u], common & g[u], need - 1))
+        return p_mask & self.adj[v] | alive
 
 
 def clique_free_search(graph: DisjointnessGraph, s: int, node_limit: int | None = None) -> SearchResult:
@@ -576,14 +585,11 @@ def max_p_s1_family(
     k: int,
     s: int,
     node_limit: int | None = None,
-    vertex_cap: int = CLIQUE_FREE_VERTEX_CAP,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SearchResult:
     """Largest family of k-multisets of [m] in which no s+1 members are
     pairwise disjoint.  s=1 delegates to the independent-set search."""
-    if s == 1:
-        graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
-    else:
-        graph = build_graph(KIND_MULTISET_DISJOINT, m, k, vertex_cap=vertex_cap)
+    graph = build_graph(KIND_MULTISET_DISJOINT, m, k, vertex_cap=vertex_cap)
     return clique_free_search(graph, s, node_limit)
 
 

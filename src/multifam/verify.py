@@ -54,6 +54,9 @@ UNIQUE = "unique_up_to_iso"
 MULTIPLE = "multiple_classes"
 NOT_CHECKED = "not_checked"
 
+# optima enumerated per uniqueness check; more leaves the verdict not_checked
+UNIQUENESS_CAP = 2000
+
 
 @dataclass
 class VerifyReport:
@@ -133,11 +136,13 @@ def _bind_t14(params, node_limit) -> _Binding:
 
 def _bind_t23(params, node_limit) -> _Binding:
     n, k, s = _require(params, "m", "k", "s")
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
     hyp = n >= (2 * s + 1) * k - s
     notes = [] if hyp else [f"hypothesis n >= (2s+1)k-s not met (n={n}, k={k}, s={s})"]
     bound = binomial(n, k) - binomial(n - s, k)
     constructed = families.hit_s_set(n, k, range(1, s + 1))
-    graph = build_graph(KIND_KNESER, n, k, vertex_cap=2000)
+    graph = build_graph(KIND_KNESER, n, k)
     result = clique_free_search(graph, s, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -166,6 +171,8 @@ def _bind_t33(params, node_limit) -> _Binding:
 
 def _bind_t34(params, node_limit) -> _Binding:
     m, k, s = _require(params, "m", "k", "s")
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
     hyp = m > (2 * k - 1) * s
     notes = [] if hyp else [f"hypothesis m > (2k-1)s not met (m={m}, k={k}, s={s})"]
     bound = families.hit_s_size(m, k, s)
@@ -270,12 +277,12 @@ _BINDINGS = {
 }
 
 
-def _uniqueness_verdict(binding: _Binding, cap: int, node_limit) -> tuple[str, list[Family] | None, int]:
+def _uniqueness_verdict(binding: _Binding, node_limit) -> tuple[str, list[Family] | None, int]:
     graph = binding.graph_for_uniqueness
     if graph is None or not binding.result.proved:
         return NOT_CHECKED, None, 0
     enum = enumerate_maximum_independent_sets(
-        graph, cap=cap, node_limit=node_limit, optimum=binding.result.optimum
+        graph, cap=UNIQUENESS_CAP, node_limit=node_limit, optimum=binding.result.optimum
     )
     classes: dict[tuple, Family] = {}
     for fam in enum.families:
@@ -298,7 +305,6 @@ def verify_theorem(
     params: dict,
     node_limit: int | None = None,
     uniqueness: bool = False,
-    uniqueness_cap: int = 2000,
 ) -> VerifyReport:
     """Run the bound / construction / search pipeline for one theorem."""
     if theorem_id not in _BINDINGS:
@@ -314,7 +320,7 @@ def verify_theorem(
     verdict = NOT_CHECKED
     classes = None
     if uniqueness:
-        verdict, classes, extra_nodes = _uniqueness_verdict(binding, uniqueness_cap, node_limit)
+        verdict, classes, extra_nodes = _uniqueness_verdict(binding, node_limit)
         nodes += extra_nodes
 
     if constructed_size is not None and constructed_size > binding.bound:

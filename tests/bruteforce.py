@@ -26,24 +26,19 @@ def brute_max_independent_set(adj):
     return best
 
 
+def has_clique(adj, mask, size):
+    """Whether the vertices of mask include a clique of `size` vertices."""
+    return any(
+        all(adj[u] >> v & 1 for idx, u in enumerate(combo) for v in combo[idx + 1 :])
+        for combo in combinations(bits(mask), size)
+    )
+
+
 def brute_max_clique_free(adj, s):
     """Largest subset whose induced subgraph has no (s+1)-clique."""
-    n = len(adj)
     best = 0
-    for mask in range(1 << n):
-        if mask.bit_count() <= best:
-            continue
-        vertices = list(bits(mask))
-        bad = False
-        for combo in combinations(vertices, s + 1):
-            if all(
-                adj[u] >> v & 1
-                for idx, u in enumerate(combo)
-                for v in combo[idx + 1 :]
-            ):
-                bad = True
-                break
-        if not bad:
+    for mask in range(1 << len(adj)):
+        if mask.bit_count() > best and not has_clique(adj, mask, s + 1):
             best = mask.bit_count()
     return best
 
@@ -313,3 +308,48 @@ def recursive_enumerate_cliques(adj, target, cap=None):
     except Cap:
         return found, False, nodes
     return found, True, nodes
+
+
+def exclusion_max_clique_free(adj, s):
+    """Reference P(s,1) search: the largest subset inducing no (s+1)-clique,
+    by branching on the lexicographically first violated clique (one of
+    its vertices leaves, the ones before it are pinned inside), seeded by
+    a greedy pass in index order.  Returns (size, mask, nodes)."""
+    n = len(adj)
+
+    def find_clique(cand_mask, size):
+        if size == 0:
+            return []
+        if cand_mask.bit_count() < size:
+            return None
+        for v in bits(cand_mask):
+            sub = cand_mask & adj[v] & ~((2 << v) - 1)
+            rest = find_clique(sub, size - 1)
+            if rest is not None:
+                return [v] + rest
+        return None
+
+    chosen = 0
+    for v in range(n):
+        if find_clique(chosen & adj[v], s) is None:
+            chosen |= 1 << v
+    best = [chosen.bit_count(), chosen]
+    nodes = 0
+
+    def rec(included, pinned):
+        nonlocal nodes
+        nodes += 1
+        if included.bit_count() <= best[0]:
+            return
+        clique = find_clique(included, s + 1)
+        if clique is None:
+            best[:] = [included.bit_count(), included]
+            return
+        for v in clique:
+            bit = 1 << v
+            if not pinned & bit:
+                rec(included & ~bit, pinned)
+            pinned |= bit
+
+    rec((1 << n) - 1, 0)
+    return best[0], best[1], nodes

@@ -1,4 +1,9 @@
 import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 from multifam import Family, KSet, hm_multiset, load_family, star
 from multifam.cli import main
@@ -146,6 +151,29 @@ def test_search_constraints(capsys):
     assert run("search", "--kind", "M_t", "--m", "5", "--k", "3", "--t", "2",
                "--constraint", "nontrivial-t") == 0
     assert "4" in capsys.readouterr().out
+
+
+def test_clique_free_search_deeper_than_the_recursion_limit(capsys):
+    assert run("search", "--kind", "K", "--m", "1200", "--k", "1", "--constraint", "clique-free",
+               "--s", "1100", "--node-limit", "100") == 0
+    assert re.search(r"optimum\s+1100\n", capsys.readouterr().out)
+
+
+README_SEARCH_LINES = [
+    shlex.split(line, comments=True)[1:]
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("multifam search ")
+]
+
+
+def test_readme_lists_search_examples():
+    assert len(README_SEARCH_LINES) >= 8
+
+
+@pytest.mark.parametrize("argv", README_SEARCH_LINES, ids=shlex.join)
+def test_readme_search_examples_run(argv, capsys):
+    assert run(*argv) == 0
+    assert "proved_optimal" in capsys.readouterr().out
 
 
 def test_search_node_limit_exit_code():

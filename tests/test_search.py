@@ -9,10 +9,12 @@ from multifam import (
     binomial,
     build_graph,
     canonical_form,
+    clique_free_search,
     common_intersection,
     enumerate_maximum_independent_sets,
     frankl_multiset,
     frankl_set_size,
+    has_property_p_s1,
     hm_multiset,
     is_t_intersecting,
     max_independent_set,
@@ -40,6 +42,8 @@ from bruteforce import (
     brute_max_clique_free,
     brute_max_independent_set,
     brute_max_induced_bipartite,
+    exclusion_max_clique_free,
+    has_clique,
     pair_loop_graph,
     pairwise_compat_masks,
     recursive_enumerate_cliques,
@@ -104,7 +108,7 @@ def test_small_core_compat_matches_pairwise_masks(monkeypatch):
             for t in range(1, k + 1):
                 graph = build_graph("M_t", m, k, t)
                 counts = [a.counts for a in graph.vertices]
-                assert _complement_adj(graph) == pairwise_compat_masks(counts, t)
+                assert _complement_adj(graph.adj) == pairwise_compat_masks(counts, t)
 
     seen = []
 
@@ -185,6 +189,12 @@ PINNED_NODE_COUNTS = [
     (lambda: max_intersecting_empty_common(5, 3), 13, 412),
     (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 3855),
     (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 11300),
+    (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 3946),
+    (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 59),
+    (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 2346),
+    (lambda: max_p_s1_family(7, 2, 2), 13, 46),
+    (lambda: max_p_s1_family(6, 3, 2), 40, 411),  # 56 vertices
+    (lambda: max_p_s1_family(8, 2, 3), 21, 1026),
 ]
 
 
@@ -287,7 +297,7 @@ def test_enumeration_matches_recursive_reference(args):
     graph = build_graph(*args)
     enum = enumerate_maximum_independent_sets(graph)
     assert enum.complete
-    masks, complete, _nodes = recursive_enumerate_cliques(_complement_adj(graph), enum.optimum)
+    masks, complete, _nodes = recursive_enumerate_cliques(_complement_adj(graph.adj), enum.optimum)
     assert complete
     expected = {graph.family_from_mask(mask) for mask in masks}
     assert len(enum.families) == len(set(enum.families)) == len(expected)
@@ -357,11 +367,34 @@ def test_p_s1_delegates_for_s_equal_one():
     assert via_p.optimum == via_mis.optimum
 
 
-@given(random_adjacency(max_n=9))
-def test_clique_free_matches_bruteforce(adj):
-    best, _mask, _nodes, limited = _CliqueFreeSolver(adj, 2, None).solve()
+@given(random_adjacency(max_n=9), st.sampled_from((2, 3)))
+def test_clique_free_matches_bruteforce(adj, s):
+    best, mask, _nodes, limited = _CliqueFreeSolver(adj, s, None).solve()
     assert not limited
-    assert best == brute_max_clique_free(adj, 2)
+    assert best == brute_max_clique_free(adj, s)
+    assert mask.bit_count() == best
+    assert not has_clique(adj, mask, s + 1)
+
+
+@pytest.mark.parametrize("kind, m, k, s", [
+    ("K", 7, 2, 2), ("K", 8, 2, 2), ("K", 10, 2, 2), ("K", 8, 2, 3), ("K", 8, 3, 2),
+    ("M", 5, 2, 2), ("M", 7, 2, 2), ("M", 5, 3, 2), ("M", 6, 3, 2), ("M", 6, 2, 3),
+    ("M", 8, 2, 3),
+])
+def test_clique_free_matches_exclusion_reference(kind, m, k, s):
+    graph = build_graph(kind, m, k)
+    best, _mask, _nodes = exclusion_max_clique_free(graph.adj, s)
+    result = clique_free_search(graph, s)
+    assert result.proved and result.optimum == len(result.witness) == best
+    assert has_property_p_s1(result.witness, s)
+
+
+def test_clique_free_search_deeper_than_the_recursion_limit():
+    # K(1200,1) is complete: any 1100 singletons are an optimum, and the
+    # greedy seed meets the root bound
+    result = clique_free_search(build_graph("K", 1200, 1), 1100, node_limit=100)
+    assert result.proved and result.optimum == 1100
+    assert result.nodes_explored == 1
 
 
 def test_p_s1_reference_value():

@@ -136,3 +136,9 @@ def test_unknown_theorem_and_missing_params():
         verify_theorem("T9.9", {"m": 4, "k": 2})
     with pytest.raises(ContractError):
         verify_theorem("T3.4", {"m": 4, "k": 2})
+
+
+@pytest.mark.parametrize("theorem_id, m", [("T2.3", 4), ("T3.4", 3)])
+def test_p_s1_theorems_reject_k_zero(theorem_id, m):
+    with pytest.raises(ContractError, match="k must be >= 1"):
+        verify_theorem(theorem_id, {"m": m, "k": 0, "s": 2})
