@@ -194,12 +194,13 @@ def _cmd_search(args) -> int:
         vertices = graph.n_vertices
 
     rows = _search_result_rows(label, vertices, result)
-    _print_table(rows)
+    # the files go first, so an unusable path leaves stdout empty
     if args.witness:
         save_family(result.witness, args.witness)
         print(f"wrote witness to {args.witness}", file=sys.stderr)
     if args.json:
         Path(args.json).write_text(json.dumps(dict(rows), indent=2, sort_keys=True) + "\n")
+    _print_table(rows)
     return 3 if result.status == NODE_LIMIT_HIT else 0
 
 
@@ -212,6 +213,11 @@ def _cmd_verify(args) -> int:
     report = verify_theorem(
         args.theorem, params, node_limit=args.node_limit, uniqueness=args.uniqueness
     )
+    # the report file goes first, so an unusable path leaves stdout empty
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        )
     _print_table(
         [
             ("theorem", report.theorem),
@@ -226,10 +232,6 @@ def _cmd_verify(args) -> int:
     )
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
     if report.status == STATUS_NODE_LIMIT:
         return 3
     if report.status == STATUS_MISMATCH:

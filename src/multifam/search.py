@@ -13,8 +13,12 @@ Constrained variants:
   * families whose common intersection must end below a cardinality limit
     (maximum intersecting family with empty common intersection; maximum
     t-intersecting family with no common t-multiset) branch first on which
-    member breaks the common core, then fall back to plain expansion once
-    the core is small enough;
+    member breaks the common core, one orbit of the permutations of [m]
+    fixing the chosen members at a time, then fall back to plain expansion
+    once the core is small enough.  The constraint and every candidate set
+    are invariant under those permutations, so a completion through any
+    member of an orbit maps onto one through its first member; the orbits
+    are read off the members' counts on classes of equal signature;
   * P(s,1) families (no s+1 pairwise disjoint members) are cliques of
     the complement in which a candidate leaves once it would close an
     (s+1)-clique of G; a colour class of the complement is a clique of G,
@@ -351,11 +355,15 @@ class _SmallCoreSolver(_CliqueSearch):
     """Maximum pairwise t_pair-intersecting multiset family whose common
     intersection ends with cardinality below core_limit.
 
-    While the running core is still too large, branching is over the
-    earliest included member that strictly shrinks it (earlier candidates
-    barred, so the branches partition the space); once the core drops below
-    the limit it can never grow again and the shared clique loop takes
-    over on the compatibility rows."""
+    While the running core is still too large, branching is over which
+    member first shrinks it, one orbit of such members at a time under the
+    permutations of [m] fixing every chosen member: branch i takes the
+    first member of orbit i and bars orbits 1..i-1 whole.  The candidate
+    set at every node is invariant under those permutations (the rows,
+    the core and the barred orbits all are), so a completion that meets
+    orbit i first maps onto one holding its first member.  Once the core
+    drops below the limit it can never grow again and the shared clique
+    loop takes over on the compatibility rows."""
 
     def __init__(
         self,
@@ -376,9 +384,12 @@ class _SmallCoreSolver(_CliqueSearch):
     def _search(self) -> None:
         n = len(self.counts)
         if n:
-            self._dfs(0, 0, None, (1 << n) - 1)
+            self._dfs(0, 0, None, (0,) * len(self.counts[0]), (1 << n) - 1)
 
-    def _dfs(self, r_size: int, r_mask: int, core, p_mask: int) -> None:
+    def _dfs(self, r_size: int, r_mask: int, core, cls: tuple[int, ...], p_mask: int) -> None:
+        """One front-end node: cls[e] numbers the signature class of
+        element e, so elements share a class iff every chosen member has
+        the same count at both."""
         self.counter.tick()
         if core is not None and sum(core) < self.limit:
             if r_size > self.best:
@@ -394,16 +405,30 @@ class _SmallCoreSolver(_CliqueSearch):
             return
         if core is not None and not self._core_fixable(core, p_mask):
             return
-        reducers = self._reducers(core, p_mask)
         banned = 0
+        for v, orbit in self._orbits(cls, self._reducers(core, p_mask)):
+            cv = self.counts[v]
+            new_core = cv if core is None else tuple(map(min, core, cv))
+            pairs = list(zip(cls, cv))
+            rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+            child_cls = tuple(rank[pair] for pair in pairs)
+            child_p = p_mask & self.adj[v] & ~banned
+            self._dfs(r_size + 1, r_mask | 1 << v, new_core, child_cls, child_p)
+            banned |= orbit
+
+    def _orbits(self, cls: tuple[int, ...], reducers: list[int]) -> list[list[int]]:
+        """The reducers grouped by orbit, in order of first appearance, as
+        (first member, mask of the orbit) pairs; a reducer's orbit key is
+        its sorted (class, count) pairs."""
+        orbits: dict[tuple, list[int]] = {}
         for v in reducers:
-            bit = 1 << v
-            if core is None:
-                new_core = self.counts[v]
+            key = tuple(sorted(zip(cls, self.counts[v])))
+            orbit = orbits.get(key)
+            if orbit is None:
+                orbits[key] = [v, 1 << v]
             else:
-                new_core = tuple(min(c, x) for c, x in zip(core, self.counts[v]))
-            self._dfs(r_size + 1, r_mask | bit, new_core, p_mask & self.adj[v] & ~banned)
-            banned |= bit
+                orbit[1] |= 1 << v
+        return list(orbits.values())
 
     def _core_fixable(self, core, p_mask: int) -> bool:
         """Even including every remaining candidate, can the core drop

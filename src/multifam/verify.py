@@ -136,8 +136,8 @@ def _bind_t14(params, node_limit) -> _Binding:
 
 def _bind_t23(params, node_limit) -> _Binding:
     n, k, s = _require(params, "m", "k", "s")
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
+    if n < s:
+        raise ContractError(f"T2.3 needs m >= s, got m={n}, s={s}")
     hyp = n >= (2 * s + 1) * k - s
     notes = [] if hyp else [f"hypothesis n >= (2s+1)k-s not met (n={n}, k={k}, s={s})"]
     bound = binomial(n, k) - binomial(n - s, k)
@@ -149,6 +149,8 @@ def _bind_t23(params, node_limit) -> _Binding:
 
 def _bind_t24(params, node_limit) -> _Binding:
     n, k = _require(params, "m", "k")
+    if n < 2:
+        raise ContractError(f"T2.4 needs m >= 2, got m={n}")
     # n > (3+sqrt(5))k/2 checked exactly: 2n-3k > 0 and (2n-3k)^2 > 5k^2
     hyp = (2 * n - 3 * k) > 0 and (2 * n - 3 * k) ** 2 > 5 * k * k
     notes = [] if hyp else [f"hypothesis n > (3+sqrt(5))k/2 not met (n={n}, k={k})"]
@@ -161,6 +163,8 @@ def _bind_t24(params, node_limit) -> _Binding:
 
 def _bind_t33(params, node_limit) -> _Binding:
     m, k = _require(params, "m", "k")
+    if m < 2:
+        raise ContractError(f"T3.3 needs m >= 2, got m={m}")
     hyp = 1 < k <= m - 1
     notes = [] if hyp else [f"hypothesis 1 < k <= m-1 not met (m={m}, k={k})"]
     bound = families.hm_multiset_size(m, k)
@@ -171,8 +175,8 @@ def _bind_t33(params, node_limit) -> _Binding:
 
 def _bind_t34(params, node_limit) -> _Binding:
     m, k, s = _require(params, "m", "k", "s")
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
+    if m < s:
+        raise ContractError(f"T3.4 needs m >= s, got m={m}, s={s}")
     hyp = m > (2 * k - 1) * s
     notes = [] if hyp else [f"hypothesis m > (2k-1)s not met (m={m}, k={k}, s={s})"]
     bound = families.hit_s_size(m, k, s)
@@ -183,6 +187,8 @@ def _bind_t34(params, node_limit) -> _Binding:
 
 def _bind_t35(params, node_limit) -> _Binding:
     m, k = _require(params, "m", "k")
+    if m < 2:
+        raise ContractError(f"T3.5 needs m >= 2, got m={m}")
     # m > (1+sqrt(5))k/2 + 1 checked exactly via (2(m-1)-k)^2 > 5k^2
     lhs = 2 * (m - 1) - k
     hyp = lhs > 0 and lhs * lhs > 5 * k * k
@@ -311,6 +317,9 @@ def verify_theorem(
         raise ContractError(
             f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}"
         )
+    for key, value in zip(("m", "k"), _require(params, "m", "k")):
+        if value < 1:
+            raise ContractError(f"{key} must be >= 1, got {value}")
     start = time.perf_counter()
     binding = _BINDINGS[theorem_id](params, node_limit)
     constructed_size = len(binding.constructed) if binding.constructed is not None else None

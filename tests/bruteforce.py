@@ -260,25 +260,28 @@ def scan_canonical_form(fam):
     return Family.of_sets(m, fam.k, (KSet(m, mem) for mem in best))
 
 
+def _color_bound(adj, p_mask):
+    """Greedy sequential colouring: (vertices, colour numbers), colours
+    non-decreasing."""
+    order, colors, color, rest = [], [], 0, p_mask
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            bit = avail & -avail
+            v = bit.bit_length() - 1
+            order.append(v)
+            colors.append(color)
+            rest ^= bit
+            avail = (avail ^ bit) & ~adj[v]
+    return order, colors
+
+
 def recursive_enumerate_cliques(adj, target, cap=None):
     """Reference enumeration: every clique of exactly `target` vertices, by
     recursion over greedy-colour-bounded candidate sets; each clique is
     reached once by adding vertices in increasing index.  Returns (masks,
     complete, nodes)."""
-
-    def color_bound(p_mask):
-        order, colors, color, rest = [], [], 0, p_mask
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                bit = avail & -avail
-                v = bit.bit_length() - 1
-                order.append(v)
-                colors.append(color)
-                rest ^= bit
-                avail = (avail ^ bit) & ~adj[v]
-        return order, colors
 
     found = []
     nodes = 0
@@ -296,7 +299,7 @@ def recursive_enumerate_cliques(adj, target, cap=None):
             return
         if not p_mask:
             return
-        order, colors = color_bound(p_mask)
+        order, colors = _color_bound(adj, p_mask)
         if r_size + colors[-1] < target:
             return
         for v in order:
@@ -353,3 +356,84 @@ def exclusion_max_clique_free(adj, s):
 
     rec((1 << n) - 1, 0)
     return best[0], best[1], nodes
+
+
+def vertex_small_core_search(counts, compat, core_limit, seed_mask=0):
+    """Reference small-core search: the largest clique of compat whose
+    members' common intersection (elementwise min of counts) has
+    cardinality below core_limit.  While the core is too large it branches
+    on every member that shrinks it, one vertex at a time, each earlier
+    one barred; then a recursive colour-bounded clique search.  Returns
+    (size, mask, nodes)."""
+    best = [seed_mask.bit_count(), seed_mask]
+    nodes = 0
+
+    def expand(r_size, r_mask, p_mask):
+        nonlocal nodes
+        nodes += 1
+        order, colors = _color_bound(compat, p_mask)
+        for i in reversed(range(len(order))):
+            if r_size + colors[i] <= best[0]:
+                return
+            v = order[i]
+            bit = 1 << v
+            new_p = p_mask & compat[v]
+            p_mask &= ~bit
+            if new_p:
+                expand(r_size + 1, r_mask | bit, new_p)
+            elif r_size + 1 > best[0]:
+                best[:] = [r_size + 1, r_mask | bit]
+
+    def fixable(core, p_mask):
+        low = [min(c, *(counts[v][e] for v in bits(p_mask))) for e, c in enumerate(core)]
+        return sum(low) < core_limit
+
+    def front(r_size, r_mask, core, p_mask):
+        nonlocal nodes
+        nodes += 1
+        if core is not None and sum(core) < core_limit:
+            if r_size > best[0]:
+                best[:] = [r_size, r_mask]
+            expand(r_size, r_mask, p_mask)
+            return
+        if not p_mask:
+            return
+        _order, colors = _color_bound(compat, p_mask)
+        if r_size + colors[-1] <= best[0]:
+            return
+        if core is not None and not fixable(core, p_mask):
+            return
+        banned = 0
+        for v in bits(p_mask):
+            if core is not None and all(x >= c for c, x in zip(core, counts[v])):
+                continue
+            new_core = tuple(counts[v]) if core is None else tuple(map(min, core, counts[v]))
+            front(r_size + 1, r_mask | 1 << v, new_core, p_mask & compat[v] & ~banned)
+            banned |= 1 << v
+
+    if counts:
+        front(0, 0, None, (1 << len(counts)) - 1)
+    return best[0], best[1], nodes
+
+
+def brute_small_core(counts, t, core_limit):
+    """Largest family (as a mask) of pairwise t-intersecting count vectors
+    whose elementwise-min core has cardinality below core_limit, by
+    scanning every pairwise-compatible subset.  The empty family counts,
+    with size 0."""
+    n = len(counts)
+    best = [0, 0]
+
+    def rec(idx, mask, chosen, core):
+        if idx == n:
+            if chosen and len(chosen) > best[0] and sum(core) < core_limit:
+                best[:] = [len(chosen), mask]
+            return
+        a = counts[idx]
+        if all(sum(map(min, a, counts[j])) >= t for j in chosen):
+            new_core = tuple(a) if core is None else tuple(map(min, core, a))
+            rec(idx + 1, mask | 1 << idx, chosen + [idx], new_core)
+        rec(idx + 1, mask, chosen, core)
+
+    rec(0, 0, [], None)
+    return best[0], best[1]

@@ -8,6 +8,7 @@ import pytest
 from multifam import Family, KSet, hm_multiset, load_family, star
 from multifam.cli import main
 from multifam.family_io import save_family
+from multifam.verify import THEOREM_IDS
 
 
 def run(*argv):
@@ -143,6 +144,29 @@ def test_search_with_json_and_witness(tmp_path, capsys):
     assert "optimum" in capsys.readouterr().out
 
 
+SEARCH_ARGV = ("search", "--m", "4", "--k", "2", "--constraint", "empty-common")
+VERIFY_ARGV = ("verify", "--theorem", "T1.4", "--m", "4", "--k", "3")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SEARCH_ARGV, "--witness"), (SEARCH_ARGV, "--json"), (VERIFY_ARGV, "--json"),
+])
+def test_unusable_output_path_leaves_stdout_empty(argv, flag, tmp_path, capsys):
+    assert run(*argv, flag, str(tmp_path / "nodir" / "out.txt")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+
+
+def test_unusable_witness_path_writes_no_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run(
+        *SEARCH_ARGV, "--json", str(report), "--witness", str(tmp_path / "nodir" / "w.txt")
+    ) == 2
+    assert capsys.readouterr().out == ""
+    assert not report.exists()
+
+
 def test_search_constraints(capsys):
     assert run("search", "--m", "5", "--k", "2", "--constraint", "bipartite") == 0
     assert "9" in capsys.readouterr().out
@@ -205,6 +229,18 @@ def test_verify_cli(tmp_path, capsys):
     assert "analytic_bound" in out and "10" in out
     payload = json.loads(report.read_text())
     assert payload["status"] == "ok" and payload["match"] is True
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+@pytest.mark.parametrize("m", ["0", "1"])
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_verify_tiny_parameters_get_a_parameter_message(theorem, m, k, capsys):
+    # a closed form evaluated outside its range would leak its own message
+    for extra in ((), ("--t", "1", "--s", "1"), ("--t", "2", "--s", "2")):
+        assert run("verify", "--theorem", theorem, "--m", m, "--k", k, *extra) in (0, 2)
+        err = capsys.readouterr().err
+        assert "binomial requires" not in err and "multichoose requires" not in err
+        assert "outside [" not in err
 
 
 def test_verify_hypothesis_not_met_exits_zero():

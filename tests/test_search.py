@@ -16,6 +16,7 @@ from multifam import (
     frankl_set_size,
     has_property_p_s1,
     hm_multiset,
+    hm_multiset_size,
     is_t_intersecting,
     max_independent_set,
     max_intersecting_empty_common,
@@ -24,6 +25,7 @@ from multifam import (
     max_t_intersecting_nontrivial,
     max_union_two_intersecting,
     multichoose,
+    verify_theorem,
 )
 from multifam.search import (
     NODE_LIMIT_HIT,
@@ -42,13 +44,16 @@ from bruteforce import (
     brute_max_clique_free,
     brute_max_independent_set,
     brute_max_induced_bipartite,
+    brute_small_core,
     exclusion_max_clique_free,
     has_clique,
     pair_loop_graph,
+    pair_loop_is_t_intersecting,
     pairwise_compat_masks,
     recursive_enumerate_cliques,
     relabel_by_bits,
     two_sided_max_induced_bipartite,
+    vertex_small_core_search,
 )
 from conftest import random_adjacency
 
@@ -185,10 +190,13 @@ PINNED_NODE_COUNTS = [
     (lambda: max_independent_set(build_graph("M", 5, 3)), 15, 16),
     (lambda: max_independent_set(build_graph("K", 7, 3)), 15, 101),
     (lambda: max_independent_set(build_graph("M", 6, 3)), 21, 27),
-    (lambda: max_intersecting_empty_common(6, 3), 16, 2535),
-    (lambda: max_intersecting_empty_common(5, 3), 13, 412),
-    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 3855),
-    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 11300),
+    (lambda: max_intersecting_empty_common(6, 3), 16, 87),
+    (lambda: max_intersecting_empty_common(5, 3), 13, 54),
+    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 190),
+    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 128),
+    # the small-core items of the search benchmark, seeded as verify does
+    (lambda: max_intersecting_empty_common(7, 3, seed=hm_multiset(7, 3)), 19, 114),
+    (lambda: max_t_intersecting_nontrivial(8, 3, 2, seed=frankl_multiset(8, 3, 2, 1)), 4, 12),
     (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 3946),
     (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 59),
     (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 2346),
@@ -357,6 +365,141 @@ def test_empty_common_witness_is_valid():
 def test_empty_common_rejects_invalid_seed():
     with pytest.raises(ContractError):
         max_intersecting_empty_common(4, 3, seed=frankl_multiset(4, 3, 2, 0))
+
+
+def _small_core_instance(m, k, t):
+    graph = build_graph("M_t", m, k, t)
+    counts = [a.counts for a in graph.vertices]
+    return graph, counts, pairwise_compat_masks(counts, t)
+
+
+def _construction_seed(m, k, t):
+    """The family verify seeds T3.3 (t = 1) or T4.8 with, where it exists."""
+    if t == 1:
+        return hm_multiset(m, k) if m >= k + 1 and k >= 2 else None
+    return frankl_multiset(m, k, t, 1) if t + 2 <= m and t + 1 <= k else None
+
+
+def _assert_small_core_family(fam, t):
+    assert pair_loop_is_t_intersecting(fam, t)
+    if len(fam):
+        assert common_intersection(fam).cardinality < t
+
+
+def _assert_small_core_result(result, t):
+    assert result.proved and result.optimum == len(result.witness)
+    _assert_small_core_family(result.witness, t)
+
+
+def test_vertex_reference_reproduces_the_old_node_counts():
+    # the vertex-by-vertex front end the orbital one replaced
+    for (m, k, t), optimum, nodes in (
+        ((6, 3, 1), 16, 2535),
+        ((5, 3, 1), 13, 412),
+        ((6, 4, 2), 21, 3855),
+        ((7, 3, 1), 19, 11300),
+    ):
+        _graph, counts, compat = _small_core_instance(m, k, t)
+        best, _mask, explored = vertex_small_core_search(counts, compat, t)
+        assert (best, explored) == (optimum, nodes), (m, k, t)
+
+
+# the vertex-by-vertex reference needs 404,376 and millions of nodes here;
+# the theorem's closed form (T3.3 holds for 1 < k <= m-1) stands in for it
+CLOSED_FORM_ONLY = {(7, 4, 1), (8, 4, 1)}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_small_core_matches_vertex_reference(m, k):
+    # a seed never changes the optimum, so seeded and unseeded searches
+    # both answer to the unseeded reference
+    for t in range(1, k + 1):
+        graph, counts, compat = _small_core_instance(m, k, t)
+        if (m, k, t) in CLOSED_FORM_ONLY:
+            expected = hm_multiset_size(m, k)
+        else:
+            expected, mask, _nodes = vertex_small_core_search(counts, compat, t)
+            assert mask.bit_count() == expected
+            _assert_small_core_family(graph.family_from_mask(mask), t)
+        seed = _construction_seed(m, k, t)
+        for seed in (None, seed) if seed is not None else (None,):
+            searches = [max_t_intersecting_nontrivial(m, k, t, seed=seed)]
+            if t == 1:
+                searches.append(max_intersecting_empty_common(m, k, seed=seed))
+            for result in searches:
+                _assert_small_core_result(result, t)
+                assert result.optimum == expected, (m, k, t, seed is not None)
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in range(1, 17) for k in range(1, 5)
+                                  if multichoose(m, k) <= 16])
+def test_small_core_matches_subset_bruteforce(m, k):
+    for t in range(1, k + 1):
+        _graph, counts, compat = _small_core_instance(m, k, t)
+        best, _mask = brute_small_core(counts, t, t)
+        assert vertex_small_core_search(counts, compat, t)[0] == best, (m, k, t)
+        result = max_t_intersecting_nontrivial(m, k, t)
+        _assert_small_core_result(result, t)
+        assert result.optimum == best, (m, k, t)
+
+
+class _RecordingSmallCore(_SmallCoreSolver):
+    """Keeps every front-end node's chosen members, classes and orbits."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def _dfs(self, r_size, r_mask, core, cls, p_mask):
+        self.at = (r_mask, cls)
+        super()._dfs(r_size, r_mask, core, cls, p_mask)
+
+    def _orbits(self, cls, reducers):
+        orbits = super()._orbits(cls, reducers)
+        self.seen.append((*self.at, reducers, orbits))
+        return orbits
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_small_core_orbits_are_stabiliser_orbits(m):
+    # brute force over the m! permutations: the stabiliser of the chosen
+    # members maps each orbit's first member onto exactly the reducers
+    # sharing its key, and cls numbers the classes of equal signature
+    from itertools import permutations
+
+    perms = list(permutations(range(m)))
+    for k in range(1, 5):
+        for t in range(1, k + 1):
+            _graph, counts, compat = _small_core_instance(m, k, t)
+            index = {c: i for i, c in enumerate(counts)}
+            solver = _RecordingSmallCore(counts, compat, t, None)
+            assert not solver.solve()[3]
+            assert solver.seen, (m, k, t)
+            for r_mask, cls, reducers, orbits in solver.seen:
+                chosen = [counts[v] for v in bits(r_mask)]
+                signature = [tuple(c[e] for c in chosen) for e in range(m)]
+                assert all(
+                    (cls[e] == cls[f]) == (signature[e] == signature[f])
+                    for e in range(m) for f in range(m)
+                )
+                stab = [p for p in perms
+                        if all(tuple(c[p[e]] for e in range(m)) == c for c in chosen)]
+                reducer_mask = sum(1 << v for v in reducers)
+                covered = 0
+                for rep, orbit in orbits:
+                    images = {index[tuple(counts[rep][p[e]] for e in range(m))] for p in stab}
+                    assert sum(1 << v for v in images) & reducer_mask == orbit, (m, k, t)
+                    assert orbit & covered == 0
+                    covered |= orbit
+                assert covered == reducer_mask
+
+
+def test_small_core_symmetry_reduction_guard():
+    # the orbital front end proves T3.3(7,4) in 1,851 nodes; the
+    # vertex-by-vertex one needs 404,376
+    report = verify_theorem("T3.3", {"m": 7, "k": 4}, node_limit=10_000)
+    assert report.status == "ok" and report.search_optimum == 75
 
 
 # -- P(s,1) families --------------------------------------------------------------

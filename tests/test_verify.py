@@ -142,3 +142,24 @@ def test_unknown_theorem_and_missing_params():
 def test_p_s1_theorems_reject_k_zero(theorem_id, m):
     with pytest.raises(ContractError, match="k must be >= 1"):
         verify_theorem(theorem_id, {"m": m, "k": 0, "s": 2})
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_every_theorem_rejects_m_or_k_below_one(theorem_id):
+    params = {"t": 1, "s": 1}
+    with pytest.raises(ContractError, match="m must be >= 1, got 0"):
+        verify_theorem(theorem_id, {**params, "m": 0, "k": 2})
+    with pytest.raises(ContractError, match="k must be >= 1, got 0"):
+        verify_theorem(theorem_id, {**params, "m": 4, "k": 0})
+
+
+@pytest.mark.parametrize("theorem_id, params, message", [
+    ("T2.4", {"m": 1, "k": 1}, "T2.4 needs m >= 2, got m=1"),
+    ("T3.3", {"m": 1, "k": 2}, "T3.3 needs m >= 2, got m=1"),
+    ("T3.5", {"m": 1, "k": 1}, "T3.5 needs m >= 2, got m=1"),
+    ("T2.3", {"m": 2, "k": 1, "s": 3}, "T2.3 needs m >= s, got m=2, s=3"),
+    ("T3.4", {"m": 1, "k": 2, "s": 2}, "T3.4 needs m >= s, got m=1, s=2"),
+])
+def test_closed_forms_name_the_ground_size_they_need(theorem_id, params, message):
+    with pytest.raises(ContractError, match=message):
+        verify_theorem(theorem_id, params)
