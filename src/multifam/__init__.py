@@ -71,6 +71,7 @@ from .search import (
     ak_threshold_r,
     clique_free_search,
     enumerate_maximum_independent_sets,
+    enumerate_optimum_orbits,
     induced_bipartite_search,
     max_independent_set,
     max_intersecting_empty_common,

@@ -128,7 +128,7 @@ def build_graph(
 
     if set_based:
         vertices = tuple(enumerate_k_subsets(m, k))
-        rows = [[1 if x in v.members else 0 for x in range(1, m + 1)] for v in vertices]
+        rows = set_rows(vertices, m)
     else:
         vertices = tuple(enumerate_k_multisets(m, k))
         if kind == KIND_MULTISET_T:
@@ -139,6 +139,11 @@ def build_graph(
     adj = _below_t_adjacency(rows, m, k, t)
     family_kind = SET if set_based else MULTISET
     return DisjointnessGraph(kind, m, k, t, family_kind, vertices, adj)
+
+
+def set_rows(vertices, m: int) -> list[list[int]]:
+    """The 0/1 membership row over [m] of each k-set."""
+    return [[1 if x in v.members else 0 for x in range(1, m + 1)] for v in vertices]
 
 
 def _below_t_adjacency(rows, m: int, k: int, t: int) -> list[int]:

@@ -30,7 +30,12 @@ Constrained variants:
 Clique expansion is one loop over an explicit stack, so search depth is
 bounded by memory, not by the interpreter's recursion limit.  Enumerating
 all optima runs on the same loop: the incumbent is held at one below the
-proved optimum and each leaf is recorded instead of adopted.
+proved optimum and each leaf is recorded instead of adopted.  A uniqueness
+verdict needs only one optimum from each isomorphism class, so its
+enumeration branches one orbit of the permutations of [m] fixing the
+chosen members at a time, with the same orbit keys as the small-core front
+end, and hands a node to the plain loop once every candidate orbit is a
+single vertex.
 
 Every search re-validates its witness against the raw pairwise predicate,
 independent of the adjacency structure, and honest node-limit reporting
@@ -63,6 +68,7 @@ from .graphs import (
     DisjointnessGraph,
     _bits,
     build_graph,
+    set_rows,
 )
 
 PROVED_OPTIMAL = "proved_optimal"
@@ -276,12 +282,15 @@ class _CliqueEnumerator(_MaxCliqueSolver):
         complete = True
         try:
             if self.n:
-                self._expand(0, 0, (1 << self.n) - 1)
+                self._search()
             elif target == 0:
                 self.found.append(0)  # the empty clique of the empty graph
         except (_CapHit, _Budget):
             complete = False
         return [self._remap(m) for m in self.found], complete, self.counter.nodes
+
+    def _search(self) -> None:
+        self._expand(0, 0, (1 << self.n) - 1)
 
     def _leaf(self, size: int, mask: int) -> None:
         if size > self.target:
@@ -291,6 +300,87 @@ class _CliqueEnumerator(_MaxCliqueSolver):
         self.found.append(mask)
         if self.cap is not None and len(self.found) >= self.cap:
             raise _CapHit
+
+
+def _orbit_key(cls: tuple[int, ...], row) -> tuple:
+    """A vertex's orbit under the permutations of [m] fixing every chosen
+    member: its sorted (class, multiplicity) pairs, where cls[e] numbers
+    the signature class of element e under the chosen members."""
+    return tuple(sorted(zip(cls, row)))
+
+
+def _orbit_masks(cls: tuple[int, ...], rows, vertices) -> dict[tuple, int]:
+    """The vertices grouped by orbit key, in order of first appearance."""
+    orbits: dict[tuple, int] = {}
+    for v in vertices:
+        key = _orbit_key(cls, rows[v])
+        orbits[key] = orbits.get(key, 0) | 1 << v
+    return orbits
+
+
+def _refine(cls: tuple[int, ...], row) -> tuple[int, ...]:
+    """cls once one more member with multiplicities `row` is chosen: two
+    elements keep one class iff they shared one and row agrees on them."""
+    pairs = list(zip(cls, row))
+    rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+    return tuple(rank[pair] for pair in pairs)
+
+
+class _OrbitEnumerator(_CliqueEnumerator):
+    """At least one clique of the clique number `target` from every class
+    under the permutations of [m], by orbital branching (Ostrowski,
+    Linderoth, Rossi & Smriglio 2011) in front of the shared loop.
+
+    rows[v] is vertex v's multiplicity row; every graph here is invariant
+    under permuting [m].  A front-end node (chosen members r, candidates p)
+    carries cls, the signature classes of the elements under r, so a
+    candidate's orbit under the permutations fixing every member of r is
+    read off _orbit_key.  The node walks the colour order from the top as
+    _expand does, under the same bound, branches on each vertex not yet
+    barred and then bars its whole orbit.  p stays a union of orbits, so a
+    clique through any member of an orbit maps onto one through the vertex
+    branched on.  Once every candidate orbit is a singleton nothing is left
+    to prune, and the node is handed to _expand."""
+
+    def __init__(self, adj: list[int], rows: list, node_limit: int | None):
+        super().__init__(adj, node_limit)
+        self.rows = [rows[v] for v in self.to_old]
+
+    def _search(self) -> None:
+        rows = self.rows
+        adj = self.adj
+        # a node's last field is its parent's orbits when both share cls,
+        # as they do whenever the member branched on is a fixed point
+        stack = [(0, 0, (0,) * len(rows[0]), (1 << self.n) - 1, None)]
+        while stack:
+            r_size, r_mask, cls, p_mask, inherited = stack.pop()
+            if not p_mask:
+                if r_size > self.best:
+                    self._leaf(r_size, r_mask)
+                continue
+            if inherited is None:
+                orbits = _orbit_masks(cls, rows, _bits(p_mask))
+            else:
+                orbits = {key: o & p_mask for key, o in inherited.items() if o & p_mask}
+            if len(orbits) == p_mask.bit_count():
+                self._expand(r_size, r_mask, p_mask)
+                continue
+            self.counter.tick()
+            order, colors = self._color(p_mask)
+            children = []
+            i = len(order)
+            while p_mask:
+                i -= 1
+                if r_size + colors[i] <= self.best:
+                    break
+                v = order[i]
+                if p_mask >> v & 1:
+                    row = rows[v]
+                    child_cls = _refine(cls, row)
+                    kept = orbits if child_cls == cls else None
+                    children.append((r_size + 1, r_mask | 1 << v, child_cls, p_mask & adj[v], kept))
+                    p_mask &= ~orbits[_orbit_key(cls, row)]
+            stack.extend(reversed(children))
 
 
 def _complement_adj(adj: list[int]) -> list[int]:
@@ -339,12 +429,34 @@ def enumerate_maximum_independent_sets(
         nodes_total = base.nodes_explored
     solver = _CliqueEnumerator(comp, node_limit)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
+    return EnumerationResult(optimum, _validated(graph, masks), complete, nodes_total + nodes)
+
+
+def enumerate_optimum_orbits(
+    graph: DisjointnessGraph,
+    optimum: int,
+    cap: int | None = 10000,
+    node_limit: int | None = None,
+) -> EnumerationResult:
+    """At least one maximum independent set from every isomorphism class
+    (up to `cap` sets), for a proved `optimum`; isomorphic sets may repeat.
+    complete=False flags a truncated enumeration."""
+    if graph.family_kind == MULTISET:
+        rows = [a.counts for a in graph.vertices]
+    else:
+        rows = set_rows(graph.vertices, graph.m)
+    solver = _OrbitEnumerator(_complement_adj(graph.adj), rows, node_limit)
+    masks, complete, nodes = solver.enumerate_target(optimum, cap)
+    return EnumerationResult(optimum, _validated(graph, masks), complete, nodes)
+
+
+def _validated(graph: DisjointnessGraph, masks: list[int]) -> list[Family]:
     families = []
     for mask in masks:
         fam = graph.family_from_mask(mask)
         _validate_witness(graph, fam)
         families.append(fam)
-    return EnumerationResult(optimum, families, complete, nodes_total + nodes)
+    return families
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +518,13 @@ class _SmallCoreSolver(_CliqueSearch):
         if core is not None and not self._core_fixable(core, p_mask):
             return
         banned = 0
-        for v, orbit in self._orbits(cls, self._reducers(core, p_mask)):
+        for orbit in _orbit_masks(cls, self.counts, self._reducers(core, p_mask)).values():
+            v = (orbit & -orbit).bit_length() - 1
             cv = self.counts[v]
             new_core = cv if core is None else tuple(map(min, core, cv))
-            pairs = list(zip(cls, cv))
-            rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-            child_cls = tuple(rank[pair] for pair in pairs)
             child_p = p_mask & self.adj[v] & ~banned
-            self._dfs(r_size + 1, r_mask | 1 << v, new_core, child_cls, child_p)
+            self._dfs(r_size + 1, r_mask | 1 << v, new_core, _refine(cls, cv), child_p)
             banned |= orbit
-
-    def _orbits(self, cls: tuple[int, ...], reducers: list[int]) -> list[list[int]]:
-        """The reducers grouped by orbit, in order of first appearance, as
-        (first member, mask of the orbit) pairs; a reducer's orbit key is
-        its sorted (class, count) pairs."""
-        orbits: dict[tuple, list[int]] = {}
-        for v in reducers:
-            key = tuple(sorted(zip(cls, self.counts[v])))
-            orbit = orbits.get(key)
-            if orbit is None:
-                orbits[key] = [v, 1 << v]
-            else:
-                orbit[1] |= 1 << v
-        return list(orbits.values())
 
     def _core_fixable(self, core, p_mask: int) -> bool:
         """Even including every remaining candidate, can the core drop

@@ -34,7 +34,7 @@ from .search import (
     SearchResult,
     ak_threshold_r,
     clique_free_search,
-    enumerate_maximum_independent_sets,
+    enumerate_optimum_orbits,
     induced_bipartite_search,
     max_independent_set,
     max_intersecting_empty_common,
@@ -54,7 +54,9 @@ UNIQUE = "unique_up_to_iso"
 MULTIPLE = "multiple_classes"
 NOT_CHECKED = "not_checked"
 
-# optima enumerated per uniqueness check; more leaves the verdict not_checked
+# optima recorded per uniqueness check, at least one from every isomorphism
+# class (isomorphic ones may repeat); reaching it leaves a single class
+# not_checked
 UNIQUENESS_CAP = 2000
 
 
@@ -90,6 +92,9 @@ class VerifyReport:
             "match": self.match,
             "hypothesis_met": self.hypothesis_met,
             "notes": list(self.notes),
+            "optimum_class_count": (
+                len(self.optimum_classes) if self.optimum_classes is not None else None
+            ),
         }
 
 
@@ -236,6 +241,8 @@ def _bind_t41(params, node_limit) -> _Binding:
 
 def _bind_t48(params, node_limit) -> _Binding:
     m, k, t = _require(params, "m", "k", "t")
+    if not 1 <= t <= k:
+        raise ContractError(f"need 1 <= t <= k, got t={t}, k={k}")
     hyp = (1 < t < k) and m >= 2 * k - t and m > t * (k - t) + 2
     notes = []
     if not hyp:
@@ -287,8 +294,8 @@ def _uniqueness_verdict(binding: _Binding, node_limit) -> tuple[str, list[Family
     graph = binding.graph_for_uniqueness
     if graph is None or not binding.result.proved:
         return NOT_CHECKED, None, 0
-    enum = enumerate_maximum_independent_sets(
-        graph, cap=UNIQUENESS_CAP, node_limit=node_limit, optimum=binding.result.optimum
+    enum = enumerate_optimum_orbits(
+        graph, binding.result.optimum, cap=UNIQUENESS_CAP, node_limit=node_limit
     )
     classes: dict[tuple, Family] = {}
     for fam in enum.families:

@@ -221,6 +221,14 @@ def test_search_rejects_t_zero(capsys):
     assert "t must be >= 1" in capsys.readouterr().err
 
 
+def test_verify_t48_rejects_t_outside_one_to_k(capsys):
+    assert run("verify", "--theorem", "T4.8", "--m", "2", "--k", "2", "--t", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 1 <= t <= k, got t=0, k=2" in captured.err
+    assert "r >= 0" not in captured.err
+
+
 def test_verify_cli(tmp_path, capsys):
     report = tmp_path / "t14.json"
     code = run("verify", "--theorem", "T1.4", "--m", "4", "--k", "3", "--json", str(report))
@@ -255,7 +263,9 @@ def test_verify_uniqueness_flag(tmp_path, capsys):
     )
     assert code == 0
     assert "unique_up_to_iso" in capsys.readouterr().out
-    assert json.loads(report.read_text())["uniqueness_verdict"] == "unique_up_to_iso"
+    payload = json.loads(report.read_text())
+    assert payload["uniqueness_verdict"] == "unique_up_to_iso"
+    assert payload["optimum_class_count"] == 1
 
 
 def test_isomorphic_exit_codes(tmp_path):

@@ -35,7 +35,10 @@ from multifam.search import (
     _SmallCoreSolver,
     _complement_adj,
     _max_induced_bipartite,
+    _orbit_masks,
     _relabel,
+    _validate_witness,
+    enumerate_optimum_orbits,
     induced_bipartite_search,
 )
 
@@ -342,6 +345,76 @@ def test_enumeration_rejects_a_target_below_the_optimum():
         enumerate_maximum_independent_sets(build_graph("M", 4, 2), optimum=3)
 
 
+# -- optima up to isomorphism ---------------------------------------------------
+
+# multi-class instances (K(6,3) has 13 classes, M_t(5,4,3) 4, M_t(8,5,2) 3)
+# and instances outside their theorem's hypothesis (K(5,3), M(3,3), M(4,4),
+# M_t(5,4,2)) next to unique ones, on every graph kind
+ORBIT_GRID = ENUM_GRID + [
+    ("K", 6, 3), ("K", 5, 3), ("K", 9, 3), ("M", 3, 3), ("M", 4, 4), ("M", 6, 3),
+    ("M_t", 4, 3, 2), ("M_t", 5, 4, 2), ("M_t", 5, 4, 3), ("M_t", 7, 4, 2), ("M_t", 8, 5, 2),
+    ("K_t", 6, 3, 2), ("K_t", 7, 4, 2), ("M_support_t", 4, 3, 2), ("M_support_t", 5, 3, 2),
+]
+
+
+@pytest.mark.parametrize("args", ORBIT_GRID)
+def test_optimum_orbits_match_full_enumeration_classes(args):
+    graph = build_graph(*args)
+    full = enumerate_maximum_independent_sets(graph, cap=None)
+    assert full.complete
+    orbits = enumerate_optimum_orbits(graph, full.optimum, cap=None)
+    assert orbits.complete and orbits.optimum == full.optimum
+    assert set(orbits.families) <= set(full.families)
+    for fam in orbits.families:
+        assert len(fam) == full.optimum
+        _validate_witness(graph, fam)
+    classes = {canonical_form(f).members for f in full.families}
+    assert {canonical_form(f).members for f in orbits.families} == classes
+
+
+# exact orbital enumeration nodes and sets recorded given the optimum; a
+# change here is a change of traversal order and must be deliberate and
+# logged in CHANGES.md
+PINNED_ORBIT_NODES = [
+    (("K", 6, 3), 10, 145, 162),
+    (("M", 4, 3), 10, 5, 25),
+    (("M_t", 7, 4, 2), 28, 3, 88),
+    (("M_t", 8, 5, 2), 120, 4, 605),
+    (("K", 10, 4), 84, 1, 825),
+]
+
+
+@pytest.mark.parametrize("args, optimum, count, nodes", PINNED_ORBIT_NODES)
+def test_pinned_orbit_enumeration_node_counts(args, optimum, count, nodes):
+    enum = enumerate_optimum_orbits(build_graph(*args), optimum)
+    assert enum.complete
+    assert (len(enum.families), enum.nodes_explored) == (count, nodes)
+
+
+def test_optimum_orbits_symmetry_reduction_guard():
+    # K(6,3) has 1024 optima in 13 classes; enumerating them all takes
+    # 1,023 nodes, one representative per class far fewer
+    enum = enumerate_optimum_orbits(build_graph("K", 6, 3), 10, node_limit=300)
+    assert enum.complete
+    assert len({canonical_form(f).members for f in enum.families}) == 13
+
+
+def test_optimum_orbits_flag_truncation():
+    graph = build_graph("K", 6, 3)
+    capped = enumerate_optimum_orbits(graph, 10, cap=2)
+    assert not capped.complete and len(capped.families) == 2
+    limited = enumerate_optimum_orbits(graph, 10, node_limit=5)
+    assert not limited.complete and limited.nodes_explored == 6
+    with pytest.raises(ContractError, match="clique number"):
+        enumerate_optimum_orbits(build_graph("M", 4, 2), 3)
+
+
+def test_optimum_orbits_of_a_deep_optimum():
+    enum = enumerate_optimum_orbits(build_graph("K", 13, 7), 1716)
+    assert enum.complete
+    assert len(enum.families) == 1 and len(enum.families[0]) == 1716
+
+
 # -- empty common intersection ---------------------------------------------------
 
 def test_empty_common_reference_values():
@@ -445,7 +518,9 @@ def test_small_core_matches_subset_bruteforce(m, k):
 
 
 class _RecordingSmallCore(_SmallCoreSolver):
-    """Keeps every front-end node's chosen members, classes and orbits."""
+    """Keeps every front-end node's chosen members, classes and orbits, as
+    (first member, orbit mask) pairs, once `record` stands in for the
+    shared orbit helper."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -455,14 +530,16 @@ class _RecordingSmallCore(_SmallCoreSolver):
         self.at = (r_mask, cls)
         super()._dfs(r_size, r_mask, core, cls, p_mask)
 
-    def _orbits(self, cls, reducers):
-        orbits = super()._orbits(cls, reducers)
-        self.seen.append((*self.at, reducers, orbits))
+    def record(self, cls, rows, vertices):
+        vertices = list(vertices)
+        orbits = _orbit_masks(cls, rows, vertices)
+        pairs = [((o & -o).bit_length() - 1, o) for o in orbits.values()]
+        self.seen.append((*self.at, vertices, pairs))
         return orbits
 
 
 @pytest.mark.parametrize("m", range(2, 6))
-def test_small_core_orbits_are_stabiliser_orbits(m):
+def test_small_core_orbits_are_stabiliser_orbits(m, monkeypatch):
     # brute force over the m! permutations: the stabiliser of the chosen
     # members maps each orbit's first member onto exactly the reducers
     # sharing its key, and cls numbers the classes of equal signature
@@ -474,6 +551,7 @@ def test_small_core_orbits_are_stabiliser_orbits(m):
             _graph, counts, compat = _small_core_instance(m, k, t)
             index = {c: i for i, c in enumerate(counts)}
             solver = _RecordingSmallCore(counts, compat, t, None)
+            monkeypatch.setattr("multifam.search._orbit_masks", solver.record)
             assert not solver.solve()[3]
             assert solver.seen, (m, k, t)
             for r_mask, cls, reducers, orbits in solver.seen:

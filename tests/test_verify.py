@@ -95,11 +95,34 @@ def test_uniqueness_above_nine_elements(theorem_id, params, extremal):
 def test_uniqueness_at_the_boundary_reports_multiple_classes():
     report = verify_theorem("T1.4", {"m": 4, "k": 3}, uniqueness=True)
     assert report.uniqueness_verdict == MULTIPLE
+    assert report.to_json_dict()["optimum_class_count"] == len(report.optimum_classes) == 3
+
+
+@pytest.mark.parametrize("theorem_id, params, verdict, classes", [
+    ("T1.1", {"m": 6, "k": 3}, MULTIPLE, 13),  # n = 2k
+    ("T1.1", {"m": 9, "k": 3}, UNIQUE, 1),
+    ("T4.1", {"m": 6, "k": 3, "t": 2}, MULTIPLE, 2),
+    ("T4.1", {"m": 5, "k": 4, "t": 3}, MULTIPLE, 4),
+    ("T4.1", {"m": 5, "k": 4, "t": 2}, UNIQUE, 1),  # hypothesis not met
+])
+def test_uniqueness_class_counts(theorem_id, params, verdict, classes):
+    report = verify_theorem(theorem_id, params, uniqueness=True)
+    assert report.uniqueness_verdict == verdict
+    assert report.to_json_dict()["optimum_class_count"] == classes
+    for rep in report.optimum_classes:
+        assert len(rep) == report.search_optimum
 
 
 def test_uniqueness_not_requested_is_not_checked():
     report = verify_theorem("T1.4", {"m": 4, "k": 3})
     assert report.uniqueness_verdict == NOT_CHECKED
+    assert report.to_json_dict()["optimum_class_count"] is None
+
+
+def test_uniqueness_outside_enumeration_reports_no_class_count():
+    report = verify_theorem("T3.3", {"m": 5, "k": 3}, uniqueness=True)
+    assert report.uniqueness_verdict == NOT_CHECKED
+    assert report.to_json_dict()["optimum_class_count"] is None
 
 
 def test_hypothesis_violation_still_runs_the_search():
@@ -159,6 +182,8 @@ def test_every_theorem_rejects_m_or_k_below_one(theorem_id):
     ("T3.5", {"m": 1, "k": 1}, "T3.5 needs m >= 2, got m=1"),
     ("T2.3", {"m": 2, "k": 1, "s": 3}, "T2.3 needs m >= s, got m=2, s=3"),
     ("T3.4", {"m": 1, "k": 2, "s": 2}, "T3.4 needs m >= s, got m=1, s=2"),
+    ("T4.8", {"m": 2, "k": 2, "t": 0}, "need 1 <= t <= k, got t=0, k=2"),
+    ("T4.8", {"m": 5, "k": 2, "t": 3}, "need 1 <= t <= k, got t=3, k=2"),
 ])
 def test_closed_forms_name_the_ground_size_they_need(theorem_id, params, message):
     with pytest.raises(ContractError, match=message):
