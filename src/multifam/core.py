@@ -10,7 +10,11 @@ pure function, so values are safe to share freely.
 
 Enumeration order is lexicographic on multiplicity vectors (multisets) and
 lexicographic on element tuples (sets); ranks are consistent with that
-order, which is what the disjointness graphs use for vertex indexing.
+order, which is what the disjointness graphs use for vertex indexing.  A
+k-multiset of [m] is enumerated and ranked through stars and bars: it is
+the (m-1)-subset of bar positions in its word of k stars and m-1 bars, and
+those subsets run in the same order on the k-set code (itertools
+combinations and the combinatorial number system).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterator, Iterable
 
 
@@ -218,34 +223,30 @@ class Family:
 
     @classmethod
     def of_multisets(cls, m: int, k: int, members: Iterable[Multiset]) -> "Family":
-        seen: dict[tuple[int, ...], Multiset] = {}
-        for a in members:
-            if a.ground_size != m:
-                raise ContractError(f"member {a} has ground size {a.ground_size}, expected {m}")
-            if a.cardinality != k:
-                raise ContractError(f"member {a} has cardinality {a.cardinality}, expected {k}")
-            seen.setdefault(a.counts, a)
-        ordered = tuple(seen[key] for key in sorted(seen))
-        return cls(m, k, MULTISET, ordered)
+        return cls._checked(m, k, MULTISET, members, attrgetter("counts"))
 
     @classmethod
     def of_sets(cls, n: int, k: int, members: Iterable[KSet]) -> "Family":
-        seen: dict[tuple[int, ...], KSet] = {}
-        for b in members:
-            if b.ground_size != n:
-                raise ContractError(f"member {b} has ground size {b.ground_size}, expected {n}")
-            if b.cardinality != k:
-                raise ContractError(f"member {b} has cardinality {b.cardinality}, expected {k}")
-            seen.setdefault(b.members, b)
-        ordered = tuple(seen[key] for key in sorted(seen))
-        return cls(n, k, SET, ordered)
+        return cls._checked(n, k, SET, members, attrgetter("members"))
+
+    @classmethod
+    def _checked(cls, m: int, k: int, kind: str, members: Iterable, key) -> "Family":
+        """Validated members, duplicates dropped, sorted by key."""
+        seen = {}
+        for x in members:
+            if x.ground_size != m:
+                raise ContractError(f"member {x} has ground size {x.ground_size}, expected {m}")
+            if x.cardinality != k:
+                raise ContractError(f"member {x} has cardinality {x.cardinality}, expected {k}")
+            seen.setdefault(key(x), x)
+        return cls(m, k, kind, tuple(seen[x] for x in sorted(seen)))
 
     @classmethod
     def universe(cls, m: int, k: int, kind: str = MULTISET) -> "Family":
-        """The full universe of k-multisets of [m] (or k-subsets of [n])."""
-        if kind == MULTISET:
-            return cls.of_multisets(m, k, enumerate_k_multisets(m, k))
-        return cls.of_sets(m, k, enumerate_k_subsets(m, k))
+        """The full universe of k-multisets of [m] (or k-subsets of [n]),
+        in enumeration order, which is the canonical member order."""
+        members = enumerate_k_multisets(m, k) if kind == MULTISET else enumerate_k_subsets(m, k)
+        return cls(m, k, kind, tuple(members))
 
     @property
     def size(self) -> int:
@@ -265,6 +266,21 @@ class Family:
         if self.kind == MULTISET:
             return {a.counts for a in self.members}
         return {b.members for b in self.members}
+
+
+def multiplicity_rows(members: Iterable) -> list[tuple[int, ...]]:
+    """Each member's multiplicities over its ground set: a multiset's
+    counts, a k-set's 0/1 membership."""
+    rows = []
+    for x in members:
+        if isinstance(x, Multiset):
+            rows.append(x.counts)
+        else:
+            row = [0] * x.ground_size
+            for e in x.members:
+                row[e - 1] = 1
+            rows.append(tuple(row))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +358,43 @@ def has_property_p_s1(fam: Family, s: int) -> bool:
 # enumeration and ranking
 # ---------------------------------------------------------------------------
 
-def _count_vectors(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _count_vectors(m - 1, k - first):
-            yield (first,) + rest
+def _stars(bars: Iterable[int], n: int) -> tuple[int, ...]:
+    """Multiplicities from the 1-based bar positions of a word of n stars
+    and bars: element i gets the stars between bar i-1 and bar i."""
+    counts = []
+    prev = 0
+    for b in bars:
+        counts.append(b - prev - 1)
+        prev = b
+    counts.append(n - prev)
+    return tuple(counts)
+
+
+def _bars(a: Multiset) -> KSet:
+    """The bar positions of a's stars-and-bars word, as an (m-1)-subset of
+    [m+k-1]: bar i follows the stars of elements 1..i."""
+    bars = []
+    pos = 0
+    for c in a.counts[:-1]:
+        pos += c + 1
+        bars.append(pos)
+    return KSet(a.ground_size + a.cardinality - 1, tuple(bars))
 
 
 def enumerate_k_multisets(m: int, k: int) -> Iterator[Multiset]:
     """All k-multisets of [m] in lexicographic multiplicity-vector order.
 
+    Walks the (m-1)-subsets of bar positions in a word of m+k-1 stars and
+    bars; their lexicographic order is that of the multiplicity vectors.
     Emits exactly multichoose(m, k) distinct multisets, deterministically.
     """
     if m < 1:
         raise ContractError(f"m must be >= 1, got {m}")
     if k < 0:
         raise ContractError(f"k must be >= 0, got {k}")
-    for counts in _count_vectors(m, k):
-        yield Multiset(m, counts)
+    n = m + k - 1
+    for bars in combinations(range(1, n + 1), m - 1):
+        yield Multiset(m, _stars(bars, n))
 
 
 def enumerate_k_subsets(n: int, k: int) -> Iterator[KSet]:
@@ -373,39 +406,15 @@ def enumerate_k_subsets(n: int, k: int) -> Iterator[KSet]:
 
 
 def multiset_rank(a: Multiset) -> int:
-    """Rank of a multiset within the enumeration of (m, k)-multisets."""
-    m = a.ground_size
-    rem = a.cardinality
-    rank = 0
-    for i, c in enumerate(a.counts):
-        for v in range(c):
-            rank += multichoose(m - i - 1, rem - v)
-        rem -= c
-    return rank
+    """Rank of a multiset within the enumeration of (m, k)-multisets: the
+    k-set rank of its bar positions."""
+    return kset_rank(_bars(a))
 
 
 def multiset_unrank(m: int, k: int, rank: int) -> Multiset:
     """Inverse of multiset_rank; rank must lie in [0, multichoose(m, k))."""
-    total = multichoose(m, k)
-    if not 0 <= rank < total:
-        raise ContractError(f"rank {rank} outside [0, {total})")
-    counts: list[int] = []
-    rem = k
-    r = rank
-    for i in range(m):
-        if i == m - 1:
-            counts.append(rem)
-            break
-        v = 0
-        while True:
-            block = multichoose(m - i - 1, rem - v)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        counts.append(v)
-        rem -= v
-    return Multiset(m, tuple(counts))
+    n = m + k - 1
+    return Multiset(m, _stars(kset_unrank(n, m - 1, rank).members, n))
 
 
 def kset_rank(b: KSet) -> int:

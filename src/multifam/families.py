@@ -1,15 +1,20 @@
 """Named extremal family constructors, closed-form sizes, and isomorphism.
 
 Constructors build the family by filtering the enumerated universe, so the
-member order is always canonical.  Closed-form sizes are provided where one
-exists; hm_t families have no closed form and are counted by enumeration.
+member order is always canonical.  A set constructor and its multiset
+analogue share one filter on member support masks (a set is its own
+support) and one parameter check.  Closed-form sizes are provided where
+one exists, and each runs its constructor's parameter check first; hm_t
+families have no closed form and are counted by enumeration.
 
 Isomorphism is relabeling of the ground set.  canonical_form runs an
 individualisation-refinement search (McKay & Piperno, "Practical graph
 isomorphism, II", 2014) on the element-member incidence structure: colour
 refinement to an equitable colouring, branching on the first smallest
 non-singleton cell, and pruning of children that an automorphism found
-between two equal leaves maps onto an explored sibling.  Sets and multisets
+between two equal leaves maps onto an explored sibling.  A cell of twins
+(elements with identical incidence) is split into singletons without
+branching: swapping two twins fixes every member.  Sets and multisets
 share the code (a set is its 0/1 count vector).  The representative is a
 ground-set relabelling of the input that does not depend on the input's
 labelling, so two families have equal canonical forms iff they are
@@ -24,15 +29,16 @@ from typing import Iterable, Sequence
 
 from .core import (
     MULTISET,
+    SET,
     ContractError,
     Family,
     KSet,
     Multiset,
     binomial,
     enumerate_k_multisets,
-    enumerate_k_subsets,
     is_t_intersecting,
     multichoose,
+    multiplicity_rows,
 )
 
 FAMILY_NAMES = (
@@ -70,22 +76,44 @@ class FamilySpec:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _where(kind: str, m: int, k: int, keep) -> Family:
+    """The members of the (m, k) universe of `kind` whose support mask
+    passes `keep`.  The universe is in canonical order, so the result is."""
+    members = Family.universe(m, k, kind).members
+    return Family(m, k, kind, tuple(x for x in members if keep(x.support_mask())))
+
+
+def _hitting(kind: str, m: int, k: int, anchor: Iterable[int]) -> Family:
+    mask = KSet.from_elements(m, anchor).mask()
+    return _where(kind, m, k, lambda support: support & mask)
+
+
+def _check_star_params(m: int, k: int, x: int) -> None:
+    if not 1 <= x <= m:
+        raise ContractError(f"anchor element {x} outside [1, {m}]")
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+
+
 def star(m: int, k: int, x: int) -> Family:
     """All k-multisets of [m] that contain the fixed element x.
 
     Size is multichoose(m, k-1) = C(m+k-2, k-1).
     """
-    if not 1 <= x <= m:
-        raise ContractError(f"anchor element {x} outside [1, {m}]")
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    return Family.of_multisets(
-        m, k, (a for a in enumerate_k_multisets(m, k) if a.counts[x - 1] >= 1)
-    )
+    _check_star_params(m, k, x)
+    return _hitting(MULTISET, m, k, (x,))
 
 
 def star_size(m: int, k: int) -> int:
+    _check_star_params(m, k, 1)
     return multichoose(m, k - 1)
+
+
+def _check_fixed_params(m: int, k: int, anchor_cardinality: int) -> None:
+    if m < 1:
+        raise ContractError(f"ground_size must be >= 1, got {m}")
+    if anchor_cardinality > k:
+        raise ContractError(f"anchor cardinality {anchor_cardinality} exceeds k={k}")
 
 
 def fixed_multiset(m: int, k: int, anchor: Multiset) -> Family:
@@ -96,16 +124,14 @@ def fixed_multiset(m: int, k: int, anchor: Multiset) -> Family:
     """
     if anchor.ground_size != m:
         raise ContractError(f"anchor ground size {anchor.ground_size} != {m}")
-    if anchor.cardinality > k:
-        raise ContractError(
-            f"anchor cardinality {anchor.cardinality} exceeds k={k}"
-        )
+    _check_fixed_params(m, k, anchor.cardinality)
     return Family.of_multisets(
         m, k, (a for a in enumerate_k_multisets(m, k) if a.contains(anchor))
     )
 
 
 def fixed_multiset_size(m: int, k: int, anchor_cardinality: int) -> int:
+    _check_fixed_params(m, k, anchor_cardinality)
     return multichoose(m, k - anchor_cardinality)
 
 
@@ -118,19 +144,15 @@ def _check_frankl_params(ground: int, k: int, t: int, r: int) -> None:
         raise ContractError(f"need t+r <= k, got t+r={t + r}, k={k}")
 
 
+def _frankl(kind: str, ground: int, k: int, t: int, r: int) -> Family:
+    _check_frankl_params(ground, k, t, r)
+    window = (1 << (t + 2 * r)) - 1
+    return _where(kind, ground, k, lambda support: (support & window).bit_count() >= t + r)
+
+
 def frankl_set(n: int, k: int, t: int, r: int) -> Family:
     """All k-subsets of [n] meeting [t+2r] in at least t+r elements."""
-    _check_frankl_params(n, k, t, r)
-    window = (1 << (t + 2 * r)) - 1
-    return Family.of_sets(
-        n,
-        k,
-        (
-            b
-            for b in enumerate_k_subsets(n, k)
-            if (b.mask() & window).bit_count() >= t + r
-        ),
-    )
+    return _frankl(SET, n, k, t, r)
 
 
 def frankl_set_size(n: int, k: int, t: int, r: int) -> int:
@@ -143,17 +165,7 @@ def frankl_set_size(n: int, k: int, t: int, r: int) -> int:
 
 def frankl_multiset(m: int, k: int, t: int, r: int) -> Family:
     """All k-multisets of [m] whose support meets [t+2r] in >= t+r elements."""
-    _check_frankl_params(m, k, t, r)
-    window = (1 << (t + 2 * r)) - 1
-    return Family.of_multisets(
-        m,
-        k,
-        (
-            a
-            for a in enumerate_k_multisets(m, k)
-            if (a.support_mask() & window).bit_count() >= t + r
-        ),
-    )
+    return _frankl(MULTISET, m, k, t, r)
 
 
 def frankl_multiset_size(m: int, k: int, t: int, r: int) -> int:
@@ -168,86 +180,76 @@ def frankl_multiset_size(m: int, k: int, t: int, r: int) -> int:
     )
 
 
+def _check_hm_params(kind: str, ground: int, k: int) -> None:
+    letter = "n" if kind == SET else "m"
+    if k < 2:
+        raise ContractError(f"k must be >= 2, got {k}")
+    if ground < k + 1:
+        raise ContractError(f"need {letter} >= k+1, got {letter}={ground}, k={k}")
+
+
+def _hm(kind: str, ground: int, k: int) -> Family:
+    _check_hm_params(kind, ground, k)
+    window = ((1 << (k + 1)) - 1) & ~1  # elements 2..k+1
+    # a k-member with support [2, k+1] is that set itself
+    return _where(
+        kind, ground, k, lambda support: support & 1 and support & window or support == window
+    )
+
+
 def hm_set(n: int, k: int) -> Family:
     """Maximum intersecting k-set family with no common element: the sets
     through 1 that meet [2, k+1], plus [2, k+1] itself."""
-    if k < 2:
-        raise ContractError(f"k must be >= 2, got {k}")
-    if n < k + 1:
-        raise ContractError(f"need n >= k+1, got n={n}, k={k}")
-    window = ((1 << (k + 1)) - 1) & ~1  # elements 2..k+1
-    adjoined = KSet(n, tuple(range(2, k + 2)))
-    members = [
-        b
-        for b in enumerate_k_subsets(n, k)
-        if 1 in b.members and (b.mask() & window) != 0
-    ]
-    members.append(adjoined)
-    return Family.of_sets(n, k, members)
+    return _hm(SET, n, k)
 
 
 def hm_set_size(n: int, k: int) -> int:
+    _check_hm_params(SET, n, k)
     return binomial(n - 1, k - 1) - binomial(n - k - 1, k - 1) + 1
 
 
 def hm_multiset(m: int, k: int) -> Family:
     """Multiset analogue of hm_set: multisets containing 1 whose support
     meets [2, k+1], plus the set [2, k+1] viewed as a multiset."""
-    if k < 2:
-        raise ContractError(f"k must be >= 2, got {k}")
-    if m < k + 1:
-        raise ContractError(f"need m >= k+1, got m={m}, k={k}")
-    window = ((1 << (k + 1)) - 1) & ~1
-    adjoined = Multiset.from_elements(m, range(2, k + 2))
-    members = [
-        a
-        for a in enumerate_k_multisets(m, k)
-        if a.counts[0] >= 1 and (a.support_mask() & window) != 0
-    ]
-    members.append(adjoined)
-    return Family.of_multisets(m, k, members)
+    return _hm(MULTISET, m, k)
 
 
 def hm_multiset_size(m: int, k: int) -> int:
+    _check_hm_params(MULTISET, m, k)
     return binomial(m + k - 2, k - 1) - binomial(m - 2, k - 1) + 1
+
+
+def _check_hm_t_params(kind: str, ground: int, k: int, t: int) -> None:
+    if not 1 < t < k:
+        raise ContractError(f"need 1 < t < k, got t={t}, k={k}")
+    _check_hm_params(kind, ground, k)
+
+
+def _hm_t(kind: str, ground: int, k: int, t: int) -> Family:
+    _check_hm_t_params(kind, ground, k, t)
+    full = (1 << (k + 1)) - 1
+    head = (1 << t) - 1
+    window = full & ~head
+    # a k-member with support [k+1] minus i is that set itself
+    adjoined = {full ^ (1 << i) for i in range(t)}
+    return _where(
+        kind,
+        ground,
+        k,
+        lambda support: (support & head) == head and support & window or support in adjoined,
+    )
 
 
 def hm_t_set(n: int, k: int, t: int) -> Family:
     """t-intersecting k-set family with no common t-set: sets containing [t]
     that meet [t+1, k+1], plus the k-sets [k+1] minus i for i in [t]."""
-    if not 1 < t < k:
-        raise ContractError(f"need 1 < t < k, got t={t}, k={k}")
-    if n < k + 1:
-        raise ContractError(f"need n >= k+1, got n={n}, k={k}")
-    head = (1 << t) - 1
-    window = ((1 << (k + 1)) - 1) & ~head
-    members = [
-        b
-        for b in enumerate_k_subsets(n, k)
-        if (b.mask() & head) == head and (b.mask() & window) != 0
-    ]
-    for i in range(1, t + 1):
-        members.append(KSet(n, tuple(x for x in range(1, k + 2) if x != i)))
-    return Family.of_sets(n, k, members)
+    return _hm_t(SET, n, k, t)
 
 
 def hm_t_multiset(m: int, k: int, t: int) -> Family:
     """Multiset analogue of hm_t_set.  No closed-form size; count by
     enumerating.  The common intersection has cardinality below t."""
-    if not 1 < t < k:
-        raise ContractError(f"need 1 < t < k, got t={t}, k={k}")
-    if m < k + 1:
-        raise ContractError(f"need m >= k+1, got m={m}, k={k}")
-    head = (1 << t) - 1
-    window = ((1 << (k + 1)) - 1) & ~head
-    members = [
-        a
-        for a in enumerate_k_multisets(m, k)
-        if (a.support_mask() & head) == head and (a.support_mask() & window) != 0
-    ]
-    for i in range(1, t + 1):
-        members.append(Multiset.from_elements(m, (x for x in range(1, k + 2) if x != i)))
-    return Family.of_multisets(m, k, members)
+    return _hm_t(MULTISET, m, k, t)
 
 
 def hit_s(m: int, k: int, anchor: Iterable[int]) -> Family:
@@ -255,16 +257,12 @@ def hit_s(m: int, k: int, anchor: Iterable[int]) -> Family:
 
     Size is multichoose(m, k) - multichoose(m - |anchor|, k).
     """
-    anchor_set = KSet.from_elements(m, anchor)
-    mask = anchor_set.mask()
-    return Family.of_multisets(
-        m,
-        k,
-        (a for a in enumerate_k_multisets(m, k) if a.support_mask() & mask),
-    )
+    return _hitting(MULTISET, m, k, anchor)
 
 
 def hit_s_size(m: int, k: int, s: int) -> int:
+    if k < 0:
+        raise ContractError(f"k must be >= 0, got {k}")
     if not 0 <= s <= m:
         raise ContractError(f"anchor size {s} outside [0, {m}]")
     return multichoose(m, k) - multichoose(m - s, k)
@@ -272,11 +270,7 @@ def hit_s_size(m: int, k: int, s: int) -> int:
 
 def hit_s_set(n: int, k: int, anchor: Iterable[int]) -> Family:
     """All k-subsets of [n] meeting the anchor set (the t=1 fixed family)."""
-    anchor_set = KSet.from_elements(n, anchor)
-    mask = anchor_set.mask()
-    return Family.of_sets(
-        n, k, (b for b in enumerate_k_subsets(n, k) if b.mask() & mask)
-    )
+    return _hitting(SET, n, k, anchor)
 
 
 def hajnal_rothschild_size(n: int, k: int, t: int, s: int) -> int:
@@ -370,11 +364,8 @@ def apply_permutation(fam: Family, perm: Sequence[int]) -> Family:
 
 
 def _supports(fam: Family) -> list[list[tuple[int, int]]]:
-    """Each member as its (element index, multiplicity) pairs; a set is
-    its 0/1 count vector."""
-    if fam.kind == MULTISET:
-        return [[(e, c) for e, c in enumerate(a.counts) if c] for a in fam.members]
-    return [[(x - 1, 1) for x in b.members] for b in fam.members]
+    """Each member as its (element index, multiplicity) pairs."""
+    return [[(e, c) for e, c in enumerate(row) if c] for row in multiplicity_rows(fam.members)]
 
 
 class _Canonizer:
@@ -442,6 +433,14 @@ class _Canonizer:
             by_colour[c].append(e)
         target = min((cell for cell in by_colour if len(cell) > 1), key=len)
         colour = col[target[0]]
+        incidence = self.incidence
+        if all(incidence[e] == incidence[target[0]] for e in target):
+            # twins: swapping two of them fixes every member, so every order
+            # of individualising them gives the same codes; take one order
+            split = {e: i for i, e in enumerate(target)}
+            shift = len(target) - 1
+            child = [c + shift if c > colour else c + split.get(e, 0) for e, c in enumerate(col)]
+            return self._node(child, cells + shift, path)
         explored: list[int] = []
         for v in target:
             if explored and self._same_orbit(v, explored, path):
@@ -569,6 +568,7 @@ def family_size_formula(spec: FamilySpec) -> int | None:
     if name == "hm_multiset":
         return hm_multiset_size(m, k)
     if name in ("hm_t_set", "hm_t_multiset"):
+        _check_hm_t_params(SET if name == "hm_t_set" else MULTISET, m, k, _req(spec.t, "t"))
         return None
     if name == "hit_s":
         s = len(spec.anchor) if spec.anchor else _req(spec.s, "s")

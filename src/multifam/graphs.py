@@ -14,12 +14,13 @@ intersecting) families.  M(m,k) and M'(m,k,1) coincide edge for edge, as do
 M(m,k) and M(m,k,1).  Adjacency is stored as one bitmask per vertex, which
 is what the search module's word-parallel candidate operations consume.
 
-All five kinds share one bit-sliced construction.  Each vertex is a row of
-per-element multiplicities (the counts for M(m,k,t); 0/1 membership or
-support for the others), and columns[e][j] is the bitset of vertices whose
-multiplicity at e exceeds j.  |A ∩ B| is then the number of A's columns
-that contain B, so OR-ing A's columns through a saturating ladder of t
-bitsets yields every vertex meeting A at least t times at once.  The cost
+All five kinds share one bit-sliced construction.  Each vertex is its row
+of per-element multiplicities (core.multiplicity_rows), read up to k levels
+for M(m,k,t) and up to one level, its support, for the others, and
+columns[e][j] is the bitset of vertices whose multiplicity at e exceeds j.
+|A ∩ B| is then the number of A's columns that contain B, so OR-ing A's
+columns through a saturating ladder of t bitsets yields every vertex
+meeting A at least t times at once.  The cost
 is O(n · k · t) big-integer operations instead of O(n²) pair tests.
 """
 
@@ -34,9 +35,8 @@ from .core import (
     Family,
     ScaleExceededError,
     binomial,
-    enumerate_k_multisets,
-    enumerate_k_subsets,
     multichoose,
+    multiplicity_rows,
 )
 
 KIND_KNESER = "K"
@@ -90,10 +90,9 @@ class DisjointnessGraph:
         return f"M'({self.m},{self.k},{self.t})"
 
     def family_from_mask(self, mask: int) -> Family:
-        chosen = [self.vertices[v] for v in _bits(mask)]
-        if self.family_kind == MULTISET:
-            return Family.of_multisets(self.m, self.k, chosen)
-        return Family.of_sets(self.m, self.k, chosen)
+        # vertices are in canonical member order, and so is any subsequence
+        chosen = tuple(self.vertices[v] for v in _bits(mask))
+        return Family(self.m, self.k, self.family_kind, chosen)
 
 
 def _bits(mask: int):
@@ -126,40 +125,29 @@ def build_graph(
             f"universe has {count} vertices, exceeding the cap of {vertex_cap}"
         )
 
-    if set_based:
-        vertices = tuple(enumerate_k_subsets(m, k))
-        rows = set_rows(vertices, m)
-    else:
-        vertices = tuple(enumerate_k_multisets(m, k))
-        if kind == KIND_MULTISET_T:
-            rows = [v.counts for v in vertices]
-        else:
-            rows = [[1 if c else 0 for c in v.counts] for v in vertices]
-
-    adj = _below_t_adjacency(rows, m, k, t)
     family_kind = SET if set_based else MULTISET
+    vertices = Family.universe(m, k, family_kind).members
+    # only M(m,k,t) counts multiplicity; the other kinds compare supports
+    levels = k if kind == KIND_MULTISET_T else 1
+    adj = _below_t_adjacency(multiplicity_rows(vertices), m, levels, t)
     return DisjointnessGraph(kind, m, k, t, family_kind, vertices, adj)
 
 
-def set_rows(vertices, m: int) -> list[list[int]]:
-    """The 0/1 membership row over [m] of each k-set."""
-    return [[1 if x in v.members else 0 for x in range(1, m + 1)] for v in vertices]
-
-
-def _below_t_adjacency(rows, m: int, k: int, t: int) -> list[int]:
-    """adj[v] = bitset of u != v with sum_e min(rows[v][e], rows[u][e]) < t.
+def _below_t_adjacency(rows, m: int, levels: int, t: int) -> list[int]:
+    """adj[v] = bitset of u != v with sum_e min(rows[v][e], rows[u][e],
+    levels) < t.
 
     columns[e][j] holds the vertices whose multiplicity at e exceeds j, so v
     occupies exactly the columns (e, j < rows[v][e]) and |v ∩ u| is the
     number of v's columns that contain u.  A saturating ladder counts that
     per u: after all of v's columns, ge[i] holds the u met at least i+1
     times, and ge[t-1] is everything at or above the threshold."""
-    columns = [[0] * k for _ in range(m)]
+    columns = [[0] * levels for _ in range(m)]
     for v, row in enumerate(rows):
         bit = 1 << v
         for e, c in enumerate(row):
             col = columns[e]
-            for j in range(c):
+            for j in range(c if c < levels else levels):
                 col[j] |= bit
     full = (1 << len(rows)) - 1
     adj = []

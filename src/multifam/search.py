@@ -56,10 +56,10 @@ from .core import (
     has_property_p_s1,
     is_support_t_intersecting,
     is_t_intersecting,
+    multiplicity_rows,
     multiset_rank,
 )
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
     KIND_KNESER,
     KIND_KNESER_T,
     KIND_MULTISET_DISJOINT,
@@ -68,7 +68,6 @@ from .graphs import (
     DisjointnessGraph,
     _bits,
     build_graph,
-    set_rows,
 )
 
 PROVED_OPTIMAL = "proved_optimal"
@@ -441,10 +440,7 @@ def enumerate_optimum_orbits(
     """At least one maximum independent set from every isomorphism class
     (up to `cap` sets), for a proved `optimum`; isomorphic sets may repeat.
     complete=False flags a truncated enumeration."""
-    if graph.family_kind == MULTISET:
-        rows = [a.counts for a in graph.vertices]
-    else:
-        rows = set_rows(graph.vertices, graph.m)
+    rows = multiplicity_rows(graph.vertices)
     solver = _OrbitEnumerator(_complement_adj(graph.adj), rows, node_limit)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     return EnumerationResult(optimum, _validated(graph, masks), complete, nodes)
@@ -578,10 +574,9 @@ def _small_core_search(
     core_limit: int,
     node_limit: int | None,
     seed: Family | None,
-    vertex_cap: int,
 ) -> SearchResult:
-    graph = build_graph(KIND_MULTISET_T, m, k, t_pair, vertex_cap=vertex_cap)
-    counts = [a.counts for a in graph.vertices]
+    graph = build_graph(KIND_MULTISET_T, m, k, t_pair)
+    counts = multiplicity_rows(graph.vertices)
     seed_mask = _seed_mask_for(seed, m, k, t_pair, core_limit)
     solver = _SmallCoreSolver(counts, _complement_adj(graph.adj), core_limit, node_limit)
     best, mask, nodes, limited = solver.solve(seed_mask)
@@ -599,14 +594,13 @@ def max_intersecting_empty_common(
     k: int,
     node_limit: int | None = None,
     seed: Family | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SearchResult:
     """Largest intersecting family of k-multisets of [m] whose common
     intersection is empty.  A verified seed family may provide the initial
     incumbent; it never changes the optimum."""
     if k < 1 or m < 1:
         raise ContractError(f"need m, k >= 1, got ({m}, {k})")
-    return _small_core_search(m, k, 1, 1, node_limit, seed, vertex_cap)
+    return _small_core_search(m, k, 1, 1, node_limit, seed)
 
 
 def max_t_intersecting_nontrivial(
@@ -615,13 +609,12 @@ def max_t_intersecting_nontrivial(
     t: int,
     node_limit: int | None = None,
     seed: Family | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SearchResult:
     """Largest t-intersecting family of k-multisets whose common
     intersection has cardinality below t."""
     if not 1 <= t <= k:
         raise ContractError(f"need 1 <= t <= k, got t={t}, k={k}")
-    return _small_core_search(m, k, t, t, node_limit, seed, vertex_cap)
+    return _small_core_search(m, k, t, t, node_limit, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -701,16 +694,10 @@ def clique_free_search(graph: DisjointnessGraph, s: int, node_limit: int | None 
     return SearchResult(best, witness, status, nodes)
 
 
-def max_p_s1_family(
-    m: int,
-    k: int,
-    s: int,
-    node_limit: int | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> SearchResult:
+def max_p_s1_family(m: int, k: int, s: int, node_limit: int | None = None) -> SearchResult:
     """Largest family of k-multisets of [m] in which no s+1 members are
     pairwise disjoint.  s=1 delegates to the independent-set search."""
-    graph = build_graph(KIND_MULTISET_DISJOINT, m, k, vertex_cap=vertex_cap)
+    graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
     return clique_free_search(graph, s, node_limit)
 
 
@@ -756,15 +743,10 @@ def induced_bipartite_search(graph: DisjointnessGraph, node_limit: int | None = 
     return SearchResult(best, witness, status, nodes)
 
 
-def max_union_two_intersecting(
-    m: int,
-    k: int,
-    node_limit: int | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> SearchResult:
+def max_union_two_intersecting(m: int, k: int, node_limit: int | None = None) -> SearchResult:
     """Largest union of two intersecting families of k-multisets of [m]
     (equivalently, the largest induced bipartite subgraph of M(m,k))."""
-    graph = build_graph(KIND_MULTISET_DISJOINT, m, k, vertex_cap=vertex_cap)
+    graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
     return induced_bipartite_search(graph, node_limit)
 
 
@@ -782,14 +764,13 @@ def max_t_intersecting(
     t: int,
     node_limit: int | None = None,
     mode: str = TRUE_INTERSECTION,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SearchResult:
     """Largest family of k-multisets with pairwise |A ∩ B| >= t, counting
     multiplicity (true mode) or distinct support overlap (support mode)."""
     if mode not in (TRUE_INTERSECTION, SUPPORT_INTERSECTION):
         raise ContractError(f"unknown mode {mode!r}")
     kind = KIND_MULTISET_T if mode == TRUE_INTERSECTION else KIND_MULTISET_SUPPORT_T
-    graph = build_graph(kind, m, k, t, vertex_cap=vertex_cap)
+    graph = build_graph(kind, m, k, t)
     return max_independent_set(graph, node_limit)
 
 

@@ -172,7 +172,8 @@ def _bind_t33(params, node_limit) -> _Binding:
         raise ContractError(f"T3.3 needs m >= 2, got m={m}")
     hyp = 1 < k <= m - 1
     notes = [] if hyp else [f"hypothesis 1 < k <= m-1 not met (m={m}, k={k})"]
-    bound = families.hm_multiset_size(m, k)
+    # the closed form, evaluated also outside the hypothesis
+    bound = binomial(m + k - 2, k - 1) - binomial(m - 2, k - 1) + 1
     constructed = families.hm_multiset(m, k) if m >= k + 1 and k >= 2 else None
     result = max_intersecting_empty_common(m, k, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
@@ -300,11 +301,7 @@ def _uniqueness_verdict(binding: _Binding, node_limit) -> tuple[str, list[Family
     classes: dict[tuple, Family] = {}
     for fam in enum.families:
         key_fam = canonical_form(fam)
-        key = tuple(
-            member.counts if fam.kind == "multiset" else member.members
-            for member in key_fam.members
-        )
-        classes.setdefault(key, key_fam)
+        classes.setdefault(key_fam.members, key_fam)
     reps = list(classes.values())
     if len(reps) > 1:
         return MULTIPLE, reps, enum.nodes_explored

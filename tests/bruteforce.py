@@ -437,3 +437,46 @@ def brute_small_core(counts, t, core_limit):
 
     rec(0, 0, [], None)
     return best[0], best[1]
+
+
+def recursive_count_vectors(m, k):
+    """Reference multiset enumeration: the k-multisets of [m] as count
+    vectors in lexicographic order, by recursion on the first count."""
+    if m == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in recursive_count_vectors(m - 1, k - first):
+            yield (first,) + rest
+
+
+def loop_multiset_rank(counts):
+    """Reference rank of a count vector among the (m, k)-multisets: for
+    each element, the multisets that agree so far but take fewer copies."""
+    from multifam.core import multichoose
+
+    m = len(counts)
+    rem = sum(counts)
+    rank = 0
+    for i, c in enumerate(counts):
+        for v in range(c):
+            rank += multichoose(m - i - 1, rem - v)
+        rem -= c
+    return rank
+
+
+def loop_multiset_unrank(m, k, rank):
+    """Reference inverse of loop_multiset_rank, as a count vector."""
+    from multifam.core import multichoose
+
+    counts = []
+    rem = k
+    for i in range(m - 1):
+        v = 0
+        while rank >= multichoose(m - i - 1, rem - v):
+            rank -= multichoose(m - i - 1, rem - v)
+            v += 1
+        counts.append(v)
+        rem -= v
+    counts.append(rem)
+    return tuple(counts)

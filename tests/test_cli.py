@@ -33,6 +33,29 @@ def test_size_table_is_byte_identical_between_runs(capsys):
     assert "16" in first
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--family", "hm_set", "--m", "1", "--k", "2"), "need n >= k+1, got n=1, k=2"),
+        (("--family", "hm_multiset", "--m", "2", "--k", "2"), "need m >= k+1, got m=2, k=2"),
+        (("--family", "star", "--m", "3", "--k", "0"), "k must be >= 1, got 0"),
+        (("--family", "fixed_multiset", "--m", "3", "--k", "1", "--anchor", "1,1"),
+         "anchor cardinality 2 exceeds k=1"),
+        (("--family", "hit_s", "--m", "3", "--k", "-1", "--s", "1"), "k must be >= 0, got -1"),
+        (("--family", "hm_t_set", "--m", "-1", "--k", "-1", "--t", "2"),
+         "need 1 < t < k, got t=2, k=-1"),
+        (("--family", "hm_t_multiset", "--m", "3", "--k", "3", "--t", "2"),
+         "need m >= k+1, got m=3, k=3"),
+    ],
+)
+def test_size_reports_the_constructor_check(argv, message, capsys):
+    # the closed forms used to run first and leak binomial's own message
+    assert run("size", *argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "binomial requires" not in err and "multichoose requires" not in err
+
+
 def test_map_roundtrip(tmp_path):
     multis = tmp_path / "multis.txt"
     sets = tmp_path / "sets.txt"
@@ -249,6 +272,18 @@ def test_verify_tiny_parameters_get_a_parameter_message(theorem, m, k, capsys):
         err = capsys.readouterr().err
         assert "binomial requires" not in err and "multichoose requires" not in err
         assert "outside [" not in err
+
+
+def test_verify_on_a_wide_ground_set(tmp_path):
+    # 1,200 vertices, inside the vertex cap; the recursive enumeration
+    # used to end in a RecursionError here, and canonical_form branched on
+    # the 1,199 elements outside the optimum one at a time
+    report = tmp_path / "wide.json"
+    argv = ("--theorem", "T1.4", "--m", "1200", "--k", "1", "--uniqueness", "--json", str(report))
+    assert run("verify", *argv) == 0
+    payload = json.loads(report.read_text())
+    assert payload["status"] == "ok"
+    assert payload["uniqueness_verdict"] == "unique_up_to_iso"
 
 
 def test_verify_hypothesis_not_met_exits_zero():

@@ -23,8 +23,11 @@ from multifam import (
 
 from bruteforce import (
     greedy_t_subfamily,
+    loop_multiset_rank,
+    loop_multiset_unrank,
     pair_loop_is_support_t_intersecting,
     pair_loop_is_t_intersecting,
+    recursive_count_vectors,
 )
 from conftest import family_and_t, multiset_family, multiset_pair
 
@@ -194,6 +197,22 @@ def test_enumeration_is_lexicographic_on_counts():
     assert len(set(seq)) == len(seq)
 
 
+def test_stars_and_bars_order_matches_the_recursive_reference():
+    for m in range(1, 8):
+        for k in range(0, 7):
+            got = [a.counts for a in enumerate_k_multisets(m, k)]
+            assert got == list(recursive_count_vectors(m, k))
+
+
+def test_enumeration_of_a_wide_ground_set():
+    # the recursive count-vector generator ran out of stack near m = 1000
+    members = list(enumerate_k_multisets(1200, 1))
+    assert len(members) == 1200
+    for i, a in enumerate(members):
+        assert multiset_rank(a) == i
+        assert multiset_unrank(1200, 1, i) == a
+
+
 def test_subset_enumeration():
     assert len(list(enumerate_k_subsets(4, 2))) == 6
     assert list(enumerate_k_subsets(5, 5)) == [KSet(5, (1, 2, 3, 4, 5))]
@@ -207,6 +226,14 @@ def test_multiset_rank_roundtrip_exhaustive():
     for i, a in enumerate(enumerate_k_multisets(4, 3)):
         assert multiset_rank(a) == i
         assert multiset_unrank(4, 3, i) == a
+
+
+def test_stars_and_bars_ranks_match_the_loop_reference():
+    for m in range(1, 8):
+        for k in range(0, 7):
+            for i, counts in enumerate(recursive_count_vectors(m, k)):
+                assert multiset_rank(Multiset(m, counts)) == loop_multiset_rank(counts) == i
+                assert multiset_unrank(m, k, i).counts == loop_multiset_unrank(m, k, i) == counts
 
 
 def test_kset_rank_roundtrip_exhaustive():
