@@ -15,12 +15,21 @@ Shifts inside one pass are applied sequentially against the current family
 state, members in canonical order.  A shift target always contains j while
 members that contain j never move, so this agrees with evaluating
 membership against the original family; sequential update keeps the
-size-preservation argument local and obvious.  Most shifts move nothing;
-shift_family then returns its input unchanged instead of rebuilding it.
+size-preservation argument local and obvious.  Only members holding at
+least s copies of i can move; a moved member keeps s-1 and no member gains
+copies of i, so each j walks only the movers not yet moved, against one
+membership set, and the family is rebuilt once per pass (or returned
+unchanged when nothing moved).  Two distinct movers never shift onto the
+same target, so the result and the order of the shift records are those
+of a walk over every member.  shift_family applies one shift with the
+same step.
 
 |F1 ∩ F2 ∩ T| is the popcount of the AND of three unary masks
 (`Multiset.unary_mask`, one field per element as wide as the largest member
 multiplicity; T's counts are clipped to that width so none spills over).
+Masking by T never raises a pair count, so a pass's kernel check also
+proves its output t-intersecting; is_t_intersecting runs only to name a
+failed check.
 
 The guarantees are stated for m >= 2k-t.  Below that regime the operation
 is still well defined, so callers may opt in with allow_out_of_regime=True;
@@ -31,7 +40,7 @@ CompressionInvariantError instead of silently returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     MULTISET,
@@ -126,24 +135,23 @@ def shift_multiset(a: Multiset, p: ShiftParams) -> Multiset:
     return Multiset(a.ground_size, tuple(counts))
 
 
-def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = None) -> Family:
-    """Apply the shift to every member, blocking a move whenever the target
-    is already present in the current family state.  Size is preserved:
-    each executed move lands on a multiset that is absent at that moment,
-    and targets (which contain j) can never collide with the vacated slots
-    (which do not)."""
-    if fam.kind != MULTISET:
-        raise ContractError("shift_family operates on multiset families")
-    current = {a.counts for a in fam.members}
-    out: list[Multiset] = []
-    moved = False
-    for a in fam.members:
+def _shift_step(
+    candidates: Iterable[Multiset],
+    current: set[tuple[int, ...]],
+    p: ShiftParams,
+    on_shift: TraceCallback | None,
+) -> tuple[list[Multiset], list[Multiset]]:
+    """Shift each candidate, in order, whose shifted multiset is absent from
+    `current` (the member counts of the family state, updated in place).
+    Returns the candidates that stayed and the members the others became."""
+    stayed: list[Multiset] = []
+    landed: list[Multiset] = []
+    for a in candidates:
         b = shift_multiset(a, p)
         if b is not a and b.counts not in current:
             current.discard(a.counts)
             current.add(b.counts)
-            out.append(b)
-            moved = True
+            landed.append(b)
             if on_shift is not None:
                 on_shift(
                     {
@@ -155,10 +163,22 @@ def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = N
                     }
                 )
         else:
-            out.append(a)
-    if not moved:
+            stayed.append(a)
+    return stayed, landed
+
+
+def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = None) -> Family:
+    """Apply the shift to every member, blocking a move whenever the target
+    is already present in the current family state.  Size is preserved:
+    each executed move lands on a multiset that is absent at that moment,
+    and targets (which contain j) can never collide with the vacated slots
+    (which do not)."""
+    if fam.kind != MULTISET:
+        raise ContractError("shift_family operates on multiset families")
+    stayed, landed = _shift_step(fam.members, {a.counts for a in fam.members}, p, on_shift)
+    if not landed:
         return fam
-    result = Family.of_multisets(fam.m, fam.k, out)
+    result = Family.of_multisets(fam.m, fam.k, stayed + landed)
     if len(result) != len(fam):
         raise CompressionInvariantError("shift_family changed the family size")
     return result
@@ -176,9 +196,17 @@ def down_compress_pass(
     """One compression pass: shift (i, s=m(i,T)) onto every j = 1..m in
     order, then drop one copy of i from the kernel.
 
+    Only members holding at least s copies of i can move, and a moved
+    member keeps s-1, so each j walks the movers not yet moved, in
+    canonical order, against one membership set; distinct movers have
+    distinct targets.  The family is rebuilt once at the end (the input
+    itself when nothing moved).
+
     Postconditions (size preserved, output t-intersecting, shrunken kernel
     still a t-kernel) are asserted; a failure raises
-    CompressionInvariantError.
+    CompressionInvariantError.  One pair check covers the last two: the
+    kernel check's pair counts never exceed the unmasked ones, so
+    is_t_intersecting runs only to name a failure.
     """
     if fam.kind != MULTISET:
         raise ContractError("down-compression operates on multiset families")
@@ -192,17 +220,25 @@ def down_compress_pass(
             "apply below that; pass allow_out_of_regime=True to run anyway"
         )
     s = kernel.T.multiplicity(i)
-    result = fam
+    movers = [a for a in fam.members if a.counts[i - 1] >= s]
+    moved: list[Multiset] = []
+    current = {a.counts for a in fam.members}
     for j in range(1, fam.m + 1):
-        if j == i:
-            continue
-        result = shift_family(result, ShiftParams(i, s, j), on_shift)
+        if not movers:
+            break
+        if j != i:
+            movers, landed = _shift_step(movers, current, ShiftParams(i, s, j), on_shift)
+            moved += landed
+    result = fam
+    if moved:
+        fixed = [a for a in fam.members if a.counts[i - 1] < s]
+        result = Family.of_multisets(fam.m, fam.k, fixed + movers + moved)
     new_kernel = kernel.remove_copy(i)
     if len(result) != len(fam):
         raise CompressionInvariantError("compression pass changed the family size")
-    if not is_t_intersecting(result, t):
-        raise CompressionInvariantError("compression pass broke t-intersection")
     if not is_t_kernel(result, new_kernel.T, t):
+        if not is_t_intersecting(result, t):
+            raise CompressionInvariantError("compression pass broke t-intersection")
         raise CompressionInvariantError("shrunken kernel is not a t-kernel for the output")
     return result, new_kernel
 

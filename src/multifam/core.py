@@ -261,12 +261,6 @@ class Family:
     def __contains__(self, member) -> bool:
         return member in self.members
 
-    def member_keys(self) -> set:
-        """Hashable member keys (counts tuples / element tuples)."""
-        if self.kind == MULTISET:
-            return {a.counts for a in self.members}
-        return {b.members for b in self.members}
-
 
 def multiplicity_rows(members: Iterable) -> list[tuple[int, ...]]:
     """Each member's multiplicities over its ground set: a multiset's

@@ -442,9 +442,14 @@ class _Canonizer:
             child = [c + shift if c > colour else c + split.get(e, 0) for e, c in enumerate(col)]
             return self._node(child, cells + shift, path)
         explored: list[int] = []
+        orbits = None  # made at the first sibling test, grown at each one after
         for v in target:
-            if explored and self._same_orbit(v, explored, path):
-                continue
+            if explored:
+                if orbits is None:
+                    orbits = _Orbits(self.m, path)
+                orbits.absorb(self.automorphisms)
+                if orbits.same(v, explored):
+                    continue
             # individualise v: it keeps its colour, the rest of its cell moves up
             child = [c + (c > colour or (c == colour and e != v)) for e, c in enumerate(col)]
             resume = self._node(child, cells + 1, path + [v])
@@ -479,25 +484,38 @@ class _Canonizer:
             self.best = leaf
         return len(path) - 1
 
-    def _same_orbit(self, v: int, explored: list[int], path: list[int]) -> bool:
-        """Is v in the orbit of an explored sibling under the automorphisms
-        found so far that fix the path pointwise?"""
-        parent = list(range(self.m))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+class _Orbits:
+    """Orbits of the ground elements under the automorphisms found so far
+    that fix one node's path pointwise, as a union-find.  The path does not
+    change while the node tests its children, so each automorphism is
+    folded in once: absorb takes only those stored since its last call."""
 
-        for gamma in self.automorphisms:
-            if all(gamma[x] == x for x in path):
+    def __init__(self, m: int, path: list[int]):
+        self.parent = list(range(m))
+        self.path = path
+        self.seen = 0
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def absorb(self, automorphisms: list[list[int]]) -> None:
+        for gamma in automorphisms[self.seen:]:
+            if all(gamma[x] == x for x in self.path):
                 for x, y in enumerate(gamma):
-                    rx, ry = find(x), find(y)
+                    rx, ry = self.find(x), self.find(y)
                     if rx != ry:
-                        parent[rx] = ry
-        root = find(v)
-        return any(find(u) == root for u in explored)
+                        self.parent[rx] = ry
+        self.seen = len(automorphisms)
+
+    def same(self, v: int, explored: list[int]) -> bool:
+        """Is v in the orbit of an explored sibling?"""
+        root = self.find(v)
+        return any(self.find(u) == root for u in explored)
 
 
 def canonical_form(fam: Family) -> Family:

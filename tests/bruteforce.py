@@ -182,6 +182,28 @@ def pair_loop_is_t_kernel(fam, T, t):
     )
 
 
+def shift_loop_compress_pass(fam, kernel, i, t, on_shift=None):
+    """Reference compression pass: one library shift_family call per
+    j = 1..m (each walks and rebuilds the whole family), then the
+    t-intersection and t-kernel postconditions as separate pair loops.
+    Takes valid arguments only (i a surplus element of the kernel)."""
+    from multifam.compression import CompressionInvariantError, ShiftParams, shift_family
+
+    s = kernel.T.multiplicity(i)
+    result = fam
+    for j in range(1, fam.m + 1):
+        if j != i:
+            result = shift_family(result, ShiftParams(i, s, j), on_shift)
+    new_kernel = kernel.remove_copy(i)
+    if len(result) != len(fam):
+        raise CompressionInvariantError("compression pass changed the family size")
+    if not pair_loop_is_t_intersecting(result, t):
+        raise CompressionInvariantError("compression pass broke t-intersection")
+    if not pair_loop_is_t_kernel(result, new_kernel.T, t):
+        raise CompressionInvariantError("shrunken kernel is not a t-kernel for the output")
+    return result, new_kernel
+
+
 def greedy_random_t_intersecting_family(m, k, t, rng):
     """Reference for acceptance.random_t_intersecting_family: the same rng
     draws, with compatibility summed from multiplicity vectors."""

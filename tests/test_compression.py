@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multifam.compression as compression
 from multifam import (
+    CompressionInvariantError,
     ContractError,
     Family,
     Kernel,
@@ -28,6 +31,7 @@ from bruteforce import (
     greedy_random_t_intersecting_family,
     greedy_t_subfamily,
     pair_loop_is_t_kernel,
+    shift_loop_compress_pass,
 )
 from conftest import family_and_t, multiset_family
 
@@ -164,6 +168,109 @@ def test_single_pass_on_fixed_pair_family():
     assert is_t_intersecting(result, 2)
     assert is_t_kernel(result, new_kernel.T, 2)
     assert new_kernel.T.counts == (1, 2, 2, 2, 2)
+
+
+def _run_pass(run_pass):
+    """(result, kernel) or the CompressionInvariantError message, with the
+    shift records written before it."""
+    records = []
+    try:
+        return run_pass(records.append), records
+    except CompressionInvariantError as exc:
+        return str(exc), records
+
+
+def _assert_pass_matches_reference(family, kernel, i, t):
+    got, got_records = _run_pass(
+        lambda on_shift: down_compress_pass(
+            family, kernel, i, t, allow_out_of_regime=True, on_shift=on_shift
+        )
+    )
+    want, want_records = _run_pass(
+        lambda on_shift: shift_loop_compress_pass(family, kernel, i, t, on_shift)
+    )
+    assert got_records == want_records
+    assert got == want
+    if isinstance(want, tuple):
+        # the input comes back as the very same object exactly when nothing moved
+        assert (got[0] is family) == (want[0] is family)
+    return want
+
+
+@st.composite
+def pass_input(draw):
+    """A t-intersecting multiset family, the family it was cut from, and t;
+    m >= 2k-t on about half the draws and m < 2k-t on the others."""
+    k = draw(st.integers(1, 5))
+    t = draw(st.integers(1, k))
+    floor = max(1, 2 * k - t)
+    if floor == 1 or draw(st.booleans()):
+        m = draw(st.integers(floor, floor + 2))
+    else:
+        m = draw(st.integers(1, floor - 1))
+    universe = list(Family.universe(m, k).members)
+    drawn = Family.of_multisets(m, k, draw(st.lists(st.sampled_from(universe), max_size=16)))
+    return greedy_t_subfamily(drawn, t), drawn, t
+
+
+@settings(max_examples=150)
+@given(pass_input(), st.data())
+def test_pass_matches_shift_loop_reference(case, data):
+    family, drawn, t = case
+    start, m = family, family.m
+    # a chain of passes from the trivial kernel, each element picked at random
+    kernel = Kernel.trivial(m, t)
+    while kernel.surplus_elements():
+        i = data.draw(st.sampled_from(kernel.surplus_elements()))
+        outcome = _assert_pass_matches_reference(family, kernel, i, t)
+        if not isinstance(outcome, tuple):
+            break
+        family, kernel = outcome
+    # an arbitrary kernel, on the t-intersecting family and on the one it
+    # was cut from
+    counts = data.draw(st.lists(st.integers(1, drawn.k + 1), min_size=m, max_size=m))
+    i = data.draw(st.integers(1, m))
+    counts[i - 1] = max(counts[i - 1], 2)
+    for family in (start, drawn):
+        _assert_pass_matches_reference(family, Kernel(Multiset(m, tuple(counts))), i, t)
+
+
+def _patched_step(replace):
+    """A shift step that moves every candidate onto replace[its counts]
+    (onto itself when absent), ignoring the shift."""
+    def step(candidates, current, p, on_shift):
+        return [], [replace.get(a.counts, a) for a in candidates]
+    return step
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        # {1,1,3} becomes {2,3,4}, which shares only the element 2 with {1,1,2}
+        ({(2, 0, 1, 0): ms(4, 2, 3, 4)}, "compression pass broke t-intersection"),
+        # nothing changes: the pair still shares {1,1}, but T' holds 1 once
+        ({}, "shrunken kernel is not a t-kernel for the output"),
+    ],
+)
+def test_pass_postconditions_raise_their_own_message(monkeypatch, replace, message):
+    family = fam(4, 3, (1, 1, 2), (1, 1, 3))
+    monkeypatch.setattr(compression, "_shift_step", _patched_step(replace))
+    with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
+        down_compress_pass(family, Kernel.trivial(4, 2), 1, 2)
+
+
+def test_passes_shift_only_the_members_that_can_move(monkeypatch):
+    # 120 members, 84 moves over 8 passes; a shift_family call per j and
+    # pass tried every member: 6,720 shift_multiset calls
+    calls = []
+    shift = compression.shift_multiset
+    monkeypatch.setattr(
+        compression, "shift_multiset", lambda a, p: calls.append(1) or shift(a, p)
+    )
+    records = []
+    down_compress_full(fixed_multiset(8, 5, ms(8, 4, 4)), 2, on_shift=records.append)
+    assert len(records) == 84
+    assert len(calls) <= 800
 
 
 def test_pass_requires_surplus_element():

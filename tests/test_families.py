@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from multifam import (
     ContractError,
     Family,
+    KSet,
     Multiset,
     binomial,
     common_intersection,
@@ -31,6 +32,7 @@ from multifam import (
 )
 from multifam.families import (
     _Canonizer,
+    _Orbits,
     apply_permutation,
     canonical_form,
     is_isomorphic,
@@ -337,6 +339,30 @@ def test_twin_elements_are_split_without_branching(monkeypatch):
     assert len(calls) <= 5
     assert canonical_form(apply_permutation(fam, list(range(m, 0, -1)))) == canon
     assert len(canon) == 2 and is_isomorphic(canon, fam)
+
+
+def test_sibling_orbit_tests_fold_each_automorphism_once_per_node(monkeypatch):
+    # 20 disjoint pairs: 439 search nodes, 20 automorphisms; rebuilding the
+    # orbits from every stored automorphism at each sibling test examined
+    # 10,203 of them
+    m = 40
+    fam = Family.of_sets(m, 2, [KSet(m, (2 * i + 1, 2 * i + 2)) for i in range(m // 2)])
+    examined = []
+    absorb = _Orbits.absorb
+
+    def counting(self, automorphisms):
+        examined.append(len(automorphisms) - self.seen)
+        absorb(self, automorphisms)
+
+    monkeypatch.setattr(_Orbits, "absorb", counting)
+    calls = []
+    node = _Canonizer._node
+    monkeypatch.setattr(_Canonizer, "_node", lambda self, *args: calls.append(1) or node(self, *args))
+    canon = canonical_form(fam)
+    assert sum(examined) <= 400
+    assert len(calls) <= 439  # every automorphism still prunes
+    assert canonical_form(apply_permutation(fam, list(range(m, 0, -1)))) == canon
+    assert is_isomorphic(canon, fam)
 
 
 def test_apply_permutation_validates():
