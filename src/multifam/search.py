@@ -3,10 +3,22 @@
 The workhorse is a branch-and-bound maximum-clique search run on the
 complement of a disjointness graph (a clique there is an intersecting
 family).  Candidate sets are Python integers used as bitsets, so the inner
-set operations are word-parallel AND / ANDNOT; the upper bound is a greedy
-sequential colouring of the candidate set.  Vertices are ordered by
+set operations are word-parallel AND / ANDNOT.  Vertices are ordered by
 descending degree with rank as the tie-break, so every run is
 deterministic: optima, witnesses and node counts never vary.
+
+The upper bound is a greedy sequential colouring of the candidate set,
+trimmed as in MCS (Tomita et al. 2010) and masked with precomputed rows as
+in BBMC (San Segundo et al. 2011): each solver keeps free[v], the vertices
+that may share a colour class with v, so a class grows by one AND per
+vertex.  Every search colours through one kernel,
+_greedy_color(p_mask, free, kmin, cap), which returns only the suffix of
+the colour order whose bound is at least kmin = best - |R| + 1: a vertex
+with a lower bound can never lead to a clique that beats the incumbent, so
+it is never branched on, and a class that cannot reach kmin is walked
+without being listed.  Each class adds one to the bound for each of its
+first `cap` vertices: cap = 1 is the colour number, cap = s the P(s,1)
+capacity bound below.
 
 Constrained variants:
 
@@ -44,6 +56,7 @@ replaces any silent truncation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -117,25 +130,48 @@ class _NodeCounter:
             raise _Budget
 
 
-def _greedy_color(p_mask: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy sequential colouring of the candidate set.  Returns vertices
-    and their colour numbers with colours non-decreasing; the last colour is
-    an upper bound on the largest clique inside p_mask."""
+def _greedy_color(
+    p_mask: int, free: list[int], kmin: int, cap: int = 1
+) -> tuple[list[int], list[int]]:
+    """Greedy sequential colouring of the candidate set, trimmed at kmin.
+
+    free[v] holds the vertices that may share a colour class with v (every
+    vertex but v and its neighbours).  Classes are taken lowest index
+    first, and each adds one to the running bound for each of its first
+    `cap` vertices, so no clique inside the first i+1 vertices of the full
+    order holds more than bounds[i] vertices in which each class counts at
+    most `cap` times.  Returns the suffix of that order and its bounds
+    whose bound is at least kmin; a class that cannot reach kmin is walked
+    only to remove its vertices from the candidates still to colour."""
     order: list[int] = []
-    colors: list[int] = []
-    color = 0
+    bounds: list[int] = []
+    bound = 0
     rest = p_mask
     while rest:
-        color += 1
         avail = rest
+        top = bound + cap
+        if top < kmin:
+            while avail:
+                bit = avail & -avail
+                rest ^= bit
+                avail &= free[bit.bit_length() - 1]
+                if bound < top:
+                    bound += 1
+            continue
         while avail:
             bit = avail & -avail
             v = bit.bit_length() - 1
-            order.append(v)
-            colors.append(color)
             rest ^= bit
-            avail = (avail ^ bit) & ~adj[v]
-    return order, colors
+            avail &= free[v]
+            if bound < top:
+                bound += 1
+            order.append(v)
+            bounds.append(bound)
+    # a listed class smaller than cap can still end below kmin
+    cut = bisect_left(bounds, kmin)
+    if cut:
+        del order[:cut], bounds[:cut]
+    return order, bounds
 
 
 def _relabel(adj: list[int], order: list[int]) -> list[int]:
@@ -159,6 +195,8 @@ class _CliqueSearch:
 
     def __init__(self, adj: list[int], node_limit: int | None):
         self.adj = adj
+        full = (1 << len(adj)) - 1
+        self.free = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
         self.counter = _NodeCounter(node_limit)
         self.best = 0
         self.best_mask = 0
@@ -175,15 +213,16 @@ class _CliqueSearch:
     def _expand(self, r_size: int, r_mask: int, p_mask: int) -> None:
         """Extend the clique r (r_size members, r_mask) from the candidates
         p_mask.  Each stack frame is (r_size, r_mask, p_mask, colour order,
-        colours, index); the index walks the order from its last vertex, the
-        one with the highest colour, and the frame ends once the colour
-        bound can no longer beat the incumbent."""
+        colours, index); the index walks the trimmed order from its last
+        vertex, the one with the highest colour, and the frame ends once the
+        colour bound can no longer beat the incumbent or the order runs
+        out."""
         color = self._color
         children = self._children
         tick = self.counter.tick
         stack = []
         tick()
-        order, colors = color(p_mask)
+        order, colors = color(p_mask, self.best - r_size + 1)
         i = len(order)
         while True:
             i -= 1
@@ -202,16 +241,19 @@ class _CliqueSearch:
                 r_mask |= bit
                 p_mask = new_p
                 tick()
-                order, colors = color(p_mask)
+                order, colors = color(p_mask, self.best - r_size + 1)
                 i = len(order)
             elif r_size + 1 > self.best:
                 self._leaf(r_size + 1, r_mask | bit)
 
-    def _color(self, p_mask: int) -> tuple[list[int], list[int]]:
-        """Candidates in branching order with non-decreasing bounds: no
-        clique inside the first i+1 of them has more than colors[i]
-        vertices."""
-        return _greedy_color(p_mask, self.adj)
+    def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
+        """Candidates in branching order with non-decreasing bounds, cut to
+        the suffix whose bound is at least kmin: no clique among order[i]
+        and the candidates coloured before it has more than colors[i]
+        vertices.  A node with r_size chosen members passes kmin =
+        best - r_size + 1, since a candidate whose bound is below it is
+        never branched on."""
+        return _greedy_color(p_mask, self.free, kmin)
 
     def _children(self, r_mask: int, v: int, p_mask: int) -> int:
         """The candidates left once v joins the clique r_mask."""
@@ -335,11 +377,11 @@ class _OrbitEnumerator(_CliqueEnumerator):
     carries cls, the signature classes of the elements under r, so a
     candidate's orbit under the permutations fixing every member of r is
     read off _orbit_key.  The node walks the colour order from the top as
-    _expand does, under the same bound, branches on each vertex not yet
-    barred and then bars its whole orbit.  p stays a union of orbits, so a
-    clique through any member of an orbit maps onto one through the vertex
-    branched on.  Once every candidate orbit is a singleton nothing is left
-    to prune, and the node is handed to _expand."""
+    _expand does, trimmed by the same bound, branches on each vertex not
+    yet barred and then bars its whole orbit.  p stays a union of orbits,
+    so a clique through any member of an orbit maps onto one through the
+    vertex branched on.  Once every candidate orbit is a singleton nothing
+    is left to prune, and the node is handed to _expand."""
 
     def __init__(self, adj: list[int], rows: list, node_limit: int | None):
         super().__init__(adj, node_limit)
@@ -365,14 +407,11 @@ class _OrbitEnumerator(_CliqueEnumerator):
                 self._expand(r_size, r_mask, p_mask)
                 continue
             self.counter.tick()
-            order, colors = self._color(p_mask)
+            # the incumbent stays at target - 1, so every vertex of the
+            # trimmed order passes the bound; p_mask can outlast the order
+            order, _ = self._color(p_mask, self.best - r_size + 1)
             children = []
-            i = len(order)
-            while p_mask:
-                i -= 1
-                if r_size + colors[i] <= self.best:
-                    break
-                v = order[i]
+            for v in reversed(order):
                 if p_mask >> v & 1:
                     row = rows[v]
                     child_cls = _refine(cls, row)
@@ -507,9 +546,9 @@ class _SmallCoreSolver(_CliqueSearch):
         if not p_mask:
             return
         # colouring runs on the compatibility graph itself: colour classes
-        # are pairwise-incompatible sets, so #colours bounds the family size
-        order, colors = _greedy_color(p_mask, self.adj)
-        if r_size + colors[-1] <= self.best:
+        # are pairwise-incompatible sets, so #colours bounds the family size;
+        # an empty trimmed order means no candidate can beat the incumbent
+        if not self._color(p_mask, self.best - r_size + 1)[0]:
             return
         if core is not None and not self._core_fixable(core, p_mask):
             return
@@ -627,26 +666,15 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
 
     A greedy colour class of the complement is a clique of G, so at most s
     of its vertices can be chosen: the colour bound counts min(|class|, s)
-    per class.  A candidate leaves when it would close an (s+1)-clique of G
+    per class (the colouring kernel with cap = s).  A candidate leaves when it would close an (s+1)-clique of G
     with the new member and s-1 chosen ones."""
 
     def __init__(self, adj: list[int], s: int, node_limit: int | None):
         super().__init__(_complement_adj(adj), node_limit)
-        self.g = _relabel(adj, self.to_old)
         self.s = s
 
-    def _color(self, p_mask: int) -> tuple[list[int], list[int]]:
-        order, colors = _greedy_color(p_mask, self.adj)
-        s = self.s
-        bounds = []
-        bound = last = run = 0
-        for c in colors:
-            run = run + 1 if c == last else 1
-            last = c
-            if run <= s:
-                bound += 1
-            bounds.append(bound)
-        return order, bounds
+    def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
+        return _greedy_color(p_mask, self.free, kmin, self.s)
 
     def _children(self, r_mask: int, v: int, p_mask: int) -> int:
         """Drop each G-neighbour w of v that is G-adjacent to every vertex
@@ -654,7 +682,7 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
         cliques are walked on an explicit stack of (vertices still to try,
         candidates adjacent to every vertex taken, vertices still needed)
         frames; the last vertex of a clique is closed without a push."""
-        g = self.g
+        g = self.free  # the free rows of the complement are G's rows
         alive = p_mask & g[v]
         stack = [(r_mask & g[v], alive, self.s - 1)]
         while stack:

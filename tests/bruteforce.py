@@ -299,6 +299,21 @@ def _color_bound(adj, p_mask):
     return order, colors
 
 
+def capacity_bounds(order, colors, s):
+    """The P(s,1) capacity bound along a greedy colouring (order, colors):
+    each colour class counts at most s of its vertices.  Returns the
+    running bound at each position."""
+    bounds = []
+    bound = last = run = 0
+    for c in colors:
+        run = run + 1 if c == last else 1
+        last = c
+        if run <= s:
+            bound += 1
+        bounds.append(bound)
+    return bounds
+
+
 def recursive_enumerate_cliques(adj, target, cap=None):
     """Reference enumeration: every clique of exactly `target` vertices, by
     recursion over greedy-colour-bounded candidate sets; each clique is

@@ -365,6 +365,21 @@ def test_sibling_orbit_tests_fold_each_automorphism_once_per_node(monkeypatch):
     assert is_isomorphic(canon, fam)
 
 
+def test_orbits_merge_only_automorphisms_fixing_the_path():
+    # on [0, 5) with path [0]: (0 1) moves the path element and is not
+    # merged, (2 3) fixes it and is; the later absorb adds only (3 4)
+    orbits = _Orbits(5, [0])
+    stored = [[1, 0, 2, 3, 4], [0, 1, 3, 2, 4]]
+    orbits.absorb(stored)
+    assert not orbits.same(1, [0])
+    assert orbits.same(3, [2])
+    assert not orbits.same(4, [2])
+    stored.append([0, 1, 2, 4, 3])
+    orbits.absorb(stored)
+    assert orbits.same(4, [2])
+    assert not orbits.same(1, [0, 2])
+
+
 def test_apply_permutation_validates():
     with pytest.raises(ContractError):
         apply_permutation(star(4, 2, 1), (1, 2, 3))

@@ -18,6 +18,7 @@ from multifam import (
     hm_multiset,
     hm_multiset_size,
     is_t_intersecting,
+    kset_rank,
     max_independent_set,
     max_intersecting_empty_common,
     max_p_s1_family,
@@ -25,15 +26,20 @@ from multifam import (
     max_t_intersecting_nontrivial,
     max_union_two_intersecting,
     multichoose,
+    multiset_rank,
     verify_theorem,
 )
+from multifam.core import MULTISET
 from multifam.search import (
     NODE_LIMIT_HIT,
     SUPPORT_INTERSECTION,
     _CliqueFreeSolver,
+    _CliqueSearch,
     _MaxCliqueSolver,
+    _OrbitEnumerator,
     _SmallCoreSolver,
     _complement_adj,
+    _greedy_color,
     _max_induced_bipartite,
     _orbit_masks,
     _relabel,
@@ -43,11 +49,13 @@ from multifam.search import (
 )
 
 from bruteforce import (
+    _color_bound,
     bits,
     brute_max_clique_free,
     brute_max_independent_set,
     brute_max_induced_bipartite,
     brute_small_core,
+    capacity_bounds,
     exclusion_max_clique_free,
     has_clique,
     pair_loop_graph,
@@ -172,6 +180,49 @@ def test_relabel_tiny_graphs(adj):
     assert _relabel(adj, order) == relabel_by_bits(adj, order) == adj
 
 
+# -- the colouring kernel -----------------------------------------------------
+
+@given(random_adjacency(max_n=12), st.data())
+def test_color_kernel_is_the_trimmed_reference_colouring(adj, data):
+    n = len(adj)
+    p_mask = data.draw(st.integers(0, (1 << n) - 1))
+    kmin = data.draw(st.integers(-1, n + 2))
+    cap = data.draw(st.sampled_from((1, 2, 3)))
+    order, colors = _color_bound(adj, p_mask)
+    bounds = colors if cap == 1 else capacity_bounds(order, colors, cap)
+    kept = [i for i, bound in enumerate(bounds) if bound >= kmin]
+    assert kept == list(range(len(order) - len(kept), len(order)))  # a suffix
+    free = _CliqueSearch(adj, None).free
+    expected = ([order[i] for i in kept], [bounds[i] for i in kept])
+    assert _greedy_color(p_mask, free, kmin, cap) == expected
+    assert _greedy_color(p_mask, free, min(kmin, 1), cap) == (order, bounds)
+
+
+def _front_end_colourings(monkeypatch, solver):
+    """Record (p_mask, trimmed order) at every colouring the solver makes
+    outside the shared loop _expand."""
+    seen = []
+    in_loop = []
+    color, expand = solver._color, solver._expand
+
+    def recording_color(self, p_mask, kmin):
+        order, bounds = color(self, p_mask, kmin)
+        if not in_loop:
+            seen.append((p_mask, order))
+        return order, bounds
+
+    def flagged_expand(self, *args):
+        in_loop.append(1)
+        try:
+            expand(self, *args)
+        finally:
+            in_loop.pop()
+
+    monkeypatch.setattr(solver, "_color", recording_color)
+    monkeypatch.setattr(solver, "_expand", flagged_expand)
+    return seen
+
+
 def test_mis_reference_values():
     assert max_independent_set(build_graph("K", 5, 2)).optimum == 4
     assert max_independent_set(build_graph("M", 4, 3)).optimum == 10
@@ -187,33 +238,54 @@ def test_mis_determinism():
     assert first.witness == second.witness
 
 
-# exact nodes_explored of the clique loop; a change here is a change of
-# traversal order and must be deliberate and logged in CHANGES.md
+# exact nodes_explored of the clique loop and the witness as its members'
+# sorted ranks; a change here is a change of traversal order and must be
+# deliberate and logged in CHANGES.md
 PINNED_NODE_COUNTS = [
-    (lambda: max_independent_set(build_graph("M", 5, 3)), 15, 16),
-    (lambda: max_independent_set(build_graph("K", 7, 3)), 15, 101),
-    (lambda: max_independent_set(build_graph("M", 6, 3)), 21, 27),
-    (lambda: max_intersecting_empty_common(6, 3), 16, 87),
-    (lambda: max_intersecting_empty_common(5, 3), 13, 54),
-    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 190),
-    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 128),
+    (lambda: max_independent_set(build_graph("M", 5, 3)), 15, 16,
+     (*range(10, 20), 26, 27, 28, 29, 33)),
+    (lambda: max_independent_set(build_graph("K", 7, 3)), 15, 101, tuple(range(15))),
+    (lambda: max_independent_set(build_graph("M", 6, 3)), 21, 27,
+     (4, 5, 6, 7, 8, 9, 13, 14, 15, 18, 23, 24, 25, 28, 32, 38, 39, 40, 43, 47, 52)),
+    (lambda: max_intersecting_empty_common(6, 3), 16, 87,
+     (1, 2, 4, 5, 6, 7, 8, 11, 13, 14, 21, 23, 24, 36, 38, 39)),
+    (lambda: max_intersecting_empty_common(5, 3), 13, 54,
+     (1, 2, 4, 5, 6, 7, 8, 11, 13, 14, 21, 23, 24)),
+    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 190,
+     (6, 7, 10, 16, 17, 19, 20, 21, 22, 23, 26, 28, 29, 40, 46, 48, 49, 75, 81, 83, 84)),
+    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 128,
+     (1, 2, 4, 5, 6, 7, 8, 11, 13, 14, 21, 23, 24, 36, 38, 39, 57, 59, 60)),
     # the small-core items of the search benchmark, seeded as verify does
-    (lambda: max_intersecting_empty_common(7, 3, seed=hm_multiset(7, 3)), 19, 114),
-    (lambda: max_t_intersecting_nontrivial(8, 3, 2, seed=frankl_multiset(8, 3, 2, 1)), 4, 12),
-    (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 3946),
-    (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 59),
-    (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 2346),
-    (lambda: max_p_s1_family(7, 2, 2), 13, 46),
-    (lambda: max_p_s1_family(6, 3, 2), 40, 411),  # 56 vertices
-    (lambda: max_p_s1_family(8, 2, 3), 21, 1026),
+    (lambda: max_intersecting_empty_common(7, 3, seed=hm_multiset(7, 3)), 19, 114,
+     (48, *range(62, 77), 80, 81, 82)),
+    (lambda: max_t_intersecting_nontrivial(8, 3, 2, seed=frankl_multiset(8, 3, 2, 1)), 4, 12,
+     (75, 103, 109, 110)),
+    (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 3946, tuple(range(17))),
+    (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 59, tuple(range(13))),
+    (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 2346, tuple(range(21))),
+    (lambda: max_p_s1_family(7, 2, 2), 13, 46, (0, 1, 2, 3, 4, 6, 7, 10, 11, 15, 16, 21, 22)),
+    (lambda: max_p_s1_family(6, 3, 2), 40, 411,  # 56 vertices
+     (1, 2, *range(4, 9), *range(10, 19), *range(20, 34), 36, 38, 39, 41, 42, 43, *range(45, 49))),
+    (lambda: max_p_s1_family(8, 2, 3), 21, 1026,
+     (1, 3, 4, 6, 7, 8, 10, 11, 12, 13, *range(15, 20), *range(21, 27))),
 ]
 
 
-@pytest.mark.parametrize("search, optimum, nodes", PINNED_NODE_COUNTS)
-def test_pinned_node_counts(search, optimum, nodes):
+def _member_ranks(fam):
+    rank = multiset_rank if fam.kind == MULTISET else kset_rank
+    return tuple(sorted(rank(a) for a in fam.members))
+
+
+@pytest.mark.parametrize(
+    "search, optimum, nodes, ranks",
+    # a row's id is its search, optimum and node count
+    [pytest.param(*row, id=f"{row[0].__name__}-{row[1]}-{row[2]}") for row in PINNED_NODE_COUNTS],
+)
+def test_pinned_node_counts(search, optimum, nodes, ranks):
     result = search()
     assert result.proved
     assert (result.optimum, result.nodes_explored) == (optimum, nodes)
+    assert _member_ranks(result.witness) == ranks
 
 
 def test_deep_clique_search_stops_at_the_node_limit():
@@ -409,6 +481,21 @@ def test_optimum_orbits_flag_truncation():
         enumerate_optimum_orbits(build_graph("M", 4, 2), 3)
 
 
+def test_orbit_walk_ends_where_the_trimmed_order_ends(monkeypatch):
+    # K(7,3) has front-end nodes whose trimmed colour order is empty while
+    # candidates remain: the walk must stop at the order's end and leave
+    # those candidates to the bound, as the full colouring's walk did
+    seen = _front_end_colourings(monkeypatch, _OrbitEnumerator)
+    graph = build_graph("K", 7, 3)
+    enum = enumerate_optimum_orbits(graph, 15)
+    assert enum.complete
+    assert (len(enum.families), enum.nodes_explored) == (1, 30)
+    assert any(p_mask and not order for p_mask, order in seen)
+    full = enumerate_maximum_independent_sets(graph, optimum=15)
+    classes = {canonical_form(f).members for f in full.families}
+    assert {canonical_form(f).members for f in enum.families} == classes
+
+
 def test_optimum_orbits_of_a_deep_optimum():
     enum = enumerate_optimum_orbits(build_graph("K", 13, 7), 1716)
     assert enum.complete
@@ -571,6 +658,16 @@ def test_small_core_orbits_are_stabiliser_orbits(m, monkeypatch):
                     assert orbit & covered == 0
                     covered |= orbit
                 assert covered == reducer_mask
+
+
+def test_small_core_front_end_prunes_on_an_empty_trimmed_order(monkeypatch):
+    # seeded at its optimum, a front-end node whose candidates cannot beat
+    # the seed gets an empty trimmed colour order and is pruned
+    seed = max_intersecting_empty_common(6, 3).witness
+    seen = _front_end_colourings(monkeypatch, _SmallCoreSolver)
+    result = max_intersecting_empty_common(6, 3, seed=seed)
+    assert result.proved and result.optimum == 16
+    assert any(p_mask and not order for p_mask, order in seen)
 
 
 def test_small_core_symmetry_reduction_guard():
