@@ -5,7 +5,11 @@ complement of a disjointness graph (a clique there is an intersecting
 family).  Candidate sets are Python integers used as bitsets, so the inner
 set operations are word-parallel AND / ANDNOT.  Vertices are ordered by
 descending degree with rank as the tie-break, so every run is
-deterministic: optima, witnesses and node counts never vary.
+deterministic: optima, witnesses and node counts never vary.  The graph
+builder hands the searches their rows already in that order (the graph's
+`ordered` view, cached per graph object; see the graphs module), so no
+search renumbers a graph; only the G □ K₂ product below, which the builder
+does not make, is sorted and relabelled here.
 
 The upper bound is a greedy sequential colouring of the candidate set,
 trimmed as in MCS (Tomita et al. 2010) and masked with precomputed rows as
@@ -69,7 +73,6 @@ from .core import (
     has_property_p_s1,
     is_support_t_intersecting,
     is_t_intersecting,
-    multiplicity_rows,
     multiset_rank,
 )
 from .graphs import (
@@ -265,14 +268,21 @@ class _CliqueSearch:
         self.best_mask = mask
 
 
-class _MaxCliqueSolver(_CliqueSearch):
-    """Exact maximum clique on a graph relabelled by descending degree."""
+def _branching_rows(adj: list[int]) -> tuple[list[int], list[int]]:
+    """A graph's rows in branching order (descending degree, index breaking
+    ties) and to_old, for graphs the builder does not make."""
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    return _relabel(adj, order), order
 
-    def __init__(self, adj: list[int], node_limit: int | None = None):
+
+class _MaxCliqueSolver(_CliqueSearch):
+    """Exact maximum clique on rows already in branching order; new vertex
+    i is vertex to_old[i] of the caller's graph."""
+
+    def __init__(self, adj: list[int], to_old: list[int], node_limit: int | None = None):
         self.n = len(adj)
-        order = sorted(range(self.n), key=lambda v: (-adj[v].bit_count(), v))
-        self.to_old = order
-        super().__init__(_relabel(adj, order), node_limit)
+        self.to_old = to_old
+        super().__init__(adj, node_limit)
 
     def _seed_greedy(self) -> None:
         chosen = 0
@@ -383,9 +393,9 @@ class _OrbitEnumerator(_CliqueEnumerator):
     vertex branched on.  Once every candidate orbit is a singleton nothing
     is left to prune, and the node is handed to _expand."""
 
-    def __init__(self, adj: list[int], rows: list, node_limit: int | None):
-        super().__init__(adj, node_limit)
-        self.rows = [rows[v] for v in self.to_old]
+    def __init__(self, adj: list[int], to_old: list[int], rows: list, node_limit: int | None):
+        super().__init__(adj, to_old, node_limit)
+        self.rows = rows
 
     def _search(self) -> None:
         rows = self.rows
@@ -441,7 +451,8 @@ def max_independent_set(graph: DisjointnessGraph, node_limit: int | None = None)
     """Exact maximum independent set (= largest intersecting family for the
     graph's threshold).  The optimum, witness and node count are
     deterministic."""
-    solver = _MaxCliqueSolver(_complement_adj(graph.adj), node_limit)
+    view = graph.ordered
+    solver = _MaxCliqueSolver(view.rows, view.to_old, node_limit)
     best, mask, nodes, limited = solver.solve()
     witness = graph.family_from_mask(mask)
     _validate_witness(graph, witness)
@@ -457,7 +468,6 @@ def enumerate_maximum_independent_sets(
 ) -> EnumerationResult:
     """All maximum independent sets (up to `cap`), for uniqueness-class
     analysis.  complete=False flags a truncated enumeration."""
-    comp = _complement_adj(graph.adj)
     nodes_total = 0
     if optimum is None:
         base = max_independent_set(graph, node_limit)
@@ -465,7 +475,8 @@ def enumerate_maximum_independent_sets(
             return EnumerationResult(base.optimum, [base.witness], False, base.nodes_explored)
         optimum = base.optimum
         nodes_total = base.nodes_explored
-    solver = _CliqueEnumerator(comp, node_limit)
+    view = graph.ordered
+    solver = _CliqueEnumerator(view.rows, view.to_old, node_limit)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     return EnumerationResult(optimum, _validated(graph, masks), complete, nodes_total + nodes)
 
@@ -479,8 +490,7 @@ def enumerate_optimum_orbits(
     """At least one maximum independent set from every isomorphism class
     (up to `cap` sets), for a proved `optimum`; isomorphic sets may repeat.
     complete=False flags a truncated enumeration."""
-    rows = multiplicity_rows(graph.vertices)
-    solver = _OrbitEnumerator(_complement_adj(graph.adj), rows, node_limit)
+    solver = _OrbitEnumerator(*graph.ordered, node_limit)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     return EnumerationResult(optimum, _validated(graph, masks), complete, nodes)
 
@@ -615,7 +625,7 @@ def _small_core_search(
     seed: Family | None,
 ) -> SearchResult:
     graph = build_graph(KIND_MULTISET_T, m, k, t_pair)
-    counts = multiplicity_rows(graph.vertices)
+    counts = graph.multiplicities
     seed_mask = _seed_mask_for(seed, m, k, t_pair, core_limit)
     solver = _SmallCoreSolver(counts, _complement_adj(graph.adj), core_limit, node_limit)
     best, mask, nodes, limited = solver.solve(seed_mask)
@@ -669,8 +679,8 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
     per class (the colouring kernel with cap = s).  A candidate leaves when it would close an (s+1)-clique of G
     with the new member and s-1 chosen ones."""
 
-    def __init__(self, adj: list[int], s: int, node_limit: int | None):
-        super().__init__(_complement_adj(adj), node_limit)
+    def __init__(self, adj: list[int], to_old: list[int], s: int, node_limit: int | None):
+        super().__init__(adj, to_old, node_limit)
         self.s = s
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
@@ -713,7 +723,8 @@ def clique_free_search(graph: DisjointnessGraph, s: int, node_limit: int | None 
         raise ContractError(f"s must be >= 1, got {s}")
     if s == 1:
         return max_independent_set(graph, node_limit)
-    solver = _CliqueFreeSolver(graph.adj, s, node_limit)
+    view = graph.ordered
+    solver = _CliqueFreeSolver(view.rows, view.to_old, s, node_limit)
     best, mask, nodes, limited = solver.solve()
     witness = graph.family_from_mask(mask)
     if not has_property_p_s1(witness, s):
@@ -754,7 +765,7 @@ def _max_induced_bipartite(
     for v in range(1, n):
         others = full & ~(1 << v)
         rows.append(others | (others & ~adj[v]) >> 1 << n)
-    best, mask, nodes, limited = _MaxCliqueSolver(rows, node_limit).solve()
+    best, mask, nodes, limited = _MaxCliqueSolver(*_branching_rows(rows), node_limit).solve()
     return best, (mask & full, mask >> n << 1), nodes, limited
 
 

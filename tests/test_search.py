@@ -29,6 +29,7 @@ from multifam import (
     multiset_rank,
     verify_theorem,
 )
+from multifam import graphs
 from multifam.core import MULTISET
 from multifam.search import (
     NODE_LIMIT_HIT,
@@ -38,6 +39,7 @@ from multifam.search import (
     _MaxCliqueSolver,
     _OrbitEnumerator,
     _SmallCoreSolver,
+    _branching_rows,
     _complement_adj,
     _greedy_color,
     _max_induced_bipartite,
@@ -74,7 +76,7 @@ def _solve_mis_raw(adj):
     n = len(adj)
     full = (1 << n) - 1
     comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    best, mask, _nodes, limited = _MaxCliqueSolver(comp).solve()
+    best, mask, _nodes, limited = _MaxCliqueSolver(*_branching_rows(comp)).solve()
     assert not limited
     return best, mask
 
@@ -116,6 +118,80 @@ def test_bit_sliced_builder_matches_pair_loop():
         assert graph.vertices == vertices, (kind, m, k, t)
         assert graph.adj == adj, (kind, m, k, t)
         assert not any(mask >> v & 1 for v, mask in enumerate(graph.adj))
+
+
+def test_branching_view_is_the_sorted_relabelled_complement():
+    # the reference is the path the view replaced: complement the rank-order
+    # adjacency, sort by (-degree, rank) and permute every row's bits
+    for kind, m, k, t in _graph_instances():
+        graph = build_graph(kind, m, k, t)
+        view = graph.ordered
+        comp = _complement_adj(graph.adj)
+        order = sorted(range(len(comp)), key=lambda v: (-comp[v].bit_count(), v))
+        assert view.to_old == order, (kind, m, k, t)
+        assert view.rows == _relabel(comp, order), (kind, m, k, t)
+        assert view.counts == [graph.multiplicities[v] for v in order]
+        assert graph.edge_count() == sum(row.bit_count() for row in graph.adj) // 2
+
+
+def _count_calls(monkeypatch, name):
+    """Record the row count of every call to multifam.graphs.<name>."""
+    calls = []
+    real = getattr(graphs, name)
+
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(graphs, name, counting)
+    return calls
+
+
+def test_build_graph_runs_no_ladder(monkeypatch):
+    rows_seen = _count_calls(monkeypatch, "_columns")
+    ladder_rows = []
+    monkeypatch.setattr(graphs, "_meeting", lambda *args: ladder_rows.append(args))
+    for args in (("M_t", 6, 3, 2), ("K", 7, 3), ("M_support_t", 5, 3, 2)):
+        build_graph(*args)
+    assert rows_seen == [] and ladder_rows == []
+
+
+def test_one_full_ladder_per_searched_graph(monkeypatch):
+    # the MIS proof and the orbit enumeration share one cached view, and
+    # nothing on that path reads the rank-order adjacency
+    ladders = _count_calls(monkeypatch, "_compatibility")
+    report = verify_theorem("T1.4", {"m": 6, "k": 3}, uniqueness=True)
+    assert report.status == "ok" and report.uniqueness_verdict == "unique_up_to_iso"
+    assert ladders == [56]
+    ladders.clear()
+    enum = enumerate_maximum_independent_sets(build_graph("M", 5, 3))
+    assert enum.complete and len(enum.families) == 5
+    assert ladders == [35]
+
+
+def test_graph_searches_never_relabel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph search relabelled its rows")
+
+    monkeypatch.setattr("multifam.search._relabel", refuse)
+    graph = build_graph("M_t", 6, 3, 2)
+    assert max_independent_set(graph).optimum == 6
+    assert enumerate_maximum_independent_sets(graph).complete
+    assert enumerate_optimum_orbits(graph, 6).complete
+    assert clique_free_search(build_graph("M", 5, 2), 2).proved
+    # the G □ K₂ product is not the builder's, so it still sorts its rows
+    with pytest.raises(AssertionError, match="relabelled"):
+        max_union_two_intersecting(4, 2)
+
+
+def test_cached_views_stay_out_of_equality_and_repr():
+    graph = build_graph("M_t", 5, 3, 2)
+    max_independent_set(graph)
+    graph.degree(0)  # both views are now cached
+    fresh = build_graph("M_t", 5, 3, 2)
+    assert graph == fresh
+    assert repr(graph) == repr(fresh)
+    assert "ordered" not in repr(graph) and "adj" not in repr(graph)
 
 
 def test_small_core_compat_matches_pairwise_masks(monkeypatch):
@@ -687,7 +763,8 @@ def test_p_s1_delegates_for_s_equal_one():
 
 @given(random_adjacency(max_n=9), st.sampled_from((2, 3)))
 def test_clique_free_matches_bruteforce(adj, s):
-    best, mask, _nodes, limited = _CliqueFreeSolver(adj, s, None).solve()
+    rows, to_old = _branching_rows(_complement_adj(adj))
+    best, mask, _nodes, limited = _CliqueFreeSolver(rows, to_old, s, None).solve()
     assert not limited
     assert best == brute_max_clique_free(adj, s)
     assert mask.bit_count() == best
