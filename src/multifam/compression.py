@@ -31,6 +31,21 @@ Masking by T never raises a pair count, so a pass's kernel check also
 proves its output t-intersecting; is_t_intersecting runs only to name a
 failed check.
 
+down_compress_full proves each pass's kernel a t-kernel of its output
+without the full pair loop.  Base case: the trivial kernel (t copies of
+every element) is a t-kernel of any t-intersecting family, because
+sum(min(a, b, t)) >= t iff sum(min(a, b)) >= t; the input check proves it.
+Step: a pass on i with s = m(i, T) lowers T at i to s-1.  For a pair where
+neither member moved, |F1 ∩ F2 ∩ T| changes only in the i term, min(a_i,
+b_i, s) against min(a_i, b_i, s-1), and that differs only when both members
+hold at least s copies of i: both are movers the pass blocked.  So the
+pass re-checks every landed member against every member of the output and
+the blocked movers pairwise; every other pair keeps a count already proved
+>= t.  No shift raises a multiplicity (j gets m_i-s+1 < m_i, i keeps s-1),
+so the masks keep the input's field width for the whole run and are made
+once per member.  down_compress_pass can be handed any kernel, so it runs
+the full check.
+
 The guarantees are stated for m >= 2k-t.  Below that regime the operation
 is still well defined, so callers may opt in with allow_out_of_regime=True;
 the postconditions are then verified at runtime and a violation raises
@@ -184,6 +199,47 @@ def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = N
     return result
 
 
+def _regime_error(fam: Family, t: int) -> ContractError:
+    return ContractError(
+        f"m >= 2k-t required (m={fam.m}, k={fam.k}, t={t}); the compression "
+        "guarantees are not established below that, so the run is refused "
+        "(the Python API can opt in with allow_out_of_regime=True)"
+    )
+
+
+def _pass_failure(result: Family, t: int) -> CompressionInvariantError:
+    """Name a failed kernel check: a pair count masked by the kernel never
+    exceeds the unmasked one, so the output may also have lost t-intersection."""
+    if not is_t_intersecting(result, t):
+        return CompressionInvariantError("compression pass broke t-intersection")
+    return CompressionInvariantError("shrunken kernel is not a t-kernel for the output")
+
+
+def _pass_core(
+    fam: Family, kernel: Kernel, i: int, on_shift: TraceCallback | None
+) -> tuple[Family, Kernel, list[Multiset], list[Multiset]]:
+    """The shifts of one pass and the shrunken kernel, with the size check.
+    Returns (result, new kernel, movers the pass blocked, members that landed)."""
+    s = kernel.T.multiplicity(i)
+    movers = [a for a in fam.members if a.counts[i - 1] >= s]
+    moved: list[Multiset] = []
+    current = {a.counts for a in fam.members}
+    for j in range(1, fam.m + 1):
+        if not movers:
+            break
+        if j != i:
+            movers, landed = _shift_step(movers, current, ShiftParams(i, s, j), on_shift)
+            moved += landed
+    result = fam
+    if moved:
+        fixed = [a for a in fam.members if a.counts[i - 1] < s]
+        result = Family.of_multisets(fam.m, fam.k, fixed + movers + moved)
+    new_kernel = kernel.remove_copy(i)
+    if len(result) != len(fam):
+        raise CompressionInvariantError("compression pass changed the family size")
+    return result, new_kernel, movers, moved
+
+
 def down_compress_pass(
     fam: Family,
     kernel: Kernel,
@@ -204,8 +260,9 @@ def down_compress_pass(
 
     Postconditions (size preserved, output t-intersecting, shrunken kernel
     still a t-kernel) are asserted; a failure raises
-    CompressionInvariantError.  One pair check covers the last two: the
-    kernel check's pair counts never exceed the unmasked ones, so
+    CompressionInvariantError.  The given kernel need not be a t-kernel of
+    the input, so every pair is checked: one kernel check covers the last
+    two, since its pair counts never exceed the unmasked ones, and
     is_t_intersecting runs only to name a failure.
     """
     if fam.kind != MULTISET:
@@ -215,32 +272,38 @@ def down_compress_pass(
     if i not in kernel.surplus_elements():
         raise ContractError(f"element {i} is not held more than once by the kernel")
     if fam.m < 2 * fam.k - t and not allow_out_of_regime:
-        raise ContractError(
-            f"m >= 2k-t required (m={fam.m}, k={fam.k}, t={t}); the guarantees do not "
-            "apply below that; pass allow_out_of_regime=True to run anyway"
-        )
-    s = kernel.T.multiplicity(i)
-    movers = [a for a in fam.members if a.counts[i - 1] >= s]
-    moved: list[Multiset] = []
-    current = {a.counts for a in fam.members}
-    for j in range(1, fam.m + 1):
-        if not movers:
-            break
-        if j != i:
-            movers, landed = _shift_step(movers, current, ShiftParams(i, s, j), on_shift)
-            moved += landed
-    result = fam
-    if moved:
-        fixed = [a for a in fam.members if a.counts[i - 1] < s]
-        result = Family.of_multisets(fam.m, fam.k, fixed + movers + moved)
-    new_kernel = kernel.remove_copy(i)
-    if len(result) != len(fam):
-        raise CompressionInvariantError("compression pass changed the family size")
+        raise _regime_error(fam, t)
+    result, new_kernel, _, _ = _pass_core(fam, kernel, i, on_shift)
     if not is_t_kernel(result, new_kernel.T, t):
-        if not is_t_intersecting(result, t):
-            raise CompressionInvariantError("compression pass broke t-intersection")
-        raise CompressionInvariantError("shrunken kernel is not a t-kernel for the output")
+        raise _pass_failure(result, t)
     return result, new_kernel
+
+
+def _changed_pairs_share(
+    masks: dict[tuple[int, ...], int],
+    kernel_mask: int,
+    result: Family,
+    blocked: list[Multiset],
+    moved: list[Multiset],
+    t: int,
+) -> bool:
+    """True iff the pairs a pass can have changed keep |F1 ∩ F2 ∩ T'| >= t:
+    every landed member against every member of the result, and the
+    blocked movers pairwise."""
+    landed = [masks[b.counts] & kernel_mask for b in moved]
+    if not _all_pairs_share(landed, t):
+        return False
+    if not _all_pairs_share([masks[a.counts] & kernel_mask for a in blocked], t):
+        return False
+    if landed:
+        moved_counts = {b.counts for b in moved}
+        for a in result.members:
+            if a.counts not in moved_counts:
+                x = masks[a.counts]
+                for y in landed:
+                    if (x & y).bit_count() < t:
+                        return False
+    return True
 
 
 def down_compress_full(
@@ -254,19 +317,25 @@ def down_compress_full(
     kernel and run one pass per surplus copy, smallest surplus element
     first.  Exactly (t-1)*m passes; for t=1 the family is returned as is.
 
-    The output has the same size, is t-intersecting, and its member
-    supports pairwise share at least t elements.
+    Each pass's kernel is proved a t-kernel of its output by re-checking
+    only the pairs the pass can have changed (see the module docstring);
+    the input check proves the trivial kernel, and the final check covers
+    every pair of supports.  The output has the same size, is
+    t-intersecting, and its member supports pairwise share at least t
+    elements.
     """
     if t < 1:
         raise ContractError(f"t must be >= 1, got {t}")
     if not is_t_intersecting(fam, t):
         raise ContractError("input family is not t-intersecting")
     if fam.m < 2 * fam.k - t and not allow_out_of_regime:
-        raise ContractError(
-            f"m >= 2k-t required (m={fam.m}, k={fam.k}, t={t}); pass "
-            "allow_out_of_regime=True to run anyway"
-        )
+        raise _regime_error(fam, t)
+    if fam.kind != MULTISET:
+        raise ContractError("down-compression operates on multiset families")
     kernel = Kernel.trivial(fam.m, t)
+    # no shift raises a multiplicity, so the input's width serves every pass
+    width = max((max(a.counts) for a in fam.members), default=0)
+    masks = {a.counts: a.unary_mask(width) for a in fam.members}
     result = fam
     passes = 0
     while True:
@@ -279,9 +348,12 @@ def down_compress_full(
         if on_shift is not None:
             def traced(record: dict, _pass_no: int = passes) -> None:
                 on_shift({"pass": _pass_no, **record})
-        result, kernel = down_compress_pass(
-            result, kernel, i, t, allow_out_of_regime=allow_out_of_regime, on_shift=traced
-        )
+        result, kernel, blocked, moved = _pass_core(result, kernel, i, traced)
+        for b in moved:
+            if b.counts not in masks:
+                masks[b.counts] = b.unary_mask(width)
+        if not _changed_pairs_share(masks, kernel.T.unary_mask(width), result, blocked, moved, t):
+            raise _pass_failure(result, t)
     if passes != (t - 1) * fam.m:
         raise CompressionInvariantError(
             f"expected {(t - 1) * fam.m} passes, ran {passes}"

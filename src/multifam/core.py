@@ -78,7 +78,7 @@ class Multiset:
             raise ContractError(
                 f"counts has length {len(self.counts)}, expected {self.ground_size}"
             )
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ContractError(f"negative multiplicity in {self.counts}")
 
     @classmethod

@@ -149,7 +149,10 @@ def test_compress_refuses_out_of_regime(tmp_path, capsys):
     fam_file.write_text("m=5 k=4 kind=multiset\n1 1 2 3\n1 1 2 4\n")
     code = run("compress", "-i", str(fam_file), "-t", "2", "-o", str(tmp_path / "o.txt"))
     assert code == 2
-    assert "2k-t" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "2k-t" in err
+    # the CLI has no opt-in, so the message must not tell its user to pass one
+    assert "pass allow_out_of_regime" not in err
 
 
 def test_search_with_json_and_witness(tmp_path, capsys):

@@ -30,6 +30,7 @@ from multifam.acceptance import _compression_grid, random_t_intersecting_family
 from bruteforce import (
     greedy_random_t_intersecting_family,
     greedy_t_subfamily,
+    pair_loop_is_support_t_intersecting,
     pair_loop_is_t_kernel,
     shift_loop_compress_pass,
 )
@@ -257,6 +258,97 @@ def test_pass_postconditions_raise_their_own_message(monkeypatch, replace, messa
     monkeypatch.setattr(compression, "_shift_step", _patched_step(replace))
     with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
         down_compress_pass(family, Kernel.trivial(4, 2), 1, 2)
+
+
+def _reference_full(family, t, on_shift):
+    """down_compress_full as a chain of reference passes, each re-running
+    both full pair loops, then the support check as a pair loop."""
+    kernel = Kernel.trivial(family.m, t)
+    passes = 0
+    while kernel.surplus_elements():
+        passes += 1
+
+        def traced(record, _pass_no=passes):
+            on_shift({"pass": _pass_no, **record})
+
+        i = kernel.surplus_elements()[0]
+        family, kernel = shift_loop_compress_pass(family, kernel, i, t, traced)
+    if not pair_loop_is_support_t_intersecting(family, t):
+        raise CompressionInvariantError("output supports do not pairwise t-intersect")
+    return family
+
+
+@settings(max_examples=200)
+@given(pass_input())
+def test_full_run_matches_chain_of_reference_passes(case):
+    family, _, t = case
+    got, got_records = _run_pass(
+        lambda on_shift: down_compress_full(
+            family, t, allow_out_of_regime=True, on_shift=on_shift
+        )
+    )
+    want, want_records = _run_pass(lambda on_shift: _reference_full(family, t, on_shift))
+    assert got_records == want_records
+    assert got == want
+
+
+def _block_every_mover(candidates, current, p, on_shift):
+    return list(candidates), []
+
+
+@pytest.mark.parametrize(
+    "step, members, message",
+    [
+        # {1,1,2} becomes {2,4,4}, which shares only the element 2 with
+        # {1,2,3}, a member that did not move
+        pytest.param(
+            _patched_step({(2, 1, 0, 0): ms(4, 2, 4, 4)}),
+            ((1, 1, 2), (1, 2, 3)),
+            "compression pass broke t-intersection",
+            id="landed-vs-unmoved",
+        ),
+        # both members land, {1,1,3} as {2,3,4}
+        pytest.param(
+            _patched_step({(2, 0, 1, 0): ms(4, 2, 3, 4)}),
+            ((1, 1, 2), (1, 1, 3)),
+            "compression pass broke t-intersection",
+            id="landed-pair",
+        ),
+        # the pair still shares {1,1}, but the first pass's kernel holds 1
+        # once: both members land on themselves, or both are blocked
+        pytest.param(
+            _patched_step({}),
+            ((1, 1, 2), (1, 1, 3)),
+            "shrunken kernel is not a t-kernel for the output",
+            id="landed-in-place",
+        ),
+        pytest.param(
+            _block_every_mover,
+            ((1, 1, 2), (1, 1, 3)),
+            "shrunken kernel is not a t-kernel for the output",
+            id="blocked-pair",
+        ),
+    ],
+)
+def test_full_run_checks_raise_their_own_message(monkeypatch, step, members, message):
+    family = fam(4, 3, *members)
+    monkeypatch.setattr(compression, "_shift_step", step)
+    with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
+        down_compress_full(family, 2)
+
+
+def test_full_run_rechecks_only_the_changed_pairs(monkeypatch):
+    # each pass of a full run re-checks the pairs it changed; only the
+    # public pass, which may be handed any kernel, runs the whole check
+    def refuse(*args):
+        raise AssertionError("is_t_kernel called")
+
+    family = fixed_multiset(8, 5, ms(8, 4, 4))
+    want = down_compress_full(family, 2)
+    monkeypatch.setattr(compression, "is_t_kernel", refuse)
+    assert down_compress_full(family, 2) == want
+    with pytest.raises(AssertionError, match="is_t_kernel called"):
+        down_compress_pass(family, Kernel.trivial(8, 2), 4, 2)
 
 
 def test_passes_shift_only_the_members_that_can_move(monkeypatch):
