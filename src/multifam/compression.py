@@ -139,15 +139,21 @@ def is_t_kernel(fam: Family, T: Multiset, t: int) -> bool:
 def shift_multiset(a: Multiset, p: ShiftParams) -> Multiset:
     """Replace all but s-1 copies of i with j.  No-op when the multiset has
     fewer than s copies of i or already contains j."""
+    counts = _shifted_counts(a, p)
+    return a if counts is None else Multiset(a.ground_size, counts)
+
+
+def _shifted_counts(a: Multiset, p: ShiftParams) -> tuple[int, ...] | None:
+    """The counts shift_multiset would give a, or None for a no-op."""
     if p.i > a.ground_size or p.j > a.ground_size:
         raise ContractError(f"shift elements outside [1, {a.ground_size}]")
     mi = a.counts[p.i - 1]
     if mi < p.s or a.counts[p.j - 1] != 0:
-        return a
+        return None
     counts = list(a.counts)
     counts[p.i - 1] = p.s - 1
     counts[p.j - 1] = mi - p.s + 1
-    return Multiset(a.ground_size, tuple(counts))
+    return tuple(counts)
 
 
 def _shift_step(
@@ -158,14 +164,16 @@ def _shift_step(
 ) -> tuple[list[Multiset], list[Multiset]]:
     """Shift each candidate, in order, whose shifted multiset is absent from
     `current` (the member counts of the family state, updated in place).
-    Returns the candidates that stayed and the members the others became."""
+    Returns the candidates that stayed and the members the others became;
+    a Multiset is built only for a member that lands."""
     stayed: list[Multiset] = []
     landed: list[Multiset] = []
     for a in candidates:
-        b = shift_multiset(a, p)
-        if b is not a and b.counts not in current:
+        counts = _shifted_counts(a, p)
+        if counts is not None and counts not in current:
             current.discard(a.counts)
-            current.add(b.counts)
+            current.add(counts)
+            b = Multiset(a.ground_size, counts)
             landed.append(b)
             if on_shift is not None:
                 on_shift(

@@ -36,7 +36,8 @@ first read, and each view is kept on the graph object:
            ladder row per type fixes the order, and one ladder pass over
            the rows in that order yields the engine's rows with no bit
            permutation.  For K kinds all vertices share one type and the
-           order is rank order.
+           order is rank order.  The view keeps each type's vertices as
+           one bitset: the orbits the searches' orbital front starts from.
 """
 
 from __future__ import annotations
@@ -77,11 +78,15 @@ DEFAULT_VERTEX_CAP = 5000
 class BranchingView(NamedTuple):
     """The compatibility graph in branching order: new vertex i is the
     vertex of rank to_old[i], rows[i] the bitset of new vertices
-    compatible with it and counts[i] its multiplicity row."""
+    compatible with it and counts[i] its multiplicity row.  orbits holds
+    the bitset of new vertices of each multiplicity type (sorted row), in
+    rank order of the types' first members: the orbits of the
+    permutations of [m]."""
 
     rows: list[int]
     to_old: list[int]
     counts: list[tuple[int, ...]]
+    orbits: list[int]
 
 
 @dataclass
@@ -124,11 +129,11 @@ class DisjointnessGraph:
         """The compatibility rows in branching order (module docstring)."""
         rows = self.multiplicities
         columns = _columns(rows, self.m, self._levels)
-        to_old, types = _branching_order(rows, columns, self.t)
-        if types > 1:
+        to_old, orbits = _branching_order(rows, columns, self.t)
+        if len(orbits) > 1:  # more than one type: vertices may move
             rows = [rows[v] for v in to_old]
             columns = _columns(rows, self.m, self._levels)
-        return BranchingView(_compatibility(rows, columns, self.t), to_old, rows)
+        return BranchingView(_compatibility(rows, columns, self.t), to_old, rows, orbits)
 
     def edge_count(self) -> int:
         # counted on the branching view, which the MIS, enumeration and
@@ -231,18 +236,25 @@ def _compatibility(rows, columns, t: int) -> list[int]:
     return [_meeting(columns, row, t) & ~(1 << v) for v, row in enumerate(rows)]
 
 
-def _branching_order(rows, columns, t: int) -> tuple[list[int], int]:
+def _branching_order(rows, columns, t: int) -> tuple[list[int], list[int]]:
     """Vertices by descending compatibility degree, rank breaking ties, and
-    the number of multiplicity types.  Permuting [m] is an automorphism of
-    every graph kind, so vertices of one type share a degree: one ladder
-    row per type is enough."""
-    degree: dict[tuple[int, ...], int] = {}
+    the bitset of each multiplicity type's vertices in that order.
+    Permuting [m] is an automorphism of every graph kind, so vertices of
+    one type share a degree: one ladder row per type is enough."""
+    types: dict[tuple[int, ...], tuple[int, int]] = {}  # shape: (number, -degree)
+    type_of = []
     key = []
     for v, row in enumerate(rows):
         shape = tuple(sorted(row))
-        d = degree.get(shape)
-        if d is None:
-            d = degree[shape] = (_meeting(columns, row, t) & ~(1 << v)).bit_count()
-        key.append(-d)
+        entry = types.get(shape)
+        if entry is None:
+            d = (_meeting(columns, row, t) & ~(1 << v)).bit_count()
+            entry = types[shape] = (len(types), -d)
+        type_of.append(entry[0])
+        key.append(entry[1])
     # one type: every key ties and the stable sort keeps rank order
-    return sorted(range(len(rows)), key=key.__getitem__), len(degree)
+    to_old = sorted(range(len(rows)), key=key.__getitem__)
+    orbits = [0] * len(types)
+    for i, v in enumerate(to_old):
+        orbits[type_of[v]] |= 1 << i
+    return to_old, orbits

@@ -44,14 +44,19 @@ Constrained variants:
     found as cliques of its complement.
 
 Clique expansion is one loop over an explicit stack, so search depth is
-bounded by memory, not by the interpreter's recursion limit.  Enumerating
-all optima runs on the same loop: the incumbent is held at one below the
-proved optimum and each leaf is recorded instead of adopted.  A uniqueness
-verdict needs only one optimum from each isomorphism class, so its
-enumeration branches one orbit of the permutations of [m] fixing the
-chosen members at a time, with the same orbit keys as the small-core front
-end, and hands a node to the plain loop once every candidate orbit is a
-single vertex.
+bounded by memory, not by the interpreter's recursion limit.  Every graph
+kind is invariant under permuting [m], so the MIS, clique-free and
+orbit-enumeration searches run one orbital front ahead of that loop, also
+on an explicit stack: a front node branches one orbit of the permutations
+of [m] fixing the chosen members at a time, with the same orbit keys as
+the small-core front end, and hands a node to the plain loop once every
+candidate orbit is a single vertex.  The root orbits are the multiplicity
+types the graph builder already sorted the vertices by.  A search needs
+one optimum only up to those permutations, and a uniqueness verdict one
+optimum from each isomorphism class.  Enumerating all optima runs on the
+plain loop alone: the incumbent is held at one below the proved optimum
+and each leaf is recorded instead of adopted.  The G □ K₂ product has no
+multiplicity rows and also runs on the plain loop.
 
 Every search re-validates its witness against the raw pairwise predicate,
 independent of the adjacency structure, and honest node-limit reporting
@@ -63,7 +68,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 from .core import (
     MULTISET,
@@ -275,13 +280,72 @@ def _branching_rows(adj: list[int]) -> tuple[list[int], list[int]]:
     return _relabel(adj, order), order
 
 
+def _orbit_masks(cls: tuple[int, ...], rows, vertices) -> dict[tuple, int]:
+    """The vertices grouped by orbit under the permutations of [m] fixing
+    every chosen member, in order of first appearance.  cls[e] numbers the
+    signature class of element e under the chosen members, and a vertex's
+    orbit key is the sorted list of its (class, multiplicity) pairs, each
+    coded as multiplicity * m + class (cls[e] < m)."""
+    scale = (len(cls),) * len(cls)
+    orbits: dict[tuple, int] = {}
+    for v in vertices:
+        key = tuple(sorted(map(add, map(mul, rows[v], scale), cls)))
+        orbits[key] = orbits.get(key, 0) | 1 << v
+    return orbits
+
+
+def _split(cls: tuple[int, ...], rows, mask: int) -> tuple[list[int], int]:
+    """The orbits of two or more vertices of mask, and their union."""
+    groups = []
+    union = 0
+    for o in _orbit_masks(cls, rows, _bits(mask)).values():
+        if o & (o - 1):
+            groups.append(o)
+            union |= o
+    return groups, union
+
+
+def _refine(cls: tuple[int, ...], row) -> tuple[int, ...]:
+    """cls once one more member with multiplicities `row` is chosen: two
+    elements keep one class iff they shared one and row agrees on them."""
+    pairs = list(zip(cls, row))
+    rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+    return tuple(rank[pair] for pair in pairs)
+
+
 class _MaxCliqueSolver(_CliqueSearch):
     """Exact maximum clique on rows already in branching order; new vertex
-    i is vertex to_old[i] of the caller's graph."""
+    i is vertex to_old[i] of the caller's graph.
 
-    def __init__(self, adj: list[int], to_old: list[int], node_limit: int | None = None):
+    Given each vertex's multiplicity row (counts) and the orbits of the
+    permutations of [m] (orbits, one bitset per multiplicity type), for a
+    graph invariant under permuting [m], the search branches on orbits
+    (Ostrowski, Linderoth, Rossi & Smriglio 2011) in a front ahead of the
+    shared loop; without them it is the plain loop.  A front node (chosen
+    members r, candidates p) carries cls, the signature classes of the
+    elements under r, so a candidate's orbit under the permutations fixing
+    every member of r is read off _orbit_masks.  The node walks the colour
+    order from the top as _expand does, trimmed and bounded against the
+    current incumbent in the same way, branches on each vertex not yet
+    barred and then bars its whole orbit.  p stays a union of orbits, so a
+    clique through any member of an orbit maps onto one through the vertex
+    branched on.  Once every candidate orbit is a singleton nothing is left
+    to prune: a child with no orbit of two candidates is handed to _expand,
+    and a node whose split leaves none branches as _expand would.  Orbits
+    are split only at a node that has colours to branch on."""
+
+    def __init__(
+        self,
+        adj: list[int],
+        to_old: list[int],
+        node_limit: int | None = None,
+        counts: list[tuple[int, ...]] | None = None,
+        orbits: list[int] | None = None,
+    ):
         self.n = len(adj)
         self.to_old = to_old
+        self.counts = counts
+        self.orbits = orbits
         super().__init__(adj, node_limit)
 
     def _seed_greedy(self) -> None:
@@ -300,7 +364,84 @@ class _MaxCliqueSolver(_CliqueSearch):
     def _search(self) -> None:
         self._seed_greedy()
         if self.n:
-            self._expand(0, 0, (1 << self.n) - 1)
+            self._root()
+
+    def _root(self) -> None:
+        p_mask = (1 << self.n) - 1
+        groups = [o for o in self.orbits or () if o & (o - 1)]
+        if groups:
+            self._front(p_mask, groups)
+        else:
+            self._expand(0, 0, p_mask)
+
+    def _front(self, p_mask: int, groups: list[int]) -> None:
+        """The orbital front from the root.  A node keeps `groups`, its
+        candidate orbits of two or more vertices, and `grouped`, their
+        union; every other candidate is an orbit by itself.  A child keeps
+        the groups that still hold two or more of its candidates, and
+        splits them only when its cls is finer.  Each stack frame is
+        (r_size, r_mask, cls, p_mask, groups, grouped, colour order,
+        colours, index), walked as _expand walks its frames."""
+        rows = self.counts
+        color = self._color
+        children = self._children
+        tick = self.counter.tick
+        r_size, r_mask, cls = 0, 0, (0,) * len(rows[0])
+        grouped = 0
+        for o in groups:
+            grouped |= o
+        stack = []
+        tick()
+        order, colors = color(p_mask, self.best - r_size + 1)
+        i = len(order)
+        while True:
+            i -= 1
+            if i < 0 or r_size + colors[i] <= self.best:
+                if not stack:
+                    return
+                r_size, r_mask, cls, p_mask, groups, grouped, order, colors, i = stack.pop()
+                continue
+            v = order[i]
+            bit = 1 << v
+            if not p_mask & bit:
+                continue  # barred with an earlier branch's orbit
+            new_p = children(r_mask, v, p_mask)
+            if grouped & bit:
+                for o in groups:
+                    if o & bit:
+                        p_mask &= ~o
+                        break
+            else:
+                p_mask ^= bit
+            if not new_p:
+                if r_size + 1 > self.best:
+                    self._leaf(r_size + 1, r_mask | bit)
+                continue
+            kept = []
+            child_grouped = 0
+            for o in groups:
+                o &= new_p
+                if o & (o - 1):
+                    kept.append(o)
+                    child_grouped |= o
+            if not kept:
+                self._expand(r_size + 1, r_mask | bit, new_p)
+                continue
+            stack.append((r_size, r_mask, cls, p_mask, groups, grouped, order, colors, i))
+            r_size += 1
+            r_mask |= bit
+            p_mask = new_p
+            tick()
+            order, colors = color(p_mask, self.best - r_size + 1)
+            i = len(order)
+            if not order:
+                continue  # nothing to branch on: the orbits are not needed
+            child_cls = _refine(cls, rows[v])
+            if child_cls != cls:
+                cls = child_cls
+                kept, child_grouped = _split(cls, rows, child_grouped)
+            groups = kept
+            grouped = child_grouped
 
     def solve(self) -> tuple[int, int, int, bool]:
         """As _CliqueSearch.solve, the witness in original indexing."""
@@ -315,7 +456,9 @@ class _MaxCliqueSolver(_CliqueSearch):
 
 
 class _CliqueEnumerator(_MaxCliqueSolver):
-    """Every clique of the clique number `target`, on the shared loop.
+    """Every clique of the clique number `target`, on the shared loop; with
+    counts and orbits, at least one from every class under the
+    permutations of [m], through the orbital front.
 
     The incumbent stays at target - 1, so the colour bound keeps exactly
     the branches that can still reach target, and a leaf is recorded
@@ -333,15 +476,12 @@ class _CliqueEnumerator(_MaxCliqueSolver):
         complete = True
         try:
             if self.n:
-                self._search()
+                self._root()
             elif target == 0:
                 self.found.append(0)  # the empty clique of the empty graph
         except (_CapHit, _Budget):
             complete = False
         return [self._remap(m) for m in self.found], complete, self.counter.nodes
-
-    def _search(self) -> None:
-        self._expand(0, 0, (1 << self.n) - 1)
 
     def _leaf(self, size: int, mask: int) -> None:
         if size > self.target:
@@ -351,84 +491,6 @@ class _CliqueEnumerator(_MaxCliqueSolver):
         self.found.append(mask)
         if self.cap is not None and len(self.found) >= self.cap:
             raise _CapHit
-
-
-def _orbit_key(cls: tuple[int, ...], row) -> tuple:
-    """A vertex's orbit under the permutations of [m] fixing every chosen
-    member: its sorted (class, multiplicity) pairs, where cls[e] numbers
-    the signature class of element e under the chosen members."""
-    return tuple(sorted(zip(cls, row)))
-
-
-def _orbit_masks(cls: tuple[int, ...], rows, vertices) -> dict[tuple, int]:
-    """The vertices grouped by orbit key, in order of first appearance."""
-    orbits: dict[tuple, int] = {}
-    for v in vertices:
-        key = _orbit_key(cls, rows[v])
-        orbits[key] = orbits.get(key, 0) | 1 << v
-    return orbits
-
-
-def _refine(cls: tuple[int, ...], row) -> tuple[int, ...]:
-    """cls once one more member with multiplicities `row` is chosen: two
-    elements keep one class iff they shared one and row agrees on them."""
-    pairs = list(zip(cls, row))
-    rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-    return tuple(rank[pair] for pair in pairs)
-
-
-class _OrbitEnumerator(_CliqueEnumerator):
-    """At least one clique of the clique number `target` from every class
-    under the permutations of [m], by orbital branching (Ostrowski,
-    Linderoth, Rossi & Smriglio 2011) in front of the shared loop.
-
-    rows[v] is vertex v's multiplicity row; every graph here is invariant
-    under permuting [m].  A front-end node (chosen members r, candidates p)
-    carries cls, the signature classes of the elements under r, so a
-    candidate's orbit under the permutations fixing every member of r is
-    read off _orbit_key.  The node walks the colour order from the top as
-    _expand does, trimmed by the same bound, branches on each vertex not
-    yet barred and then bars its whole orbit.  p stays a union of orbits,
-    so a clique through any member of an orbit maps onto one through the
-    vertex branched on.  Once every candidate orbit is a singleton nothing
-    is left to prune, and the node is handed to _expand."""
-
-    def __init__(self, adj: list[int], to_old: list[int], rows: list, node_limit: int | None):
-        super().__init__(adj, to_old, node_limit)
-        self.rows = rows
-
-    def _search(self) -> None:
-        rows = self.rows
-        adj = self.adj
-        # a node's last field is its parent's orbits when both share cls,
-        # as they do whenever the member branched on is a fixed point
-        stack = [(0, 0, (0,) * len(rows[0]), (1 << self.n) - 1, None)]
-        while stack:
-            r_size, r_mask, cls, p_mask, inherited = stack.pop()
-            if not p_mask:
-                if r_size > self.best:
-                    self._leaf(r_size, r_mask)
-                continue
-            if inherited is None:
-                orbits = _orbit_masks(cls, rows, _bits(p_mask))
-            else:
-                orbits = {key: o & p_mask for key, o in inherited.items() if o & p_mask}
-            if len(orbits) == p_mask.bit_count():
-                self._expand(r_size, r_mask, p_mask)
-                continue
-            self.counter.tick()
-            # the incumbent stays at target - 1, so every vertex of the
-            # trimmed order passes the bound; p_mask can outlast the order
-            order, _ = self._color(p_mask, self.best - r_size + 1)
-            children = []
-            for v in reversed(order):
-                if p_mask >> v & 1:
-                    row = rows[v]
-                    child_cls = _refine(cls, row)
-                    kept = orbits if child_cls == cls else None
-                    children.append((r_size + 1, r_mask | 1 << v, child_cls, p_mask & adj[v], kept))
-                    p_mask &= ~orbits[_orbit_key(cls, row)]
-            stack.extend(reversed(children))
 
 
 def _complement_adj(adj: list[int]) -> list[int]:
@@ -452,7 +514,7 @@ def max_independent_set(graph: DisjointnessGraph, node_limit: int | None = None)
     graph's threshold).  The optimum, witness and node count are
     deterministic."""
     view = graph.ordered
-    solver = _MaxCliqueSolver(view.rows, view.to_old, node_limit)
+    solver = _MaxCliqueSolver(view.rows, view.to_old, node_limit, view.counts, view.orbits)
     best, mask, nodes, limited = solver.solve()
     witness = graph.family_from_mask(mask)
     _validate_witness(graph, witness)
@@ -490,7 +552,8 @@ def enumerate_optimum_orbits(
     """At least one maximum independent set from every isomorphism class
     (up to `cap` sets), for a proved `optimum`; isomorphic sets may repeat.
     complete=False flags a truncated enumeration."""
-    solver = _OrbitEnumerator(*graph.ordered, node_limit)
+    view = graph.ordered
+    solver = _CliqueEnumerator(view.rows, view.to_old, node_limit, view.counts, view.orbits)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     return EnumerationResult(optimum, _validated(graph, masks), complete, nodes)
 
@@ -679,8 +742,16 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
     per class (the colouring kernel with cap = s).  A candidate leaves when it would close an (s+1)-clique of G
     with the new member and s-1 chosen ones."""
 
-    def __init__(self, adj: list[int], to_old: list[int], s: int, node_limit: int | None):
-        super().__init__(adj, to_old, node_limit)
+    def __init__(
+        self,
+        adj: list[int],
+        to_old: list[int],
+        s: int,
+        node_limit: int | None,
+        counts: list[tuple[int, ...]] | None = None,
+        orbits: list[int] | None = None,
+    ):
+        super().__init__(adj, to_old, node_limit, counts, orbits)
         self.s = s
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
@@ -724,7 +795,7 @@ def clique_free_search(graph: DisjointnessGraph, s: int, node_limit: int | None 
     if s == 1:
         return max_independent_set(graph, node_limit)
     view = graph.ordered
-    solver = _CliqueFreeSolver(view.rows, view.to_old, s, node_limit)
+    solver = _CliqueFreeSolver(view.rows, view.to_old, s, node_limit, view.counts, view.orbits)
     best, mask, nodes, limited = solver.solve()
     witness = graph.family_from_mask(mask)
     if not has_property_p_s1(witness, s):

@@ -353,16 +353,41 @@ def test_full_run_rechecks_only_the_changed_pairs(monkeypatch):
 
 def test_passes_shift_only_the_members_that_can_move(monkeypatch):
     # 120 members, 84 moves over 8 passes; a shift_family call per j and
-    # pass tried every member: 6,720 shift_multiset calls
+    # pass tried every member: 6,720 shifts
     calls = []
-    shift = compression.shift_multiset
+    shifted = compression._shifted_counts
     monkeypatch.setattr(
-        compression, "shift_multiset", lambda a, p: calls.append(1) or shift(a, p)
+        compression, "_shifted_counts", lambda a, p: calls.append(1) or shifted(a, p)
     )
     records = []
     down_compress_full(fixed_multiset(8, 5, ms(8, 4, 4)), 2, on_shift=records.append)
     assert len(records) == 84
-    assert len(calls) <= 800
+    assert 84 <= len(calls) <= 800
+
+
+def test_a_pass_builds_a_multiset_only_for_members_that_land(monkeypatch):
+    # 120 members; the pass on 4 tries 336 shifts and lands 84 of them
+    built = []
+
+    class Counting(Multiset):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self.counts)
+
+    family = fixed_multiset(8, 5, ms(8, 4, 4))
+    trivial = Kernel.trivial(8, 2)
+    tried = []
+    shifted = compression._shifted_counts
+    monkeypatch.setattr(
+        compression, "_shifted_counts", lambda a, p: tried.append(1) or shifted(a, p)
+    )
+    monkeypatch.setattr(compression, "Multiset", Counting)
+    records = []
+    result, kernel = down_compress_pass(family, trivial, 4, 2, on_shift=records.append)
+    landed = [ms(8, *map(int, r["member_after"].split())).counts for r in records]
+    assert len(landed) < len(tried)
+    assert built == landed + [kernel.T.counts]
+    assert set(landed) <= {a.counts for a in result.members}
 
 
 def test_pass_requires_surplus_element():

@@ -33,11 +33,12 @@ from multifam import graphs
 from multifam.core import MULTISET
 from multifam.search import (
     NODE_LIMIT_HIT,
+    PROVED_OPTIMAL,
     SUPPORT_INTERSECTION,
+    SearchResult,
     _CliqueFreeSolver,
     _CliqueSearch,
     _MaxCliqueSolver,
-    _OrbitEnumerator,
     _SmallCoreSolver,
     _branching_rows,
     _complement_adj,
@@ -131,6 +132,11 @@ def test_branching_view_is_the_sorted_relabelled_complement():
         assert view.to_old == order, (kind, m, k, t)
         assert view.rows == _relabel(comp, order), (kind, m, k, t)
         assert view.counts == [graph.multiplicities[v] for v in order]
+        types: dict[tuple, int] = {}
+        for i, row in enumerate(view.counts):
+            shape = tuple(sorted(row))
+            types[shape] = types.get(shape, 0) | 1 << i
+        assert sorted(view.orbits) == sorted(types.values()), (kind, m, k, t)
         assert graph.edge_count() == sum(row.bit_count() for row in graph.adj) // 2
 
 
@@ -314,15 +320,44 @@ def test_mis_determinism():
     assert first.witness == second.witness
 
 
-# exact nodes_explored of the clique loop and the witness as its members'
-# sorted ranks; a change here is a change of traversal order and must be
-# deliberate and logged in CHANGES.md
+def _plain(graph, s=1):
+    """The MIS (s = 1) or clique-free search on the plain loop: the solver
+    given no multiplicity rows, so no orbital front."""
+    view = graph.ordered
+    if s == 1:
+        solver = _MaxCliqueSolver(view.rows, view.to_old)
+    else:
+        solver = _CliqueFreeSolver(view.rows, view.to_old, s, None)
+    best, mask, nodes, limited = solver.solve()
+    assert not limited
+    return SearchResult(best, graph.family_from_mask(mask), PROVED_OPTIMAL, nodes)
+
+
+# exact nodes_explored and the witness as its members' sorted ranks; a
+# change here is a change of traversal order and must be deliberate and
+# logged in CHANGES.md
 PINNED_NODE_COUNTS = [
-    (lambda: max_independent_set(build_graph("M", 5, 3)), 15, 16,
+    # the plain loop (_plain), the reference for the orbital searches
+    (lambda: _plain(build_graph("M", 5, 3)), 15, 16,
      (*range(10, 20), 26, 27, 28, 29, 33)),
-    (lambda: max_independent_set(build_graph("K", 7, 3)), 15, 101, tuple(range(15))),
-    (lambda: max_independent_set(build_graph("M", 6, 3)), 21, 27,
+    (lambda: _plain(build_graph("K", 7, 3)), 15, 101, tuple(range(15))),
+    (lambda: _plain(build_graph("M", 6, 3)), 21, 27,
      (4, 5, 6, 7, 8, 9, 13, 14, 15, 18, 23, 24, 25, 28, 32, 38, 39, 40, 43, 47, 52)),
+    (lambda: _plain(build_graph("K", 10, 2), 2), 17, 3946, tuple(range(17))),
+    (lambda: _plain(build_graph("K", 8, 2), 2), 13, 59, tuple(range(13))),
+    (lambda: _plain(build_graph("K", 12, 2), 2), 21, 2346, tuple(range(21))),
+    (lambda: _plain(build_graph("M", 7, 2), 2), 13, 46, (0, 1, 2, 3, 4, 6, 7, 10, 11, 15, 16, 21, 22)),
+    (lambda: _plain(build_graph("M", 6, 3), 2), 40, 411,  # 56 vertices
+     (1, 2, *range(4, 9), *range(10, 19), *range(20, 34), 36, 38, 39, 41, 42, 43, *range(45, 49))),
+    (lambda: _plain(build_graph("M", 8, 2), 3), 21, 1026,
+     (1, 3, 4, 6, 7, 8, 10, 11, 12, 13, *range(15, 20), *range(21, 27))),
+    # the public searches: the MIS and clique-free ones branch on orbits
+    (lambda: max_independent_set(build_graph("M", 5, 3)), 15, 15,
+     (*range(10, 20), 26, 27, 28, 29, 33)),
+    (lambda: max_independent_set(build_graph("K", 7, 3)), 15, 13, tuple(range(15))),
+    (lambda: max_independent_set(build_graph("M", 6, 3)), 21, 21,
+     (4, 5, 6, 7, 8, 9, 13, 14, 15, 18, 23, 24, 25, 28, 32, 38, 39, 40, 43, 47, 52)),
+    (lambda: max_independent_set(build_graph("K", 10, 4)), 84, 506, tuple(range(84))),
     (lambda: max_intersecting_empty_common(6, 3), 16, 87,
      (1, 2, 4, 5, 6, 7, 8, 11, 13, 14, 21, 23, 24, 36, 38, 39)),
     (lambda: max_intersecting_empty_common(5, 3), 13, 54,
@@ -336,13 +371,14 @@ PINNED_NODE_COUNTS = [
      (48, *range(62, 77), 80, 81, 82)),
     (lambda: max_t_intersecting_nontrivial(8, 3, 2, seed=frankl_multiset(8, 3, 2, 1)), 4, 12,
      (75, 103, 109, 110)),
-    (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 3946, tuple(range(17))),
-    (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 59, tuple(range(13))),
-    (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 2346, tuple(range(21))),
-    (lambda: max_p_s1_family(7, 2, 2), 13, 46, (0, 1, 2, 3, 4, 6, 7, 10, 11, 15, 16, 21, 22)),
-    (lambda: max_p_s1_family(6, 3, 2), 40, 411,  # 56 vertices
+    (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 12, tuple(range(17))),
+    (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 9, tuple(range(13))),
+    (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 10, tuple(range(21))),
+    (lambda: clique_free_search(build_graph("K", 9, 2), 3), 21, 3061, tuple(range(21))),
+    (lambda: max_p_s1_family(7, 2, 2), 13, 19, (0, 1, 2, 3, 4, 6, 7, 10, 11, 15, 16, 21, 22)),
+    (lambda: max_p_s1_family(6, 3, 2), 40, 29,  # 56 vertices
      (1, 2, *range(4, 9), *range(10, 19), *range(20, 34), 36, 38, 39, 41, 42, 43, *range(45, 49))),
-    (lambda: max_p_s1_family(8, 2, 3), 21, 1026,
+    (lambda: max_p_s1_family(8, 2, 3), 21, 24,
      (1, 3, 4, 6, 7, 8, 10, 11, 12, 13, *range(15, 20), *range(21, 27))),
 ]
 
@@ -558,10 +594,11 @@ def test_optimum_orbits_flag_truncation():
 
 
 def test_orbit_walk_ends_where_the_trimmed_order_ends(monkeypatch):
-    # K(7,3) has front-end nodes whose trimmed colour order is empty while
-    # candidates remain: the walk must stop at the order's end and leave
-    # those candidates to the bound, as the full colouring's walk did
-    seen = _front_end_colourings(monkeypatch, _OrbitEnumerator)
+    # K(7,3) has nodes of the shared orbital front whose trimmed colour
+    # order is empty while candidates remain: the walk must stop at the
+    # order's end and leave those candidates to the bound, as the full
+    # colouring's walk did
+    seen = _front_end_colourings(monkeypatch, _MaxCliqueSolver)
     graph = build_graph("K", 7, 3)
     enum = enumerate_optimum_orbits(graph, 15)
     assert enum.complete
@@ -570,6 +607,10 @@ def test_orbit_walk_ends_where_the_trimmed_order_ends(monkeypatch):
     full = enumerate_maximum_independent_sets(graph, optimum=15)
     classes = {canonical_form(f).members for f in full.families}
     assert {canonical_form(f).members for f in enum.families} == classes
+    # the MIS search walks the same front
+    seen.clear()
+    assert max_independent_set(graph).nodes_explored == 13
+    assert seen
 
 
 def test_optimum_orbits_of_a_deep_optimum():
@@ -782,6 +823,41 @@ def test_clique_free_matches_exclusion_reference(kind, m, k, s):
     result = clique_free_search(graph, s)
     assert result.proved and result.optimum == len(result.witness) == best
     assert has_property_p_s1(result.witness, s)
+
+
+# every graph kind, among them instances outside their theorem's
+# hypothesis (K(5,3), M(4,4), M_t(5,4,2)); s = 1 is the MIS search
+ORBITAL_GRID = [
+    ("K", 5, 2), ("K", 5, 3), ("K", 6, 2), ("K", 7, 3), ("K_t", 6, 3, 2), ("K_t", 6, 4, 3),
+    ("M", 3, 3), ("M", 4, 2), ("M", 4, 4), ("M", 5, 3), ("M", 6, 2),
+    ("M_t", 4, 3, 2), ("M_t", 5, 4, 2), ("M_t", 5, 4, 3), ("M_t", 6, 3, 2),
+    ("M_support_t", 4, 3, 2), ("M_support_t", 5, 3, 2),
+]
+# the references take 2-40 s a case here (the M_t graphs of 56 and 70
+# vertices at s = 3)
+ORBITAL_SLOW = {(("M_t", 5, 4, 2), 3), (("M_t", 5, 4, 3), 3), (("M_t", 6, 3, 2), 3)}
+
+
+@pytest.mark.parametrize("args, s", [
+    pytest.param(args, s, id=f"{args[0]}{args[1:]}-s{s}")
+    for args in ORBITAL_GRID for s in (1, 2, 3) if (args, s) not in ORBITAL_SLOW
+])
+def test_orbital_searches_match_the_plain_loop_and_bruteforce(args, s):
+    graph = build_graph(*args)
+    if s == 1:
+        result = max_independent_set(graph)
+        if graph.n_vertices <= 16:
+            expected = brute_max_independent_set(graph.adj)
+        else:
+            expected = exclusion_max_clique_free(graph.adj, 1)[0]
+        _validate_witness(graph, result.witness)
+    else:
+        result = clique_free_search(graph, s)
+        expected = exclusion_max_clique_free(graph.adj, s)[0]
+        assert has_property_p_s1(result.witness, s)
+    plain = _plain(graph, s)
+    assert result.proved and plain.proved
+    assert result.optimum == len(result.witness) == plain.optimum == expected
 
 
 def test_clique_free_search_deeper_than_the_recursion_limit():
