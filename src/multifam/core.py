@@ -386,9 +386,16 @@ def enumerate_k_multisets(m: int, k: int) -> Iterator[Multiset]:
         raise ContractError(f"m must be >= 1, got {m}")
     if k < 0:
         raise ContractError(f"k must be >= 0, got {k}")
+    for counts in count_vectors(m, k):
+        yield Multiset(m, counts)
+
+
+def count_vectors(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The multiplicity vectors of enumerate_k_multisets(m, k), in its
+    order, with no Multiset built (m >= 1 and k >= 0 are the caller's)."""
     n = m + k - 1
     for bars in combinations(range(1, n + 1), m - 1):
-        yield Multiset(m, _stars(bars, n))
+        yield _stars(bars, n)
 
 
 def enumerate_k_subsets(n: int, k: int) -> Iterator[KSet]:

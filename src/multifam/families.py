@@ -25,6 +25,7 @@ relabelings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .core import (
@@ -35,6 +36,7 @@ from .core import (
     KSet,
     Multiset,
     binomial,
+    count_vectors,
     enumerate_k_multisets,
     is_t_intersecting,
     multichoose,
@@ -78,7 +80,13 @@ class FamilySpec:
 
 def _where(kind: str, m: int, k: int, keep) -> Family:
     """The members of the (m, k) universe of `kind` whose support mask
-    passes `keep`.  The universe is in canonical order, so the result is."""
+    passes `keep`.  The universe is in canonical order, so the result is.
+    Multisets are tested on their count vectors, and a Multiset is built
+    only for a member that is kept."""
+    if kind == MULTISET:
+        bits = [1 << e for e in range(m)]
+        kept = (counts for counts in count_vectors(m, k) if keep(sum(compress(bits, counts))))
+        return Family(m, k, kind, tuple(Multiset(m, counts) for counts in kept))
     members = Family.universe(m, k, kind).members
     return Family(m, k, kind, tuple(x for x in members if keep(x.support_mask())))
 

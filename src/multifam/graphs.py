@@ -15,13 +15,16 @@ M(m,k) and M(m,k,1).  Adjacency is stored as one bitmask per vertex, which
 is what the search module's word-parallel candidate operations consume.
 
 All five kinds share one bit-sliced construction.  Each vertex is its row
-of per-element multiplicities (core.multiplicity_rows), read up to k levels
-for M(m,k,t) and up to one level, its support, for the others, and
+of per-element multiplicities (core.multiplicity_rows), read up to
+min(k, t) levels for M(m,k,t) (an intersection is only compared with t)
+and up to one level, its support, for the others, and
 columns[e][j] is the bitset of vertices whose multiplicity at e exceeds j.
 |A ∩ B| is then the number of A's columns that contain B, so OR-ing A's
 columns through a saturating ladder of t bitsets yields every vertex
-meeting A at least t times at once.  The cost
-is O(n · k · t) big-integer operations instead of O(n²) pair tests.
+meeting A at least t times at once.  Rank order is lexicographic, so
+consecutive rows share a prefix of held elements and the ladder resumes
+from the state the previous row reached there.  The cost is at most
+O(n · k · t) big-integer operations instead of O(n²) pair tests.
 
 build_graph only enumerates the universe; the ladder runs when a view is
 first read, and each view is kept on the graph object:
@@ -32,12 +35,14 @@ first read, and each view is kept on the graph object:
            intersecting families) in the clique engine's branching order:
            descending compatibility degree, rank breaking ties.  Every
            kind is invariant under permuting [m], so a vertex's degree
-           depends only on its multiplicity type (its sorted row); one
-           ladder row per type fixes the order, and one ladder pass over
-           the rows in that order yields the engine's rows with no bit
-           permutation.  For K kinds all vertices share one type and the
-           order is rank order.  The view keeps each type's vertices as
-           one bitset: the orbits the searches' orbital front starts from.
+           depends only on its multiplicity type (its sorted row), and it
+           is counted once per type in closed form, before any column
+           exists.  The columns are then built once, with each vertex at
+           its branching slot, so one ladder pass yields the engine's rows
+           with no bit permutation.  For K kinds all vertices share one
+           type and the order is rank order.  The view keeps each type's
+           vertices as one bitset: the orbits the searches' orbital front
+           starts from.
 """
 
 from __future__ import annotations
@@ -113,27 +118,28 @@ class DisjointnessGraph:
 
     @property
     def _levels(self) -> int:
-        # only M(m,k,t) counts multiplicity; the other kinds compare supports
-        return self.k if self.kind == KIND_MULTISET_T else 1
+        # only M(m,k,t) counts multiplicity; the other kinds compare supports.
+        # A level at or above t changes no count that reaches t.
+        return min(self.k, self.t) if self.kind == KIND_MULTISET_T else 1
 
     @cached_property
     def adj(self) -> list[int]:
         """adj[v] = bitset of the ranks u != v below the threshold with v."""
         rows = self.multiplicities
         full = (1 << len(rows)) - 1
-        compat = _compatibility(rows, _columns(rows, self.m, self._levels), self.t)
+        ranks = range(len(rows))
+        compat = _compatibility(rows, _columns(rows, ranks, self.m, self._levels), self.t, ranks)
         return [full & ~(row | 1 << v) for v, row in enumerate(compat)]
 
     @cached_property
     def ordered(self) -> BranchingView:
         """The compatibility rows in branching order (module docstring)."""
         rows = self.multiplicities
-        columns = _columns(rows, self.m, self._levels)
-        to_old, orbits = _branching_order(rows, columns, self.t)
-        if len(orbits) > 1:  # more than one type: vertices may move
-            rows = [rows[v] for v in to_old]
-            columns = _columns(rows, self.m, self._levels)
-        return BranchingView(_compatibility(rows, columns, self.t), to_old, rows, orbits)
+        levels = self._levels
+        to_old, slot, orbits = _branching_order(rows, self.t, levels, self.family_kind == MULTISET)
+        columns = _columns(rows, slot, self.m, levels)
+        compat = _compatibility(rows, columns, self.t, slot)
+        return BranchingView(compat, to_old, [rows[v] for v in to_old], orbits)
 
     def edge_count(self) -> int:
         # counted on the branching view, which the MIS, enumeration and
@@ -198,63 +204,120 @@ def build_graph(
     return DisjointnessGraph(kind, m, k, t, family_kind, vertices)
 
 
-def _columns(rows, m: int, levels: int) -> list[list[int]]:
+def _columns(rows, slot, m: int, levels: int) -> list[list[int]]:
     """columns[e][j] = bitset of the vertices whose multiplicity at e
-    exceeds j, for j < levels; vertex v is bit v, its index in rows."""
-    columns = [[0] * levels for _ in range(m)]
+    exceeds j, for j < levels; the vertex of rows[v] is bit slot[v].  Each
+    held element sets one bit, in the bitset of its capped multiplicity;
+    a suffix OR over those turns them into the columns."""
+    exact = [[0] * (levels + 1) for _ in range(m)]
     ground = range(m)
-    for v, row in enumerate(rows):
-        bit = 1 << v
+    for s, row in zip(slot, rows):
+        bit = 1 << s
         for e in compress(ground, row):  # the elements v holds
-            col = columns[e]
             c = row[e]
-            for j in range(c if c < levels else levels):
-                col[j] |= bit
+            exact[e][c if c < levels else levels] |= bit
+    columns = []
+    for at in exact:
+        col = [0] * levels
+        acc = 0
+        for j in range(levels, 0, -1):
+            acc |= at[j]
+            col[j - 1] = acc
+        columns.append(col)
     return columns
 
 
-def _meeting(columns, row, t: int) -> int:
-    """Bitset of the vertices u (the row's own vertex included) with
-    sum_e min(row[e], rows[u][e], levels) >= t.
+def _compatibility(rows, columns, t: int, slot) -> list[int]:
+    """The full ladder: out[slot[v]] = bitset of the vertices u != v with
+    sum_e min(rows[v][e], rows[u][e], levels) >= t, bits as in `columns`.
 
-    The row occupies exactly the columns (e, j < row[e]) and its
+    A row occupies exactly the columns (e, j < min(row[e], levels)) and its
     intersection with u is the number of those columns that contain u.  A
     saturating ladder counts that per u: after all of the row's columns,
-    ge[i] holds the u met at least i+1 times."""
-    ge = [0] * t
-    for e, c in enumerate(row):
-        for col in columns[e][:c]:
-            for i in range(t - 1, 0, -1):
-                ge[i] |= ge[i - 1] & col
-            ge[0] |= col
-    return ge[-1]
+    ge[i] holds the u met at least i+1 times.  The ladder state after
+    element e depends on row[:e+1] alone, and rank order is lexicographic,
+    so consecutive rows share a prefix: a stack keeps the state after each
+    held element of the previous row, and a row resumes from the last one
+    before the first element where it differs."""
+    out = [0] * len(rows)
+    m = len(columns)
+    prev: tuple[int, ...] = ()
+    stack = [(-1, [0] * t)]  # (held element, ladder after it)
+    for s, row in zip(slot, rows):
+        e = 0
+        for a, b in zip(prev, row):
+            if a != b:
+                break
+            e += 1
+        while stack[-1][0] >= e:
+            stack.pop()
+        ge = stack[-1][1]
+        for f in range(e, m):
+            c = row[f]
+            if c:
+                ge = ge[:]
+                for col in columns[f][:c]:
+                    for i in range(t - 1, 0, -1):
+                        ge[i] |= ge[i - 1] & col
+                    ge[0] |= col
+                stack.append((f, ge))
+        prev = row
+        out[s] = ge[-1] & ~(1 << s)
+    return out
 
 
-def _compatibility(rows, columns, t: int) -> list[int]:
-    """The full ladder: row v = bitset of u != v meeting v at least t
-    times, in the order of `rows` (the order `columns` was built in)."""
-    return [_meeting(columns, row, t) & ~(1 << v) for v, row in enumerate(rows)]
+def _type_degree(shape, t: int, levels: int, multisets: bool) -> int:
+    """The compatibility degree of every vertex whose sorted multiplicity
+    row is `shape`, counted without a ladder.
+
+    Another member b meets the vertex in sum_e min(b[e], c_e) units, c_e
+    its multiplicity at a held element e capped at `levels`.  A table over
+    the held elements, keyed by (units b places up to the caps, elements it
+    fills to the cap), counts the ways b can sit on them; that first key is
+    the intersection.  The remaining units go in closed form to the
+    elements the type does not hold and, for multisets, on top of the
+    filled ones: multichoose for multisets, binomial for sets.  The vertex
+    itself is dropped when it meets itself at least t times."""
+    k = sum(shape)
+    caps = [c if c < levels else levels for c in shape if c]
+    table = {(0, 0): 1}
+    for c in caps:
+        step: dict[tuple[int, int], int] = {}
+        for (units, filled), ways in table.items():
+            for b in range(c + 1):
+                key = (units + b, filled + (b == c))
+                step[key] = step.get(key, 0) + ways
+        table = step
+    free = len(shape) - len(caps)
+    degree = 0
+    for (units, filled), ways in table.items():
+        if units >= t:
+            rest = multichoose(free + filled, k - units) if multisets else binomial(free, k - units)
+            degree += ways * rest
+    return degree - (sum(caps) >= t)
 
 
-def _branching_order(rows, columns, t: int) -> tuple[list[int], list[int]]:
-    """Vertices by descending compatibility degree, rank breaking ties, and
-    the bitset of each multiplicity type's vertices in that order.
-    Permuting [m] is an automorphism of every graph kind, so vertices of
-    one type share a degree: one ladder row per type is enough."""
+def _branching_order(rows, t: int, levels: int, multisets: bool):
+    """(to_old, slot, orbits): vertices by descending compatibility degree,
+    rank breaking ties, the position of each rank in that order, and the
+    bitset of each multiplicity type's vertices in that order.  Permuting
+    [m] is an automorphism of every graph kind, so vertices of one type
+    share a degree, counted once per type by _type_degree."""
     types: dict[tuple[int, ...], tuple[int, int]] = {}  # shape: (number, -degree)
     type_of = []
     key = []
-    for v, row in enumerate(rows):
+    for row in rows:
         shape = tuple(sorted(row))
         entry = types.get(shape)
         if entry is None:
-            d = (_meeting(columns, row, t) & ~(1 << v)).bit_count()
-            entry = types[shape] = (len(types), -d)
+            entry = types[shape] = (len(types), -_type_degree(shape, t, levels, multisets))
         type_of.append(entry[0])
         key.append(entry[1])
     # one type: every key ties and the stable sort keeps rank order
     to_old = sorted(range(len(rows)), key=key.__getitem__)
+    slot = [0] * len(rows)
     orbits = [0] * len(types)
     for i, v in enumerate(to_old):
+        slot[v] = i
         orbits[type_of[v]] |= 1 << i
-    return to_old, orbits
+    return to_old, slot, orbits

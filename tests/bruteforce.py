@@ -72,9 +72,9 @@ def brute_max_induced_bipartite(adj):
     return best
 
 
-def pair_loop_graph(kind, m, k, t=1):
-    """Reference disjointness graph: (vertices, adj) from one predicate test
-    per vertex pair, in the library's enumeration order."""
+def _pair_loop_edge(kind, m, k, t):
+    """(vertices, edge): the universe in the library's enumeration order and
+    the edge predicate on two vertex indices."""
     from multifam.core import enumerate_k_multisets, enumerate_k_subsets
 
     if kind in ("K", "K_t"):
@@ -94,7 +94,13 @@ def pair_loop_graph(kind, m, k, t=1):
         def edge(i, j):
             total = sum(min(a, b) for a, b in zip(vertices[i].counts, vertices[j].counts))
             return total < t
+    return vertices, edge
 
+
+def pair_loop_graph(kind, m, k, t=1):
+    """Reference disjointness graph: (vertices, adj) from one predicate test
+    per vertex pair, in the library's enumeration order."""
+    vertices, edge = _pair_loop_edge(kind, m, k, t)
     n = len(vertices)
     adj = [0] * n
     for i in range(n):
@@ -103,6 +109,47 @@ def pair_loop_graph(kind, m, k, t=1):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return vertices, adj
+
+
+def pair_loop_degrees(kind, m, k, t, rows):
+    """The compatibility degree (non-neighbours other than itself) of the
+    vertex of rank v for each v in `rows`: pair_loop_graph's predicate, run
+    on those rows only."""
+    vertices, edge = _pair_loop_edge(kind, m, k, t)
+    n = len(vertices)
+    return [sum(1 for u in range(n) if u != v and not edge(v, u)) for v in rows]
+
+
+def ladder_columns(rows, m, levels):
+    """columns[e][j] = bitset of the row indices whose multiplicity at e
+    exceeds j, for j < levels, one bit at a time."""
+    columns = [[0] * levels for _ in range(m)]
+    for v, row in enumerate(rows):
+        for e, c in enumerate(row):
+            for j in range(min(c, levels)):
+                columns[e][j] |= 1 << v
+    return columns
+
+
+def ladder_meeting(columns, row, t):
+    """Bitset of the row indices u (the row's own included) that meet `row`
+    at least t times: a saturating ladder of t bitsets over the row's own
+    columns (e, j < row[e]), run from scratch; ge[i] holds the u met at
+    least i+1 times."""
+    ge = [0] * t
+    for e, c in enumerate(row):
+        for col in columns[e][:c]:
+            for i in range(t - 1, 0, -1):
+                ge[i] |= ge[i - 1] & col
+            ge[0] |= col
+    return ge[-1]
+
+
+def per_row_compatibility(rows, m, levels, t):
+    """Reference compatibility rows in the order of `rows`: one full ladder
+    per row, the row's own bit cleared."""
+    columns = ladder_columns(rows, m, levels)
+    return [ladder_meeting(columns, row, t) & ~(1 << v) for v, row in enumerate(rows)]
 
 
 def pairwise_compat_masks(counts, t):

@@ -209,6 +209,44 @@ def test_constructor_sizes_match_formulas_on_the_full_grid():
                 assert len(fixed_multiset(m, k, anchor)) == multichoose(m, k - anchor_card)
 
 
+def test_multiset_constructors_build_only_the_members_they_keep(monkeypatch):
+    # each constructor equals a filter over Family.universe, and builds a
+    # Multiset only for a member it keeps
+    def support(a):
+        return {i + 1 for i, c in enumerate(a.counts) if c}
+
+    def hm_t_keep(a):
+        head, window = {1, 2} <= support(a), support(a) & {3, 4, 5}
+        return head and window or support(a) in ({2, 3, 4, 5}, {1, 3, 4, 5})
+
+    cases = [
+        (lambda: star(6, 3, 2), 6, 3, lambda a: 2 in support(a)),
+        (lambda: frankl_multiset(9, 4, 3, 0), 9, 4, lambda a: {1, 2, 3} <= support(a)),
+        (lambda: frankl_multiset(7, 4, 2, 1), 7, 4, lambda a: len(support(a) & {1, 2, 3, 4}) >= 3),
+        (lambda: hm_t_multiset(6, 4, 2), 6, 4, hm_t_keep),
+        (lambda: hit_s(7, 3, (1, 5)), 7, 3, lambda a: support(a) & {1, 5}),
+    ]
+    built = []
+    real = Multiset.__post_init__
+
+    def counting(self):
+        built.append(self.counts)
+        real(self)
+
+    sizes = []
+    for construct, m, k, keep in cases:
+        universe = Family.universe(m, k).members
+        expected = Family(m, k, "multiset", tuple(a for a in universe if keep(a)))
+        built.clear()
+        monkeypatch.setattr(Multiset, "__post_init__", counting)
+        family = construct()
+        monkeypatch.undo()
+        assert family == expected
+        assert built == [a.counts for a in expected.members]
+        sizes.append((len(built), len(universe)))
+    assert sizes == [(21, 56), (9, 495), (25, 210), (17, 126), (49, 84)]
+
+
 # -- maximality --------------------------------------------------------------
 
 def test_extend_to_maximal_reaches_full_support():

@@ -61,8 +61,10 @@ from bruteforce import (
     capacity_bounds,
     exclusion_max_clique_free,
     has_clique,
+    pair_loop_degrees,
     pair_loop_graph,
     pair_loop_is_t_intersecting,
+    per_row_compatibility,
     pairwise_compat_masks,
     recursive_enumerate_cliques,
     relabel_by_bits,
@@ -102,10 +104,10 @@ def test_support_t1_graph_equals_disjointness_graph():
     assert plain.adj == support.adj == true_t.adj
 
 
-def _graph_instances():
+def _graph_instances(max_m=7, max_k=4):
     for kind in ("K", "M", "K_t", "M_t", "M_support_t"):
-        for m in range(1, 8):
-            for k in range(0, 5):
+        for m in range(1, max_m + 1):
+            for k in range(0, max_k + 1):
                 for t in [1] if kind in ("K", "M") else range(1, k + 2):
                     yield kind, m, k, t
 
@@ -154,25 +156,80 @@ def _count_calls(monkeypatch, name):
 
 
 def test_build_graph_runs_no_ladder(monkeypatch):
-    rows_seen = _count_calls(monkeypatch, "_columns")
-    ladder_rows = []
-    monkeypatch.setattr(graphs, "_meeting", lambda *args: ladder_rows.append(args))
+    # no columns built, no type degree counted, no ladder run
+    columns = _count_calls(monkeypatch, "_columns")
+    degrees = _count_calls(monkeypatch, "_type_degree")
+    ladders = _count_calls(monkeypatch, "_compatibility")
     for args in (("M_t", 6, 3, 2), ("K", 7, 3), ("M_support_t", 5, 3, 2)):
         build_graph(*args)
-    assert rows_seen == [] and ladder_rows == []
+    assert columns == [] and degrees == [] and ladders == []
+    # the same helpers do run once a view is read
+    build_graph("M_t", 6, 3, 2).ordered
+    assert columns == [56] and ladders == [56] and len(degrees) == 3
 
 
 def test_one_full_ladder_per_searched_graph(monkeypatch):
-    # the MIS proof and the orbit enumeration share one cached view, and
-    # nothing on that path reads the rank-order adjacency
+    # the MIS proof and the orbit enumeration share one cached view, its
+    # columns are built once, in branching order, and nothing on that path
+    # reads the rank-order adjacency
     ladders = _count_calls(monkeypatch, "_compatibility")
+    columns = _count_calls(monkeypatch, "_columns")
     report = verify_theorem("T1.4", {"m": 6, "k": 3}, uniqueness=True)
     assert report.status == "ok" and report.uniqueness_verdict == "unique_up_to_iso"
-    assert ladders == [56]
+    assert ladders == [56] and columns == [56]
     ladders.clear()
+    columns.clear()
     enum = enumerate_maximum_independent_sets(build_graph("M", 5, 3))
     assert enum.complete and len(enum.families) == 5
-    assert ladders == [35]
+    assert ladders == [35] and columns == [35]
+
+
+def test_counted_type_degree_matches_pair_loop():
+    # every multiplicity type's counted degree against pair_loop_graph's
+    # predicate, on the first vertex of that type
+    checked = set()
+    for kind, m, k, t in _graph_instances(max_m=9, max_k=5):
+        graph = build_graph(kind, m, k, t)
+        first: dict[tuple, int] = {}
+        for v, row in enumerate(graph.multiplicities):
+            first.setdefault(tuple(sorted(row)), v)
+        expected = pair_loop_degrees(kind, m, k, t, list(first.values()))
+        multisets = graph.family_kind == MULTISET
+        for shape, degree in zip(first, expected):
+            assert graphs._type_degree(shape, t, graph._levels, multisets) == degree, (
+                kind, m, k, t, shape,
+            )
+            checked.add((kind, m, k, t, shape))
+    # a vertex whose support is below t does not meet itself: nothing to drop
+    assert ("M_support_t", 4, 4, 2, (0, 0, 0, 4)) in checked
+    assert graphs._type_degree((0, 0, 0, 4), 2, 1, True) == 0
+    graph = build_graph("M_support_t", 4, 4, 2)
+    assert graph.multiplicities[34] == (4, 0, 0, 0)
+    assert graph.adj[34] == (1 << 34) - 1  # adjacent to every other vertex
+    # t > k: the compatibility graph is empty; and the one-element ground set
+    assert graphs._type_degree((0, 1, 1), 3, 1, False) == 0
+    assert ("K_t", 9, 5, 6, (0,) * 4 + (1,) * 5) in checked
+    assert ("M", 1, 5, 1, (5,)) in checked and ("K", 1, 1, 1, (1,)) in checked
+
+
+def test_prefix_shared_ladder_matches_per_row_ladder():
+    # the old path: one full ladder per row from columns built in the rows'
+    # order, for the rank order (adj) and the branching order (ordered)
+    def check(graph):
+        rows = graph.multiplicities
+        full = (1 << len(rows)) - 1
+        levels = graph.k if graph.kind == "M_t" else 1
+        reference = per_row_compatibility(rows, graph.m, levels, graph.t)
+        assert graph.adj == [full & ~(row | 1 << v) for v, row in enumerate(reference)]
+        view = graph.ordered
+        assert view.rows == per_row_compatibility(view.counts, graph.m, levels, graph.t)
+
+    for kind, m, k, t in _graph_instances():
+        check(build_graph(kind, m, k, t))
+    for args in (("K", 14, 4), ("M_t", 9, 6, 4)):
+        graph = build_graph(*args)
+        assert graph.n_vertices > 1000
+        check(graph)
 
 
 def test_graph_searches_never_relabel(monkeypatch):
