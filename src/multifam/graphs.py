@@ -29,8 +29,9 @@ O(n · k · t) big-integer operations instead of O(n²) pair tests.
 build_graph only enumerates the universe; the ladder runs when a view is
 first read, and each view is kept on the graph object:
 
-  adj      the adjacency over ranks, for the callers that index vertices
-           by rank (the small-core search, the G □ K₂ product);
+  adj      the adjacency over ranks, read by `degree` and kept as the
+           rank-order reference the tests check the searches' view
+           against; no search reads it;
   ordered  the compatibility graph (the complement, whose cliques are the
            intersecting families) in the clique engine's branching order:
            descending compatibility degree, rank breaking ties.  Every

@@ -8,8 +8,8 @@ descending degree with rank as the tie-break, so every run is
 deterministic: optima, witnesses and node counts never vary.  The graph
 builder hands the searches their rows already in that order (the graph's
 `ordered` view, cached per graph object; see the graphs module), so no
-search renumbers a graph; only the G □ K₂ product below, which the builder
-does not make, is sorted and relabelled here.
+search renumbers a graph, and the G □ K₂ product below is built straight
+from those rows.
 
 The upper bound is a greedy sequential colouring of the candidate set,
 trimmed as in MCS (Tomita et al. 2010) and masked with precomputed rows as
@@ -28,13 +28,9 @@ Constrained variants:
 
   * families whose common intersection must end below a cardinality limit
     (maximum intersecting family with empty common intersection; maximum
-    t-intersecting family with no common t-multiset) branch first on which
-    member breaks the common core, one orbit of the permutations of [m]
-    fixing the chosen members at a time, then fall back to plain expansion
-    once the core is small enough.  The constraint and every candidate set
-    are invariant under those permutations, so a completion through any
-    member of an orbit maps onto one through its first member; the orbits
-    are read off the members' counts on classes of equal signature;
+    t-intersecting family with no common t-multiset) carry the running
+    core through the orbital front below and, while it is still too
+    large, branch only on the members that shrink it;
   * P(s,1) families (no s+1 pairwise disjoint members) are cliques of
     the complement in which a candidate leaves once it would close an
     (s+1)-clique of G; a colour class of the complement is a clique of G,
@@ -45,18 +41,20 @@ Constrained variants:
 
 Clique expansion is one loop over an explicit stack, so search depth is
 bounded by memory, not by the interpreter's recursion limit.  Every graph
-kind is invariant under permuting [m], so the MIS, clique-free and
-orbit-enumeration searches run one orbital front ahead of that loop, also
-on an explicit stack: a front node branches one orbit of the permutations
-of [m] fixing the chosen members at a time, with the same orbit keys as
-the small-core front end, and hands a node to the plain loop once every
-candidate orbit is a single vertex.  The root orbits are the multiplicity
-types the graph builder already sorted the vertices by.  A search needs
-one optimum only up to those permutations, and a uniqueness verdict one
-optimum from each isomorphism class.  Enumerating all optima runs on the
-plain loop alone: the incumbent is held at one below the proved optimum
-and each leaf is recorded instead of adopted.  The G □ K₂ product has no
-multiplicity rows and also runs on the plain loop.
+kind is invariant under permuting [m], so every search but the full
+enumeration of optima runs one orbital front ahead of that loop, also on
+an explicit stack: a front node branches one orbit of the permutations of
+[m] fixing the chosen members at a time and hands a node to the plain loop
+once every candidate orbit is a single vertex.  Two members lie in one
+orbit when their counts agree on the classes of elements the chosen
+members cannot tell apart, so no group computation is needed.  The root
+orbits are the multiplicity types the graph builder already sorted the
+vertices by; the G □ K₂ product adds the side swap to the group through
+two marker elements.  A search needs one optimum only up to those
+permutations, and a uniqueness verdict one optimum from each isomorphism
+class.  Enumerating all optima runs on the plain loop alone: the
+incumbent is held at one below the proved optimum and each leaf is
+recorded instead of adopted.
 
 Every search re-validates its witness against the raw pairwise predicate,
 independent of the adjacency structure, and honest node-limit reporting
@@ -68,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add, lt, mul
 
 from .core import (
     MULTISET,
@@ -182,41 +180,208 @@ def _greedy_color(
     return order, bounds
 
 
-def _relabel(adj: list[int], order: list[int]) -> list[int]:
-    """Adjacency renumbered so that new vertex i is old vertex order[i].
+def _orbit_masks(cls: tuple[int, ...], rows, vertices) -> dict[tuple, int]:
+    """The vertices grouped by orbit under the permutations of [m] fixing
+    every chosen member, in order of first appearance.  cls[e] numbers the
+    signature class of element e under the chosen members, and a vertex's
+    orbit key is the sorted list of its (class, multiplicity) pairs, each
+    coded as multiplicity * m + class (cls[e] < m)."""
+    scale = (len(cls),) * len(cls)
+    orbits: dict[tuple, int] = {}
+    for v in vertices:
+        key = tuple(sorted(map(add, map(mul, rows[v], scale), cls)))
+        orbits[key] = orbits.get(key, 0) | 1 << v
+    return orbits
 
-    Each row is permuted at C level: its n-bit string (most significant bit
-    first, so character n-1-b is bit b) is reordered by one itemgetter."""
-    n = len(adj)
-    if not n:
-        return []
-    pick = itemgetter(*(n - 1 - order[n - 1 - p] for p in range(n)))
-    width = f"0{n}b"
-    return [int("".join(pick(format(adj[old], width))), 2) for old in order]
+
+def _split(cls: tuple[int, ...], rows, mask: int) -> tuple[list[int], int]:
+    """The orbits of two or more vertices of mask, and their union."""
+    groups = []
+    union = 0
+    for o in _orbit_masks(cls, rows, _bits(mask)).values():
+        if o & (o - 1):
+            groups.append(o)
+            union |= o
+    return groups, union
 
 
-class _CliqueSearch:
-    """Incumbent, node budget and the branch-and-bound clique loop
-    (Tomita-style colouring bounds) shared by every search; a subclass
-    supplies _search and may override the loop's steps _color, _children
-    and _leaf."""
+def _refine(cls: tuple[int, ...], row) -> tuple[int, ...]:
+    """cls once one more member with multiplicities `row` is chosen: two
+    elements keep one class iff they shared one and row agrees on them."""
+    pairs = list(zip(cls, row))
+    rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+    return tuple(rank[pair] for pair in pairs)
 
-    def __init__(self, adj: list[int], node_limit: int | None):
-        self.adj = adj
-        full = (1 << len(adj)) - 1
-        self.free = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
+
+class _MaxCliqueSolver:
+    """Exact maximum clique on rows already in branching order; new vertex
+    i is vertex to_old[i] of the caller's graph.  It holds the incumbent,
+    the node budget and the branch-and-bound loop _expand (Tomita-style
+    colouring bounds); a subclass may override the loop's steps _color,
+    _children and _leaf, and _seed, the incumbent a search starts from.
+
+    Given each vertex's multiplicity row (counts) and the orbits of the
+    permutations of [m] (orbits, one bitset per multiplicity type), for a
+    graph invariant under permuting [m], the search branches on orbits
+    (Ostrowski, Linderoth, Rossi & Smriglio 2011) in a front ahead of the
+    loop; without them it is the plain loop.  A front node (chosen members
+    r, candidates p) carries cls, the signature classes of the elements
+    under r, so a candidate's orbit under the permutations fixing every
+    member of r is read off _orbit_masks.  The root classes are all one
+    unless `cls` gives others: the G □ K₂ product keeps its side markers
+    apart from the real elements that way.  The node walks the colour
+    order from the top as _expand does, trimmed and bounded against the
+    current incumbent in the same way, branches on each vertex not yet
+    barred and then bars its whole orbit.  p stays a union of orbits, so a
+    clique through any member of an orbit maps onto one through the vertex
+    branched on.  Once every candidate orbit is a singleton nothing is left
+    to prune: a child with no orbit of two candidates is handed to _expand,
+    and a node whose split leaves none branches as _expand would.  Orbits
+    are split only at a node that has colours to branch on.
+
+    A subclass that sets `core` (the small-core searches) also carries a
+    running core in every front node and supplies _filter, the branches of
+    a node whose core is still too large, and _shrink, a child's core or
+    None once no constraint is left; the front hands a node to _expand only
+    once its core is None."""
+
+    core = None
+
+    def __init__(
+        self,
+        rows: list[int],
+        to_old,
+        node_limit: int | None = None,
+        counts: list[tuple[int, ...]] | None = None,
+        orbits: list[int] | None = None,
+        cls: tuple[int, ...] | None = None,
+    ):
+        self.rows = rows
+        self.n = len(rows)
+        full = (1 << self.n) - 1
+        self.free = [full & ~(row | 1 << v) for v, row in enumerate(rows)]
+        self.to_old = to_old
+        self.counts = counts
+        self.orbits = orbits
+        self.cls = cls
         self.counter = _NodeCounter(node_limit)
         self.best = 0
         self.best_mask = 0
 
     def solve(self) -> tuple[int, int, int, bool]:
-        """Returns (optimum, witness mask, nodes explored, limit_hit)."""
+        """Returns (optimum, witness mask in original indexing, nodes
+        explored, limit_hit)."""
         limited = False
         try:
-            self._search()
+            self._seed()
+            if self.n:
+                self._root()
         except _Budget:
             limited = True
-        return self.best, self.best_mask, self.counter.nodes, limited
+        return self.best, self._remap(self.best_mask), self.counter.nodes, limited
+
+    def _seed(self) -> None:
+        """A greedy clique, lowest index first, as the first incumbent."""
+        chosen = 0
+        size = 0
+        cand = (1 << self.n) - 1
+        while cand:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            cand = self._children(chosen, v, cand)
+            chosen |= bit
+            size += 1
+        self.best = size
+        self.best_mask = chosen
+
+    def _remap(self, mask: int) -> int:
+        out = 0
+        for v in _bits(mask):
+            out |= 1 << self.to_old[v]
+        return out
+
+    def _root(self) -> None:
+        p_mask = (1 << self.n) - 1
+        groups = [o for o in self.orbits or () if o & (o - 1)]
+        if groups or self.core is not None:
+            self._front(p_mask, groups)
+        else:
+            self._expand(0, 0, p_mask)
+
+    def _front(self, p_mask: int, groups: list[int]) -> None:
+        """The orbital front from the root.  A node keeps `groups`, its
+        candidate orbits of two or more vertices, and `grouped`, their
+        union; every other candidate is an orbit by itself.  A child keeps
+        the groups that still hold two or more of its candidates, and
+        splits them only when its cls is finer.  Each stack frame is
+        (r_size, r_mask, cls, core, p_mask, groups, grouped, colour order,
+        colours, index), walked as _expand walks its frames."""
+        counts = self.counts
+        color = self._color
+        children = self._children
+        tick = self.counter.tick
+        r_size, r_mask, cls, core = 0, 0, self.cls or (0,) * len(counts[0]), self.core
+        grouped = 0
+        for o in groups:
+            grouped |= o
+        stack = []
+        tick()
+        order, colors = color(p_mask, self.best - r_size + 1)
+        if core is not None and order:
+            order, colors = self._filter(core, p_mask, colors[-1])
+        i = len(order)
+        while True:
+            i -= 1
+            if i < 0 or r_size + colors[i] <= self.best:
+                if not stack:
+                    return
+                r_size, r_mask, cls, core, p_mask, groups, grouped, order, colors, i = stack.pop()
+                continue
+            v = order[i]
+            bit = 1 << v
+            if not p_mask & bit:
+                continue  # barred with an earlier branch's orbit
+            new_p = children(r_mask, v, p_mask)
+            if grouped & bit:
+                for o in groups:
+                    if o & bit:
+                        p_mask &= ~o
+                        break
+            else:
+                p_mask ^= bit
+            child_core = None if core is None else self._shrink(core, counts[v])
+            if not new_p:
+                if child_core is None and r_size + 1 > self.best:
+                    self._leaf(r_size + 1, r_mask | bit)
+                continue
+            kept = []
+            child_grouped = 0
+            for o in groups:
+                o &= new_p
+                if o & (o - 1):
+                    kept.append(o)
+                    child_grouped |= o
+            if not kept and child_core is None:
+                self._expand(r_size + 1, r_mask | bit, new_p)
+                continue
+            stack.append((r_size, r_mask, cls, core, p_mask, groups, grouped, order, colors, i))
+            r_size += 1
+            r_mask |= bit
+            p_mask = new_p
+            core = child_core
+            tick()
+            order, colors = color(p_mask, self.best - r_size + 1)
+            if core is not None and order:
+                order, colors = self._filter(core, p_mask, colors[-1])
+            i = len(order)
+            if not order:
+                continue  # nothing to branch on: the orbits are not needed
+            child_cls = _refine(cls, counts[v])
+            if child_cls != cls:
+                cls = child_cls
+                kept, child_grouped = _split(cls, counts, child_grouped)
+            groups = kept
+            grouped = child_grouped
 
     def _expand(self, r_size: int, r_mask: int, p_mask: int) -> None:
         """Extend the clique r (r_size members, r_mask) from the candidates
@@ -265,194 +430,12 @@ class _CliqueSearch:
 
     def _children(self, r_mask: int, v: int, p_mask: int) -> int:
         """The candidates left once v joins the clique r_mask."""
-        return p_mask & self.adj[v]
+        return p_mask & self.rows[v]
 
     def _leaf(self, size: int, mask: int) -> None:
         """A clique the loop cannot extend that beats the incumbent."""
         self.best = size
         self.best_mask = mask
-
-
-def _branching_rows(adj: list[int]) -> tuple[list[int], list[int]]:
-    """A graph's rows in branching order (descending degree, index breaking
-    ties) and to_old, for graphs the builder does not make."""
-    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-    return _relabel(adj, order), order
-
-
-def _orbit_masks(cls: tuple[int, ...], rows, vertices) -> dict[tuple, int]:
-    """The vertices grouped by orbit under the permutations of [m] fixing
-    every chosen member, in order of first appearance.  cls[e] numbers the
-    signature class of element e under the chosen members, and a vertex's
-    orbit key is the sorted list of its (class, multiplicity) pairs, each
-    coded as multiplicity * m + class (cls[e] < m)."""
-    scale = (len(cls),) * len(cls)
-    orbits: dict[tuple, int] = {}
-    for v in vertices:
-        key = tuple(sorted(map(add, map(mul, rows[v], scale), cls)))
-        orbits[key] = orbits.get(key, 0) | 1 << v
-    return orbits
-
-
-def _split(cls: tuple[int, ...], rows, mask: int) -> tuple[list[int], int]:
-    """The orbits of two or more vertices of mask, and their union."""
-    groups = []
-    union = 0
-    for o in _orbit_masks(cls, rows, _bits(mask)).values():
-        if o & (o - 1):
-            groups.append(o)
-            union |= o
-    return groups, union
-
-
-def _refine(cls: tuple[int, ...], row) -> tuple[int, ...]:
-    """cls once one more member with multiplicities `row` is chosen: two
-    elements keep one class iff they shared one and row agrees on them."""
-    pairs = list(zip(cls, row))
-    rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-    return tuple(rank[pair] for pair in pairs)
-
-
-class _MaxCliqueSolver(_CliqueSearch):
-    """Exact maximum clique on rows already in branching order; new vertex
-    i is vertex to_old[i] of the caller's graph.
-
-    Given each vertex's multiplicity row (counts) and the orbits of the
-    permutations of [m] (orbits, one bitset per multiplicity type), for a
-    graph invariant under permuting [m], the search branches on orbits
-    (Ostrowski, Linderoth, Rossi & Smriglio 2011) in a front ahead of the
-    shared loop; without them it is the plain loop.  A front node (chosen
-    members r, candidates p) carries cls, the signature classes of the
-    elements under r, so a candidate's orbit under the permutations fixing
-    every member of r is read off _orbit_masks.  The node walks the colour
-    order from the top as _expand does, trimmed and bounded against the
-    current incumbent in the same way, branches on each vertex not yet
-    barred and then bars its whole orbit.  p stays a union of orbits, so a
-    clique through any member of an orbit maps onto one through the vertex
-    branched on.  Once every candidate orbit is a singleton nothing is left
-    to prune: a child with no orbit of two candidates is handed to _expand,
-    and a node whose split leaves none branches as _expand would.  Orbits
-    are split only at a node that has colours to branch on."""
-
-    def __init__(
-        self,
-        adj: list[int],
-        to_old: list[int],
-        node_limit: int | None = None,
-        counts: list[tuple[int, ...]] | None = None,
-        orbits: list[int] | None = None,
-    ):
-        self.n = len(adj)
-        self.to_old = to_old
-        self.counts = counts
-        self.orbits = orbits
-        super().__init__(adj, node_limit)
-
-    def _seed_greedy(self) -> None:
-        chosen = 0
-        size = 0
-        cand = (1 << self.n) - 1
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            cand = self._children(chosen, v, cand)
-            chosen |= bit
-            size += 1
-        self.best = size
-        self.best_mask = chosen
-
-    def _search(self) -> None:
-        self._seed_greedy()
-        if self.n:
-            self._root()
-
-    def _root(self) -> None:
-        p_mask = (1 << self.n) - 1
-        groups = [o for o in self.orbits or () if o & (o - 1)]
-        if groups:
-            self._front(p_mask, groups)
-        else:
-            self._expand(0, 0, p_mask)
-
-    def _front(self, p_mask: int, groups: list[int]) -> None:
-        """The orbital front from the root.  A node keeps `groups`, its
-        candidate orbits of two or more vertices, and `grouped`, their
-        union; every other candidate is an orbit by itself.  A child keeps
-        the groups that still hold two or more of its candidates, and
-        splits them only when its cls is finer.  Each stack frame is
-        (r_size, r_mask, cls, p_mask, groups, grouped, colour order,
-        colours, index), walked as _expand walks its frames."""
-        rows = self.counts
-        color = self._color
-        children = self._children
-        tick = self.counter.tick
-        r_size, r_mask, cls = 0, 0, (0,) * len(rows[0])
-        grouped = 0
-        for o in groups:
-            grouped |= o
-        stack = []
-        tick()
-        order, colors = color(p_mask, self.best - r_size + 1)
-        i = len(order)
-        while True:
-            i -= 1
-            if i < 0 or r_size + colors[i] <= self.best:
-                if not stack:
-                    return
-                r_size, r_mask, cls, p_mask, groups, grouped, order, colors, i = stack.pop()
-                continue
-            v = order[i]
-            bit = 1 << v
-            if not p_mask & bit:
-                continue  # barred with an earlier branch's orbit
-            new_p = children(r_mask, v, p_mask)
-            if grouped & bit:
-                for o in groups:
-                    if o & bit:
-                        p_mask &= ~o
-                        break
-            else:
-                p_mask ^= bit
-            if not new_p:
-                if r_size + 1 > self.best:
-                    self._leaf(r_size + 1, r_mask | bit)
-                continue
-            kept = []
-            child_grouped = 0
-            for o in groups:
-                o &= new_p
-                if o & (o - 1):
-                    kept.append(o)
-                    child_grouped |= o
-            if not kept:
-                self._expand(r_size + 1, r_mask | bit, new_p)
-                continue
-            stack.append((r_size, r_mask, cls, p_mask, groups, grouped, order, colors, i))
-            r_size += 1
-            r_mask |= bit
-            p_mask = new_p
-            tick()
-            order, colors = color(p_mask, self.best - r_size + 1)
-            i = len(order)
-            if not order:
-                continue  # nothing to branch on: the orbits are not needed
-            child_cls = _refine(cls, rows[v])
-            if child_cls != cls:
-                cls = child_cls
-                kept, child_grouped = _split(cls, rows, child_grouped)
-            groups = kept
-            grouped = child_grouped
-
-    def solve(self) -> tuple[int, int, int, bool]:
-        """As _CliqueSearch.solve, the witness in original indexing."""
-        best, mask, nodes, limited = super().solve()
-        return best, self._remap(mask), nodes, limited
-
-    def _remap(self, mask: int) -> int:
-        out = 0
-        for v in _bits(mask):
-            out |= 1 << self.to_old[v]
-        return out
 
 
 class _CliqueEnumerator(_MaxCliqueSolver):
@@ -491,11 +474,6 @@ class _CliqueEnumerator(_MaxCliqueSolver):
         self.found.append(mask)
         if self.cap is not None and len(self.found) >= self.cap:
             raise _CapHit
-
-
-def _complement_adj(adj: list[int]) -> list[int]:
-    full = (1 << len(adj)) - 1
-    return [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 def _validate_witness(graph: DisjointnessGraph, fam: Family) -> None:
@@ -571,97 +549,62 @@ def _validated(graph: DisjointnessGraph, masks: list[int]) -> list[Family]:
 # constrained search: common core below a cardinality limit
 # ---------------------------------------------------------------------------
 
-class _SmallCoreSolver(_CliqueSearch):
+class _SmallCoreSolver(_MaxCliqueSolver):
     """Maximum pairwise t_pair-intersecting multiset family whose common
-    intersection ends with cardinality below core_limit.
+    intersection ends with cardinality below core_limit, on the orbital
+    front of the graph's branching view.
 
-    While the running core is still too large, branching is over which
-    member first shrinks it, one orbit of such members at a time under the
-    permutations of [m] fixing every chosen member: branch i takes the
-    first member of orbit i and bars orbits 1..i-1 whole.  The candidate
-    set at every node is invariant under those permutations (the rows,
-    the core and the barred orbits all are), so a completion that meets
-    orbit i first maps onto one holding its first member.  Once the core
-    drops below the limit it can never grow again and the shared clique
-    loop takes over on the compatibility rows."""
+    The front carries the running core, the elementwise minimum of the
+    chosen members' rows.  It starts at (k+1,)*m, which every member
+    shrinks.  While the core is at or above the limit, a node branches only
+    on the candidates that shrink it, one orbit of them at a time (the core
+    is invariant under the permutations fixing the chosen members, so the
+    set of such candidates is a union of orbits).  The others stay
+    candidates for every branch, so a branch through a vertex coloured
+    early may still take candidates coloured after it: each branch is
+    bounded by the node's whole colour bound, not by its prefix bound, and
+    the branches are listed from the untrimmed candidates.  Once the core
+    drops below the limit it can never grow again, and the node is an
+    ordinary front node.  A greedy clique can break the constraint, so the
+    incumbent starts at the verified seed family instead."""
 
     def __init__(
-        self,
-        counts: list[tuple[int, ...]],
-        compat: list[int],
-        core_limit: int,
-        node_limit: int | None,
+        self, graph: DisjointnessGraph, core_limit: int, node_limit: int | None, seed_mask: int
     ):
-        super().__init__(compat, node_limit)
-        self.counts = counts
+        view = graph.ordered
+        super().__init__(view.rows, view.to_old, node_limit, view.counts, view.orbits)
+        self.core = (graph.k + 1,) * graph.m
         self.limit = core_limit
+        self.seed_mask = seed_mask
 
-    def solve(self, seed_mask: int = 0) -> tuple[int, int, int, bool]:
-        self.best = seed_mask.bit_count()
-        self.best_mask = seed_mask
-        return super().solve()
+    def _seed(self) -> None:
+        """The seed family, mapped from ranks to branching slots."""
+        slot = [0] * self.n
+        for i, old in enumerate(self.to_old):
+            slot[old] = i
+        for v in _bits(self.seed_mask):
+            self.best_mask |= 1 << slot[v]
+        self.best = self.seed_mask.bit_count()
 
-    def _search(self) -> None:
-        n = len(self.counts)
-        if n:
-            self._dfs(0, 0, None, (0,) * len(self.counts[0]), (1 << n) - 1)
+    def _filter(self, core, p_mask: int, bound: int) -> tuple[list[int], list[int]]:
+        """The branches of a node whose core is still at or above the limit:
+        the candidates that shrink it, in ascending order, each bounded by
+        the node's whole colour bound; none once even all of them together
+        cannot bring the core below the limit."""
+        counts = self.counts
+        order = [v for v in _bits(p_mask) if any(map(lt, counts[v], core))]
+        low = core  # the others never lower it
+        for v in order:
+            low = tuple(map(min, low, counts[v]))
+            if sum(low) < self.limit:
+                return order, [bound] * len(order)
+        return [], []
 
-    def _dfs(self, r_size: int, r_mask: int, core, cls: tuple[int, ...], p_mask: int) -> None:
-        """One front-end node: cls[e] numbers the signature class of
-        element e, so elements share a class iff every chosen member has
-        the same count at both."""
-        self.counter.tick()
-        if core is not None and sum(core) < self.limit:
-            if r_size > self.best:
-                self._leaf(r_size, r_mask)
-            self._expand(r_size, r_mask, p_mask)
-            return
-        if not p_mask:
-            return
-        # colouring runs on the compatibility graph itself: colour classes
-        # are pairwise-incompatible sets, so #colours bounds the family size;
-        # an empty trimmed order means no candidate can beat the incumbent
-        if not self._color(p_mask, self.best - r_size + 1)[0]:
-            return
-        if core is not None and not self._core_fixable(core, p_mask):
-            return
-        banned = 0
-        for orbit in _orbit_masks(cls, self.counts, self._reducers(core, p_mask)).values():
-            v = (orbit & -orbit).bit_length() - 1
-            cv = self.counts[v]
-            new_core = cv if core is None else tuple(map(min, core, cv))
-            child_p = p_mask & self.adj[v] & ~banned
-            self._dfs(r_size + 1, r_mask | 1 << v, new_core, _refine(cls, cv), child_p)
-            banned |= orbit
-
-    def _core_fixable(self, core, p_mask: int) -> bool:
-        """Even including every remaining candidate, can the core drop
-        below the limit?"""
-        ach = list(core)
-        total = sum(ach)
-        if total < self.limit:
-            return True
-        for v in _bits(p_mask):
-            cv = self.counts[v]
-            changed = False
-            for idx, c in enumerate(ach):
-                if cv[idx] < c:
-                    total -= c - cv[idx]
-                    ach[idx] = cv[idx]
-                    changed = True
-            if changed and total < self.limit:
-                return True
-        return total < self.limit
-
-    def _reducers(self, core, p_mask: int) -> list[int]:
-        if core is None:
-            return list(_bits(p_mask))
-        out = []
-        for v in _bits(p_mask):
-            cv = self.counts[v]
-            if any(x < c for c, x in zip(core, cv)):
-                out.append(v)
-        return out
+    def _shrink(self, core, row):
+        """The core once a member with multiplicities `row` joins, or None
+        once it is below the limit."""
+        core = tuple(map(min, core, row))
+        return core if sum(core) >= self.limit else None
 
 
 def _seed_mask_for(seed: Family | None, m: int, k: int, t_pair: int, core_limit: int) -> int:
@@ -688,10 +631,9 @@ def _small_core_search(
     seed: Family | None,
 ) -> SearchResult:
     graph = build_graph(KIND_MULTISET_T, m, k, t_pair)
-    counts = graph.multiplicities
     seed_mask = _seed_mask_for(seed, m, k, t_pair, core_limit)
-    solver = _SmallCoreSolver(counts, _complement_adj(graph.adj), core_limit, node_limit)
-    best, mask, nodes, limited = solver.solve(seed_mask)
+    solver = _SmallCoreSolver(graph, core_limit, node_limit, seed_mask)
+    best, mask, nodes, limited = solver.solve()
     witness = graph.family_from_mask(mask)
     if not is_t_intersecting(witness, t_pair):
         raise RuntimeError("internal error: witness fails pairwise compatibility")
@@ -744,14 +686,14 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
 
     def __init__(
         self,
-        adj: list[int],
+        rows: list[int],
         to_old: list[int],
         s: int,
         node_limit: int | None,
         counts: list[tuple[int, ...]] | None = None,
         orbits: list[int] | None = None,
     ):
-        super().__init__(adj, to_old, node_limit, counts, orbits)
+        super().__init__(rows, to_old, node_limit, counts, orbits)
         self.s = s
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
@@ -784,7 +726,7 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
             u = bit.bit_length() - 1
             stack.append((cand, common, need))
             stack.append((cand & g[u], common & g[u], need - 1))
-        return p_mask & self.adj[v] | alive
+        return p_mask & self.rows[v] | alive
 
 
 def clique_free_search(graph: DisjointnessGraph, s: int, node_limit: int | None = None) -> SearchResult:
@@ -815,39 +757,67 @@ def max_p_s1_family(m: int, k: int, s: int, node_limit: int | None = None) -> Se
 # induced bipartite subgraphs: unions of two intersecting families
 # ---------------------------------------------------------------------------
 
+def _spread(mask: int) -> int:
+    """mask with bit i moved to bit 2i, at C level: a 0 goes after every
+    binary digit but the last."""
+    return int("0".join(format(mask, "b")), 2)
+
+
 def _max_induced_bipartite(
-    adj: list[int], node_limit: int | None
+    rows: list[int],
+    to_old,
+    node_limit: int | None,
+    counts: list[tuple[int, ...]] | None = None,
+    orbits: list[int] | None = None,
 ) -> tuple[int, tuple[int, int], int, bool]:
     """Largest induced bipartite subgraph of G as a maximum clique of the
-    complement of G □ K₂; returns (size, (side one, side two) masks, nodes
+    complement of G □ K₂, given G's compatibility rows (its complement),
+    their multiplicity rows and orbits as in _MaxCliqueSolver; returns
+    (size, (side one, side two) masks with vertex i at bit to_old[i], nodes
     explored, limit_hit).
 
-    Side one holds vertex v at index v, side two holds vertex v >= 1 at
-    n + v - 1: some optimum keeps vertex 0 off side two (swap the sides
-    otherwise), so its side-two copy is dropped.  Copies on one side are
-    joined when the vertices are distinct and non-adjacent in G, copies on
-    opposite sides when the vertices are distinct."""
-    n = len(adj)
-    full = (1 << n) - 1
-    rows = []
-    for v in range(n):
-        others = full & ~(1 << v)
-        rows.append(others & ~adj[v] | others >> 1 << n)
-    for v in range(1, n):
-        others = full & ~(1 << v)
-        rows.append(others | (others & ~adj[v]) >> 1 << n)
-    best, mask, nodes, limited = _MaxCliqueSolver(*_branching_rows(rows), node_limit).solve()
-    return best, (mask & full, mask >> n << 1), nodes, limited
+    Vertex v is product vertex 2v on side one and 2v+1 on side two, so
+    each side keeps the rows' order and a vertex's two copies are
+    neighbours.  Copies on one side are joined when the vertices are
+    compatible, copies on opposite sides when they are distinct.  Each
+    product vertex carries v's multiplicity row and two marker elements,
+    (k+1, 0) on side one and (0, k+1) on side two, in a class of their own
+    from the root: swapping them swaps the sides, so the front's orbits
+    are those of the permutations of [m] together with the side swap, and
+    orbit o of G gives the root orbit holding both copies of its
+    vertices."""
+    n = len(rows)
+    others = _spread((1 << n) - 1)
+    product = []
+    for v, row in enumerate(rows):
+        same = _spread(row)
+        other = others ^ 1 << 2 * v
+        product += (same | other << 1, other | same << 1)
+    p_counts = p_orbits = cls = None
+    if counts:
+        top = sum(counts[0]) + 1
+        p_counts = [c + marker for c in counts for marker in ((top, 0), (0, top))]
+        p_orbits = [_spread(o) * 3 for o in orbits]
+        cls = (0,) * len(counts[0]) + (1, 1)
+    solver = _MaxCliqueSolver(product, range(2 * n), node_limit, p_counts, p_orbits, cls)
+    best, mask, nodes, limited = solver.solve()
+    sides = [0, 0]
+    for v in _bits(mask):
+        sides[v & 1] |= 1 << to_old[v >> 1]
+    return best, (sides[0], sides[1]), nodes, limited
 
 
 def induced_bipartite_search(graph: DisjointnessGraph, node_limit: int | None = None) -> SearchResult:
     """Largest vertex subset of a disjointness graph inducing a bipartite
     subgraph; the two colour classes are two intersecting families."""
-    best, (a_mask, b_mask), nodes, limited = _max_induced_bipartite(graph.adj, node_limit)
-    side_a = graph.family_from_mask(a_mask)
-    side_b = graph.family_from_mask(b_mask)
-    if not (is_t_intersecting(side_a, 1) and is_t_intersecting(side_b, 1)):
-        raise RuntimeError("internal error: a side of the witness is not intersecting")
+    view = graph.ordered
+    best, (a_mask, b_mask), nodes, limited = _max_induced_bipartite(
+        view.rows, view.to_old, node_limit, view.counts, view.orbits
+    )
+    if a_mask & b_mask:
+        raise RuntimeError("internal error: the two sides of the witness share a member")
+    _validate_witness(graph, graph.family_from_mask(a_mask))
+    _validate_witness(graph, graph.family_from_mask(b_mask))
     witness = graph.family_from_mask(a_mask | b_mask)
     status = NODE_LIMIT_HIT if limited else PROVED_OPTIMAL
     return SearchResult(best, witness, status, nodes)

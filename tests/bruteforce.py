@@ -276,28 +276,57 @@ def greedy_random_t_intersecting_family(m, k, t, rng):
 def two_sided_max_induced_bipartite(adj):
     """Reference two-family search: every vertex, in descending-degree
     order, goes to side one, to side two or to neither, each side kept
-    independent and the first placed vertex pinned to side one.  Returns
-    (size, (side one mask, side two mask))."""
+    independent and the first placed vertex pinned to side one.  A branch
+    ends once its count plus the vertices still placeable on some side, or
+    plus a greedy clique cover of each side's placeable vertices (a side
+    takes at most one vertex of each clique), cannot beat the best found.
+    Returns (size, (side one mask, side two mask))."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    best = [0, (0, 0)]
+    g = relabel_by_bits(adj, order)  # position i holds vertex order[i]
+    best = [0, 0, 0]
 
-    def rec(idx, a_mask, b_mask, count):
-        if count + (n - idx) <= best[0]:
-            return
-        if idx == n:
-            best[:] = [count, (a_mask, b_mask)]
-            return
-        v = order[idx]
-        bit = 1 << v
-        if not adj[v] & a_mask:
-            rec(idx + 1, a_mask | bit, b_mask, count + 1)
-        if (a_mask | b_mask) and not adj[v] & b_mask:
-            rec(idx + 1, a_mask, b_mask | bit, count + 1)
-        rec(idx + 1, a_mask, b_mask, count)
+    def cover(s):
+        parts = 0
+        while s:
+            low = s & -s
+            s ^= low
+            clique = s & g[low.bit_length() - 1]
+            while clique:
+                low = clique & -clique
+                s ^= low
+                clique &= g[low.bit_length() - 1]
+            parts += 1
+        return parts
 
-    rec(0, 0, 0, 0)
-    return best[0], best[1]
+    def rec(idx, a, b, fit_a, fit_b, count):
+        rest = (fit_a | fit_b) >> idx << idx
+        if count + rest.bit_count() <= best[0]:
+            return
+        if count + cover(fit_a & rest) + cover(fit_b & rest) <= best[0]:
+            return
+        if not rest:
+            best[:] = [count, a, b]
+            return
+        i = (rest & -rest).bit_length() - 1
+        bit = 1 << i
+        if fit_a & bit:
+            rec(i + 1, a | bit, b, fit_a & ~g[i], fit_b, count + 1)
+        if a and fit_b & bit:
+            rec(i + 1, a, b | bit, fit_a, fit_b & ~g[i], count + 1)
+        rec(i + 1, a, b, fit_a, fit_b, count)
+
+    full = (1 << n) - 1
+    rec(0, 0, 0, full, full, 0)
+    count, a, b = best
+    return count, tuple(sum(1 << order[i] for i in bits(side)) for side in (a, b))
+
+
+def complement(adj):
+    """The complement graph's rows: u in out[v] iff u != v and u not in
+    adj[v]."""
+    full = (1 << len(adj)) - 1
+    return [full & ~(row | 1 << v) for v, row in enumerate(adj)]
 
 
 def scan_canonical_form(fam):

@@ -37,15 +37,11 @@ from multifam.search import (
     SUPPORT_INTERSECTION,
     SearchResult,
     _CliqueFreeSolver,
-    _CliqueSearch,
     _MaxCliqueSolver,
     _SmallCoreSolver,
-    _branching_rows,
-    _complement_adj,
     _greedy_color,
     _max_induced_bipartite,
     _orbit_masks,
-    _relabel,
     _validate_witness,
     enumerate_optimum_orbits,
     induced_bipartite_search,
@@ -59,10 +55,12 @@ from bruteforce import (
     brute_max_induced_bipartite,
     brute_small_core,
     capacity_bounds,
+    complement,
     exclusion_max_clique_free,
     has_clique,
     pair_loop_degrees,
     pair_loop_graph,
+    pair_loop_is_support_t_intersecting,
     pair_loop_is_t_intersecting,
     per_row_compatibility,
     pairwise_compat_masks,
@@ -75,11 +73,9 @@ from conftest import random_adjacency
 
 
 def _solve_mis_raw(adj):
-    """Drive the solver core directly on a raw adjacency."""
-    n = len(adj)
-    full = (1 << n) - 1
-    comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    best, mask, _nodes, limited = _MaxCliqueSolver(*_branching_rows(comp)).solve()
+    """Drive the solver core directly on a raw adjacency, its rows in
+    identity order."""
+    best, mask, _nodes, limited = _MaxCliqueSolver(complement(adj), range(len(adj))).solve()
     assert not limited
     return best, mask
 
@@ -124,15 +120,19 @@ def test_bit_sliced_builder_matches_pair_loop():
 
 
 def test_branching_view_is_the_sorted_relabelled_complement():
-    # the reference is the path the view replaced: complement the rank-order
-    # adjacency, sort by (-degree, rank) and permute every row's bits
+    # the reference: the pairwise compatibility masks in rank order (on the
+    # supports for M'), sorted by (-degree, rank), every row's bits permuted
+    # one at a time
     for kind, m, k, t in _graph_instances():
         graph = build_graph(kind, m, k, t)
         view = graph.ordered
-        comp = _complement_adj(graph.adj)
+        rows = graph.multiplicities
+        if kind == "M_support_t":
+            rows = [tuple(min(c, 1) for c in row) for row in rows]
+        comp = pairwise_compat_masks(rows, t)
         order = sorted(range(len(comp)), key=lambda v: (-comp[v].bit_count(), v))
         assert view.to_old == order, (kind, m, k, t)
-        assert view.rows == _relabel(comp, order), (kind, m, k, t)
+        assert view.rows == relabel_by_bits(comp, order), (kind, m, k, t)
         assert view.counts == [graph.multiplicities[v] for v in order]
         types: dict[tuple, int] = {}
         for i, row in enumerate(view.counts):
@@ -232,19 +232,23 @@ def test_prefix_shared_ladder_matches_per_row_ladder():
         check(graph)
 
 
-def test_graph_searches_never_relabel(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a graph search relabelled its rows")
+def test_no_search_reads_the_rank_order_adjacency(monkeypatch):
+    # every public search runs on the branching view alone
+    def refuse(graph):
+        raise AssertionError("a search read the rank-order adjacency")
 
-    monkeypatch.setattr("multifam.search._relabel", refuse)
+    monkeypatch.setattr(graphs.DisjointnessGraph, "adj", property(refuse))
+    with pytest.raises(AssertionError, match="rank-order"):
+        build_graph("M", 4, 2).degree(0)
     graph = build_graph("M_t", 6, 3, 2)
     assert max_independent_set(graph).optimum == 6
     assert enumerate_maximum_independent_sets(graph).complete
     assert enumerate_optimum_orbits(graph, 6).complete
     assert clique_free_search(build_graph("M", 5, 2), 2).proved
-    # the G □ K₂ product is not the builder's, so it still sorts its rows
-    with pytest.raises(AssertionError, match="relabelled"):
-        max_union_two_intersecting(4, 2)
+    assert max_intersecting_empty_common(5, 3).optimum == 13
+    assert max_t_intersecting_nontrivial(5, 3, 2).optimum == 4
+    assert max_union_two_intersecting(5, 2).optimum == 9
+    assert induced_bipartite_search(build_graph("K", 6, 2)).optimum == 9
 
 
 def test_cached_views_stay_out_of_equality_and_repr():
@@ -263,21 +267,23 @@ def test_small_core_compat_matches_pairwise_masks(monkeypatch):
             for t in range(1, k + 1):
                 graph = build_graph("M_t", m, k, t)
                 counts = [a.counts for a in graph.vertices]
-                assert _complement_adj(graph.adj) == pairwise_compat_masks(counts, t)
+                view = graph.ordered
+                assert view.rows == relabel_by_bits(pairwise_compat_masks(counts, t), view.to_old)
 
     seen = []
 
     class Recording(_SmallCoreSolver):
-        def __init__(self, counts, compat, core_limit, node_limit):
-            seen.append((counts, compat, core_limit))
-            super().__init__(counts, compat, core_limit, node_limit)
+        def __init__(self, graph, core_limit, node_limit, seed_mask):
+            super().__init__(graph, core_limit, node_limit, seed_mask)
+            seen.append((graph.multiplicities, self, core_limit))
 
     monkeypatch.setattr("multifam.search._SmallCoreSolver", Recording)
     max_intersecting_empty_common(5, 3)
     max_t_intersecting_nontrivial(5, 3, 2)
-    assert [limit for _c, _m, limit in seen] == [1, 2]
-    for (counts, compat, _limit), t in zip(seen, (1, 2)):
-        assert compat == pairwise_compat_masks(counts, t)
+    assert [limit for _c, _s, limit in seen] == [1, 2]
+    for (counts, solver, _limit), t in zip(seen, (1, 2)):
+        assert solver.counts == [counts[v] for v in solver.to_old]
+        assert solver.rows == relabel_by_bits(pairwise_compat_masks(counts, t), solver.to_old)
 
 
 def test_graph_cap_and_kind_validation():
@@ -299,26 +305,6 @@ def test_mis_matches_bruteforce(adj):
     assert all(adj[v] & mask == 0 for v in bits(mask))
 
 
-@st.composite
-def _adjacency_and_order(draw):
-    adj = draw(random_adjacency(max_n=12))
-    full = (1 << len(adj)) - 1
-    adj = [draw(st.sampled_from((mask, 0, full))) for mask in adj]
-    return adj, draw(st.permutations(range(len(adj))))
-
-
-@given(_adjacency_and_order())
-def test_relabel_matches_per_bit_loop(case):
-    adj, order = case
-    assert _relabel(adj, order) == relabel_by_bits(adj, order)
-
-
-@pytest.mark.parametrize("adj", [[], [0], [1]])
-def test_relabel_tiny_graphs(adj):
-    order = list(range(len(adj)))
-    assert _relabel(adj, order) == relabel_by_bits(adj, order) == adj
-
-
 # -- the colouring kernel -----------------------------------------------------
 
 @given(random_adjacency(max_n=12), st.data())
@@ -331,7 +317,7 @@ def test_color_kernel_is_the_trimmed_reference_colouring(adj, data):
     bounds = colors if cap == 1 else capacity_bounds(order, colors, cap)
     kept = [i for i, bound in enumerate(bounds) if bound >= kmin]
     assert kept == list(range(len(order) - len(kept), len(order)))  # a suffix
-    free = _CliqueSearch(adj, None).free
+    free = _MaxCliqueSolver(adj, range(n)).free
     expected = ([order[i] for i in kept], [bounds[i] for i in kept])
     assert _greedy_color(p_mask, free, kmin, cap) == expected
     assert _greedy_color(p_mask, free, min(kmin, 1), cap) == (order, bounds)
@@ -408,26 +394,31 @@ PINNED_NODE_COUNTS = [
      (1, 2, *range(4, 9), *range(10, 19), *range(20, 34), 36, 38, 39, 41, 42, 43, *range(45, 49))),
     (lambda: _plain(build_graph("M", 8, 2), 3), 21, 1026,
      (1, 3, 4, 6, 7, 8, 10, 11, 12, 13, *range(15, 20), *range(21, 27))),
-    # the public searches: the MIS and clique-free ones branch on orbits
+    # the public searches, each on the orbital front
     (lambda: max_independent_set(build_graph("M", 5, 3)), 15, 15,
      (*range(10, 20), 26, 27, 28, 29, 33)),
     (lambda: max_independent_set(build_graph("K", 7, 3)), 15, 13, tuple(range(15))),
     (lambda: max_independent_set(build_graph("M", 6, 3)), 21, 21,
      (4, 5, 6, 7, 8, 9, 13, 14, 15, 18, 23, 24, 25, 28, 32, 38, 39, 40, 43, 47, 52)),
     (lambda: max_independent_set(build_graph("K", 10, 4)), 84, 506, tuple(range(84))),
-    (lambda: max_intersecting_empty_common(6, 3), 16, 87,
-     (1, 2, 4, 5, 6, 7, 8, 11, 13, 14, 21, 23, 24, 36, 38, 39)),
-    (lambda: max_intersecting_empty_common(5, 3), 13, 54,
-     (1, 2, 4, 5, 6, 7, 8, 11, 13, 14, 21, 23, 24)),
-    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 190,
-     (6, 7, 10, 16, 17, 19, 20, 21, 22, 23, 26, 28, 29, 40, 46, 48, 49, 75, 81, 83, 84)),
-    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 128,
-     (1, 2, 4, 5, 6, 7, 8, 11, 13, 14, 21, 23, 24, 36, 38, 39, 57, 59, 60)),
+    # the small-core searches run on the same front, their core in its frames
+    (lambda: max_intersecting_empty_common(6, 3), 16, 47,
+     (26, 27, 28, 29, 33, *range(41, 50), 53, 54)),
+    (lambda: max_intersecting_empty_common(5, 3), 13, 39,
+     (13, 14, 15, 18, 23, 24, 25, 26, 27, 28, 29, 32, 33)),
+    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 111,
+     (48, 49, 50, 53, 63, 83, 84, 85, 88, *range(93, 100), 102, 103, 113, 117, 118)),
+    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 72,
+     (45, 46, 47, 48, 49, 54, *range(66, 77), 81, 82)),
     # the small-core items of the search benchmark, seeded as verify does
-    (lambda: max_intersecting_empty_common(7, 3, seed=hm_multiset(7, 3)), 19, 114,
+    (lambda: max_intersecting_empty_common(7, 3, seed=hm_multiset(7, 3)), 19, 58,
      (48, *range(62, 77), 80, 81, 82)),
-    (lambda: max_t_intersecting_nontrivial(8, 3, 2, seed=frankl_multiset(8, 3, 2, 1)), 4, 12,
+    (lambda: max_t_intersecting_nontrivial(8, 3, 2, seed=frankl_multiset(8, 3, 2, 1)), 4, 9,
      (75, 103, 109, 110)),
+    # the G □ K₂ product on the same front: T3.5(7,2), T2.4(7,2), T3.5(6,3)
+    (lambda: max_union_two_intersecting(7, 2), 13, 16, tuple(range(15, 28))),
+    (lambda: induced_bipartite_search(build_graph("K", 7, 2)), 11, 10, tuple(range(11))),
+    (lambda: max_union_two_intersecting(6, 3), 36, 1864, tuple(range(20, 56))),
     (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 12, tuple(range(17))),
     (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 9, tuple(range(13))),
     (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 10, tuple(range(21))),
@@ -549,7 +540,7 @@ def test_enumeration_matches_recursive_reference(args):
     graph = build_graph(*args)
     enum = enumerate_maximum_independent_sets(graph)
     assert enum.complete
-    masks, complete, _nodes = recursive_enumerate_cliques(_complement_adj(graph.adj), enum.optimum)
+    masks, complete, _nodes = recursive_enumerate_cliques(complement(graph.adj), enum.optimum)
     assert complete
     expected = {graph.family_from_mask(mask) for mask in masks}
     assert len(enum.families) == len(set(enum.families)) == len(expected)
@@ -778,60 +769,93 @@ def test_small_core_matches_subset_bruteforce(m, k):
         assert result.optimum == best, (m, k, t)
 
 
-class _RecordingSmallCore(_SmallCoreSolver):
-    """Keeps every front-end node's chosen members, classes and orbits, as
-    (first member, orbit mask) pairs, once `record` stands in for the
-    shared orbit helper."""
+def _record_front_orbits(monkeypatch):
+    """Record the orbits the shared front reads: at its root, and at every
+    split, where the shared orbit helper is called.  Each record is (chosen
+    members, cls, multiplicity rows, the vertices grouped, their orbits)."""
+    seen = []
+    at = []
+    front, children = _MaxCliqueSolver._front, _MaxCliqueSolver._children
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.seen = []
+    def recording_front(self, p_mask, groups):
+        root = self.cls or (0,) * len(self.counts[0])
+        seen.append((0, root, self.counts, p_mask, list(self.orbits)))
+        front(self, p_mask, groups)
 
-    def _dfs(self, r_size, r_mask, core, cls, p_mask):
-        self.at = (r_mask, cls)
-        super()._dfs(r_size, r_mask, core, cls, p_mask)
+    def recording_children(self, r_mask, v, p_mask):
+        at[:] = [r_mask | 1 << v]  # the node whose orbits a split computes next
+        return children(self, r_mask, v, p_mask)
 
-    def record(self, cls, rows, vertices):
+    def record(cls, rows, vertices):
         vertices = list(vertices)
         orbits = _orbit_masks(cls, rows, vertices)
-        pairs = [((o & -o).bit_length() - 1, o) for o in orbits.values()]
-        self.seen.append((*self.at, vertices, pairs))
+        seen.append((at[0], cls, rows, sum(1 << v for v in vertices), list(orbits.values())))
         return orbits
+
+    monkeypatch.setattr(_MaxCliqueSolver, "_front", recording_front)
+    monkeypatch.setattr(_MaxCliqueSolver, "_children", recording_children)
+    monkeypatch.setattr("multifam.search._orbit_masks", record)
+    return seen
+
+
+def _assert_stabiliser_orbits(seen, group, root_cls):
+    """Brute force over `group`, maps of the row elements (a row's entry e
+    moves to p[e]): the maps fixing every chosen member carry each orbit's
+    first member onto exactly that orbit, the orbits partition the grouped
+    vertices, and cls numbers the classes of equal root class and equal
+    signature under the chosen members."""
+    width = len(root_cls)
+    for r_mask, cls, rows, vertices, orbits in seen:
+        index = {row: i for i, row in enumerate(rows)}
+        chosen = [rows[v] for v in bits(r_mask)]
+        signature = [(root_cls[e], *(c[e] for c in chosen)) for e in range(width)]
+        assert all(
+            (cls[e] == cls[f]) == (signature[e] == signature[f])
+            for e in range(width) for f in range(width)
+        )
+        stab = [p for p in group if all(tuple(c[p[e]] for e in range(width)) == c for c in chosen)]
+        covered = 0
+        for orbit in orbits:
+            rep = rows[(orbit & -orbit).bit_length() - 1]
+            images = {index[tuple(rep[p[e]] for e in range(width))] for p in stab}
+            assert sum(1 << v for v in images) == orbit
+            assert orbit & covered == 0
+            covered |= orbit
+        assert covered == vertices
 
 
 @pytest.mark.parametrize("m", range(2, 6))
 def test_small_core_orbits_are_stabiliser_orbits(m, monkeypatch):
-    # brute force over the m! permutations: the stabiliser of the chosen
-    # members maps each orbit's first member onto exactly the reducers
-    # sharing its key, and cls numbers the classes of equal signature
+    # the group is the m! permutations of [m]
     from itertools import permutations
 
-    perms = list(permutations(range(m)))
+    group = list(permutations(range(m)))
+    seen = _record_front_orbits(monkeypatch)
     for k in range(1, 5):
         for t in range(1, k + 1):
-            _graph, counts, compat = _small_core_instance(m, k, t)
-            index = {c: i for i, c in enumerate(counts)}
-            solver = _RecordingSmallCore(counts, compat, t, None)
-            monkeypatch.setattr("multifam.search._orbit_masks", solver.record)
+            solver = _SmallCoreSolver(build_graph("M_t", m, k, t), t, None, 0)
             assert not solver.solve()[3]
-            assert solver.seen, (m, k, t)
-            for r_mask, cls, reducers, orbits in solver.seen:
-                chosen = [counts[v] for v in bits(r_mask)]
-                signature = [tuple(c[e] for c in chosen) for e in range(m)]
-                assert all(
-                    (cls[e] == cls[f]) == (signature[e] == signature[f])
-                    for e in range(m) for f in range(m)
-                )
-                stab = [p for p in perms
-                        if all(tuple(c[p[e]] for e in range(m)) == c for c in chosen)]
-                reducer_mask = sum(1 << v for v in reducers)
-                covered = 0
-                for rep, orbit in orbits:
-                    images = {index[tuple(counts[rep][p[e]] for e in range(m))] for p in stab}
-                    assert sum(1 << v for v in images) & reducer_mask == orbit, (m, k, t)
-                    assert orbit & covered == 0
-                    covered |= orbit
-                assert covered == reducer_mask
+    assert seen and (m == 2 or any(r_mask for r_mask, *_rest in seen))
+    _assert_stabiliser_orbits(seen, group, (0,) * m)
+
+
+@pytest.mark.parametrize("m", range(2, 5))
+def test_product_orbits_are_stabiliser_orbits(m, monkeypatch):
+    # the group is S_m × Z₂: the m! permutations of [m], each with and
+    # without the swap of the two side markers
+    from itertools import permutations
+
+    group = [p + swap for p in permutations(range(m)) for swap in ((m, m + 1), (m + 1, m))]
+    seen = _record_front_orbits(monkeypatch)
+    for kind in ("K", "M"):
+        for k in range(1, 4):
+            if kind == "M" or k <= m:
+                result = induced_bipartite_search(build_graph(kind, m, k))
+                assert result.proved
+    assert seen and (m == 2 or any(r_mask for r_mask, *_rest in seen))
+    _assert_stabiliser_orbits(seen, group, (0,) * m + (1, 1))
+    for _r_mask, cls, *_rest in seen:
+        assert not set(cls[:m]) & set(cls[m:])  # no marker shares a real element's class
 
 
 def test_small_core_front_end_prunes_on_an_empty_trimmed_order(monkeypatch):
@@ -845,9 +869,9 @@ def test_small_core_front_end_prunes_on_an_empty_trimmed_order(monkeypatch):
 
 
 def test_small_core_symmetry_reduction_guard():
-    # the orbital front end proves T3.3(7,4) in 1,851 nodes; the
-    # vertex-by-vertex one needs 404,376
-    report = verify_theorem("T3.3", {"m": 7, "k": 4}, node_limit=10_000)
+    # the orbital front proves T3.3(7,4) in 358 nodes; the vertex-by-vertex
+    # front end needs 404,376
+    report = verify_theorem("T3.3", {"m": 7, "k": 4}, node_limit=1_000)
     assert report.status == "ok" and report.search_optimum == 75
 
 
@@ -861,8 +885,8 @@ def test_p_s1_delegates_for_s_equal_one():
 
 @given(random_adjacency(max_n=9), st.sampled_from((2, 3)))
 def test_clique_free_matches_bruteforce(adj, s):
-    rows, to_old = _branching_rows(_complement_adj(adj))
-    best, mask, _nodes, limited = _CliqueFreeSolver(rows, to_old, s, None).solve()
+    solver = _CliqueFreeSolver(complement(adj), range(len(adj)), s, None)
+    best, mask, _nodes, limited = solver.solve()
     assert not limited
     assert best == brute_max_clique_free(adj, s)
     assert mask.bit_count() == best
@@ -940,9 +964,11 @@ def test_p_s1_saturated_s_takes_whole_universe():
 
 @given(random_adjacency(max_n=9))
 def test_bipartite_matches_bruteforce(adj):
-    best, (a_mask, b_mask), _nodes, limited = _max_induced_bipartite(adj, None)
+    best, (a_mask, b_mask), _nodes, limited = _max_induced_bipartite(
+        complement(adj), range(len(adj)), None
+    )
     assert not limited
-    assert best == brute_max_induced_bipartite(adj)
+    assert best == brute_max_induced_bipartite(adj) == two_sided_max_induced_bipartite(adj)[0]
     assert (a_mask | b_mask).bit_count() == best
     assert all(adj[v] & a_mask == 0 for v in bits(a_mask))
     assert all(adj[v] & b_mask == 0 for v in bits(b_mask))
@@ -953,17 +979,46 @@ def test_bipartite_reference_values():
     assert max_union_two_intersecting(4, 1).optimum == 2
 
 
-@pytest.mark.parametrize("kind, m, k", [("M", 5, 2), ("K", 6, 2), ("K", 7, 2), ("M", 7, 2), ("M", 5, 3)])
-def test_product_search_matches_two_sided_reference(kind, m, k):
-    graph = build_graph(kind, m, k)
-    best, _sides = two_sided_max_induced_bipartite(graph.adj)
-    _best, (a_mask, b_mask), _nodes, _limited = _max_induced_bipartite(graph.adj, None)
+# K and M graphs with k <= 3 and at most 60 vertices, then K(3,0) and K(0,0)
+PRODUCT_GRID = [
+    (kind, m, k) for kind in ("K", "M") for k in (1, 2, 3) for m in range(1, 61)
+    if (binomial(m, k) if kind == "K" else multichoose(m, k)) <= 60
+] + [("K", 3, 0), ("K", 0, 0)]
+# the two-sided reference takes minutes here; T2.4's closed form
+# C(n-1,k-1) + C(n-2,k-1), whose hypothesis holds, stands in for it
+PRODUCT_CLOSED_FORM = {("K", 8, 3): binomial(7, 2) + binomial(6, 2)}
+
+
+def _assert_product_matches_reference(graph):
+    key = (graph.kind, graph.m, graph.k)
+    if key in PRODUCT_CLOSED_FORM:
+        best = PRODUCT_CLOSED_FORM[key]
+    else:
+        best, _sides = two_sided_max_induced_bipartite(graph.adj)
+    view = graph.ordered
+    _best, (a_mask, b_mask), _nodes, _limited = _max_induced_bipartite(
+        view.rows, view.to_old, None, view.counts, view.orbits
+    )
     assert a_mask & b_mask == 0
     for side in (a_mask, b_mask):
-        assert is_t_intersecting(graph.family_from_mask(side), 1)
+        fam = graph.family_from_mask(side)
+        if graph.kind == "M_support_t":
+            assert pair_loop_is_support_t_intersecting(fam, graph.t)
+        else:
+            assert pair_loop_is_t_intersecting(fam, graph.t)
     result = induced_bipartite_search(graph)
     assert result.proved and result.optimum == len(result.witness) == best
     assert result.witness == graph.family_from_mask(a_mask | b_mask)
+
+
+@pytest.mark.parametrize("kind, m, k", PRODUCT_GRID)
+def test_product_search_matches_two_sided_reference(kind, m, k):
+    _assert_product_matches_reference(build_graph(kind, m, k))
+
+
+@pytest.mark.parametrize("args", [("K_t", 6, 3, 2), ("M_t", 5, 3, 2), ("M_support_t", 5, 3, 2)])
+def test_product_search_on_threshold_kinds_matches_two_sided_reference(args):
+    _assert_product_matches_reference(build_graph(*args))
 
 
 def test_union_of_two_above_the_old_cap():
