@@ -382,17 +382,17 @@ def enumerate_k_multisets(m: int, k: int) -> Iterator[Multiset]:
     bars; their lexicographic order is that of the multiplicity vectors.
     Emits exactly multichoose(m, k) distinct multisets, deterministically.
     """
-    if m < 1:
-        raise ContractError(f"m must be >= 1, got {m}")
-    if k < 0:
-        raise ContractError(f"k must be >= 0, got {k}")
     for counts in count_vectors(m, k):
         yield Multiset(m, counts)
 
 
 def count_vectors(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """The multiplicity vectors of enumerate_k_multisets(m, k), in its
-    order, with no Multiset built (m >= 1 and k >= 0 are the caller's)."""
+    order, with no Multiset built."""
+    if m < 1:
+        raise ContractError(f"m must be >= 1, got {m}")
+    if k < 0:
+        raise ContractError(f"k must be >= 0, got {k}")
     n = m + k - 1
     for bars in combinations(range(1, n + 1), m - 1):
         yield _stars(bars, n)

@@ -260,19 +260,27 @@ def hm_t_multiset(m: int, k: int, t: int) -> Family:
     return _hm_t(MULTISET, m, k, t)
 
 
+def _check_hit_s_params(m: int, k: int, s: int) -> None:
+    if m < 1:
+        raise ContractError(f"m must be >= 1, got {m}")
+    if k < 0:
+        raise ContractError(f"k must be >= 0, got {k}")
+    if not 0 <= s <= m:
+        raise ContractError(f"anchor size {s} outside [0, {m}]")
+
+
 def hit_s(m: int, k: int, anchor: Iterable[int]) -> Family:
     """All k-multisets of [m] whose support meets the anchor set.
 
     Size is multichoose(m, k) - multichoose(m - |anchor|, k).
     """
+    anchor = set(anchor)
+    _check_hit_s_params(m, k, len(anchor))
     return _hitting(MULTISET, m, k, anchor)
 
 
 def hit_s_size(m: int, k: int, s: int) -> int:
-    if k < 0:
-        raise ContractError(f"k must be >= 0, got {k}")
-    if not 0 <= s <= m:
-        raise ContractError(f"anchor size {s} outside [0, {m}]")
+    _check_hit_s_params(m, k, s)
     return multichoose(m, k) - multichoose(m - s, k)
 
 
@@ -281,16 +289,20 @@ def hit_s_set(n: int, k: int, anchor: Iterable[int]) -> Family:
     return _hitting(SET, n, k, anchor)
 
 
-def hajnal_rothschild_size(n: int, k: int, t: int, s: int) -> int:
-    """Inclusion-exclusion count of the k-subsets of [n] containing at
-    least one of s pairwise disjoint t-subsets.  For t=1 this telescopes to
-    C(n, k) - C(n-s, k)."""
+def _check_hajnal_rothschild_params(n: int, k: int, t: int, s: int) -> None:
     if t < 1 or s < 1:
         raise ContractError(f"need t >= 1 and s >= 1, got ({t}, {s})")
     if s * t > n:
         raise ContractError(f"need s*t <= n, got s*t={s * t}, n={n}")
     if t > k:
         raise ContractError(f"need t <= k, got t={t}, k={k}")
+
+
+def hajnal_rothschild_size(n: int, k: int, t: int, s: int) -> int:
+    """Inclusion-exclusion count of the k-subsets of [n] containing at
+    least one of s pairwise disjoint t-subsets.  For t=1 this telescopes to
+    C(n, k) - C(n-s, k)."""
+    _check_hajnal_rothschild_params(n, k, t, s)
     total = 0
     for j in range(1, s + 1):
         if k - j * t < 0:
@@ -306,8 +318,7 @@ def hajnal_rothschild_family(n: int, k: int, t: int, s: int) -> Family:
     s-set hitting family); larger t is available as a size formula only."""
     if t != 1:
         raise ContractError("construction is only supported for t=1; use the size formula")
-    if s * t > n:
-        raise ContractError(f"need s*t <= n, got s={s}, n={n}")
+    _check_hajnal_rothschild_params(n, k, t, s)
     return hit_s_set(n, k, range(1, s + 1))
 
 
@@ -570,8 +581,7 @@ def build_family(spec: FamilySpec) -> Family:
     if name == "hm_t_multiset":
         return hm_t_multiset(m, k, _req(spec.t, "t"))
     if name == "hit_s":
-        anchor = spec.anchor or tuple(range(1, _req(spec.s, "s") + 1))
-        return hit_s(m, k, anchor)
+        return hit_s(m, k, _hit_s_anchor(spec))
     if name == "hajnal_rothschild":
         return hajnal_rothschild_family(m, k, _req(spec.t, "t"), _req(spec.s, "s"))
     raise ContractError(f"unknown family name {name!r}")
@@ -597,11 +607,19 @@ def family_size_formula(spec: FamilySpec) -> int | None:
         _check_hm_t_params(SET if name == "hm_t_set" else MULTISET, m, k, _req(spec.t, "t"))
         return None
     if name == "hit_s":
-        s = len(spec.anchor) if spec.anchor else _req(spec.s, "s")
-        return hit_s_size(m, k, s)
+        return hit_s_size(m, k, len(_hit_s_anchor(spec)))
     if name == "hajnal_rothschild":
         return hajnal_rothschild_size(m, k, _req(spec.t, "t"), _req(spec.s, "s"))
     raise ContractError(f"unknown family name {name!r}")
+
+
+def _hit_s_anchor(spec: FamilySpec) -> set[int]:
+    """The anchor set of a hit_s spec: the --anchor elements, else [1, s]."""
+    if spec.anchor:
+        return set(spec.anchor)
+    s = _req(spec.s, "s")
+    _check_hit_s_params(spec.m, spec.k, s)  # a negative s gives an empty [1, s]
+    return set(range(1, s + 1))
 
 
 def _req(value: int | None, flag: str) -> int:

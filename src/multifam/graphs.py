@@ -143,8 +143,7 @@ class DisjointnessGraph:
         return BranchingView(compat, to_old, [rows[v] for v in to_old], orbits)
 
     def edge_count(self) -> int:
-        # counted on the branching view, which the MIS, enumeration and
-        # clique-free searches build anyway
+        # counted on the branching view, which every search builds anyway
         n = self.n_vertices
         return (n * (n - 1) - sum(row.bit_count() for row in self.ordered.rows)) // 2
 

@@ -29,7 +29,7 @@ Constrained variants:
   * families whose common intersection must end below a cardinality limit
     (maximum intersecting family with empty common intersection; maximum
     t-intersecting family with no common t-multiset) carry the running
-    core through the orbital front below and, while it is still too
+    core through the orbital loop below and, while it is still too
     large, branch only on the members that shrink it;
   * P(s,1) families (no s+1 pairwise disjoint members) are cliques of
     the complement in which a candidate leaves once it would close an
@@ -42,18 +42,18 @@ Constrained variants:
 Clique expansion is one loop over an explicit stack, so search depth is
 bounded by memory, not by the interpreter's recursion limit.  Every graph
 kind is invariant under permuting [m], so every search but the full
-enumeration of optima runs one orbital front ahead of that loop, also on
-an explicit stack: a front node branches one orbit of the permutations of
-[m] fixing the chosen members at a time and hands a node to the plain loop
-once every candidate orbit is a single vertex.  Two members lie in one
-orbit when their counts agree on the classes of elements the chosen
-members cannot tell apart, so no group computation is needed.  The root
-orbits are the multiplicity types the graph builder already sorted the
-vertices by; the G □ K₂ product adds the side swap to the group through
-two marker elements.  A search needs one optimum only up to those
-permutations, and a uniqueness verdict one optimum from each isomorphism
-class.  Enumerating all optima runs on the plain loop alone: the
-incumbent is held at one below the proved optimum and each leaf is
+enumeration of optima branches on orbits in that loop: a node branches one
+orbit of the permutations of [m] fixing the chosen members at a time.  Two
+members lie in one orbit when their counts agree on the classes of
+elements the chosen members cannot tell apart, so no group computation is
+needed.  The root orbits are the multiplicity types the graph builder
+already sorted the vertices by; the G □ K₂ product adds the side swap to
+the group through two marker elements.  A node none of whose candidate
+orbits holds two vertices only walks its colour order, as every node does
+when the loop is given no orbits.  A search needs one optimum only up to
+those permutations, and a uniqueness verdict one optimum from each
+isomorphism class.  Enumerating all optima runs the loop with no orbits:
+the incumbent is held at one below the proved optimum and each leaf is
 recorded instead of adopted.
 
 Every search re-validates its witness against the raw pairwise predicate,
@@ -216,34 +216,33 @@ def _refine(cls: tuple[int, ...], row) -> tuple[int, ...]:
 class _MaxCliqueSolver:
     """Exact maximum clique on rows already in branching order; new vertex
     i is vertex to_old[i] of the caller's graph.  It holds the incumbent,
-    the node budget and the branch-and-bound loop _expand (Tomita-style
+    the node budget and the one branch-and-bound loop _front (Tomita-style
     colouring bounds); a subclass may override the loop's steps _color,
     _children and _leaf, and _seed, the incumbent a search starts from.
 
     Given each vertex's multiplicity row (counts) and the orbits of the
     permutations of [m] (orbits, one bitset per multiplicity type), for a
-    graph invariant under permuting [m], the search branches on orbits
-    (Ostrowski, Linderoth, Rossi & Smriglio 2011) in a front ahead of the
-    loop; without them it is the plain loop.  A front node (chosen members
+    graph invariant under permuting [m], the loop branches on orbits
+    (Ostrowski, Linderoth, Rossi & Smriglio 2011).  A node (chosen members
     r, candidates p) carries cls, the signature classes of the elements
     under r, so a candidate's orbit under the permutations fixing every
     member of r is read off _orbit_masks.  The root classes are all one
     unless `cls` gives others: the G □ K₂ product keeps its side markers
-    apart from the real elements that way.  The node walks the colour
-    order from the top as _expand does, trimmed and bounded against the
-    current incumbent in the same way, branches on each vertex not yet
-    barred and then bars its whole orbit.  p stays a union of orbits, so a
-    clique through any member of an orbit maps onto one through the vertex
-    branched on.  Once every candidate orbit is a singleton nothing is left
-    to prune: a child with no orbit of two candidates is handed to _expand,
-    and a node whose split leaves none branches as _expand would.  Orbits
-    are split only at a node that has colours to branch on.
+    apart from the real elements that way.  A node walks the colour order
+    from the top, trimmed and bounded against the current incumbent,
+    branches on each vertex not yet barred and then bars its whole orbit.
+    p stays a union of orbits, so a clique through any member of an orbit
+    maps onto one through the vertex branched on.  Orbits are split only
+    at a node that has colours to branch on.  Once no candidate orbit holds
+    two vertices nothing is left to prune: the node and every node below
+    it skip _refine and _split and bar only the vertex branched on, as
+    every node does given no orbits.
 
     A subclass that sets `core` (the small-core searches) also carries a
-    running core in every front node and supplies _filter, the branches of
-    a node whose core is still too large, and _shrink, a child's core or
-    None once no constraint is left; the front hands a node to _expand only
-    once its core is None."""
+    running core in every node and supplies _filter, the branches of a
+    node whose core is still too large, and _shrink, a child's core or
+    None once no constraint is left; a clique counts as a leaf only once
+    its core is None."""
 
     core = None
 
@@ -275,7 +274,7 @@ class _MaxCliqueSolver:
         try:
             self._seed()
             if self.n:
-                self._root()
+                self._front()
         except _Budget:
             limited = True
         return self.best, self._remap(self.best_mask), self.counter.nodes, limited
@@ -300,30 +299,30 @@ class _MaxCliqueSolver:
             out |= 1 << self.to_old[v]
         return out
 
-    def _root(self) -> None:
-        p_mask = (1 << self.n) - 1
-        groups = [o for o in self.orbits or () if o & (o - 1)]
-        if groups or self.core is not None:
-            self._front(p_mask, groups)
-        else:
-            self._expand(0, 0, p_mask)
-
-    def _front(self, p_mask: int, groups: list[int]) -> None:
-        """The orbital front from the root.  A node keeps `groups`, its
-        candidate orbits of two or more vertices, and `grouped`, their
-        union; every other candidate is an orbit by itself.  A child keeps
-        the groups that still hold two or more of its candidates, and
-        splits them only when its cls is finer.  Each stack frame is
-        (r_size, r_mask, cls, core, p_mask, groups, grouped, colour order,
-        colours, index), walked as _expand walks its frames."""
+    def _front(self) -> None:
+        """The one branch-and-bound loop, from the root.  A node keeps
+        `groups`, its candidate orbits of two or more vertices, and
+        `grouped`, their union; every other candidate is an orbit by
+        itself.  A child keeps the groups that still hold two or more of
+        its candidates, and splits them only when its cls is finer; a node
+        with no groups (every node, given no orbits) only walks its colour
+        order.  Each stack frame is (r_size, r_mask, cls, core, p_mask,
+        groups, grouped, colour order, colours, index); the index walks the
+        trimmed order from its last vertex, the one with the highest colour,
+        and the frame ends once the colour bound can no longer beat the
+        incumbent or the order runs out."""
         counts = self.counts
         color = self._color
         children = self._children
         tick = self.counter.tick
-        r_size, r_mask, cls, core = 0, 0, self.cls or (0,) * len(counts[0]), self.core
+        p_mask = (1 << self.n) - 1
+        groups = [o for o in self.orbits or () if o & (o - 1)]
         grouped = 0
         for o in groups:
             grouped |= o
+        # cls is read only while some orbit holds two candidates
+        cls = (self.cls or (0,) * len(counts[0])) if groups else None
+        r_size, r_mask, core = 0, 0, self.core
         stack = []
         tick()
         order, colors = color(p_mask, self.best - r_size + 1)
@@ -354,17 +353,16 @@ class _MaxCliqueSolver:
                 if child_core is None and r_size + 1 > self.best:
                     self._leaf(r_size + 1, r_mask | bit)
                 continue
-            kept = []
-            child_grouped = 0
-            for o in groups:
-                o &= new_p
-                if o & (o - 1):
-                    kept.append(o)
-                    child_grouped |= o
-            if not kept and child_core is None:
-                self._expand(r_size + 1, r_mask | bit, new_p)
-                continue
             stack.append((r_size, r_mask, cls, core, p_mask, groups, grouped, order, colors, i))
+            if groups:
+                kept = []
+                grouped = 0
+                for o in groups:
+                    o &= new_p
+                    if o & (o - 1):
+                        kept.append(o)
+                        grouped |= o
+                groups = kept
             r_size += 1
             r_mask |= bit
             p_mask = new_p
@@ -374,50 +372,11 @@ class _MaxCliqueSolver:
             if core is not None and order:
                 order, colors = self._filter(core, p_mask, colors[-1])
             i = len(order)
-            if not order:
-                continue  # nothing to branch on: the orbits are not needed
-            child_cls = _refine(cls, counts[v])
-            if child_cls != cls:
-                cls = child_cls
-                kept, child_grouped = _split(cls, counts, child_grouped)
-            groups = kept
-            grouped = child_grouped
-
-    def _expand(self, r_size: int, r_mask: int, p_mask: int) -> None:
-        """Extend the clique r (r_size members, r_mask) from the candidates
-        p_mask.  Each stack frame is (r_size, r_mask, p_mask, colour order,
-        colours, index); the index walks the trimmed order from its last
-        vertex, the one with the highest colour, and the frame ends once the
-        colour bound can no longer beat the incumbent or the order runs
-        out."""
-        color = self._color
-        children = self._children
-        tick = self.counter.tick
-        stack = []
-        tick()
-        order, colors = color(p_mask, self.best - r_size + 1)
-        i = len(order)
-        while True:
-            i -= 1
-            if i < 0 or r_size + colors[i] <= self.best:
-                if not stack:
-                    return
-                r_size, r_mask, p_mask, order, colors, i = stack.pop()
-                continue
-            v = order[i]
-            bit = 1 << v
-            new_p = children(r_mask, v, p_mask)
-            p_mask &= ~bit
-            if new_p:
-                stack.append((r_size, r_mask, p_mask, order, colors, i))
-                r_size += 1
-                r_mask |= bit
-                p_mask = new_p
-                tick()
-                order, colors = color(p_mask, self.best - r_size + 1)
-                i = len(order)
-            elif r_size + 1 > self.best:
-                self._leaf(r_size + 1, r_mask | bit)
+            if groups and order:  # orbits are split only at a node with colours to branch on
+                child_cls = _refine(cls, counts[v])
+                if child_cls != cls:
+                    cls = child_cls
+                    groups, grouped = _split(cls, counts, grouped)
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
         """Candidates in branching order with non-decreasing bounds, cut to
@@ -441,7 +400,7 @@ class _MaxCliqueSolver:
 class _CliqueEnumerator(_MaxCliqueSolver):
     """Every clique of the clique number `target`, on the shared loop; with
     counts and orbits, at least one from every class under the
-    permutations of [m], through the orbital front.
+    permutations of [m].
 
     The incumbent stays at target - 1, so the colour bound keeps exactly
     the branches that can still reach target, and a leaf is recorded
@@ -459,7 +418,7 @@ class _CliqueEnumerator(_MaxCliqueSolver):
         complete = True
         try:
             if self.n:
-                self._root()
+                self._front()
             elif target == 0:
                 self.found.append(0)  # the empty clique of the empty graph
         except (_CapHit, _Budget):
@@ -552,9 +511,9 @@ def _validated(graph: DisjointnessGraph, masks: list[int]) -> list[Family]:
 class _SmallCoreSolver(_MaxCliqueSolver):
     """Maximum pairwise t_pair-intersecting multiset family whose common
     intersection ends with cardinality below core_limit, on the orbital
-    front of the graph's branching view.
+    loop over the graph's branching view.
 
-    The front carries the running core, the elementwise minimum of the
+    The loop carries the running core, the elementwise minimum of the
     chosen members' rows.  It starts at (k+1,)*m, which every member
     shrinks.  While the core is at or above the limit, a node branches only
     on the candidates that shrink it, one orbit of them at a time (the core
@@ -565,7 +524,7 @@ class _SmallCoreSolver(_MaxCliqueSolver):
     bounded by the node's whole colour bound, not by its prefix bound, and
     the branches are listed from the untrimmed candidates.  Once the core
     drops below the limit it can never grow again, and the node is an
-    ordinary front node.  A greedy clique can break the constraint, so the
+    ordinary one.  A greedy clique can break the constraint, so the
     incumbent starts at the verified seed family instead."""
 
     def __init__(
@@ -782,7 +741,7 @@ def _max_induced_bipartite(
     compatible, copies on opposite sides when they are distinct.  Each
     product vertex carries v's multiplicity row and two marker elements,
     (k+1, 0) on side one and (0, k+1) on side two, in a class of their own
-    from the root: swapping them swaps the sides, so the front's orbits
+    from the root: swapping them swaps the sides, so the loop's orbits
     are those of the permutations of [m] together with the side swap, and
     orbit o of G gives the root orbit holding both copies of its
     vertices."""

@@ -390,6 +390,38 @@ def capacity_bounds(order, colors, s):
     return bounds
 
 
+def recursive_max_clique(rows):
+    """Reference for the clique loop given no orbits: a greedy clique,
+    lowest index first, as the first incumbent, then recursion over the
+    greedy colouring of each candidate set, branching from its last vertex
+    while the colour bound can still beat the incumbent.  Every node with
+    candidates counts once.  Returns (size, mask, nodes)."""
+    size = mask = nodes = 0
+    cand = (1 << len(rows)) - 1
+    while cand:
+        bit = cand & -cand
+        size, mask = size + 1, mask | bit
+        cand &= rows[bit.bit_length() - 1]
+
+    def rec(r_size, r_mask, p_mask):
+        nonlocal nodes, size, mask
+        nodes += 1
+        order, colors = _color_bound(rows, p_mask)
+        for v, color in zip(reversed(order), reversed(colors)):
+            if r_size + color <= size:
+                return
+            bit = 1 << v
+            if p_mask & rows[v]:
+                rec(r_size + 1, r_mask | bit, p_mask & rows[v])
+            elif r_size + 1 > size:
+                size, mask = r_size + 1, r_mask | bit
+            p_mask ^= bit
+
+    if rows:
+        rec(0, 0, (1 << len(rows)) - 1)
+    return size, mask, nodes
+
+
 def recursive_enumerate_cliques(adj, target, cap=None):
     """Reference enumeration: every clique of exactly `target` vertices, by
     recursion over greedy-colour-bounded candidate sets; each clique is

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from multifam import Family, KSet, hm_multiset, load_family, star
+from multifam import Family, KSet, hit_s, hm_multiset, load_family, star
 from multifam.cli import main
 from multifam.family_io import save_family
 from multifam.verify import THEOREM_IDS
@@ -54,6 +54,38 @@ def test_size_reports_the_constructor_check(argv, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "binomial requires" not in err and "multichoose requires" not in err
+
+
+@pytest.mark.parametrize("command", ["size", "construct"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hit_s", "--m", "0", "--k", "2", "--s", "0"), "m must be >= 1, got 0"),
+        (("hit_s", "--m", "4", "--k", "2", "--s", "-1"), "anchor size -1 outside [0, 4]"),
+        (("hit_s", "--m", "5", "--k", "-1", "--s", "1"), "k must be >= 0, got -1"),
+        (("hajnal_rothschild", "--m", "4", "--k", "2", "--t", "1", "--s", "0"),
+         "need t >= 1 and s >= 1, got (1, 0)"),
+        (("hajnal_rothschild", "--m", "4", "--k", "0", "--t", "1", "--s", "1"),
+         "need t <= k, got t=1, k=0"),
+        (("hajnal_rothschild", "--m", "4", "--k", "2", "--t", "1", "--s", "5"),
+         "need s*t <= n, got s*t=5, n=4"),
+    ],
+)
+def test_construct_runs_the_check_size_runs(command, argv, message, tmp_path, capsys):
+    out = tmp_path / "family.txt"
+    extra = ("-o", str(out)) if command == "construct" else ()
+    assert run(command, "--family", *argv, *extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hit_s_anchor_is_a_set(tmp_path, capsys):
+    # a repeated anchor element counts once, in the closed form as in the family
+    out = tmp_path / "hit.txt"
+    assert run("size", "--family", "hit_s", "--m", "4", "--k", "2", "--anchor", "1,1") == 0
+    assert re.search(r"closed_form\s+4\b", capsys.readouterr().out)
+    assert run("construct", "--family", "hit_s", "--m", "4", "--k", "2", "--anchor", "1,1", "-o", str(out)) == 0
+    assert load_family(out) == hit_s(4, 2, (1,))
 
 
 def test_map_roundtrip(tmp_path):

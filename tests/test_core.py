@@ -20,6 +20,7 @@ from multifam import (
     multiset_rank,
     multiset_unrank,
 )
+from multifam.core import count_vectors
 
 from bruteforce import (
     greedy_t_subfamily,
@@ -182,6 +183,13 @@ def test_enumeration_counts_match_multichoose():
     for m in range(1, 8):
         for k in range(0, 7):
             assert sum(1 for _ in enumerate_k_multisets(m, k)) == multichoose(m, k)
+
+
+@pytest.mark.parametrize("m, k, message", [(0, 2, "m must be >= 1, got 0"), (3, -1, "k must be >= 0, got -1")])
+def test_count_vectors_checks_its_parameters(m, k, message):
+    for generate in (count_vectors, enumerate_k_multisets):
+        with pytest.raises(ContractError, match=message):
+            next(generate(m, k))
 
 
 def test_enumeration_examples():

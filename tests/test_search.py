@@ -65,6 +65,7 @@ from bruteforce import (
     per_row_compatibility,
     pairwise_compat_masks,
     recursive_enumerate_cliques,
+    recursive_max_clique,
     relabel_by_bits,
     two_sided_max_induced_bipartite,
     vertex_small_core_search,
@@ -305,6 +306,14 @@ def test_mis_matches_bruteforce(adj):
     assert all(adj[v] & mask == 0 for v in bits(mask))
 
 
+@given(random_adjacency(max_n=12))
+def test_clique_loop_matches_recursive_reference(adj):
+    # optimum, witness and node count: the loop given no orbits walks the
+    # reference's traversal node for node
+    rows = complement(adj)
+    assert _MaxCliqueSolver(rows, range(len(rows))).solve() == (*recursive_max_clique(rows), False)
+
+
 # -- the colouring kernel -----------------------------------------------------
 
 @given(random_adjacency(max_n=12), st.data())
@@ -323,28 +332,17 @@ def test_color_kernel_is_the_trimmed_reference_colouring(adj, data):
     assert _greedy_color(p_mask, free, min(kmin, 1), cap) == (order, bounds)
 
 
-def _front_end_colourings(monkeypatch, solver):
-    """Record (p_mask, trimmed order) at every colouring the solver makes
-    outside the shared loop _expand."""
+def _colourings(monkeypatch, solver):
+    """Record (p_mask, trimmed order) at every colouring the solver makes."""
     seen = []
-    in_loop = []
-    color, expand = solver._color, solver._expand
+    color = solver._color
 
     def recording_color(self, p_mask, kmin):
         order, bounds = color(self, p_mask, kmin)
-        if not in_loop:
-            seen.append((p_mask, order))
+        seen.append((p_mask, order))
         return order, bounds
 
-    def flagged_expand(self, *args):
-        in_loop.append(1)
-        try:
-            expand(self, *args)
-        finally:
-            in_loop.pop()
-
     monkeypatch.setattr(solver, "_color", recording_color)
-    monkeypatch.setattr(solver, "_expand", flagged_expand)
     return seen
 
 
@@ -365,7 +363,7 @@ def test_mis_determinism():
 
 def _plain(graph, s=1):
     """The MIS (s = 1) or clique-free search on the plain loop: the solver
-    given no multiplicity rows, so no orbital front."""
+    given no multiplicity rows, so its loop branches on single vertices."""
     view = graph.ordered
     if s == 1:
         solver = _MaxCliqueSolver(view.rows, view.to_old)
@@ -642,11 +640,11 @@ def test_optimum_orbits_flag_truncation():
 
 
 def test_orbit_walk_ends_where_the_trimmed_order_ends(monkeypatch):
-    # K(7,3) has nodes of the shared orbital front whose trimmed colour
+    # K(7,3) has nodes of the orbital loop whose trimmed colour
     # order is empty while candidates remain: the walk must stop at the
     # order's end and leave those candidates to the bound, as the full
     # colouring's walk did
-    seen = _front_end_colourings(monkeypatch, _MaxCliqueSolver)
+    seen = _colourings(monkeypatch, _MaxCliqueSolver)
     graph = build_graph("K", 7, 3)
     enum = enumerate_optimum_orbits(graph, 15)
     assert enum.complete
@@ -655,7 +653,7 @@ def test_orbit_walk_ends_where_the_trimmed_order_ends(monkeypatch):
     full = enumerate_maximum_independent_sets(graph, optimum=15)
     classes = {canonical_form(f).members for f in full.families}
     assert {canonical_form(f).members for f in enum.families} == classes
-    # the MIS search walks the same front
+    # the MIS search walks the same loop
     seen.clear()
     assert max_independent_set(graph).nodes_explored == 13
     assert seen
@@ -770,17 +768,17 @@ def test_small_core_matches_subset_bruteforce(m, k):
 
 
 def _record_front_orbits(monkeypatch):
-    """Record the orbits the shared front reads: at its root, and at every
+    """Record the orbits the orbital loop reads: at its root, and at every
     split, where the shared orbit helper is called.  Each record is (chosen
     members, cls, multiplicity rows, the vertices grouped, their orbits)."""
     seen = []
     at = []
     front, children = _MaxCliqueSolver._front, _MaxCliqueSolver._children
 
-    def recording_front(self, p_mask, groups):
+    def recording_front(self):
         root = self.cls or (0,) * len(self.counts[0])
-        seen.append((0, root, self.counts, p_mask, list(self.orbits)))
-        front(self, p_mask, groups)
+        seen.append((0, root, self.counts, (1 << self.n) - 1, list(self.orbits)))
+        front(self)
 
     def recording_children(self, r_mask, v, p_mask):
         at[:] = [r_mask | 1 << v]  # the node whose orbits a split computes next
@@ -862,7 +860,7 @@ def test_small_core_front_end_prunes_on_an_empty_trimmed_order(monkeypatch):
     # seeded at its optimum, a front-end node whose candidates cannot beat
     # the seed gets an empty trimmed colour order and is pruned
     seed = max_intersecting_empty_common(6, 3).witness
-    seen = _front_end_colourings(monkeypatch, _SmallCoreSolver)
+    seen = _colourings(monkeypatch, _SmallCoreSolver)
     result = max_intersecting_empty_common(6, 3, seed=seed)
     assert result.proved and result.optimum == 16
     assert any(p_mask and not order for p_mask, order in seen)
