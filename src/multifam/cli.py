@@ -28,6 +28,7 @@ from .core import (
     ContractError,
     Family,
     ScaleExceededError,
+    binomial,
     multichoose,
 )
 from .family_io import ParseError, load_family, save_family
@@ -79,7 +80,7 @@ def _cmd_size(args) -> int:
     formula = family_size_formula(spec)
     enumerated: object = "-"
     formula_only = spec.name == "hajnal_rothschild" and spec.t not in (None, 1)
-    if not formula_only and multichoose(spec.m, spec.k) <= ENUMERATION_CAP:
+    if not formula_only and _universe_size(spec) <= ENUMERATION_CAP:
         enumerated = len(build_family(spec))
         if formula is not None and enumerated != formula:
             print(
@@ -98,6 +99,13 @@ def _cmd_size(args) -> int:
     return 0
 
 
+def _universe_size(spec: FamilySpec) -> int:
+    """The size of the universe the spec's family is filtered from."""
+    if spec.name in families.SET_FAMILIES:
+        return binomial(spec.m, spec.k)
+    return multichoose(spec.m, spec.k)
+
+
 def _params_string(spec: FamilySpec) -> str:
     parts = [f"m={spec.m}", f"k={spec.k}"]
     for flag, value in (("t", spec.t), ("r", spec.r), ("s", spec.s)):
@@ -109,7 +117,14 @@ def _params_string(spec: FamilySpec) -> str:
 
 
 def _cmd_construct(args) -> int:
-    fam = build_family(_family_spec(args))
+    spec = _family_spec(args)
+    family_size_formula(spec)  # the parameter check, before the size is read
+    size = _universe_size(spec)
+    if size > ENUMERATION_CAP:
+        raise ScaleExceededError(
+            f"universe has {size} members, exceeding the enumeration cap of {ENUMERATION_CAP}"
+        )
+    fam = build_family(spec)
     save_family(fam, args.output)
     print(f"wrote {len(fam)} members to {args.output}", file=sys.stderr)
     return 0

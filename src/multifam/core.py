@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from operator import attrgetter
 from typing import Iterator, Iterable
 
@@ -248,6 +248,18 @@ class Family:
         members = enumerate_k_multisets(m, k) if kind == MULTISET else enumerate_k_subsets(m, k)
         return cls(m, k, kind, tuple(members))
 
+    @classmethod
+    def from_rows(cls, m: int, k: int, kind: str, rows: Iterable[tuple[int, ...]]) -> "Family":
+        """The family whose members have these multiplicity rows (see
+        multiplicity_rows), built in the order given, which must be the
+        canonical member order."""
+        if kind == MULTISET:
+            members = (Multiset(m, row) for row in rows)
+        else:
+            ground = range(1, m + 1)
+            members = (KSet(m, tuple(compress(ground, row))) for row in rows)
+        return cls(m, k, kind, tuple(members))
+
     @property
     def size(self) -> int:
         return len(self.members)
@@ -396,6 +408,23 @@ def count_vectors(m: int, k: int) -> Iterator[tuple[int, ...]]:
     n = m + k - 1
     for bars in combinations(range(1, n + 1), m - 1):
         yield _stars(bars, n)
+
+
+def universe_rows(m: int, k: int, kind: str) -> Iterator[tuple[int, ...]]:
+    """The multiplicity rows of Family.universe(m, k, kind), in its order,
+    with no member built: count vectors for multisets, 0/1 membership rows
+    for sets."""
+    return count_vectors(m, k) if kind == MULTISET else _membership_rows(m, k)
+
+
+def _membership_rows(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    if n < 0 or k < 0:
+        raise ContractError(f"n, k must be >= 0, got ({n}, {k})")
+    for combo in combinations(range(n), k):
+        row = [0] * n
+        for e in combo:
+            row[e] = 1
+        yield tuple(row)
 
 
 def enumerate_k_subsets(n: int, k: int) -> Iterator[KSet]:

@@ -1,7 +1,8 @@
 """Named extremal family constructors, closed-form sizes, and isomorphism.
 
-Constructors build the family by filtering the enumerated universe, so the
-member order is always canonical.  A set constructor and its multiset
+Constructors build the family by filtering the multiplicity rows of the
+enumerated universe, so the member order is always canonical, and build a
+member only for a row they keep.  A set constructor and its multiset
 analogue share one filter on member support masks (a set is its own
 support) and one parameter check.  Closed-form sizes are provided where
 one exists, and each runs its constructor's parameter check first; hm_t
@@ -36,11 +37,11 @@ from .core import (
     KSet,
     Multiset,
     binomial,
-    count_vectors,
     enumerate_k_multisets,
     is_t_intersecting,
     multichoose,
     multiplicity_rows,
+    universe_rows,
 )
 
 FAMILY_NAMES = (
@@ -55,6 +56,8 @@ FAMILY_NAMES = (
     "hit_s",
     "hajnal_rothschild",
 )
+# the families of k-sets of [n]; the others are k-multisets of [m]
+SET_FAMILIES = ("frankl_set", "hm_set", "hm_t_set", "hajnal_rothschild")
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,11 @@ class FamilySpec:
 def _where(kind: str, m: int, k: int, keep) -> Family:
     """The members of the (m, k) universe of `kind` whose support mask
     passes `keep`.  The universe is in canonical order, so the result is.
-    Multisets are tested on their count vectors, and a Multiset is built
-    only for a member that is kept."""
-    if kind == MULTISET:
-        bits = [1 << e for e in range(m)]
-        kept = (counts for counts in count_vectors(m, k) if keep(sum(compress(bits, counts))))
-        return Family(m, k, kind, tuple(Multiset(m, counts) for counts in kept))
-    members = Family.universe(m, k, kind).members
-    return Family(m, k, kind, tuple(x for x in members if keep(x.support_mask())))
+    Members are tested on their multiplicity rows, and one is built only
+    when it is kept."""
+    bits = [1 << e for e in range(m)]
+    kept = (row for row in universe_rows(m, k, kind) if keep(sum(compress(bits, row))))
+    return Family.from_rows(m, k, kind, kept)
 
 
 def _hitting(kind: str, m: int, k: int, anchor: Iterable[int]) -> Family:

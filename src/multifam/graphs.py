@@ -15,10 +15,11 @@ M(m,k) and M(m,k,1).  Adjacency is stored as one bitmask per vertex, which
 is what the search module's word-parallel candidate operations consume.
 
 All five kinds share one bit-sliced construction.  Each vertex is its row
-of per-element multiplicities (core.multiplicity_rows), read up to
-min(k, t) levels for M(m,k,t) (an intersection is only compared with t)
-and up to one level, its support, for the others, and
-columns[e][j] is the bitset of vertices whose multiplicity at e exceeds j.
+of per-element multiplicities (core.universe_rows: a multiset's count
+vector, a k-set's 0/1 membership row), read up to min(k, t) levels for
+M(m,k,t) (an intersection is only compared with t) and up to one level,
+its support, for the others, and columns[e][j] is the bitset of vertices
+whose multiplicity at e exceeds j.
 |A ∩ B| is then the number of A's columns that contain B, so OR-ing A's
 columns through a saturating ladder of t bitsets yields every vertex
 meeting A at least t times at once.  Rank order is lexicographic, so
@@ -26,8 +27,10 @@ consecutive rows share a prefix of held elements and the ladder resumes
 from the state the previous row reached there.  The cost is at most
 O(n · k · t) big-integer operations instead of O(n²) pair tests.
 
-build_graph only enumerates the universe; the ladder runs when a view is
-first read, and each view is kept on the graph object:
+build_graph only enumerates the universe's rows; no member object is
+built until a family is decoded (family_from_mask, or `vertices`, all
+members, on first read).  The ladder runs when a view is first read, and
+each view is kept on the graph object:
 
   adj      the adjacency over ranks, read by `degree` and kept as the
            rank-order reference the tests check the searches' view
@@ -61,7 +64,7 @@ from .core import (
     ScaleExceededError,
     binomial,
     multichoose,
-    multiplicity_rows,
+    universe_rows,
 )
 
 KIND_KNESER = "K"
@@ -97,25 +100,27 @@ class BranchingView(NamedTuple):
 
 @dataclass
 class DisjointnessGraph:
-    """One universe's disjointness graph; immutable in practice.  `adj`
-    and `ordered` are computed on first read and cached outside the
-    dataclass fields, so they take no part in equality or repr."""
+    """One universe's disjointness graph; immutable in practice.  It holds
+    each vertex's multiplicity row in rank order (`multiplicities`).
+    `vertices`, `adj` and `ordered` are computed on first read and cached
+    outside the dataclass fields, so they take no part in equality or
+    repr."""
 
     kind: str
     m: int
     k: int
     t: int
     family_kind: str
-    vertices: tuple
+    multiplicities: tuple[tuple[int, ...], ...]
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.multiplicities)
 
     @cached_property
-    def multiplicities(self) -> list[tuple[int, ...]]:
-        """Each vertex's multiplicity row, in rank order."""
-        return multiplicity_rows(self.vertices)
+    def vertices(self) -> tuple:
+        """The universe members in rank order (Family.universe's)."""
+        return Family.from_rows(self.m, self.k, self.family_kind, self.multiplicities).members
 
     @property
     def _levels(self) -> int:
@@ -162,9 +167,10 @@ class DisjointnessGraph:
         return f"M'({self.m},{self.k},{self.t})"
 
     def family_from_mask(self, mask: int) -> Family:
-        # vertices are in canonical member order, and so is any subsequence
-        chosen = tuple(self.vertices[v] for v in _bits(mask))
-        return Family(self.m, self.k, self.family_kind, chosen)
+        # ranks are in canonical member order, and so is any subsequence;
+        # only the chosen members are built
+        rows = self.multiplicities
+        return Family.from_rows(self.m, self.k, self.family_kind, [rows[v] for v in _bits(mask)])
 
 
 def _bits(mask: int):
@@ -182,9 +188,10 @@ def build_graph(
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> DisjointnessGraph:
     """Build the requested disjointness graph; refuses universes above the
-    vertex cap.  Vertex order is the enumeration (= rank) order.  Only the
-    universe is enumerated here: `adj` and `ordered` run the ladder when
-    first read (module docstring)."""
+    vertex cap before enumerating anything.  Vertex order is the
+    enumeration (= rank) order.  Only the universe's rows are enumerated
+    here: `adj` and `ordered` run the ladder when first read (module
+    docstring)."""
     if kind not in GRAPH_KINDS:
         raise ContractError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     if t < 1:
@@ -192,16 +199,21 @@ def build_graph(
     if kind in (KIND_KNESER, KIND_MULTISET_DISJOINT) and t != 1:
         raise ContractError(f"graph kind {kind} does not take a threshold t")
 
-    set_based = kind in (KIND_KNESER, KIND_KNESER_T)
-    count = binomial(m, k) if set_based else multichoose(m, k)
+    family_kind = SET if kind in (KIND_KNESER, KIND_KNESER_T) else MULTISET
+    check_vertex_cap(family_kind, m, k, vertex_cap)
+    rows = tuple(universe_rows(m, k, family_kind))
+    return DisjointnessGraph(kind, m, k, t, family_kind, rows)
+
+
+def check_vertex_cap(family_kind: str, m: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
+    """Refuse (ScaleExceededError) a universe of k-members of [m] of
+    `family_kind` with more than vertex_cap members, counted in closed form
+    so nothing is enumerated."""
+    count = binomial(m, k) if family_kind == SET else multichoose(m, k)
     if count > vertex_cap:
         raise ScaleExceededError(
             f"universe has {count} vertices, exceeding the cap of {vertex_cap}"
         )
-
-    family_kind = SET if set_based else MULTISET
-    vertices = Family.universe(m, k, family_kind).members
-    return DisjointnessGraph(kind, m, k, t, family_kind, vertices)
 
 
 def _columns(rows, slot, m: int, levels: int) -> list[list[int]]:

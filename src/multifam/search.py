@@ -66,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, lt, mul
+from operator import add, mul
 
 from .core import (
     MULTISET,
@@ -86,6 +86,7 @@ from .graphs import (
     KIND_MULTISET_T,
     DisjointnessGraph,
     _bits,
+    _columns,
     build_graph,
 )
 
@@ -525,7 +526,11 @@ class _SmallCoreSolver(_MaxCliqueSolver):
     the branches are listed from the untrimmed candidates.  Once the core
     drops below the limit it can never grow again, and the node is an
     ordinary one.  A greedy clique can break the constraint, so the
-    incumbent starts at the verified seed family instead."""
+    incumbent starts at the verified seed family instead.
+
+    over[e][j] is the bitset of the vertices whose count at e exceeds j,
+    for j up to k (graphs._columns), so the candidates that shrink a core
+    and the least count each element keeps among them are bitset tests."""
 
     def __init__(
         self, graph: DisjointnessGraph, core_limit: int, node_limit: int | None, seed_mask: int
@@ -535,6 +540,7 @@ class _SmallCoreSolver(_MaxCliqueSolver):
         self.core = (graph.k + 1,) * graph.m
         self.limit = core_limit
         self.seed_mask = seed_mask
+        self.over = _columns(view.counts, range(self.n), graph.m, graph.k + 1)
 
     def _seed(self) -> None:
         """The seed family, mapped from ranks to branching slots."""
@@ -549,15 +555,24 @@ class _SmallCoreSolver(_MaxCliqueSolver):
         """The branches of a node whose core is still at or above the limit:
         the candidates that shrink it, in ascending order, each bounded by
         the node's whole colour bound; none once even all of them together
-        cannot bring the core below the limit."""
-        counts = self.counts
-        order = [v for v in _bits(p_mask) if any(map(lt, counts[v], core))]
-        low = core  # the others never lower it
-        for v in order:
-            low = tuple(map(min, low, counts[v]))
-            if sum(low) < self.limit:
-                return order, [bound] * len(order)
-        return [], []
+        cannot bring the core below the limit.  All of them bring element e
+        down to the least count j < core[e] one of them holds there, if
+        any; the others never lower it."""
+        over = self.over
+        fixed = p_mask  # the candidates that lower no element of the core
+        for col, c in zip(over, core):
+            if c:
+                fixed &= col[c - 1]
+        reducers = p_mask ^ fixed
+        low = 0
+        for col, c in zip(over, core):
+            j = 0
+            while j < c and not reducers & ~col[j]:
+                j += 1
+            low += j
+            if low >= self.limit:
+                return [], []
+        return list(_bits(reducers)), [bound] * reducers.bit_count()
 
     def _shrink(self, core, row):
         """The core once a member with multiplicities `row` joins, or None

@@ -26,9 +26,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import families
-from .core import ContractError, Family, binomial, multichoose
+from .core import MULTISET, SET, ContractError, Family, binomial, multichoose
 from .families import canonical_form
-from .graphs import KIND_KNESER, KIND_MULTISET_DISJOINT, build_graph
+from .graphs import KIND_KNESER, KIND_MULTISET_DISJOINT, build_graph, check_vertex_cap
 from .search import (
     NODE_LIMIT_HIT,
     SearchResult,
@@ -44,6 +44,8 @@ from .search import (
 )
 
 THEOREM_IDS = ("T1.1", "T1.4", "T2.3", "T2.4", "T3.3", "T3.4", "T3.5", "T4.1", "T4.8")
+# the theorems whose universe is the k-sets of [n]; the others search k-multisets of [m]
+_SET_THEOREMS = ("T1.1", "T2.3", "T2.4")
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -321,9 +323,13 @@ def verify_theorem(
         raise ContractError(
             f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}"
         )
-    for key, value in zip(("m", "k"), _require(params, "m", "k")):
+    m, k = _require(params, "m", "k")
+    for key, value in (("m", m), ("k", k)):
         if value < 1:
             raise ContractError(f"{key} must be >= 1, got {value}")
+    # every binding searches a graph over this universe: refuse it before
+    # a construction enumerates anything
+    check_vertex_cap(SET if theorem_id in _SET_THEOREMS else MULTISET, m, k)
     start = time.perf_counter()
     binding = _BINDINGS[theorem_id](params, node_limit)
     constructed_size = len(binding.constructed) if binding.constructed is not None else None

@@ -120,6 +120,19 @@ def pair_loop_degrees(kind, m, k, t, rows):
     return [sum(1 for u in range(n) if u != v and not edge(v, u)) for v in rows]
 
 
+def universe_graph(kind, m, k, t=1):
+    """Reference graph: (vertices, graph) with the vertices built by
+    Family.universe and the graph's rows read back off them by
+    multiplicity_rows, as the graph was built before it held count rows."""
+    from multifam.core import MULTISET, SET, Family, multiplicity_rows
+    from multifam.graphs import DisjointnessGraph
+
+    family_kind = SET if kind in ("K", "K_t") else MULTISET
+    vertices = Family.universe(m, k, family_kind).members
+    rows = tuple(multiplicity_rows(vertices))
+    return vertices, DisjointnessGraph(kind, m, k, t, family_kind, rows)
+
+
 def ladder_columns(rows, m, levels):
     """columns[e][j] = bitset of the row indices whose multiplicity at e
     exceeds j, for j < levels, one bit at a time."""
@@ -559,6 +572,20 @@ def vertex_small_core_search(counts, compat, core_limit, seed_mask=0):
     if counts:
         front(0, 0, None, (1 << len(counts)) - 1)
     return best[0], best[1], nodes
+
+
+def scan_small_core_filter(counts, core, p_mask, core_limit):
+    """Reference for the small-core search's branch filter: the candidates
+    of p_mask that shrink core, each row scanned, in ascending order, or []
+    once even all of them together leave a core of cardinality at least
+    core_limit (the early-exit prefix scan the bitset filter replaced)."""
+    order = [v for v in bits(p_mask) if any(x < c for x, c in zip(counts[v], core))]
+    low = core
+    for v in order:
+        low = tuple(map(min, low, counts[v]))
+        if sum(low) < core_limit:
+            return order
+    return []
 
 
 def brute_small_core(counts, t, core_limit):

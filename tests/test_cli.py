@@ -393,6 +393,47 @@ def test_scale_guard_exit_code(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def _refuse_enumeration(monkeypatch):
+    """Make every universe enumeration in the package raise."""
+    import multifam
+
+    def refuse(*args):
+        raise AssertionError("a universe was enumerated")
+
+    for module in vars(multifam).values():
+        if getattr(module, "__name__", "").startswith("multifam."):
+            for name in ("count_vectors", "combinations"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+@pytest.mark.parametrize("m, k", [(60, 30), (40, 20)])
+def test_verify_refuses_an_oversized_universe_before_enumerating(theorem, m, k, monkeypatch, capsys):
+    # the construction would enumerate the universe before the graph's cap
+    _refuse_enumeration(monkeypatch)
+    assert run("verify", "--theorem", theorem, "--m", str(m), "--k", str(k), "--t", "2", "--s", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeding the cap" in captured.err
+
+
+def test_construct_refuses_an_oversized_universe_before_enumerating(tmp_path, monkeypatch, capsys):
+    _refuse_enumeration(monkeypatch)
+    for family in ("star", "frankl_set"):
+        out = tmp_path / f"{family}.txt"
+        argv = ("--family", family, "--m", "40", "--k", "20", "--t", "1", "--r", "0")
+        assert run("construct", *argv, "-o", str(out)) == 3
+        assert not out.exists()
+        assert "enumeration cap" in capsys.readouterr().err
+    # a set family's universe is its C(n, k) k-sets: 31,824 here, against
+    # 346,104 18-multisets of size 7
+    out = tmp_path / "sets.txt"
+    argv = ("--family", "frankl_set", "--m", "18", "--k", "7", "--t", "1", "--r", "0")
+    monkeypatch.undo()
+    assert run("construct", *argv, "-o", str(out)) == 0
+    assert len(load_family(out)) == 12376
+
+
 def test_suite_quick_profile(capsys):
     assert run("suite", "--profile", "quick") == 0
     out = capsys.readouterr().out

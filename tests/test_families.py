@@ -247,6 +247,46 @@ def test_multiset_constructors_build_only_the_members_they_keep(monkeypatch):
     assert sizes == [(21, 56), (9, 495), (25, 210), (17, 126), (49, 84)]
 
 
+def test_set_constructors_build_only_the_members_they_keep(monkeypatch):
+    # each set constructor equals a filter over Family.universe, and builds
+    # a KSet only for a member it keeps (and hit_s_set one for its anchor)
+    from multifam.families import hit_s_set
+
+    cases = [
+        (lambda: frankl_set(12, 3, 1, 0), 12, 3, lambda b: 1 in b.members),
+        (lambda: frankl_set(8, 4, 2, 1), 8, 4, lambda b: len({1, 2, 3, 4} & set(b.members)) >= 3),
+        (lambda: hm_set(7, 3), 7, 3,
+         lambda b: 1 in b.members and {2, 3, 4} & set(b.members) or b.members == (2, 3, 4)),
+        (lambda: hm_t_set(6, 4, 2), 6, 4,
+         lambda b: {1, 2} <= set(b.members) and {3, 4, 5} & set(b.members)
+         or b.members in ((2, 3, 4, 5), (1, 3, 4, 5))),
+    ]
+    built = []
+    real = KSet.__post_init__
+
+    def counting(self):
+        built.append(self.members)
+        real(self)
+
+    sizes = []
+    for construct, n, k, keep in cases:
+        universe = Family.universe(n, k, "set").members
+        expected = Family(n, k, "set", tuple(b for b in universe if keep(b)))
+        built.clear()
+        monkeypatch.setattr(KSet, "__post_init__", counting)
+        family = construct()
+        monkeypatch.undo()
+        assert family == expected
+        assert built == [b.members for b in expected.members]
+        sizes.append((len(built), len(universe)))
+    assert sizes == [(55, 220), (17, 70), (13, 35), (8, 15)]
+    monkeypatch.setattr(KSet, "__post_init__", counting)
+    built.clear()
+    family = hit_s_set(7, 3, (1, 5))
+    assert built == [(1, 5)] + [b.members for b in family.members]
+    assert len(family) == binomial(7, 3) - binomial(5, 3)
+
+
 # -- maximality --------------------------------------------------------------
 
 def test_extend_to_maximal_reaches_full_support():

@@ -29,7 +29,7 @@ from multifam import (
     multiset_rank,
     verify_theorem,
 )
-from multifam import graphs
+from multifam import KSet, Multiset, graphs
 from multifam.core import MULTISET
 from multifam.search import (
     NODE_LIMIT_HIT,
@@ -67,7 +67,9 @@ from bruteforce import (
     recursive_enumerate_cliques,
     recursive_max_clique,
     relabel_by_bits,
+    scan_small_core_filter,
     two_sided_max_induced_bipartite,
+    universe_graph,
     vertex_small_core_search,
 )
 from conftest import random_adjacency
@@ -141,6 +143,47 @@ def test_branching_view_is_the_sorted_relabelled_complement():
             types[shape] = types.get(shape, 0) | 1 << i
         assert sorted(view.orbits) == sorted(types.values()), (kind, m, k, t)
         assert graph.edge_count() == sum(row.bit_count() for row in graph.adj) // 2
+
+
+def test_graph_rows_match_the_universe_reference():
+    # the graph holds core.universe_rows; the reference reads the rows back
+    # off Family.universe's members, on all five kinds, m <= 8, k <= 5,
+    # t <= k+1
+    instances = list(_graph_instances(max_m=8, max_k=5))
+    assert len(instances) == 600
+    for kind, m, k, t in instances:
+        graph = build_graph(kind, m, k, t)
+        vertices, reference = universe_graph(kind, m, k, t)
+        assert graph.multiplicities == reference.multiplicities, (kind, m, k, t)
+        assert graph.ordered == reference.ordered, (kind, m, k, t)
+        assert graph.adj == reference.adj, (kind, m, k, t)
+        assert graph.vertices == vertices, (kind, m, k, t)
+
+
+def test_searches_build_only_the_witness_members(monkeypatch):
+    # building the graph builds no member; a search builds its witness's
+    # members only, each side and the union once for the bipartite one
+    built = []
+    for member in (Multiset, KSet):
+        def counting(self, real=member.__post_init__):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(member, "__post_init__", counting)
+    for args, search, copies in (
+        (("M_t", 7, 4, 2), max_independent_set, 1),
+        (("K", 8, 3), max_independent_set, 1),
+        (("M_support_t", 6, 3, 2), max_independent_set, 1),
+        (("M", 5, 2), induced_bipartite_search, 2),
+        (("K", 6, 2), induced_bipartite_search, 2),
+    ):
+        built.clear()
+        graph = build_graph(*args)
+        assert built == [], args
+        result = search(graph)
+        assert result.proved
+        assert len(built) == copies * result.optimum, args
+        assert set(built) == set(result.witness.members), args
 
 
 def _count_calls(monkeypatch, name):
@@ -287,9 +330,20 @@ def test_small_core_compat_matches_pairwise_masks(monkeypatch):
         assert solver.rows == relabel_by_bits(pairwise_compat_masks(counts, t), solver.to_old)
 
 
-def test_graph_cap_and_kind_validation():
-    with pytest.raises(ScaleExceededError):
-        build_graph("M", 20, 10, vertex_cap=100)
+def test_graph_cap_and_kind_validation(monkeypatch):
+    # the cap is checked before any universe row is enumerated
+    def refuse(*args):
+        raise AssertionError("a universe row was enumerated")
+
+    monkeypatch.setattr("multifam.core.count_vectors", refuse)
+    monkeypatch.setattr("multifam.core.combinations", refuse)
+    for kind, t in (("M", 1), ("K", 1), ("M_t", 2), ("K_t", 2), ("M_support_t", 2)):
+        with pytest.raises(ScaleExceededError):
+            build_graph(kind, 20, 10, t, vertex_cap=100)
+    for kind in ("M", "K"):
+        with pytest.raises(AssertionError, match="enumerated"):
+            build_graph(kind, 4, 2)
+    monkeypatch.undo()
     with pytest.raises(ContractError):
         build_graph("Q", 4, 2)
     with pytest.raises(ContractError):
@@ -854,6 +908,29 @@ def test_product_orbits_are_stabiliser_orbits(m, monkeypatch):
     _assert_stabiliser_orbits(seen, group, (0,) * m + (1, 1))
     for _r_mask, cls, *_rest in seen:
         assert not set(cls[:m]) & set(cls[m:])  # no marker shares a real element's class
+
+
+def test_small_core_filter_matches_the_row_scan(monkeypatch):
+    # the bitset filter against the per-candidate scan it replaced, at every
+    # node the small-core searches filter
+    outcomes = set()
+    real = _SmallCoreSolver._filter
+
+    def checked(self, core, p_mask, bound):
+        order, bounds = real(self, core, p_mask, bound)
+        assert order == scan_small_core_filter(self.counts, core, p_mask, self.limit)
+        assert bounds == [bound] * len(order)
+        outcomes.add(bool(order))
+        return order, bounds
+
+    monkeypatch.setattr(_SmallCoreSolver, "_filter", checked)
+    for m in range(1, 8):
+        for k in range(1, 5):
+            for t in range(1, k + 1):
+                seed = _construction_seed(m, k, t)
+                for seed in (None, seed) if seed is not None else (None,):
+                    _assert_small_core_result(max_t_intersecting_nontrivial(m, k, t, seed=seed), t)
+    assert outcomes == {True, False}
 
 
 def test_small_core_front_end_prunes_on_an_empty_trimmed_order(monkeypatch):
