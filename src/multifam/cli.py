@@ -28,8 +28,8 @@ from .core import (
     ContractError,
     Family,
     ScaleExceededError,
-    binomial,
     multichoose,
+    universe_size,
 )
 from .family_io import ParseError, load_family, save_family
 from .families import FamilySpec, build_family, family_size_formula, is_isomorphic
@@ -101,9 +101,7 @@ def _cmd_size(args) -> int:
 
 def _universe_size(spec: FamilySpec) -> int:
     """The size of the universe the spec's family is filtered from."""
-    if spec.name in families.SET_FAMILIES:
-        return binomial(spec.m, spec.k)
-    return multichoose(spec.m, spec.k)
+    return universe_size(spec.m, spec.k, SET if spec.name in families.SET_FAMILIES else MULTISET)
 
 
 def _params_string(spec: FamilySpec) -> str:

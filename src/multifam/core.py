@@ -387,15 +387,18 @@ def _bars(a: Multiset) -> KSet:
     return KSet(a.ground_size + a.cardinality - 1, tuple(bars))
 
 
-def enumerate_k_multisets(m: int, k: int) -> Iterator[Multiset]:
-    """All k-multisets of [m] in lexicographic multiplicity-vector order.
+def enumerate_k_multisets(
+    m: int, k: int, rows: bool = False
+) -> Iterator[Multiset | tuple[int, ...]]:
+    """All k-multisets of [m] in lexicographic multiplicity-vector order;
+    with rows=True, their count vectors instead, with no Multiset built.
 
     Walks the (m-1)-subsets of bar positions in a word of m+k-1 stars and
     bars; their lexicographic order is that of the multiplicity vectors.
     Emits exactly multichoose(m, k) distinct multisets, deterministically.
     """
     for counts in count_vectors(m, k):
-        yield Multiset(m, counts)
+        yield counts if rows else Multiset(m, counts)
 
 
 def count_vectors(m: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -410,29 +413,33 @@ def count_vectors(m: int, k: int) -> Iterator[tuple[int, ...]]:
         yield _stars(bars, n)
 
 
+def enumerate_k_subsets(n: int, k: int, rows: bool = False) -> Iterator[KSet | tuple[int, ...]]:
+    """All k-subsets of [n] in lexicographic order; empty when k > n.  With
+    rows=True, each one's 0/1 membership row instead, with no KSet built."""
+    if n < 0 or k < 0:
+        raise ContractError(f"n, k must be >= 0, got ({n}, {k})")
+    for combo in combinations(range(1, n + 1), k):
+        if rows:
+            row = [0] * n
+            for e in combo:
+                row[e - 1] = 1
+            yield tuple(row)
+        else:
+            yield KSet(n, combo)
+
+
 def universe_rows(m: int, k: int, kind: str) -> Iterator[tuple[int, ...]]:
     """The multiplicity rows of Family.universe(m, k, kind), in its order,
     with no member built: count vectors for multisets, 0/1 membership rows
     for sets."""
-    return count_vectors(m, k) if kind == MULTISET else _membership_rows(m, k)
+    enumerate_members = enumerate_k_multisets if kind == MULTISET else enumerate_k_subsets
+    return enumerate_members(m, k, rows=True)
 
 
-def _membership_rows(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if n < 0 or k < 0:
-        raise ContractError(f"n, k must be >= 0, got ({n}, {k})")
-    for combo in combinations(range(n), k):
-        row = [0] * n
-        for e in combo:
-            row[e] = 1
-        yield tuple(row)
-
-
-def enumerate_k_subsets(n: int, k: int) -> Iterator[KSet]:
-    """All k-subsets of [n] in lexicographic order; empty when k > n."""
-    if n < 0 or k < 0:
-        raise ContractError(f"n, k must be >= 0, got ({n}, {k})")
-    for combo in combinations(range(1, n + 1), k):
-        yield KSet(n, combo)
+def universe_size(m: int, k: int, kind: str) -> int:
+    """len(Family.universe(m, k, kind)) in closed form, with nothing
+    enumerated."""
+    return multichoose(m, k) if kind == MULTISET else binomial(m, k)
 
 
 def multiset_rank(a: Multiset) -> int:

@@ -65,6 +65,7 @@ from .core import (
     binomial,
     multichoose,
     universe_rows,
+    universe_size,
 )
 
 KIND_KNESER = "K"
@@ -209,7 +210,7 @@ def check_vertex_cap(family_kind: str, m: int, k: int, vertex_cap: int = DEFAULT
     """Refuse (ScaleExceededError) a universe of k-members of [m] of
     `family_kind` with more than vertex_cap members, counted in closed form
     so nothing is enumerated."""
-    count = binomial(m, k) if family_kind == SET else multichoose(m, k)
+    count = universe_size(m, k, family_kind)
     if count > vertex_cap:
         raise ScaleExceededError(
             f"universe has {count} vertices, exceeding the cap of {vertex_cap}"

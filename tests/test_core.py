@@ -20,7 +20,7 @@ from multifam import (
     multiset_rank,
     multiset_unrank,
 )
-from multifam.core import count_vectors
+from multifam.core import count_vectors, multiplicity_rows, universe_rows, universe_size
 
 from bruteforce import (
     greedy_t_subfamily,
@@ -226,6 +226,16 @@ def test_subset_enumeration():
     assert list(enumerate_k_subsets(5, 5)) == [KSet(5, (1, 2, 3, 4, 5))]
     assert len(list(enumerate_k_subsets(8, 4))) == 70
     assert list(enumerate_k_subsets(3, 4)) == []
+
+
+def test_universe_rows_are_the_enumerated_members_rows():
+    # the rows=True walk of each enumerator, with no member built
+    for kind, m, k in [("set", 6, 3), ("set", 5, 5), ("set", 3, 4), ("set", 4, 0),
+                       ("multiset", 4, 3), ("multiset", 1, 3), ("multiset", 5, 0)]:
+        members = Family.universe(m, k, kind).members
+        rows = list(universe_rows(m, k, kind))
+        assert rows == multiplicity_rows(members)
+        assert len(rows) == universe_size(m, k, kind)
 
 
 # -- ranking ----------------------------------------------------------------

@@ -30,10 +30,15 @@ from multifam import (
     multichoose,
     star,
 )
+from multifam.core import MULTISET, SET
 from multifam.families import (
+    FAMILY_NAMES,
+    SET_FAMILIES,
+    FamilySpec,
     _Canonizer,
     _Orbits,
     apply_permutation,
+    build_family,
     canonical_form,
     is_isomorphic,
     star_size,
@@ -463,3 +468,11 @@ def test_apply_permutation_validates():
         apply_permutation(star(4, 2, 1), (1, 2, 3))
     with pytest.raises(ContractError):
         apply_permutation(star(4, 2, 1), (1, 1, 2, 3))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_set_families_lists_exactly_the_set_constructors(name):
+    # the CLI reads a family's universe size off SET_FAMILIES before building it
+    t = 2 if name.startswith("hm_t_") else 1  # hajnal_rothschild builds only t=1
+    spec = FamilySpec(name, m=7, k=4, t=t, r=0, s=2, anchor=(1,))
+    assert build_family(spec).kind == (SET if name in SET_FAMILIES else MULTISET)
