@@ -431,7 +431,8 @@ def enumerate_k_subsets(n: int, k: int, rows: bool = False) -> Iterator[KSet | t
 def universe_rows(m: int, k: int, kind: str) -> Iterator[tuple[int, ...]]:
     """The multiplicity rows of Family.universe(m, k, kind), in its order,
     with no member built: count vectors for multisets, 0/1 membership rows
-    for sets."""
+    for sets.  It is the enumerators' rows=True walk, so members and rows
+    share one walk per kind."""
     enumerate_members = enumerate_k_multisets if kind == MULTISET else enumerate_k_subsets
     return enumerate_members(m, k, rows=True)
 
