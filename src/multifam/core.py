@@ -34,6 +34,10 @@ class ScaleExceededError(RuntimeError):
     """Instance exceeds an exhaustive-computation guard; refusing to run."""
 
 
+# the most members any universe walk (core.universe_rows) enumerates
+ENUMERATION_CAP = 200_000
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
@@ -428,11 +432,20 @@ def enumerate_k_subsets(n: int, k: int, rows: bool = False) -> Iterator[KSet | t
             yield KSet(n, combo)
 
 
-def universe_rows(m: int, k: int, kind: str) -> Iterator[tuple[int, ...]]:
+def universe_rows(
+    m: int, k: int, kind: str, cap: int = ENUMERATION_CAP
+) -> Iterator[tuple[int, ...]]:
     """The multiplicity rows of Family.universe(m, k, kind), in its order,
     with no member built: count vectors for multisets, 0/1 membership rows
     for sets.  It is the enumerators' rows=True walk, so members and rows
-    share one walk per kind."""
+    share one walk per kind.
+
+    This is the scale guard of every walk over a universe: a universe of
+    more than `cap` members, counted in closed form, is refused
+    (ScaleExceededError) here, before the walk starts."""
+    count = universe_size(m, k, kind)
+    if count > cap:
+        raise ScaleExceededError(f"universe has {count} members, exceeding the cap of {cap}")
     enumerate_members = enumerate_k_multisets if kind == MULTISET else enumerate_k_subsets
     return enumerate_members(m, k, rows=True)
 

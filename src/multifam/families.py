@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import ge
 from typing import Iterable, Sequence
 
 from .core import (
@@ -56,8 +57,6 @@ FAMILY_NAMES = (
     "hit_s",
     "hajnal_rothschild",
 )
-# the families of k-sets of [n]; the others are k-multisets of [m]
-SET_FAMILIES = ("frankl_set", "hm_set", "hm_t_set", "hajnal_rothschild")
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,8 @@ def _where(kind: str, m: int, k: int, keep) -> Family:
     """The members of the (m, k) universe of `kind` whose support mask
     passes `keep`.  The universe is in canonical order, so the result is.
     Members are tested on their multiplicity rows, and one is built only
-    when it is kept."""
+    when it is kept.  A universe above core.ENUMERATION_CAP is refused
+    (ScaleExceededError) before any row is walked."""
     bits = [1 << e for e in range(m)]
     kept = (row for row in universe_rows(m, k, kind) if keep(sum(compress(bits, row))))
     return Family.from_rows(m, k, kind, kept)
@@ -133,9 +133,9 @@ def fixed_multiset(m: int, k: int, anchor: Multiset) -> Family:
     if anchor.ground_size != m:
         raise ContractError(f"anchor ground size {anchor.ground_size} != {m}")
     _check_fixed_params(m, k, anchor.cardinality)
-    return Family.of_multisets(
-        m, k, (a for a in enumerate_k_multisets(m, k) if a.contains(anchor))
-    )
+    floor = anchor.counts
+    kept = (row for row in universe_rows(m, k, MULTISET) if all(map(ge, row, floor)))
+    return Family.from_rows(m, k, MULTISET, kept)
 
 
 def fixed_multiset_size(m: int, k: int, anchor_cardinality: int) -> int:

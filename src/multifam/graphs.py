@@ -1,7 +1,8 @@
 """Disjointness graphs over enumerated k-set / k-multiset universes.
 
-Vertices are the universe members in enumeration order (vertex index ==
-rank).  Adjacency joins pairs that fall below the intersection threshold:
+Vertices are the universe members in enumeration order (a vertex's rank
+is its index in `multiplicities`).  Adjacency joins pairs that fall below
+the intersection threshold:
 
   K(n,k)        k-subsets,   edge iff disjoint
   K(n,k,t)      k-subsets,   edge iff |A ∩ B| < t
@@ -11,8 +12,9 @@ rank).  Adjacency joins pairs that fall below the intersection threshold:
 
 Independent sets are intersecting (resp. t-intersecting, support-t-
 intersecting) families.  M(m,k) and M'(m,k,1) coincide edge for edge, as do
-M(m,k) and M(m,k,1).  Adjacency is stored as one bitmask per vertex, which
-is what the search module's word-parallel candidate operations consume.
+M(m,k) and M(m,k,1).  The graph is stored as its complement, one
+compatibility bitmask per vertex, which is what the search module's
+word-parallel candidate operations consume.
 
 All five kinds share one bit-sliced construction.  Each vertex is its row
 of per-element multiplicities (core.universe_rows: a multiset's count
@@ -28,25 +30,18 @@ from the state the previous row reached there.  The cost is at most
 O(n · k · t) big-integer operations instead of O(n²) pair tests.
 
 build_graph only enumerates the universe's rows; no member object is
-built until a family is decoded (family_from_mask, or `vertices`, all
-members, on first read).  The ladder runs when a view is first read, and
-each view is kept on the graph object:
-
-  adj      the adjacency over ranks, read by `degree` and kept as the
-           rank-order reference the tests check the searches' view
-           against; no search reads it;
-  ordered  the compatibility graph (the complement, whose cliques are the
-           intersecting families) in the clique engine's branching order:
-           descending compatibility degree, rank breaking ties.  Every
-           kind is invariant under permuting [m], so a vertex's degree
-           depends only on its multiplicity type (its sorted row), and it
-           is counted once per type in closed form, before any column
-           exists.  The columns are then built once, with each vertex at
-           its branching slot, so one ladder pass yields the engine's rows
-           with no bit permutation.  For K kinds all vertices share one
-           type and the order is rank order.  The view keeps each type's
-           vertices as one bitset: the orbits the searches' orbital front
-           starts from.
+built until a family is decoded (family_from_mask).  The graph has one
+view, `ordered`, built by the ladder when first read and kept on the graph
+object: the compatibility graph (the complement, whose cliques are the
+intersecting families) in the clique engine's branching order, descending
+compatibility degree with rank breaking ties.  Every kind is invariant
+under permuting [m], so a vertex's degree depends only on its multiplicity
+type (its sorted row), and it is counted once per type in closed form,
+before any column exists.  The columns are then built once, with each
+vertex at its branching slot, so one ladder pass yields the engine's rows
+with no bit permutation.  For K kinds all vertices share one type and the
+order is rank order.  The view keeps each type's vertices as one bitset:
+the orbits the searches' orbital front starts from.
 """
 
 from __future__ import annotations
@@ -56,17 +51,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from .core import (
-    MULTISET,
-    SET,
-    ContractError,
-    Family,
-    ScaleExceededError,
-    binomial,
-    multichoose,
-    universe_rows,
-    universe_size,
-)
+from .core import MULTISET, SET, ContractError, Family, binomial, multichoose, universe_rows
 
 KIND_KNESER = "K"
 KIND_MULTISET_DISJOINT = "M"
@@ -74,13 +59,15 @@ KIND_KNESER_T = "K_t"
 KIND_MULTISET_T = "M_t"
 KIND_MULTISET_SUPPORT_T = "M_support_t"
 
-GRAPH_KINDS = (
-    KIND_KNESER,
-    KIND_MULTISET_DISJOINT,
-    KIND_KNESER_T,
-    KIND_MULTISET_T,
-    KIND_MULTISET_SUPPORT_T,
-)
+# each graph kind and the kind of member its vertices are
+_FAMILY_KIND = {
+    KIND_KNESER: SET,
+    KIND_MULTISET_DISJOINT: MULTISET,
+    KIND_KNESER_T: SET,
+    KIND_MULTISET_T: MULTISET,
+    KIND_MULTISET_SUPPORT_T: MULTISET,
+}
+GRAPH_KINDS = tuple(_FAMILY_KIND)
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -102,41 +89,30 @@ class BranchingView(NamedTuple):
 @dataclass
 class DisjointnessGraph:
     """One universe's disjointness graph; immutable in practice.  It holds
-    each vertex's multiplicity row in rank order (`multiplicities`).
-    `vertices`, `adj` and `ordered` are computed on first read and cached
-    outside the dataclass fields, so they take no part in equality or
-    repr."""
+    each vertex's multiplicity row in rank order (`multiplicities`).  Its
+    one view, `ordered`, is computed on first read and cached outside the
+    dataclass fields, so it takes no part in equality or repr."""
 
     kind: str
     m: int
     k: int
     t: int
-    family_kind: str
     multiplicities: tuple[tuple[int, ...], ...]
+
+    @property
+    def family_kind(self) -> str:
+        """The kind of member the vertices are: SET or MULTISET."""
+        return _FAMILY_KIND[self.kind]
 
     @property
     def n_vertices(self) -> int:
         return len(self.multiplicities)
-
-    @cached_property
-    def vertices(self) -> tuple:
-        """The universe members in rank order (Family.universe's)."""
-        return Family.from_rows(self.m, self.k, self.family_kind, self.multiplicities).members
 
     @property
     def _levels(self) -> int:
         # only M(m,k,t) counts multiplicity; the other kinds compare supports.
         # A level at or above t changes no count that reaches t.
         return min(self.k, self.t) if self.kind == KIND_MULTISET_T else 1
-
-    @cached_property
-    def adj(self) -> list[int]:
-        """adj[v] = bitset of the ranks u != v below the threshold with v."""
-        rows = self.multiplicities
-        full = (1 << len(rows)) - 1
-        ranks = range(len(rows))
-        compat = _compatibility(rows, _columns(rows, ranks, self.m, self._levels), self.t, ranks)
-        return [full & ~(row | 1 << v) for v, row in enumerate(compat)]
 
     @cached_property
     def ordered(self) -> BranchingView:
@@ -152,9 +128,6 @@ class DisjointnessGraph:
         # counted on the branching view, which every search builds anyway
         n = self.n_vertices
         return (n * (n - 1) - sum(row.bit_count() for row in self.ordered.rows)) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def label(self) -> str:
         if self.kind == KIND_KNESER:
@@ -188,11 +161,11 @@ def build_graph(
     t: int = 1,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> DisjointnessGraph:
-    """Build the requested disjointness graph; refuses universes above the
-    vertex cap before enumerating anything.  Vertex order is the
-    enumeration (= rank) order.  Only the universe's rows are enumerated
-    here: `adj` and `ordered` run the ladder when first read (module
-    docstring)."""
+    """Build the requested disjointness graph; refuses (ScaleExceededError)
+    a universe of more than vertex_cap members before enumerating anything.
+    Vertex order is the enumeration (= rank) order.  Only the universe's
+    rows are enumerated here: `ordered` runs the ladder when first read
+    (module docstring)."""
     if kind not in GRAPH_KINDS:
         raise ContractError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     if t < 1:
@@ -200,21 +173,8 @@ def build_graph(
     if kind in (KIND_KNESER, KIND_MULTISET_DISJOINT) and t != 1:
         raise ContractError(f"graph kind {kind} does not take a threshold t")
 
-    family_kind = SET if kind in (KIND_KNESER, KIND_KNESER_T) else MULTISET
-    check_vertex_cap(family_kind, m, k, vertex_cap)
-    rows = tuple(universe_rows(m, k, family_kind))
-    return DisjointnessGraph(kind, m, k, t, family_kind, rows)
-
-
-def check_vertex_cap(family_kind: str, m: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
-    """Refuse (ScaleExceededError) a universe of k-members of [m] of
-    `family_kind` with more than vertex_cap members, counted in closed form
-    so nothing is enumerated."""
-    count = universe_size(m, k, family_kind)
-    if count > vertex_cap:
-        raise ScaleExceededError(
-            f"universe has {count} vertices, exceeding the cap of {vertex_cap}"
-        )
+    rows = tuple(universe_rows(m, k, _FAMILY_KIND[kind], vertex_cap))
+    return DisjointnessGraph(kind, m, k, t, rows)
 
 
 def _columns(rows, slot, m: int, levels: int) -> list[list[int]]:

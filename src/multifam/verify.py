@@ -26,9 +26,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import families
-from .core import MULTISET, SET, ContractError, Family, binomial, multichoose
+from .core import ContractError, Family, binomial, multichoose
 from .families import canonical_form
-from .graphs import KIND_KNESER, KIND_MULTISET_DISJOINT, build_graph, check_vertex_cap
+from .graphs import KIND_KNESER, KIND_MULTISET_DISJOINT, build_graph
 from .search import (
     NODE_LIMIT_HIT,
     SearchResult,
@@ -44,8 +44,6 @@ from .search import (
 )
 
 THEOREM_IDS = ("T1.1", "T1.4", "T2.3", "T2.4", "T3.3", "T3.4", "T3.5", "T4.1", "T4.8")
-# the theorems whose universe is the k-sets of [n]; the others search k-multisets of [m]
-_SET_THEOREMS = ("T1.1", "T2.3", "T2.4")
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -124,8 +122,8 @@ def _bind_t11(params, node_limit) -> _Binding:
     hyp = n >= 2 * k
     notes = [] if hyp else [f"hypothesis n >= 2k not met (n={n}, k={k})"]
     bound = binomial(n - 1, k - 1)
-    constructed = families.frankl_set(n, k, 1, 0)
     graph = build_graph(KIND_KNESER, n, k)
+    constructed = families.frankl_set(n, k, 1, 0)
     result = max_independent_set(graph, node_limit)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
@@ -135,8 +133,8 @@ def _bind_t14(params, node_limit) -> _Binding:
     hyp = m >= k + 1
     notes = [] if hyp else [f"hypothesis m >= k+1 not met (m={m}, k={k})"]
     bound = binomial(m + k - 2, k - 1)
-    constructed = families.star(m, k, 1)
     graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
+    constructed = families.star(m, k, 1)
     result = max_independent_set(graph, node_limit)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
@@ -148,8 +146,8 @@ def _bind_t23(params, node_limit) -> _Binding:
     hyp = n >= (2 * s + 1) * k - s
     notes = [] if hyp else [f"hypothesis n >= (2s+1)k-s not met (n={n}, k={k}, s={s})"]
     bound = binomial(n, k) - binomial(n - s, k)
-    constructed = families.hit_s_set(n, k, range(1, s + 1))
     graph = build_graph(KIND_KNESER, n, k)
+    constructed = families.hit_s_set(n, k, range(1, s + 1))
     result = clique_free_search(graph, s, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -162,8 +160,8 @@ def _bind_t24(params, node_limit) -> _Binding:
     hyp = (2 * n - 3 * k) > 0 and (2 * n - 3 * k) ** 2 > 5 * k * k
     notes = [] if hyp else [f"hypothesis n > (3+sqrt(5))k/2 not met (n={n}, k={k})"]
     bound = binomial(n - 1, k - 1) + binomial(n - 2, k - 1)
-    constructed = families.hit_s_set(n, k, (1, 2))
     graph = build_graph(KIND_KNESER, n, k)
+    constructed = families.hit_s_set(n, k, (1, 2))
     result = induced_bipartite_search(graph, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -211,6 +209,7 @@ def _bind_t41(params, node_limit) -> _Binding:
     m, k, t = _require(params, "m", "k", "t")
     hyp = m >= 2 * k - t
     notes = [] if hyp else [f"hypothesis m >= 2k-t not met (m={m}, k={k}, t={t})"]
+    graph = build_graph("M_t", m, k, t)
     n = m + k - 1
     if m > k - t + 1:
         threshold = ak_threshold_r(m, k, t)
@@ -237,7 +236,6 @@ def _bind_t41(params, node_limit) -> _Binding:
         notes.append(
             f"extremal family not constructible on [{m}]: window t+2r exceeds m"
         )
-    graph = build_graph("M_t", m, k, t)
     result = max_independent_set(graph, node_limit)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
@@ -327,9 +325,6 @@ def verify_theorem(
     for key, value in (("m", m), ("k", k)):
         if value < 1:
             raise ContractError(f"{key} must be >= 1, got {value}")
-    # every binding searches a graph over this universe: refuse it before
-    # a construction enumerates anything
-    check_vertex_cap(SET if theorem_id in _SET_THEOREMS else MULTISET, m, k)
     start = time.perf_counter()
     binding = _BINDINGS[theorem_id](params, node_limit)
     constructed_size = len(binding.constructed) if binding.constructed is not None else None

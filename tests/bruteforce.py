@@ -124,13 +124,29 @@ def universe_graph(kind, m, k, t=1):
     """Reference graph: (vertices, graph) with the vertices built by
     Family.universe and the graph's rows read back off them by
     multiplicity_rows, as the graph was built before it held count rows."""
-    from multifam.core import MULTISET, SET, Family, multiplicity_rows
-    from multifam.graphs import DisjointnessGraph
+    from multifam.core import Family, multiplicity_rows
+    from multifam.graphs import _FAMILY_KIND, DisjointnessGraph
 
-    family_kind = SET if kind in ("K", "K_t") else MULTISET
-    vertices = Family.universe(m, k, family_kind).members
-    rows = tuple(multiplicity_rows(vertices))
-    return vertices, DisjointnessGraph(kind, m, k, t, family_kind, rows)
+    vertices = Family.universe(m, k, _FAMILY_KIND[kind]).members
+    return vertices, DisjointnessGraph(kind, m, k, t, tuple(multiplicity_rows(vertices)))
+
+
+def rank_adjacency(graph):
+    """The disjointness adjacency over ranks, for the oracles: adj[v] is the
+    bitset of the ranks u != v that are not compatible with v.  The graph's
+    branching view is mapped back to ranks through to_old, one bit at a
+    time."""
+    view = graph.ordered
+    n = len(view.rows)
+    full = (1 << n) - 1
+    adj = [0] * n
+    for i, row in enumerate(view.rows):
+        v = view.to_old[i]
+        compat = 0
+        for j in bits(row):
+            compat |= 1 << view.to_old[j]
+        adj[v] = full & ~(compat | 1 << v)
+    return adj
 
 
 def ladder_columns(rows, m, levels):

@@ -7,6 +7,7 @@ import pytest
 
 from multifam import Family, KSet, hit_s, hm_multiset, load_family, star
 from multifam.cli import main
+from multifam.families import FAMILY_NAMES
 from multifam.family_io import save_family
 from multifam.verify import THEOREM_IDS
 
@@ -408,9 +409,12 @@ def _refuse_enumeration(monkeypatch):
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
-@pytest.mark.parametrize("m, k", [(60, 30), (40, 20)])
+@pytest.mark.parametrize("m, k", [(60, 30), (40, 20), (20, 9)])
 def test_verify_refuses_an_oversized_universe_before_enumerating(theorem, m, k, monkeypatch, capsys):
-    # the construction would enumerate the universe before the graph's cap
+    # a binding that searches its own graph builds it before its
+    # construction, so the graph's cap of 5,000 refuses even the 167,960
+    # 9-sets of [20], which the construction's cap of 200,000 would walk;
+    # the other bindings construct first, under that cap
     _refuse_enumeration(monkeypatch)
     assert run("verify", "--theorem", theorem, "--m", str(m), "--k", str(k), "--t", "2", "--s", "2") == 3
     captured = capsys.readouterr()
@@ -418,13 +422,19 @@ def test_verify_refuses_an_oversized_universe_before_enumerating(theorem, m, k, 
 
 
 def test_construct_refuses_an_oversized_universe_before_enumerating(tmp_path, monkeypatch, capsys):
+    # every constructor walks its universe through the capped row walk;
+    # `size` then prints the closed form only
     _refuse_enumeration(monkeypatch)
-    for family in ("star", "frankl_set"):
+    for family in FAMILY_NAMES:
+        t = "2" if family.startswith("hm_t_") else "1"  # hajnal_rothschild builds only t=1
+        argv = ("--family", family, "--m", "40", "--k", "20", "--t", t, "--r", "0", "--s", "2",
+                "--anchor", "1,1")
         out = tmp_path / f"{family}.txt"
-        argv = ("--family", family, "--m", "40", "--k", "20", "--t", "1", "--r", "0")
-        assert run("construct", *argv, "-o", str(out)) == 3
+        assert run("construct", *argv, "-o", str(out)) == 3, family
         assert not out.exists()
-        assert "enumeration cap" in capsys.readouterr().err
+        assert "exceeding the cap of 200000" in capsys.readouterr().err
+        assert run("size", *argv) == 0, family
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["enumerated", "-"]
     # a set family's universe is its C(n, k) k-sets: 31,824 here, against
     # 346,104 18-multisets of size 7
     out = tmp_path / "sets.txt"

@@ -20,7 +20,14 @@ from multifam import (
     multiset_rank,
     multiset_unrank,
 )
-from multifam.core import count_vectors, multiplicity_rows, universe_rows, universe_size
+from multifam.core import (
+    ENUMERATION_CAP,
+    ScaleExceededError,
+    count_vectors,
+    multiplicity_rows,
+    universe_rows,
+    universe_size,
+)
 
 from bruteforce import (
     greedy_t_subfamily,
@@ -236,6 +243,17 @@ def test_universe_rows_are_the_enumerated_members_rows():
         rows = list(universe_rows(m, k, kind))
         assert rows == multiplicity_rows(members)
         assert len(rows) == universe_size(m, k, kind)
+
+
+def test_universe_rows_refuses_a_universe_above_the_cap_before_walking():
+    # the closed-form count is checked when the walk is requested, not when
+    # it is first advanced; a universe of exactly `cap` members is walked
+    with pytest.raises(ScaleExceededError, match="has 35 members, exceeding the cap of 34"):
+        universe_rows(7, 3, "set", cap=34)
+    assert len(list(universe_rows(7, 3, "set", cap=35))) == 35
+    with pytest.raises(ScaleExceededError, match=f"exceeding the cap of {ENUMERATION_CAP}"):
+        universe_rows(40, 20, "multiset")
+    assert ENUMERATION_CAP == 200_000
 
 
 # -- ranking ----------------------------------------------------------------

@@ -30,15 +30,10 @@ from multifam import (
     multichoose,
     star,
 )
-from multifam.core import MULTISET, SET
 from multifam.families import (
-    FAMILY_NAMES,
-    SET_FAMILIES,
-    FamilySpec,
     _Canonizer,
     _Orbits,
     apply_permutation,
-    build_family,
     canonical_form,
     is_isomorphic,
     star_size,
@@ -224,12 +219,14 @@ def test_multiset_constructors_build_only_the_members_they_keep(monkeypatch):
         head, window = {1, 2} <= support(a), support(a) & {3, 4, 5}
         return head and window or support(a) in ({2, 3, 4, 5}, {1, 3, 4, 5})
 
+    anchor = ms(6, 1, 1, 3)
     cases = [
         (lambda: star(6, 3, 2), 6, 3, lambda a: 2 in support(a)),
         (lambda: frankl_multiset(9, 4, 3, 0), 9, 4, lambda a: {1, 2, 3} <= support(a)),
         (lambda: frankl_multiset(7, 4, 2, 1), 7, 4, lambda a: len(support(a) & {1, 2, 3, 4}) >= 3),
         (lambda: hm_t_multiset(6, 4, 2), 6, 4, hm_t_keep),
         (lambda: hit_s(7, 3, (1, 5)), 7, 3, lambda a: support(a) & {1, 5}),
+        (lambda: fixed_multiset(6, 4, anchor), 6, 4, lambda a: a.contains(anchor)),
     ]
     built = []
     real = Multiset.__post_init__
@@ -249,7 +246,7 @@ def test_multiset_constructors_build_only_the_members_they_keep(monkeypatch):
         assert family == expected
         assert built == [a.counts for a in expected.members]
         sizes.append((len(built), len(universe)))
-    assert sizes == [(21, 56), (9, 495), (25, 210), (17, 126), (49, 84)]
+    assert sizes == [(21, 56), (9, 495), (25, 210), (17, 126), (49, 84), (6, 126)]
 
 
 def test_set_constructors_build_only_the_members_they_keep(monkeypatch):
@@ -468,11 +465,3 @@ def test_apply_permutation_validates():
         apply_permutation(star(4, 2, 1), (1, 2, 3))
     with pytest.raises(ContractError):
         apply_permutation(star(4, 2, 1), (1, 1, 2, 3))
-
-
-@pytest.mark.parametrize("name", FAMILY_NAMES)
-def test_set_families_lists_exactly_the_set_constructors(name):
-    # the CLI reads a family's universe size off SET_FAMILIES before building it
-    t = 2 if name.startswith("hm_t_") else 1  # hajnal_rothschild builds only t=1
-    spec = FamilySpec(name, m=7, k=4, t=t, r=0, s=2, anchor=(1,))
-    assert build_family(spec).kind == (SET if name in SET_FAMILIES else MULTISET)

@@ -64,6 +64,7 @@ from bruteforce import (
     pair_loop_is_t_intersecting,
     per_row_compatibility,
     pairwise_compat_masks,
+    rank_adjacency,
     recursive_enumerate_cliques,
     recursive_max_clique,
     relabel_by_bits,
@@ -89,7 +90,7 @@ def test_petersen_shape():
     graph = build_graph("K", 5, 2)
     assert graph.n_vertices == 10
     assert graph.edge_count() == 15
-    assert all(graph.degree(v) == 3 for v in range(10))
+    assert all(row.bit_count() == 3 for row in rank_adjacency(graph))
 
 
 def test_multiset_graph_sizes():
@@ -100,7 +101,7 @@ def test_support_t1_graph_equals_disjointness_graph():
     plain = build_graph("M", 4, 3)
     support = build_graph("M_support_t", 4, 3, 1)
     true_t = build_graph("M_t", 4, 3, 1)
-    assert plain.adj == support.adj == true_t.adj
+    assert plain.ordered == support.ordered == true_t.ordered
 
 
 def _graph_instances(max_m=7, max_k=4):
@@ -111,15 +112,21 @@ def _graph_instances(max_m=7, max_k=4):
                     yield kind, m, k, t
 
 
+def _members(graph):
+    """Every vertex's member, in rank order."""
+    return graph.family_from_mask((1 << graph.n_vertices) - 1).members
+
+
 def test_bit_sliced_builder_matches_pair_loop():
     # t = k+1 exceeds every self-intersection, so only the builder's own
     # self-bit clearing keeps the diagonal empty there
     for kind, m, k, t in _graph_instances():
         graph = build_graph(kind, m, k, t)
         vertices, adj = pair_loop_graph(kind, m, k, t)
-        assert graph.vertices == vertices, (kind, m, k, t)
-        assert graph.adj == adj, (kind, m, k, t)
-        assert not any(mask >> v & 1 for v, mask in enumerate(graph.adj))
+        assert _members(graph) == vertices, (kind, m, k, t)
+        assert rank_adjacency(graph) == adj, (kind, m, k, t)
+        assert not any(row >> i & 1 for i, row in enumerate(graph.ordered.rows))
+        assert graph.edge_count() == sum(row.bit_count() for row in adj) // 2
 
 
 def test_branching_view_is_the_sorted_relabelled_complement():
@@ -142,7 +149,6 @@ def test_branching_view_is_the_sorted_relabelled_complement():
             shape = tuple(sorted(row))
             types[shape] = types.get(shape, 0) | 1 << i
         assert sorted(view.orbits) == sorted(types.values()), (kind, m, k, t)
-        assert graph.edge_count() == sum(row.bit_count() for row in graph.adj) // 2
 
 
 def test_graph_rows_match_the_universe_reference():
@@ -156,8 +162,7 @@ def test_graph_rows_match_the_universe_reference():
         vertices, reference = universe_graph(kind, m, k, t)
         assert graph.multiplicities == reference.multiplicities, (kind, m, k, t)
         assert graph.ordered == reference.ordered, (kind, m, k, t)
-        assert graph.adj == reference.adj, (kind, m, k, t)
-        assert graph.vertices == vertices, (kind, m, k, t)
+        assert _members(graph) == vertices, (kind, m, k, t)
 
 
 def test_searches_build_only_the_witness_members(monkeypatch):
@@ -213,9 +218,8 @@ def test_build_graph_runs_no_ladder(monkeypatch):
 
 
 def test_one_full_ladder_per_searched_graph(monkeypatch):
-    # the MIS proof and the orbit enumeration share one cached view, its
-    # columns are built once, in branching order, and nothing on that path
-    # reads the rank-order adjacency
+    # the MIS proof and the orbit enumeration share one cached view, and
+    # its columns are built once, in branching order
     ladders = _count_calls(monkeypatch, "_compatibility")
     columns = _count_calls(monkeypatch, "_columns")
     report = verify_theorem("T1.4", {"m": 6, "k": 3}, uniqueness=True)
@@ -249,7 +253,7 @@ def test_counted_type_degree_matches_pair_loop():
     assert graphs._type_degree((0, 0, 0, 4), 2, 1, True) == 0
     graph = build_graph("M_support_t", 4, 4, 2)
     assert graph.multiplicities[34] == (4, 0, 0, 0)
-    assert graph.adj[34] == (1 << 34) - 1  # adjacent to every other vertex
+    assert rank_adjacency(graph)[34] == (1 << 34) - 1  # adjacent to every other vertex
     # t > k: the compatibility graph is empty; and the one-element ground set
     assert graphs._type_degree((0, 1, 1), 3, 1, False) == 0
     assert ("K_t", 9, 5, 6, (0,) * 4 + (1,) * 5) in checked
@@ -258,13 +262,9 @@ def test_counted_type_degree_matches_pair_loop():
 
 def test_prefix_shared_ladder_matches_per_row_ladder():
     # the old path: one full ladder per row from columns built in the rows'
-    # order, for the rank order (adj) and the branching order (ordered)
+    # order, here the branching order
     def check(graph):
-        rows = graph.multiplicities
-        full = (1 << len(rows)) - 1
         levels = graph.k if graph.kind == "M_t" else 1
-        reference = per_row_compatibility(rows, graph.m, levels, graph.t)
-        assert graph.adj == [full & ~(row | 1 << v) for v, row in enumerate(reference)]
         view = graph.ordered
         assert view.rows == per_row_compatibility(view.counts, graph.m, levels, graph.t)
 
@@ -276,33 +276,13 @@ def test_prefix_shared_ladder_matches_per_row_ladder():
         check(graph)
 
 
-def test_no_search_reads_the_rank_order_adjacency(monkeypatch):
-    # every public search runs on the branching view alone
-    def refuse(graph):
-        raise AssertionError("a search read the rank-order adjacency")
-
-    monkeypatch.setattr(graphs.DisjointnessGraph, "adj", property(refuse))
-    with pytest.raises(AssertionError, match="rank-order"):
-        build_graph("M", 4, 2).degree(0)
-    graph = build_graph("M_t", 6, 3, 2)
-    assert max_independent_set(graph).optimum == 6
-    assert enumerate_maximum_independent_sets(graph).complete
-    assert enumerate_optimum_orbits(graph, 6).complete
-    assert clique_free_search(build_graph("M", 5, 2), 2).proved
-    assert max_intersecting_empty_common(5, 3).optimum == 13
-    assert max_t_intersecting_nontrivial(5, 3, 2).optimum == 4
-    assert max_union_two_intersecting(5, 2).optimum == 9
-    assert induced_bipartite_search(build_graph("K", 6, 2)).optimum == 9
-
-
 def test_cached_views_stay_out_of_equality_and_repr():
     graph = build_graph("M_t", 5, 3, 2)
-    max_independent_set(graph)
-    graph.degree(0)  # both views are now cached
+    max_independent_set(graph)  # the view is now cached
     fresh = build_graph("M_t", 5, 3, 2)
     assert graph == fresh
     assert repr(graph) == repr(fresh)
-    assert "ordered" not in repr(graph) and "adj" not in repr(graph)
+    assert "ordered" not in repr(graph)
 
 
 def test_small_core_compat_matches_pairwise_masks(monkeypatch):
@@ -310,7 +290,7 @@ def test_small_core_compat_matches_pairwise_masks(monkeypatch):
         for k in range(1, 5):
             for t in range(1, k + 1):
                 graph = build_graph("M_t", m, k, t)
-                counts = [a.counts for a in graph.vertices]
+                counts = graph.multiplicities
                 view = graph.ordered
                 assert view.rows == relabel_by_bits(pairwise_compat_masks(counts, t), view.to_old)
 
@@ -592,7 +572,7 @@ def test_enumeration_matches_recursive_reference(args):
     graph = build_graph(*args)
     enum = enumerate_maximum_independent_sets(graph)
     assert enum.complete
-    masks, complete, _nodes = recursive_enumerate_cliques(complement(graph.adj), enum.optimum)
+    masks, complete, _nodes = recursive_enumerate_cliques(complement(rank_adjacency(graph)), enum.optimum)
     assert complete
     expected = {graph.family_from_mask(mask) for mask in masks}
     assert len(enum.families) == len(set(enum.families)) == len(expected)
@@ -746,7 +726,7 @@ def test_empty_common_rejects_invalid_seed():
 
 def _small_core_instance(m, k, t):
     graph = build_graph("M_t", m, k, t)
-    counts = [a.counts for a in graph.vertices]
+    counts = list(graph.multiplicities)
     return graph, counts, pairwise_compat_masks(counts, t)
 
 
@@ -975,7 +955,7 @@ def test_clique_free_matches_bruteforce(adj, s):
 ])
 def test_clique_free_matches_exclusion_reference(kind, m, k, s):
     graph = build_graph(kind, m, k)
-    best, _mask, _nodes = exclusion_max_clique_free(graph.adj, s)
+    best, _mask, _nodes = exclusion_max_clique_free(rank_adjacency(graph), s)
     result = clique_free_search(graph, s)
     assert result.proved and result.optimum == len(result.witness) == best
     assert has_property_p_s1(result.witness, s)
@@ -1000,16 +980,17 @@ ORBITAL_SLOW = {(("M_t", 5, 4, 2), 3), (("M_t", 5, 4, 3), 3), (("M_t", 6, 3, 2),
 ])
 def test_orbital_searches_match_the_plain_loop_and_bruteforce(args, s):
     graph = build_graph(*args)
+    adj = rank_adjacency(graph)
     if s == 1:
         result = max_independent_set(graph)
         if graph.n_vertices <= 16:
-            expected = brute_max_independent_set(graph.adj)
+            expected = brute_max_independent_set(adj)
         else:
-            expected = exclusion_max_clique_free(graph.adj, 1)[0]
+            expected = exclusion_max_clique_free(adj, 1)[0]
         _validate_witness(graph, result.witness)
     else:
         result = clique_free_search(graph, s)
-        expected = exclusion_max_clique_free(graph.adj, s)[0]
+        expected = exclusion_max_clique_free(adj, s)[0]
         assert has_property_p_s1(result.witness, s)
     plain = _plain(graph, s)
     assert result.proved and plain.proved
@@ -1069,7 +1050,7 @@ def _assert_product_matches_reference(graph):
     if key in PRODUCT_CLOSED_FORM:
         best = PRODUCT_CLOSED_FORM[key]
     else:
-        best, _sides = two_sided_max_induced_bipartite(graph.adj)
+        best, _sides = two_sided_max_induced_bipartite(rank_adjacency(graph))
     view = graph.ordered
     _best, (a_mask, b_mask), _nodes, _limited = _max_induced_bipartite(
         view.rows, view.to_old, None, view.counts, view.orbits

@@ -188,23 +188,3 @@ def test_every_theorem_rejects_m_or_k_below_one(theorem_id):
 def test_closed_forms_name_the_ground_size_they_need(theorem_id, params, message):
     with pytest.raises(ContractError, match=message):
         verify_theorem(theorem_id, params)
-
-
-@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
-def test_the_cap_checks_the_kind_of_universe_the_theorem_searches(theorem_id, monkeypatch):
-    # verify_theorem refuses an oversized universe by the kind _SET_THEOREMS
-    # names, before any graph is built; every graph built must be of it
-    from multifam import graphs, verify
-
-    checked = {}
-    for module in (verify, graphs):
-        real = module.check_vertex_cap
-
-        def recording(family_kind, m, k, *cap, module=module, real=real):
-            checked.setdefault(module.__name__, set()).add(family_kind)
-            real(family_kind, m, k, *cap)
-
-        monkeypatch.setattr(module, "check_vertex_cap", recording)
-    verify_theorem(theorem_id, QUICK_INSTANCES[theorem_id])
-    assert checked["multifam.graphs"] == checked["multifam.verify"]
-    assert len(checked["multifam.verify"]) == 1
