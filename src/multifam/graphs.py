@@ -24,10 +24,14 @@ its support, for the others, and columns[e][j] is the bitset of vertices
 whose multiplicity at e exceeds j.
 |A ∩ B| is then the number of A's columns that contain B, so OR-ing A's
 columns through a saturating ladder of t bitsets yields every vertex
-meeting A at least t times at once.  Rank order is lexicographic, so
-consecutive rows share a prefix of held elements and the ladder resumes
-from the state the previous row reached there.  The cost is at most
-O(n · k · t) big-integer operations instead of O(n²) pair tests.
+meeting A at least t times at once.  The t bitsets are lanes 1..t of one
+integer of (t+1)·n bits, lane 0 all ones, and a column replicated into
+lanes 1..t advances every lane in one shift, AND and OR.  Rank order is
+lexicographic, so the rows are the leaves, in order, of the universe's
+trie of held elements, and a ladder state depends on a row's prefix
+alone: one iterative walk of the trie runs each column step once per trie
+edge.  The cost is at most O(n · k) steps on (t+1)·n-bit integers instead
+of O(n²) pair tests.
 
 build_graph only enumerates the universe's rows; no member object is
 built until a family is decoded (family_from_mask).  The graph has one
@@ -37,9 +41,10 @@ intersecting families) in the clique engine's branching order, descending
 compatibility degree with rank breaking ties.  Every kind is invariant
 under permuting [m], so a vertex's degree depends only on its multiplicity
 type (its sorted row), and it is counted once per type in closed form,
-before any column exists.  The columns are then built once, with each
-vertex at its branching slot, so one ladder pass yields the engine's rows
-with no bit permutation.  For K kinds all vertices share one type and the
+before any column exists.  The columns are then built once, by one
+transpose of the rows listed in branching order, so each vertex's bit is
+its branching slot and one walk yields the engine's rows with no bit
+permutation.  For K kinds all vertices share one type and the
 order is rank order.  The view keeps each type's vertices as one bitset:
 the orbits the searches' orbital front starts from.
 """
@@ -48,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import NamedTuple
 
 from .core import MULTISET, SET, ContractError, Family, binomial, multichoose, universe_rows
@@ -119,10 +123,11 @@ class DisjointnessGraph:
         """The compatibility rows in branching order (module docstring)."""
         rows = self.multiplicities
         levels = self._levels
-        to_old, slot, orbits = _branching_order(rows, self.t, levels, self.family_kind == MULTISET)
-        columns = _columns(rows, slot, self.m, levels)
-        compat = _compatibility(rows, columns, self.t, slot)
-        return BranchingView(compat, to_old, [rows[v] for v in to_old], orbits)
+        multisets = self.family_kind == MULTISET
+        to_old, slot, orbits = _branching_order(rows, self.t, levels, multisets)
+        counts = [rows[v] for v in to_old]
+        compat = _compatibility(_columns(counts, levels), slot, self.k, self.t, multisets)
+        return BranchingView(compat, to_old, counts, orbits)
 
     def edge_count(self) -> int:
         # counted on the branching view, which every search builds anyway
@@ -177,65 +182,95 @@ def build_graph(
     return DisjointnessGraph(kind, m, k, t, rows)
 
 
-def _columns(rows, slot, m: int, levels: int) -> list[list[int]]:
-    """columns[e][j] = bitset of the vertices whose multiplicity at e
-    exceeds j, for j < levels; the vertex of rows[v] is bit slot[v].  Each
-    held element sets one bit, in the bitset of its capped multiplicity;
-    a suffix OR over those turns them into the columns."""
-    exact = [[0] * (levels + 1) for _ in range(m)]
-    ground = range(m)
-    for s, row in zip(slot, rows):
-        bit = 1 << s
-        for e in compress(ground, row):  # the elements v holds
-            c = row[e]
-            exact[e][c if c < levels else levels] |= bit
-    columns = []
-    for at in exact:
-        col = [0] * levels
-        acc = 0
-        for j in range(levels, 0, -1):
-            acc |= at[j]
-            col[j - 1] = acc
-        columns.append(col)
+def _columns(rows, levels: int) -> list[list[int]]:
+    """columns[e][j] = bitset of the row indices whose multiplicity at e
+    exceeds j, for j < levels; row i is bit i.
+
+    One C-level transpose (zip) gives each element's counts, last row
+    first, as bytes; for each level, bytes.translate maps a count above j
+    to "1" and any other to "0", and int(..., 2) reads the bitset off that
+    string.  A byte holds a count up to 255: a universe with larger counts
+    (k > 255) reads each count through a lookup that lifts it above the
+    base of a band of 255 levels and caps it, one band at a time.  No
+    count exceeds k, so levels at or above k are empty."""
+    if not rows:
+        return []
+    k = sum(rows[0])
+    top = min(levels, k)
+    columns: list[list[int]] = [[] for _ in rows[0]]
+    for base in range(0, top, 255):
+        lift = [min(max(c - base, 0), 255) for c in range(k + 1)].__getitem__
+        tables = [b"0" * (j + 1) + b"1" * (255 - j) for j in range(min(top - base, 255))]
+        for column, counts in zip(columns, zip(*rows[::-1])):
+            data = bytes(map(lift, counts) if k > 255 else counts)
+            column += [int(data.translate(table), 2) for table in tables]
+    empty = [0] * (levels - top)
+    for column in columns:
+        column += empty
     return columns
 
 
-def _compatibility(rows, columns, t: int, slot) -> list[int]:
+def _compatibility(columns, slot, k: int, t: int, multisets: bool) -> list[int]:
     """The full ladder: out[slot[v]] = bitset of the vertices u != v with
-    sum_e min(rows[v][e], rows[u][e], levels) >= t, bits as in `columns`.
+    sum_e min(c_v(e), c_u(e), levels) >= t, for the vertex of rank v and
+    `columns` (levels of them per element) in slot order, as `_columns`
+    builds them from the slot-ordered rows.
 
-    A row occupies exactly the columns (e, j < min(row[e], levels)) and its
-    intersection with u is the number of those columns that contain u.  A
-    saturating ladder counts that per u: after all of the row's columns,
-    ge[i] holds the u met at least i+1 times.  The ladder state after
-    element e depends on row[:e+1] alone, and rank order is lexicographic,
-    so consecutive rows share a prefix: a stack keeps the state after each
-    held element of the previous row, and a row resumes from the last one
-    before the first element where it differs."""
-    out = [0] * len(rows)
+    A row occupies exactly the columns (e, j < min(row[e], levels)), and
+    its intersection with u is the number of those columns that contain u.
+    A saturating ladder counts that per u, in t+1 lanes of n bits packed
+    into one integer: lane i holds the u met at least i times, lane 0 all
+    of them.  A column step is one shift, AND and OR, the column having
+    been replicated into lanes 1..t once; lane t is the row.
+
+    The rows are the leaves of the universe's trie of held elements, and a
+    node's ladder depends on its prefix alone, so the walk runs each column
+    step once per trie edge.  A node is (next element it may hold, units
+    left, ladder); an explicit stack takes its children pushed in reverse,
+    so the leaves come out in rank order: multisets go by held element
+    descending, then count ascending (the count vectors' lexicographic
+    order), sets by held element ascending.  A count above the levels
+    steps no further."""
+    n = len(slot)
+    out = [0] * n
+    if not n:
+        return out
     m = len(columns)
-    prev: tuple[int, ...] = ()
-    stack = [(-1, [0] * t)]  # (held element, ladder after it)
-    for s, row in zip(slot, rows):
-        e = 0
-        for a, b in zip(prev, row):
-            if a != b:
-                break
-            e += 1
-        while stack[-1][0] >= e:
-            stack.pop()
-        ge = stack[-1][1]
-        for f in range(e, m):
-            c = row[f]
-            if c:
-                ge = ge[:]
-                for col in columns[f][:c]:
-                    for i in range(t - 1, 0, -1):
-                        ge[i] |= ge[i - 1] & col
-                    ge[0] |= col
-                stack.append((f, ge))
-        prev = row
-        out[s] = ge[-1] & ~(1 << s)
+    lane = (1 << n) - 1
+    rep = ((1 << (t + 1) * n) - 1) // lane - 1  # a one at the base of lanes 1..t
+    packed = [[col * rep for col in levels] for levels in columns]
+    top = t * n
+    leaves = iter(slot)
+    stack = [(0, k, lane)]  # (next element, units left, ladder)
+    while stack:
+        e, r, ge = stack.pop()
+        if r == 1:
+            # every child is a leaf, and they come in a run: step only lane t
+            hi = ge >> top
+            lo = ge >> top - n & lane
+            for f in range(m - 1, e - 1, -1) if multisets else range(e, m):
+                s = next(leaves)
+                out[s] = (hi | lo & columns[f][0]) & ~(1 << s)
+        elif not r:
+            s = next(leaves)
+            out[s] = ge >> top & ~(1 << s)
+        elif multisets:
+            for f in range(e, m - 1):
+                g = ge
+                kids = []
+                for c, step in enumerate(packed[f][:r], 1):
+                    g |= g << n & step
+                    kids.append((f + 1, r - c, g))
+                # a count above the levels steps no further
+                kids += [(f + 1, r - c, g) for c in range(len(kids) + 1, r + 1)]
+                kids.reverse()
+                stack += kids
+            for step in packed[m - 1][:r]:  # the last element takes every unit left
+                ge |= ge << n & step
+            stack.append((m, 0, ge))
+        else:
+            for f in range(m - r, e - 1, -1):
+                stack.append((f + 1, r - 1, ge | ge << n & packed[f][0]))
     return out
 
 

@@ -540,7 +540,7 @@ class _SmallCoreSolver(_MaxCliqueSolver):
         self.core = (graph.k + 1,) * graph.m
         self.limit = core_limit
         self.seed_mask = seed_mask
-        self.over = _columns(view.counts, range(self.n), graph.m, graph.k + 1)
+        self.over = _columns(view.counts, graph.k + 1)
 
     def _seed(self) -> None:
         """The seed family, mapped from ranks to branching slots."""

@@ -58,6 +58,7 @@ from bruteforce import (
     complement,
     exclusion_max_clique_free,
     has_clique,
+    ladder_columns,
     pair_loop_degrees,
     pair_loop_graph,
     pair_loop_is_support_t_intersecting,
@@ -192,13 +193,14 @@ def test_searches_build_only_the_witness_members(monkeypatch):
 
 
 def _count_calls(monkeypatch, name):
-    """Record the row count of every call to multifam.graphs.<name>."""
+    """Record the arguments of every call to multifam.graphs.<name>,
+    whatever its signature."""
     calls = []
     real = getattr(graphs, name)
 
-    def counting(rows, *args):
-        calls.append(len(rows))
-        return real(rows, *args)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(graphs, name, counting)
     return calls
@@ -213,8 +215,8 @@ def test_build_graph_runs_no_ladder(monkeypatch):
         build_graph(*args)
     assert columns == [] and degrees == [] and ladders == []
     # the same helpers do run once a view is read
-    build_graph("M_t", 6, 3, 2).ordered
-    assert columns == [56] and ladders == [56] and len(degrees) == 3
+    assert len(build_graph("M_t", 6, 3, 2).ordered.rows) == 56
+    assert len(columns) == 1 and len(ladders) == 1 and len(degrees) == 3
 
 
 def test_one_full_ladder_per_searched_graph(monkeypatch):
@@ -224,12 +226,14 @@ def test_one_full_ladder_per_searched_graph(monkeypatch):
     columns = _count_calls(monkeypatch, "_columns")
     report = verify_theorem("T1.4", {"m": 6, "k": 3}, uniqueness=True)
     assert report.status == "ok" and report.uniqueness_verdict == "unique_up_to_iso"
-    assert ladders == [56] and columns == [56]
+    assert len(ladders) == 1 and len(columns) == 1
     ladders.clear()
     columns.clear()
     enum = enumerate_maximum_independent_sets(build_graph("M", 5, 3))
     assert enum.complete and len(enum.families) == 5
-    assert ladders == [35] and columns == [35]
+    assert len(ladders) == 1 and len(columns) == 1
+    # on M(5,3)'s 35 vertices
+    assert len(columns[0][0]) == len(ladders[0][1]) == 35
 
 
 def test_counted_type_degree_matches_pair_loop():
@@ -260,20 +264,37 @@ def test_counted_type_degree_matches_pair_loop():
     assert ("M", 1, 5, 1, (5,)) in checked and ("K", 1, 1, 1, (1,)) in checked
 
 
-def test_prefix_shared_ladder_matches_per_row_ladder():
-    # the old path: one full ladder per row from columns built in the rows'
-    # order, here the branching order
+def test_trie_walk_matches_per_row_ladder():
+    # the old path: columns one bit at a time and one full ladder per row,
+    # both in the rows' order, here the branching order; levels = k for
+    # M_t, which counts the same as the builder's min(k, t)
     def check(graph):
-        levels = graph.k if graph.kind == "M_t" else 1
         view = graph.ordered
+        levels = graph.k if graph.kind == "M_t" else 1
         assert view.rows == per_row_compatibility(view.counts, graph.m, levels, graph.t)
+        if view.counts:
+            # the builder's levels, and k+1: the small-core search's `over`
+            over = ladder_columns(view.counts, graph.m, graph.k + 1)
+            levels = graph._levels
+            assert graphs._columns(view.counts, levels) == [col[:levels] for col in over]
+            assert graphs._columns(view.counts, graph.k + 1) == over, graph.label()
 
     for kind, m, k, t in _graph_instances():
         check(build_graph(kind, m, k, t))
-    for args in (("K", 14, 4), ("M_t", 9, 6, 4)):
-        graph = build_graph(*args)
-        assert graph.n_vertices > 1000
-        check(graph)
+    # graphs of over 1000 vertices, a shallow trie of many leaves, counts
+    # at and above a byte's 255 (k+1 = 256 or more levels), many lanes, the
+    # vertex cap, k = 0, m = 1 and t > k
+    for args in (
+        ("K", 14, 4), ("M_t", 9, 6, 4),
+        ("M", 1200, 1), ("K", 300, 1),
+        ("M", 2, 255), ("M", 2, 256), ("M", 2, 300), ("M_t", 2, 300, 3),
+        ("M_support_t", 2, 300, 2),
+        ("M_t", 3, 60, 40),
+        ("K", 100, 98),
+        ("K", 9, 0), ("M", 9, 0), ("M_t", 1, 7, 3), ("K_t", 1, 1, 1),
+        ("M_t", 6, 3, 5), ("K_t", 8, 3, 4),
+    ):
+        check(build_graph(*args))
 
 
 def test_cached_views_stay_out_of_equality_and_repr():
