@@ -25,13 +25,13 @@ whose multiplicity at e exceeds j.
 |A ∩ B| is then the number of A's columns that contain B, so OR-ing A's
 columns through a saturating ladder of t bitsets yields every vertex
 meeting A at least t times at once.  The t bitsets are lanes 1..t of one
-integer of (t+1)·n bits, lane 0 all ones, and a column replicated into
-lanes 1..t advances every lane in one shift, AND and OR.  Rank order is
-lexicographic, so the rows are the leaves, in order, of the universe's
-trie of held elements, and a ladder state depends on a row's prefix
-alone: one iterative walk of the trie runs each column step once per trie
-edge.  The cost is at most O(n · k) steps on (t+1)·n-bit integers instead
-of O(n²) pair tests.
+integer of (t+1)·n bits, lane 0 all ones and lane t the lowest, and a
+column replicated into lanes 1..t advances every lane in one right shift,
+AND and OR.  Rank order is lexicographic, so the rows are the leaves, in
+order, of the universe's trie of held elements, and a ladder state
+depends on a row's prefix alone: one iterative walk of the trie runs each
+column step once per trie edge.  The cost is at most O(n · k) steps on
+(t+1)·n-bit integers instead of O(n²) pair tests.
 
 build_graph only enumerates the universe's rows; no member object is
 built until a family is decoded (family_from_mask).  The graph has one
@@ -220,8 +220,10 @@ def _compatibility(columns, slot, k: int, t: int, multisets: bool) -> list[int]:
     its intersection with u is the number of those columns that contain u.
     A saturating ladder counts that per u, in t+1 lanes of n bits packed
     into one integer: lane i holds the u met at least i times, lane 0 all
-    of them.  A column step is one shift, AND and OR, the column having
-    been replicated into lanes 1..t once; lane t is the row.
+    of them.  Lane i sits at bit (t-i)·n, so one right shift by n carries
+    every lane into the next (and drops lane t), and a column step is that
+    shift, an AND with the column replicated into lanes 1..t once, and an
+    OR.  Lane t, the row, is the low n bits.
 
     The rows are the leaves of the universe's trie of held elements, and a
     node's ladder depends on its prefix alone, so the walk runs each column
@@ -237,40 +239,39 @@ def _compatibility(columns, slot, k: int, t: int, multisets: bool) -> list[int]:
         return out
     m = len(columns)
     lane = (1 << n) - 1
-    rep = ((1 << (t + 1) * n) - 1) // lane - 1  # a one at the base of lanes 1..t
+    rep = ((1 << t * n) - 1) // lane  # a one at the base of lanes t..1
     packed = [[col * rep for col in levels] for levels in columns]
-    top = t * n
     leaves = iter(slot)
-    stack = [(0, k, lane)]  # (next element, units left, ladder)
+    stack = [(0, k, lane << t * n)]  # (next element, units left, ladder)
     while stack:
         e, r, ge = stack.pop()
         if r == 1:
             # every child is a leaf, and they come in a run: step only lane t
-            hi = ge >> top
-            lo = ge >> top - n & lane
+            hi = ge & lane
+            lo = ge >> n & lane
             for f in range(m - 1, e - 1, -1) if multisets else range(e, m):
                 s = next(leaves)
                 out[s] = (hi | lo & columns[f][0]) & ~(1 << s)
         elif not r:
             s = next(leaves)
-            out[s] = ge >> top & ~(1 << s)
+            out[s] = ge & lane & ~(1 << s)
         elif multisets:
             for f in range(e, m - 1):
                 g = ge
                 kids = []
                 for c, step in enumerate(packed[f][:r], 1):
-                    g |= g << n & step
+                    g |= g >> n & step
                     kids.append((f + 1, r - c, g))
                 # a count above the levels steps no further
                 kids += [(f + 1, r - c, g) for c in range(len(kids) + 1, r + 1)]
                 kids.reverse()
                 stack += kids
             for step in packed[m - 1][:r]:  # the last element takes every unit left
-                ge |= ge << n & step
+                ge |= ge >> n & step
             stack.append((m, 0, ge))
         else:
             for f in range(m - r, e - 1, -1):
-                stack.append((f + 1, r - 1, ge | ge << n & packed[f][0]))
+                stack.append((f + 1, r - 1, ge | ge >> n & packed[f][0]))
     return out
 
 
