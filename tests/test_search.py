@@ -269,23 +269,26 @@ def test_trie_walk_matches_per_row_ladder():
     # both in the rows' order, here the branching order; levels = k for
     # M_t, which counts the same as the builder's min(k, t)
     def check(graph):
-        view = graph.ordered
         levels = graph.k if graph.kind == "M_t" else 1
+        view = graph.ordered
         assert view.rows == per_row_compatibility(view.counts, graph.m, levels, graph.t)
         if view.counts:
             # the builder's levels, and k+1: the small-core search's `over`
             over = ladder_columns(view.counts, graph.m, graph.k + 1)
-            levels = graph._levels
-            assert graphs._columns(view.counts, levels) == [col[:levels] for col in over]
+            built = graphs._columns(view.counts, graph._levels)
+            assert built == [col[: graph._levels] for col in over], graph.label()
             assert graphs._columns(view.counts, graph.k + 1) == over, graph.label()
 
     for kind, m, k, t in _graph_instances():
         check(build_graph(kind, m, k, t))
-    # graphs of over 1000 vertices, a shallow trie of many leaves, counts
-    # at and above a byte's 255 (k+1 = 256 or more levels), many lanes, the
-    # vertex cap, k = 0, m = 1 and t > k
+    for args in (("K", 14, 4), ("M_t", 9, 6, 4)):
+        graph = build_graph(*args)
+        assert graph.n_vertices > 1000
+        check(graph)
+    # a shallow trie of many leaves, counts at and above a byte's 255
+    # (k+1 = 256 or more levels), many lanes, the vertex cap, k = 0, m = 1
+    # and t > k
     for args in (
-        ("K", 14, 4), ("M_t", 9, 6, 4),
         ("M", 1200, 1), ("K", 300, 1),
         ("M", 2, 255), ("M", 2, 256), ("M", 2, 300), ("M_t", 2, 300, 3),
         ("M_support_t", 2, 300, 2),
