@@ -11,47 +11,39 @@ the kernel by one copy of i; running passes until the kernel is exactly [m]
 produces an equal-sized t-intersecting family whose member supports
 pairwise share at least t elements.
 
-Shifts inside one pass are applied sequentially against the current family
-state, members in canonical order.  A shift target always contains j while
-members that contain j never move, so this agrees with evaluating
-membership against the original family; sequential update keeps the
-size-preservation argument local and obvious.  Only members holding at
-least s copies of i can move; a moved member keeps s-1 and no member gains
-copies of i, so each j walks only the movers not yet moved, against one
-membership set, and the family is rebuilt once per pass (or returned
-unchanged when nothing moved).  Two distinct movers never shift onto the
-same target, so the result and the order of the shift records are those
-of a walk over every member.  shift_family applies one shift with the
-same step.
+Everything runs on count rows (multiplicity tuples).  One row step,
+_shift_rows, applies the shifts of a pass, or of one shift_family call, in
+canonical order against one membership set of rows updated in place; a
+target contains j and a member holding j never moves, so this agrees with
+membership in the original family.  Only rows holding at least s copies of
+i can move, and a moved row keeps s-1, so each j walks only the movers not
+yet moved.  The output Family is built once, reusing every unmoved member.
 
-|F1 ∩ F2 ∩ T| is the popcount of the AND of three unary masks
-(`Multiset.unary_mask`, one field per element as wide as the largest member
-multiplicity; T's counts are clipped to that width so none spills over).
-Masking by T never raises a pair count, so a pass's kernel check also
-proves its output t-intersecting; is_t_intersecting runs only to name a
-failed check.
+|F1 ∩ F2 ∩ T| is the popcount of the AND of three unary masks, one field
+per element as wide as the input's largest multiplicity (T clipped to it).
+No shift raises a multiplicity, so one counts -> mask table, made for the
+input (its pair check reads it) and extended by each row that lands, serves
+the whole run.  Masking by T never raises a pair count, so a kernel check
+also proves t-intersection; the plain check runs only to name a failure.
 
 down_compress_full proves each pass's kernel a t-kernel of its output
-without the full pair loop.  Base case: the trivial kernel (t copies of
-every element) is a t-kernel of any t-intersecting family, because
-sum(min(a, b, t)) >= t iff sum(min(a, b)) >= t; the input check proves it.
-Step: a pass on i with s = m(i, T) lowers T at i to s-1.  For a pair where
-neither member moved, |F1 ∩ F2 ∩ T| changes only in the i term, min(a_i,
-b_i, s) against min(a_i, b_i, s-1), and that differs only when both members
-hold at least s copies of i: both are movers the pass blocked.  So the
-pass re-checks every landed member against every member of the output and
-the blocked movers pairwise; every other pair keeps a count already proved
->= t.  No shift raises a multiplicity (j gets m_i-s+1 < m_i, i keeps s-1),
-so the masks keep the input's field width for the whole run and are made
-once per member.  down_compress_pass can be handed any kernel, so it runs
-the full check.
+without the full pair loop.  The trivial kernel is a t-kernel of any
+t-intersecting family (sum(min(a, b, t)) >= t iff sum(min(a, b)) >= t), so
+the input check proves it.  A pass on i with s = m(i, T) lowers T at i to
+s-1, clearing bit (i-1)*width + s-1 of the kernel mask when s <= width.  A
+pair where neither member moved loses a count only if both hold at least s
+copies of i, that is, both are movers the pass blocked; so each pass
+re-checks the landed rows against every row and the blocked movers
+pairwise.  A pass with s above the width has no movers and leaves the
+clipped mask as it is, so those passes are counted in closed form and a
+run costs at most m*(width-1) passes whatever t is.  down_compress_pass can
+be handed any kernel, so it checks every pair.
 
 The guarantees are stated for m >= 2k-t.  Below that regime the operation
 is still well defined, so callers may opt in with allow_out_of_regime=True;
 the postconditions are then verified at runtime and a violation raises
 CompressionInvariantError instead of silently returning.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -65,9 +57,11 @@ from .core import (
     _all_pairs_share,
     is_support_t_intersecting,
     is_t_intersecting,
+    multiplicity_rows,
 )
 
 TraceCallback = Callable[[dict], None]
+Row = tuple[int, ...]
 
 
 class CompressionInvariantError(RuntimeError):
@@ -139,55 +133,72 @@ def is_t_kernel(fam: Family, T: Multiset, t: int) -> bool:
 def shift_multiset(a: Multiset, p: ShiftParams) -> Multiset:
     """Replace all but s-1 copies of i with j.  No-op when the multiset has
     fewer than s copies of i or already contains j."""
-    counts = _shifted_counts(a, p)
-    return a if counts is None else Multiset(a.ground_size, counts)
-
-
-def _shifted_counts(a: Multiset, p: ShiftParams) -> tuple[int, ...] | None:
-    """The counts shift_multiset would give a, or None for a no-op."""
-    if p.i > a.ground_size or p.j > a.ground_size:
+    if max(p.i, p.j) > a.ground_size:
         raise ContractError(f"shift elements outside [1, {a.ground_size}]")
     mi = a.counts[p.i - 1]
     if mi < p.s or a.counts[p.j - 1] != 0:
-        return None
+        return a
     counts = list(a.counts)
     counts[p.i - 1] = p.s - 1
     counts[p.j - 1] = mi - p.s + 1
-    return tuple(counts)
+    return Multiset(a.ground_size, tuple(counts))
 
 
-def _shift_step(
-    candidates: Iterable[Multiset],
-    current: set[tuple[int, ...]],
-    p: ShiftParams,
+def _elements(row: Row) -> str:
+    return " ".join(str(e) for e, c in enumerate(row, 1) for _ in range(c))
+
+
+def _shift_rows(
+    movers: list[Row],
+    current: set[Row],
+    i: int,
+    s: int,
+    targets: Iterable[int],
     on_shift: TraceCallback | None,
-) -> tuple[list[Multiset], list[Multiset]]:
-    """Shift each candidate, in order, whose shifted multiset is absent from
-    `current` (the member counts of the family state, updated in place).
-    Returns the candidates that stayed and the members the others became;
-    a Multiset is built only for a member that lands."""
-    stayed: list[Multiset] = []
-    landed: list[Multiset] = []
-    for a in candidates:
-        counts = _shifted_counts(a, p)
-        if counts is not None and counts not in current:
-            current.discard(a.counts)
-            current.add(counts)
-            b = Multiset(a.ground_size, counts)
-            landed.append(b)
-            if on_shift is not None:
-                on_shift(
-                    {
-                        "i": p.i,
-                        "s": p.s,
-                        "j": p.j,
-                        "member_before": " ".join(map(str, a.elements())),
-                        "member_after": " ".join(map(str, b.elements())),
-                    }
-                )
-        else:
+) -> tuple[list[Row], list[Row]]:
+    """Apply S_(i,s)(j) for each j of `targets` in turn to the movers (rows
+    holding at least s copies of i, in canonical order) against `current`,
+    the member rows of the family state, updated in place.  A mover with no
+    copy of j whose shifted row is absent lands there and leaves the walk.
+    Returns the movers no target took and the rows that landed, in landing
+    order."""
+    src, keep = i - 1, s - 1
+    landed: list[Row] = []
+    for j in targets:
+        if not movers:
+            break
+        stayed = []
+        for a in movers:
+            if a[j - 1] == 0:
+                row = list(a)
+                row[src] = keep
+                row[j - 1] = a[src] - keep
+                b = tuple(row)
+                if b not in current:
+                    current.remove(a)
+                    current.add(b)
+                    landed.append(b)
+                    if on_shift is not None:
+                        on_shift({
+                            "i": i,
+                            "s": s,
+                            "j": j,
+                            "member_before": _elements(a),
+                            "member_after": _elements(b),
+                        })
+                    continue
             stayed.append(a)
-    return stayed, landed
+        movers = stayed
+    return movers, landed
+
+
+def _family(fam: Family, rows: set[Row]) -> Family:
+    """fam with the member rows `rows`, in canonical order; a member whose
+    row is already in fam is reused, so a Multiset is built only for a row
+    that landed."""
+    kept = {a.counts: a for a in fam.members}
+    members = (kept.get(row) or Multiset(fam.m, row) for row in sorted(rows))
+    return Family(fam.m, fam.k, MULTISET, tuple(members))
 
 
 def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = None) -> Family:
@@ -198,13 +209,16 @@ def shift_family(fam: Family, p: ShiftParams, on_shift: TraceCallback | None = N
     (which do not)."""
     if fam.kind != MULTISET:
         raise ContractError("shift_family operates on multiset families")
-    stayed, landed = _shift_step(fam.members, {a.counts for a in fam.members}, p, on_shift)
+    if fam.members and max(p.i, p.j) > fam.m:
+        raise ContractError(f"shift elements outside [1, {fam.m}]")
+    movers = [a.counts for a in fam.members if a.counts[p.i - 1] >= p.s]
+    current = {a.counts for a in fam.members}
+    _, landed = _shift_rows(movers, current, p.i, p.s, (p.j,), on_shift)
     if not landed:
         return fam
-    result = Family.of_multisets(fam.m, fam.k, stayed + landed)
-    if len(result) != len(fam):
+    if len(current) != len(fam):
         raise CompressionInvariantError("shift_family changed the family size")
-    return result
+    return _family(fam, current)
 
 
 def _regime_error(fam: Family, t: int) -> ContractError:
@@ -215,37 +229,12 @@ def _regime_error(fam: Family, t: int) -> ContractError:
     )
 
 
-def _pass_failure(result: Family, t: int) -> CompressionInvariantError:
+def _pass_failure(intersecting: bool) -> CompressionInvariantError:
     """Name a failed kernel check: a pair count masked by the kernel never
     exceeds the unmasked one, so the output may also have lost t-intersection."""
-    if not is_t_intersecting(result, t):
+    if not intersecting:
         return CompressionInvariantError("compression pass broke t-intersection")
     return CompressionInvariantError("shrunken kernel is not a t-kernel for the output")
-
-
-def _pass_core(
-    fam: Family, kernel: Kernel, i: int, on_shift: TraceCallback | None
-) -> tuple[Family, Kernel, list[Multiset], list[Multiset]]:
-    """The shifts of one pass and the shrunken kernel, with the size check.
-    Returns (result, new kernel, movers the pass blocked, members that landed)."""
-    s = kernel.T.multiplicity(i)
-    movers = [a for a in fam.members if a.counts[i - 1] >= s]
-    moved: list[Multiset] = []
-    current = {a.counts for a in fam.members}
-    for j in range(1, fam.m + 1):
-        if not movers:
-            break
-        if j != i:
-            movers, landed = _shift_step(movers, current, ShiftParams(i, s, j), on_shift)
-            moved += landed
-    result = fam
-    if moved:
-        fixed = [a for a in fam.members if a.counts[i - 1] < s]
-        result = Family.of_multisets(fam.m, fam.k, fixed + movers + moved)
-    new_kernel = kernel.remove_copy(i)
-    if len(result) != len(fam):
-        raise CompressionInvariantError("compression pass changed the family size")
-    return result, new_kernel, movers, moved
 
 
 def down_compress_pass(
@@ -258,13 +247,9 @@ def down_compress_pass(
     on_shift: TraceCallback | None = None,
 ) -> tuple[Family, Kernel]:
     """One compression pass: shift (i, s=m(i,T)) onto every j = 1..m in
-    order, then drop one copy of i from the kernel.
-
-    Only members holding at least s copies of i can move, and a moved
-    member keeps s-1, so each j walks the movers not yet moved, in
-    canonical order, against one membership set; distinct movers have
-    distinct targets.  The family is rebuilt once at the end (the input
-    itself when nothing moved).
+    order, then drop one copy of i from the kernel.  The shifts are the row
+    step of down_compress_full; the family is rebuilt once at the end (the
+    input itself when nothing moved).
 
     Postconditions (size preserved, output t-intersecting, shrunken kernel
     still a t-kernel) are asserted; a failure raises
@@ -281,37 +266,27 @@ def down_compress_pass(
         raise ContractError(f"element {i} is not held more than once by the kernel")
     if fam.m < 2 * fam.k - t and not allow_out_of_regime:
         raise _regime_error(fam, t)
-    result, new_kernel, _, _ = _pass_core(fam, kernel, i, on_shift)
+    s = kernel.T.multiplicity(i)
+    movers = [a.counts for a in fam.members if a.counts[i - 1] >= s]
+    current = {a.counts for a in fam.members}
+    targets = [j for j in range(1, fam.m + 1) if j != i]
+    _, landed = _shift_rows(movers, current, i, s, targets, on_shift)
+    result = _family(fam, current) if landed else fam
+    new_kernel = kernel.remove_copy(i)
+    if len(current) != len(fam):
+        raise CompressionInvariantError("compression pass changed the family size")
     if not is_t_kernel(result, new_kernel.T, t):
-        raise _pass_failure(result, t)
+        raise _pass_failure(is_t_intersecting(result, t))
     return result, new_kernel
 
 
-def _changed_pairs_share(
-    masks: dict[tuple[int, ...], int],
-    kernel_mask: int,
-    result: Family,
-    blocked: list[Multiset],
-    moved: list[Multiset],
-    t: int,
-) -> bool:
-    """True iff the pairs a pass can have changed keep |F1 ∩ F2 ∩ T'| >= t:
-    every landed member against every member of the result, and the
-    blocked movers pairwise."""
-    landed = [masks[b.counts] & kernel_mask for b in moved]
-    if not _all_pairs_share(landed, t):
-        return False
-    if not _all_pairs_share([masks[a.counts] & kernel_mask for a in blocked], t):
-        return False
-    if landed:
-        moved_counts = {b.counts for b in moved}
-        for a in result.members:
-            if a.counts not in moved_counts:
-                x = masks[a.counts]
-                for y in landed:
-                    if (x & y).bit_count() < t:
-                        return False
-    return True
+def _unary_mask(row: Row, width: int) -> int:
+    """Multiplicities in unary, one field of `width` bits per element, each
+    clipped to the width (Multiset.unary_mask on a bare row)."""
+    mask = 0
+    for c in reversed(row):
+        mask = mask << width | (1 << (c if c < width else width)) - 1
+    return mask
 
 
 def down_compress_full(
@@ -323,7 +298,10 @@ def down_compress_full(
 ) -> Family:
     """Compress until the kernel is exactly [m]: start from the trivial
     kernel and run one pass per surplus copy, smallest surplus element
-    first.  Exactly (t-1)*m passes; for t=1 the family is returned as is.
+    first, each element from s = t down to 2.  Exactly (t-1)*m passes; for
+    t=1 the family is returned as is.  The passes with s above the input's
+    largest multiplicity move nothing and are counted without being run,
+    so a large t costs no more than t = that multiplicity.
 
     Each pass's kernel is proved a t-kernel of its output by re-checking
     only the pairs the pass can have changed (see the module docstring);
@@ -334,38 +312,53 @@ def down_compress_full(
     """
     if t < 1:
         raise ContractError(f"t must be >= 1, got {t}")
-    if not is_t_intersecting(fam, t):
+    # a set's 0/1 row in fields of width 1 is its element mask
+    rows = multiplicity_rows(fam.members)
+    width = max((max(row, default=0) for row in rows), default=0)
+    masks = {row: _unary_mask(row, width) for row in rows}
+    if not _all_pairs_share(list(masks.values()), t):
         raise ContractError("input family is not t-intersecting")
     if fam.m < 2 * fam.k - t and not allow_out_of_regime:
         raise _regime_error(fam, t)
     if fam.kind != MULTISET:
         raise ContractError("down-compression operates on multiset families")
-    kernel = Kernel.trivial(fam.m, t)
-    # no shift raises a multiplicity, so the input's width serves every pass
-    width = max((max(a.counts) for a in fam.members), default=0)
-    masks = {a.counts: a.unary_mask(width) for a in fam.members}
-    result = fam
+    current = set(rows)
+    kernel = _unary_mask((t,) * fam.m, width)
+    top = min(t, width)
     passes = 0
-    while True:
-        surplus = kernel.surplus_elements()
-        if not surplus:
-            break
-        i = surplus[0]
-        passes += 1
-        traced = None
-        if on_shift is not None:
-            def traced(record: dict, _pass_no: int = passes) -> None:
-                on_shift({"pass": _pass_no, **record})
-        result, kernel, blocked, moved = _pass_core(result, kernel, i, traced)
-        for b in moved:
-            if b.counts not in masks:
-                masks[b.counts] = b.unary_mask(width)
-        if not _changed_pairs_share(masks, kernel.T.unary_mask(width), result, blocked, moved, t):
-            raise _pass_failure(result, t)
+    moved = False
+    for i in range(1, fam.m + 1):
+        passes += t - max(top, 1)  # the passes with s > width: no movers
+        targets = [j for j in range(1, fam.m + 1) if j != i]
+        for s in range(top, 1, -1):
+            passes += 1
+            traced = None
+            if on_shift is not None:
+                def traced(record: dict, _pass_no: int = passes) -> None:
+                    on_shift({"pass": _pass_no, **record})
+            movers = sorted(a for a in current if a[i - 1] >= s)
+            blocked, landed = _shift_rows(movers, current, i, s, targets, traced)
+            if len(current) != len(rows):
+                raise CompressionInvariantError("compression pass changed the family size")
+            kernel &= ~(1 << ((i - 1) * width + s - 1))
+            for b in landed:
+                if b not in masks:
+                    masks[b] = _unary_mask(b, width)
+            # the pairs the pass can have changed: each landed row against
+            # every row, and the blocked movers pairwise
+            news = [masks[b] & kernel for b in landed]
+            olds = [masks[a] for a in current.difference(landed)] if news else []
+            if not (
+                _all_pairs_share(news, t)
+                and _all_pairs_share([masks[a] & kernel for a in blocked], t)
+                and all((x & y).bit_count() >= t for x in olds for y in news)
+            ):
+                raise _pass_failure(_all_pairs_share([masks[a] for a in current], t))
+            moved = moved or bool(landed)
     if passes != (t - 1) * fam.m:
-        raise CompressionInvariantError(
-            f"expected {(t - 1) * fam.m} passes, ran {passes}"
-        )
+        raise CompressionInvariantError(f"expected {(t - 1) * fam.m} passes, ran {passes}")
+    result = _family(fam, current) if moved else fam
     if not is_support_t_intersecting(result, t):
         raise CompressionInvariantError("output supports do not pairwise t-intersect")
     return result
+

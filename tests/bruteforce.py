@@ -258,18 +258,48 @@ def pair_loop_is_t_kernel(fam, T, t):
     )
 
 
+def shift_loop_shift_family(fam, p, on_shift=None):
+    """Reference shift_family: every member in canonical order goes through
+    the library's single-member shift_multiset, and moves when its shifted
+    multiset is absent from the family state at that moment; the family is
+    rebuilt from the final state."""
+    from multifam.compression import shift_multiset
+    from multifam.core import Family
+
+    current = list(fam.members)
+    present = {a.counts for a in current}
+    for a in fam.members:
+        b = shift_multiset(a, p)
+        if b is a or b.counts in present:
+            continue
+        present.remove(a.counts)
+        present.add(b.counts)
+        current[current.index(a)] = b
+        if on_shift is not None:
+            on_shift({
+                "i": p.i,
+                "s": p.s,
+                "j": p.j,
+                "member_before": " ".join(map(str, a.elements())),
+                "member_after": " ".join(map(str, b.elements())),
+            })
+    if current == list(fam.members):
+        return fam
+    return Family.of_multisets(fam.m, fam.k, current)
+
+
 def shift_loop_compress_pass(fam, kernel, i, t, on_shift=None):
-    """Reference compression pass: one library shift_family call per
+    """Reference compression pass: one shift_loop_shift_family call per
     j = 1..m (each walks and rebuilds the whole family), then the
     t-intersection and t-kernel postconditions as separate pair loops.
     Takes valid arguments only (i a surplus element of the kernel)."""
-    from multifam.compression import CompressionInvariantError, ShiftParams, shift_family
+    from multifam.compression import CompressionInvariantError, ShiftParams
 
     s = kernel.T.multiplicity(i)
     result = fam
     for j in range(1, fam.m + 1):
         if j != i:
-            result = shift_family(result, ShiftParams(i, s, j), on_shift)
+            result = shift_loop_shift_family(result, ShiftParams(i, s, j), on_shift)
     new_kernel = kernel.remove_copy(i)
     if len(result) != len(fam):
         raise CompressionInvariantError("compression pass changed the family size")

@@ -149,6 +149,18 @@ def test_compress_trace_is_byte_identical_to_reference(tmp_path):
     assert out_file.read_text() == "m=6 k=3 kind=multiset\n1 2 6\n1 2 5\n1 2 4\n1 2 3\n"
 
 
+@pytest.mark.parametrize("members", ["", "1 1 1 2\n"], ids=["empty", "one-member"])
+def test_compress_huge_t_finishes(tmp_path, members):
+    # a family of at most one member t-intersects vacuously for every t;
+    # passes that cannot move anything are counted, not run
+    fam_file = tmp_path / "family.txt"
+    fam_file.write_text("m=6 k=4 kind=multiset\n" + members)
+    small, big = tmp_path / "t3.txt", tmp_path / "big.txt"
+    assert run("compress", "-i", str(fam_file), "-t", "3", "-o", str(small)) == 0
+    assert run("compress", "-i", str(fam_file), "-t", "1000000000", "-o", str(big)) == 0
+    assert big.read_text() == small.read_text()
+
+
 def test_compress_unusable_paths_exit_2(tmp_path, capsys):
     fam_file = tmp_path / "family.txt"
     fam_file.write_text(MOVING_FIXTURE)

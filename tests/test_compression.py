@@ -26,6 +26,7 @@ from multifam import (
     star,
 )
 from multifam.acceptance import _compression_grid, random_t_intersecting_family
+from multifam.families import apply_permutation
 
 from bruteforce import (
     greedy_random_t_intersecting_family,
@@ -33,6 +34,7 @@ from bruteforce import (
     pair_loop_is_support_t_intersecting,
     pair_loop_is_t_kernel,
     shift_loop_compress_pass,
+    shift_loop_shift_family,
 )
 from conftest import family_and_t, multiset_family
 
@@ -106,6 +108,22 @@ def test_shift_family_always_preserves_size(family, i, j, s):
     assert len(shifted) == len(family)
     # the input comes back as the very same object exactly when nothing moved
     assert (shifted is family) == (records == [])
+
+
+@settings(max_examples=200)
+@given(multiset_family(max_m=5, max_k=4, max_members=12), st.data())
+def test_shift_family_matches_member_loop_reference(family, data):
+    i = data.draw(st.integers(1, family.m))
+    j = data.draw(st.integers(1, family.m))
+    if i == j:
+        return
+    p = ShiftParams(i, data.draw(st.integers(2, family.k + 1)), j)
+    got_records, want_records = [], []
+    got = shift_family(family, p, got_records.append)
+    want = shift_loop_shift_family(family, p, want_records.append)
+    assert got == want
+    assert got_records == want_records
+    assert (got is family) == (want is family)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -237,10 +255,13 @@ def test_pass_matches_shift_loop_reference(case, data):
 
 
 def _patched_step(replace):
-    """A shift step that moves every candidate onto replace[its counts]
-    (onto itself when absent), ignoring the shift."""
-    def step(candidates, current, p, on_shift):
-        return [], [replace.get(a.counts, a) for a in candidates]
+    """A row step that moves every mover onto the row of replace[its row]
+    (onto itself when absent), ignoring the shift and the targets."""
+    def step(movers, current, i, s, targets, on_shift):
+        landed = [replace[a].counts if a in replace else a for a in movers]
+        current.difference_update(movers)
+        current.update(landed)
+        return [], landed
     return step
 
 
@@ -255,7 +276,7 @@ def _patched_step(replace):
 )
 def test_pass_postconditions_raise_their_own_message(monkeypatch, replace, message):
     family = fam(4, 3, (1, 1, 2), (1, 1, 3))
-    monkeypatch.setattr(compression, "_shift_step", _patched_step(replace))
+    monkeypatch.setattr(compression, "_shift_rows", _patched_step(replace))
     with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
         down_compress_pass(family, Kernel.trivial(4, 2), 1, 2)
 
@@ -292,11 +313,57 @@ def test_full_run_matches_chain_of_reference_passes(case):
     assert got == want
 
 
-def _block_every_mover(candidates, current, p, on_shift):
-    return list(candidates), []
+@pytest.mark.parametrize("seed", [1, 2])
+def test_full_run_matches_reference_at_workload_size(seed):
+    # the compression benchmark's inputs: permuted Frankl families and
+    # seeded random 3-intersecting families
+    rng = random.Random(seed)
+    cases = []
+    for m, k, t, r in ((9, 5, 2, 2), (8, 5, 2, 1)):
+        perm = list(range(1, m + 1))
+        rng.shuffle(perm)
+        cases.append((apply_permutation(frankl_multiset(m, k, t, r), perm), t))
+    cases += [(random_t_intersecting_family(9, 5, 3, rng), 3) for _ in range(3)]
+    moves = 0
+    for family, t in cases:
+        got_records, want_records = [], []
+        got = down_compress_full(family, t, on_shift=got_records.append)
+        assert got == _reference_full(family, t, want_records.append)
+        assert got_records == want_records
+        moves += len(got_records)
+    assert moves > 0
 
 
-@pytest.mark.parametrize(
+@pytest.mark.parametrize("members", [(), ((1, 1, 1, 2),)], ids=["empty", "one-member"])
+def test_large_t_counts_idle_passes_in_closed_form(monkeypatch, members):
+    # passes with s above the largest multiplicity (3 here) move nothing;
+    # they are counted, not run, and the records keep their pass numbers
+    family = fam(6, 4, *members)
+    got_records, want_records = [], []
+    assert down_compress_full(family, 6, on_shift=got_records.append) == _reference_full(
+        family, 6, want_records.append
+    )
+    assert got_records == want_records
+    steps = []
+    step = compression._shift_rows
+    monkeypatch.setattr(compression, "_shift_rows", lambda *a: steps.append(a) or step(*a))
+    small, big = [], []
+    expected = down_compress_full(family, 3, on_shift=small.append)
+    steps.clear()
+    assert down_compress_full(family, 10**9, on_shift=big.append) == expected
+    assert len(steps) == (6 * 2 if members else 0)  # s = 3 and 2 on each element
+    for t, records in ((3, small), (10**9, big)):
+        assert all(r["pass"] == (r["i"] - 1) * (t - 1) + t - r["s"] + 1 for r in records)
+    assert [{**r, "pass": 0} for r in big] == [{**r, "pass": 0} for r in small]
+    assert len(big) == 2 * len(members)
+
+
+def _block_every_mover(movers, current, i, s, targets, on_shift):
+    return list(movers), []
+
+
+# broken row steps, each caught by its own check on the first pass
+MUTANT_STEPS = pytest.mark.parametrize(
     "step, members, message",
     [
         # {1,1,2} becomes {2,4,4}, which shares only the element 2 with
@@ -328,13 +395,31 @@ def _block_every_mover(candidates, current, p, on_shift):
             "shrunken kernel is not a t-kernel for the output",
             id="blocked-pair",
         ),
+        # both members land on {1,2,3}: the family loses a member
+        pytest.param(
+            _patched_step({(2, 1, 0, 0): ms(4, 1, 2, 3), (2, 0, 1, 0): ms(4, 1, 2, 3)}),
+            ((1, 1, 2), (1, 1, 3)),
+            "compression pass changed the family size",
+            id="collision",
+        ),
     ],
 )
+
+
+@MUTANT_STEPS
 def test_full_run_checks_raise_their_own_message(monkeypatch, step, members, message):
     family = fam(4, 3, *members)
-    monkeypatch.setattr(compression, "_shift_step", step)
+    monkeypatch.setattr(compression, "_shift_rows", step)
     with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
         down_compress_full(family, 2)
+
+
+@MUTANT_STEPS
+def test_single_pass_checks_raise_their_own_message(monkeypatch, step, members, message):
+    family = fam(4, 3, *members)
+    monkeypatch.setattr(compression, "_shift_rows", step)
+    with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
+        down_compress_pass(family, Kernel.trivial(4, 2), 1, 2)
 
 
 def test_full_run_rechecks_only_the_changed_pairs(monkeypatch):
@@ -351,22 +436,33 @@ def test_full_run_rechecks_only_the_changed_pairs(monkeypatch):
         down_compress_pass(family, Kernel.trivial(8, 2), 4, 2)
 
 
+def _handing(monkeypatch, handed):
+    """Wrap the row step so each call's movers are appended to `handed`,
+    after checking that every one of them can move."""
+    step = compression._shift_rows
+
+    def counting(movers, current, i, s, targets, on_shift):
+        assert all(a[i - 1] >= s for a in movers)
+        handed.extend(movers)
+        return step(movers, current, i, s, targets, on_shift)
+
+    monkeypatch.setattr(compression, "_shift_rows", counting)
+
+
 def test_passes_shift_only_the_members_that_can_move(monkeypatch):
-    # 120 members, 84 moves over 8 passes; a shift_family call per j and
-    # pass tried every member: 6,720 shifts
-    calls = []
-    shifted = compression._shifted_counts
-    monkeypatch.setattr(
-        compression, "_shifted_counts", lambda a, p: calls.append(1) or shifted(a, p)
-    )
+    # 120 members, 84 moves over 8 passes; the row step is handed only the
+    # rows holding at least s copies of i, 176 over the run, where a
+    # shift_family call per j and pass tried every member: 6,720 shifts
+    handed = []
+    _handing(monkeypatch, handed)
     records = []
     down_compress_full(fixed_multiset(8, 5, ms(8, 4, 4)), 2, on_shift=records.append)
     assert len(records) == 84
-    assert 84 <= len(calls) <= 800
+    assert len(handed) == 176
 
 
 def test_a_pass_builds_a_multiset_only_for_members_that_land(monkeypatch):
-    # 120 members; the pass on 4 tries 336 shifts and lands 84 of them
+    # 120 members; the pass on 4 hands all 120 to the row step and lands 84
     built = []
 
     class Counting(Multiset):
@@ -376,18 +472,18 @@ def test_a_pass_builds_a_multiset_only_for_members_that_land(monkeypatch):
 
     family = fixed_multiset(8, 5, ms(8, 4, 4))
     trivial = Kernel.trivial(8, 2)
-    tried = []
-    shifted = compression._shifted_counts
-    monkeypatch.setattr(
-        compression, "_shifted_counts", lambda a, p: tried.append(1) or shifted(a, p)
-    )
+    handed = []
+    _handing(monkeypatch, handed)
     monkeypatch.setattr(compression, "Multiset", Counting)
     records = []
     result, kernel = down_compress_pass(family, trivial, 4, 2, on_shift=records.append)
     landed = [ms(8, *map(int, r["member_after"].split())).counts for r in records]
-    assert len(landed) < len(tried)
-    assert built == landed + [kernel.T.counts]
+    assert len(landed) < len(handed) == 120
+    # the output is built once: the landed rows in canonical order, then the kernel
+    assert built == sorted(landed) + [kernel.T.counts]
     assert set(landed) <= {a.counts for a in result.members}
+    reused = {id(a) for a in family.members}
+    assert all(id(a) in reused for a in result.members if a.counts not in landed)
 
 
 def test_pass_requires_surplus_element():
