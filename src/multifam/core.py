@@ -37,6 +37,10 @@ class ScaleExceededError(RuntimeError):
 # the most members any universe walk (core.universe_rows) enumerates
 ENUMERATION_CAP = 200_000
 
+# 1 << i for each element index i, extended by Multiset.support_mask as
+# larger ground sets come along
+_POWERS = [1 << i for i in range(64)]
+
 
 # ---------------------------------------------------------------------------
 # counting
@@ -119,11 +123,12 @@ class Multiset:
         )
 
     def support_mask(self) -> int:
-        mask = 0
-        for i, c in enumerate(self.counts):
-            if c:
-                mask |= 1 << i
-        return mask
+        """Bit i set iff element i+1 is held: the sum of the powers of two
+        that the nonzero counts select, in one C-level pass."""
+        counts = self.counts
+        if len(counts) > len(_POWERS):
+            _POWERS.extend(1 << i for i in range(len(_POWERS), len(counts)))
+        return sum(compress(_POWERS, counts))
 
     def unary_mask(self, width: int) -> int:
         """Multiplicities in unary, one field of `width` bits per element

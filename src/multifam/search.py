@@ -56,8 +56,16 @@ isomorphism class.  Enumerating all optima runs the loop with no orbits:
 the incumbent is held at one below the proved optimum and each leaf is
 recorded instead of adopted.
 
-Every search re-validates its witness against the raw pairwise predicate,
-independent of the adjacency structure, and honest node-limit reporting
+The incumbent a search starts from is its seed, an explicit extremal
+family the caller hands over (verify passes each theorem's construction),
+or a greedy clique when that is strictly larger; with no seed it is the
+greedy clique.  The seed is checked once against the raw pairwise
+predicate and refused if it fails or comes from another universe.
+
+Every family a search returns passes the raw pairwise predicate, read off
+its members independent of the adjacency structure, exactly once: a
+witness that is still the seed's mask is the checked seed itself, and any
+other witness is decoded and checked.  Honest node-limit reporting
 replaces any silent truncation.
 """
 
@@ -69,18 +77,15 @@ from fractions import Fraction
 from operator import add, mul
 
 from .core import (
-    MULTISET,
     ContractError,
     Family,
     common_intersection,
     has_property_p_s1,
     is_support_t_intersecting,
     is_t_intersecting,
-    multiset_rank,
+    multiplicity_rows,
 )
 from .graphs import (
-    KIND_KNESER,
-    KIND_KNESER_T,
     KIND_MULTISET_DISJOINT,
     KIND_MULTISET_SUPPORT_T,
     KIND_MULTISET_T,
@@ -219,7 +224,13 @@ class _MaxCliqueSolver:
     i is vertex to_old[i] of the caller's graph.  It holds the incumbent,
     the node budget and the one branch-and-bound loop _front (Tomita-style
     colouring bounds); a subclass may override the loop's steps _color,
-    _children and _leaf, and _seed, the incumbent a search starts from.
+    _children and _leaf.
+
+    The incumbent starts at `seed`, a clique given as a bitset of branching
+    slots (a validated construction, or none), or at a greedy clique when
+    that is strictly larger.  A strong seed shrinks the tree (Batsyn,
+    Goldengorin, Maslov & Pardalos 2014) and never changes the optimum:
+    the loop still proves that nothing beats it.
 
     Given each vertex's multiplicity row (counts) and the orbits of the
     permutations of [m] (orbits, one bitset per multiplicity type), for a
@@ -255,6 +266,7 @@ class _MaxCliqueSolver:
         counts: list[tuple[int, ...]] | None = None,
         orbits: list[int] | None = None,
         cls: tuple[int, ...] | None = None,
+        seed: int = 0,
     ):
         self.rows = rows
         self.n = len(rows)
@@ -265,6 +277,7 @@ class _MaxCliqueSolver:
         self.orbits = orbits
         self.cls = cls
         self.counter = _NodeCounter(node_limit)
+        self.seed = seed
         self.best = 0
         self.best_mask = 0
 
@@ -281,7 +294,13 @@ class _MaxCliqueSolver:
         return self.best, self._remap(self.best_mask), self.counter.nodes, limited
 
     def _seed(self) -> None:
-        """A greedy clique, lowest index first, as the first incumbent."""
+        """The first incumbent: the seed, or a greedy clique (lowest index
+        first) when that is strictly larger.  A solver with a core takes
+        the seed alone, since a greedy clique can break its constraint."""
+        self.best = self.seed.bit_count()
+        self.best_mask = self.seed
+        if self.core is not None:
+            return
         chosen = 0
         size = 0
         cand = (1 << self.n) - 1
@@ -291,8 +310,9 @@ class _MaxCliqueSolver:
             cand = self._children(chosen, v, cand)
             chosen |= bit
             size += 1
-        self.best = size
-        self.best_mask = chosen
+        if size > self.best:
+            self.best = size
+            self.best_mask = chosen
 
     def _remap(self, mask: int) -> int:
         out = 0
@@ -436,28 +456,71 @@ class _CliqueEnumerator(_MaxCliqueSolver):
             raise _CapHit
 
 
+def _is_independent(graph: DisjointnessGraph, fam: Family) -> bool:
+    """The raw pairwise predicate of the graph's independent sets, read off
+    the members, not the adjacency rows (K and M graphs have t = 1)."""
+    if graph.kind == KIND_MULTISET_SUPPORT_T:
+        return is_support_t_intersecting(fam, graph.t)
+    return is_t_intersecting(fam, graph.t)
+
+
 def _validate_witness(graph: DisjointnessGraph, fam: Family) -> None:
-    if graph.kind in (KIND_KNESER, KIND_MULTISET_DISJOINT):
-        ok = is_t_intersecting(fam, 1)
-    elif graph.kind in (KIND_KNESER_T, KIND_MULTISET_T):
-        ok = is_t_intersecting(fam, graph.t)
-    else:
-        ok = is_support_t_intersecting(fam, graph.t)
-    if not ok:
+    if not _is_independent(graph, fam):
         raise RuntimeError("internal error: witness fails the raw pairwise predicate")
 
 
-def max_independent_set(graph: DisjointnessGraph, node_limit: int | None = None) -> SearchResult:
-    """Exact maximum independent set (= largest intersecting family for the
-    graph's threshold).  The optimum, witness and node count are
-    deterministic."""
-    view = graph.ordered
-    solver = _MaxCliqueSolver(view.rows, view.to_old, node_limit, view.counts, view.orbits)
+def _seed_slots(graph: DisjointnessGraph, seed: Family | None, valid, what: str) -> int:
+    """The seed family as a bitset of the graph's branching slots (0 for no
+    seed), read through an index of the branching view's rows.  A seed
+    from another universe, or one failing `valid`, the search's raw
+    predicate, is refused (ContractError) before any search runs."""
+    if seed is None:
+        return 0
+    if (seed.kind, seed.m, seed.k) != (graph.family_kind, graph.m, graph.k):
+        raise ContractError("seed family does not match the search universe")
+    if not valid(seed):
+        raise ContractError(f"seed family fails {what}")
+    slot = {row: i for i, row in enumerate(graph.ordered.counts)}
+    slots = {slot.get(row) for row in multiplicity_rows(seed.members)}
+    if None in slots or len(slots) != len(seed):
+        raise ContractError("seed family is not a set of the graph's vertices")
+    mask = 0
+    for i in slots:
+        mask |= 1 << i
+    return mask
+
+
+def _seeded_search(graph: DisjointnessGraph, seed: Family | None, valid, what: str, solver_for):
+    """Run the solver `solver_for(seed slots)` from the checked seed.  Each
+    family passes `valid` once: a witness that is still the seed's mask is
+    the seed family itself, any other is decoded and checked here."""
+    slots = _seed_slots(graph, seed, valid, what)
+    solver = solver_for(slots)
     best, mask, nodes, limited = solver.solve()
-    witness = graph.family_from_mask(mask)
-    _validate_witness(graph, witness)
+    if seed is not None and solver.best_mask == slots:
+        witness = seed
+    else:
+        witness = graph.family_from_mask(mask)
+        if not valid(witness):
+            raise RuntimeError(f"internal error: witness fails {what}")
     status = NODE_LIMIT_HIT if limited else PROVED_OPTIMAL
     return SearchResult(best, witness, status, nodes)
+
+
+def max_independent_set(
+    graph: DisjointnessGraph, node_limit: int | None = None, seed: Family | None = None
+) -> SearchResult:
+    """Exact maximum independent set (= largest intersecting family for the
+    graph's threshold).  An independent set of the graph given as `seed`
+    (an explicit extremal family) is the first incumbent; it never changes
+    the optimum.  The optimum, witness and node count are deterministic."""
+    view = graph.ordered
+    return _seeded_search(
+        graph, seed, lambda fam: _is_independent(graph, fam), "the raw pairwise predicate",
+        lambda slots: _MaxCliqueSolver(
+            view.rows, view.to_old, node_limit, view.counts, view.orbits, None, slots
+        ),
+    )
 
 
 def enumerate_maximum_independent_sets(
@@ -526,30 +589,20 @@ class _SmallCoreSolver(_MaxCliqueSolver):
     the branches are listed from the untrimmed candidates.  Once the core
     drops below the limit it can never grow again, and the node is an
     ordinary one.  A greedy clique can break the constraint, so the
-    incumbent starts at the verified seed family instead.
+    incumbent is the seed alone (see _MaxCliqueSolver._seed).
 
     over[e][j] is the bitset of the vertices whose count at e exceeds j,
     for j up to k (graphs._columns), so the candidates that shrink a core
     and the least count each element keeps among them are bitset tests."""
 
     def __init__(
-        self, graph: DisjointnessGraph, core_limit: int, node_limit: int | None, seed_mask: int
+        self, graph: DisjointnessGraph, core_limit: int, node_limit: int | None, seed: int
     ):
         view = graph.ordered
-        super().__init__(view.rows, view.to_old, node_limit, view.counts, view.orbits)
+        super().__init__(view.rows, view.to_old, node_limit, view.counts, view.orbits, None, seed)
         self.core = (graph.k + 1,) * graph.m
         self.limit = core_limit
-        self.seed_mask = seed_mask
         self.over = _columns(view.counts, graph.k + 1)
-
-    def _seed(self) -> None:
-        """The seed family, mapped from ranks to branching slots."""
-        slot = [0] * self.n
-        for i, old in enumerate(self.to_old):
-            slot[old] = i
-        for v in _bits(self.seed_mask):
-            self.best_mask |= 1 << slot[v]
-        self.best = self.seed_mask.bit_count()
 
     def _filter(self, core, p_mask: int, bound: int) -> tuple[list[int], list[int]]:
         """The branches of a node whose core is still at or above the limit:
@@ -581,21 +634,6 @@ class _SmallCoreSolver(_MaxCliqueSolver):
         return core if sum(core) >= self.limit else None
 
 
-def _seed_mask_for(seed: Family | None, m: int, k: int, t_pair: int, core_limit: int) -> int:
-    if seed is None:
-        return 0
-    if seed.kind != MULTISET or seed.m != m or seed.k != k:
-        raise ContractError("seed family does not match the search universe")
-    if not is_t_intersecting(seed, t_pair):
-        raise ContractError("seed family is not pairwise compatible")
-    if len(seed) and common_intersection(seed).cardinality >= core_limit:
-        raise ContractError("seed family violates the common-core constraint")
-    mask = 0
-    for a in seed.members:
-        mask |= 1 << multiset_rank(a)
-    return mask
-
-
 def _small_core_search(
     m: int,
     k: int,
@@ -605,16 +643,16 @@ def _small_core_search(
     seed: Family | None,
 ) -> SearchResult:
     graph = build_graph(KIND_MULTISET_T, m, k, t_pair)
-    seed_mask = _seed_mask_for(seed, m, k, t_pair, core_limit)
-    solver = _SmallCoreSolver(graph, core_limit, node_limit, seed_mask)
-    best, mask, nodes, limited = solver.solve()
-    witness = graph.family_from_mask(mask)
-    if not is_t_intersecting(witness, t_pair):
-        raise RuntimeError("internal error: witness fails pairwise compatibility")
-    if len(witness) and common_intersection(witness).cardinality >= core_limit:
-        raise RuntimeError("internal error: witness violates the core constraint")
-    status = NODE_LIMIT_HIT if limited else PROVED_OPTIMAL
-    return SearchResult(best, witness, status, nodes)
+
+    def valid(fam: Family) -> bool:
+        if not is_t_intersecting(fam, t_pair):
+            return False
+        return not len(fam) or common_intersection(fam).cardinality < core_limit
+
+    return _seeded_search(
+        graph, seed, valid, "pairwise compatibility with a common core below the limit",
+        lambda slots: _SmallCoreSolver(graph, core_limit, node_limit, slots),
+    )
 
 
 def max_intersecting_empty_common(
@@ -666,8 +704,9 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
         node_limit: int | None,
         counts: list[tuple[int, ...]] | None = None,
         orbits: list[int] | None = None,
+        seed: int = 0,
     ):
-        super().__init__(rows, to_old, node_limit, counts, orbits)
+        super().__init__(rows, to_old, node_limit, counts, orbits, None, seed)
         self.s = s
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
@@ -703,21 +742,27 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
         return p_mask & self.rows[v] | alive
 
 
-def clique_free_search(graph: DisjointnessGraph, s: int, node_limit: int | None = None) -> SearchResult:
+def clique_free_search(
+    graph: DisjointnessGraph, s: int, node_limit: int | None = None, seed: Family | None = None
+) -> SearchResult:
     """Largest vertex subset of a disjointness graph inducing no
-    (s+1)-clique, i.e. the largest P(s,1) family for that universe."""
+    (s+1)-clique, i.e. the largest P(s,1) family for that universe.  A
+    P(s,1) family given as `seed` is the first incumbent; P(s,1) speaks of
+    disjoint members, so for s >= 2 a seed needs a graph whose edges join
+    exactly the disjoint pairs (t = 1)."""
     if s < 1:
         raise ContractError(f"s must be >= 1, got {s}")
     if s == 1:
-        return max_independent_set(graph, node_limit)
+        return max_independent_set(graph, node_limit, seed)
+    if seed is not None and graph.t != 1:
+        raise ContractError(f"a P(s,1) seed needs a disjointness graph, got t={graph.t}")
     view = graph.ordered
-    solver = _CliqueFreeSolver(view.rows, view.to_old, s, node_limit, view.counts, view.orbits)
-    best, mask, nodes, limited = solver.solve()
-    witness = graph.family_from_mask(mask)
-    if not has_property_p_s1(witness, s):
-        raise RuntimeError("internal error: witness fails the P(s,1) predicate")
-    status = NODE_LIMIT_HIT if limited else PROVED_OPTIMAL
-    return SearchResult(best, witness, status, nodes)
+    return _seeded_search(
+        graph, seed, lambda fam: has_property_p_s1(fam, s), "the P(s,1) predicate",
+        lambda slots: _CliqueFreeSolver(
+            view.rows, view.to_old, s, node_limit, view.counts, view.orbits, slots
+        ),
+    )
 
 
 def max_p_s1_family(m: int, k: int, s: int, node_limit: int | None = None) -> SearchResult:

@@ -13,7 +13,13 @@ Each supported theorem id binds three routes together at desk scale:
   T4.8  largest t-intersecting k-multiset family, common core below t
 
 The report records the closed-form bound, the size of the constructed
-extremal family, and the exact search optimum.  A violated hypothesis never
+extremal family, and the exact search optimum.  Every theorem whose search
+is a clique search on the graph's own vertices (all but the two-family
+unions T2.4 and T3.5) hands its construction to that search as the first
+incumbent: the search checks it once against the raw pairwise predicate
+and refuses it (ContractError) if it fails, and the branch and bound then
+only has to prove that nothing beats it.  When nothing does, the witness
+is the construction itself.  A violated hypothesis never
 hard-fails: the search still runs (that is the exploration mode for open
 parameter regimes) and the report carries a hypothesis_not_met status
 instead of a verdict.  For the ground-size flag, set-system theorems read
@@ -38,7 +44,6 @@ from .search import (
     induced_bipartite_search,
     max_independent_set,
     max_intersecting_empty_common,
-    max_p_s1_family,
     max_t_intersecting_nontrivial,
     max_union_two_intersecting,
 )
@@ -124,7 +129,7 @@ def _bind_t11(params, node_limit) -> _Binding:
     bound = binomial(n - 1, k - 1)
     graph = build_graph(KIND_KNESER, n, k)
     constructed = families.frankl_set(n, k, 1, 0)
-    result = max_independent_set(graph, node_limit)
+    result = max_independent_set(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
 
@@ -135,7 +140,7 @@ def _bind_t14(params, node_limit) -> _Binding:
     bound = binomial(m + k - 2, k - 1)
     graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
     constructed = families.star(m, k, 1)
-    result = max_independent_set(graph, node_limit)
+    result = max_independent_set(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
 
@@ -148,7 +153,7 @@ def _bind_t23(params, node_limit) -> _Binding:
     bound = binomial(n, k) - binomial(n - s, k)
     graph = build_graph(KIND_KNESER, n, k)
     constructed = families.hit_s_set(n, k, range(1, s + 1))
-    result = clique_free_search(graph, s, node_limit)
+    result = clique_free_search(graph, s, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
 
 
@@ -186,8 +191,9 @@ def _bind_t34(params, node_limit) -> _Binding:
     hyp = m > (2 * k - 1) * s
     notes = [] if hyp else [f"hypothesis m > (2k-1)s not met (m={m}, k={k}, s={s})"]
     bound = families.hit_s_size(m, k, s)
+    graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
     constructed = families.hit_s(m, k, range(1, s + 1))
-    result = max_p_s1_family(m, k, s, node_limit)
+    result = clique_free_search(graph, s, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
 
 
@@ -236,7 +242,7 @@ def _bind_t41(params, node_limit) -> _Binding:
         notes.append(
             f"extremal family not constructible on [{m}]: window t+2r exceeds m"
         )
-    result = max_independent_set(graph, node_limit)
+    result = max_independent_set(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
 

@@ -698,3 +698,12 @@ def loop_multiset_unrank(m, k, rank):
         rem -= v
     counts.append(rem)
     return tuple(counts)
+
+
+def loop_support_mask(counts):
+    """Reference support mask of a count vector, one bit at a time."""
+    mask = 0
+    for i, c in enumerate(counts):
+        if c:
+            mask |= 1 << i
+    return mask

@@ -33,6 +33,7 @@ from bruteforce import (
     greedy_t_subfamily,
     loop_multiset_rank,
     loop_multiset_unrank,
+    loop_support_mask,
     pair_loop_is_support_t_intersecting,
     pair_loop_is_t_intersecting,
     recursive_count_vectors,
@@ -304,6 +305,14 @@ def test_intersection_commutes_and_support_distributes(pair):
     lhs = a.intersect(b).support().members
     rhs = tuple(sorted(set(a.support().members) & set(b.support().members)))
     assert lhs == rhs
+
+
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=150))
+def test_support_mask_matches_the_bit_loop(counts):
+    # ground sets past 64 elements extend the table of powers of two
+    a = Multiset(len(counts), tuple(counts))
+    assert a.support_mask() == loop_support_mask(counts)
+    assert a.support_mask() == KSet(a.ground_size, a.support().members).mask()
 
 
 def test_intersection_associative_exhaustive_small():

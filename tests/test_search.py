@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from multifam import (
     ContractError,
+    Family,
     ScaleExceededError,
     ak_threshold_r,
     binomial,
@@ -13,8 +14,11 @@ from multifam import (
     common_intersection,
     enumerate_maximum_independent_sets,
     frankl_multiset,
+    frankl_set,
     frankl_set_size,
     has_property_p_s1,
+    hit_s,
+    hit_s_set,
     hm_multiset,
     hm_multiset_size,
     is_t_intersecting,
@@ -27,10 +31,11 @@ from multifam import (
     max_union_two_intersecting,
     multichoose,
     multiset_rank,
+    star,
     verify_theorem,
 )
 from multifam import KSet, Multiset, graphs
-from multifam.core import MULTISET
+from multifam.core import MULTISET, multiplicity_rows
 from multifam.search import (
     NODE_LIMIT_HIT,
     PROVED_OPTIMAL,
@@ -40,8 +45,10 @@ from multifam.search import (
     _MaxCliqueSolver,
     _SmallCoreSolver,
     _greedy_color,
+    _is_independent,
     _max_induced_bipartite,
     _orbit_masks,
+    _seed_slots,
     _validate_witness,
     enumerate_optimum_orbits,
     induced_bipartite_search,
@@ -411,12 +418,14 @@ def test_mis_reference_values():
 
 
 def test_mis_determinism():
-    graph = build_graph("M", 5, 3)
-    first = max_independent_set(graph)
-    second = max_independent_set(graph)
-    assert first.optimum == second.optimum
-    assert first.nodes_explored == second.nodes_explored
-    assert first.witness == second.witness
+    # unseeded, and seeded with the construction as verify does
+    for args, seed in ((("M", 5, 3), None), (("M_t", 8, 4, 2), frankl_multiset(8, 4, 2, 1))):
+        graph = build_graph(*args)
+        first = max_independent_set(graph, seed=seed)
+        second = max_independent_set(graph, seed=seed)
+        assert first.optimum == second.optimum
+        assert first.nodes_explored == second.nodes_explored
+        assert first.witness == second.witness
 
 
 def _plain(graph, s=1):
@@ -1019,6 +1028,208 @@ def test_orbital_searches_match_the_plain_loop_and_bruteforce(args, s):
     plain = _plain(graph, s)
     assert result.proved and plain.proved
     assert result.optimum == len(result.witness) == plain.optimum == expected
+
+
+# -- seeded searches ------------------------------------------------------------
+
+def _rank_mask(graph, fam):
+    """fam's members as a bitset of the graph's ranks, through an index of
+    the rows (not the library's slot map)."""
+    index = {row: v for v, row in enumerate(graph.multiplicities)}
+    return sum(1 << index[row] for row in multiplicity_rows(fam.members))
+
+
+def _slots_to_ranks(graph, slots):
+    to_old = graph.ordered.to_old
+    return sum(1 << to_old[i] for i in bits(slots))
+
+
+def _prefixes(fam):
+    """fam and its leading sub-families of 0, 1, half and all but one of its
+    members: valid seeds of every size up to fam's, in one universe."""
+    members = fam.members
+    for size in sorted({0, 1, len(members) // 2, len(members) - 1, len(members)}):
+        if 0 <= size <= len(members):
+            yield Family(fam.m, fam.k, fam.kind, members[:size])
+
+
+def _search(graph, s, seed=None):
+    """The MIS search (s = 1) or the clique-free one."""
+    if s == 1:
+        return max_independent_set(graph, seed=seed)
+    return clique_free_search(graph, s, seed=seed)
+
+
+def _assert_seeded_matches_unseeded(graph, s, seed):
+    plain = _search(graph, s)
+    seeded = _search(graph, s, seed)
+    where = (graph.label(), s, len(seed))
+    assert (seeded.optimum, seeded.status) == (plain.optimum, plain.status), where
+    assert len(seeded.witness) == seeded.optimum
+    mask = _rank_mask(graph, seeded.witness)
+    assert graph.family_from_mask(mask) == seeded.witness
+    if s > 1:
+        assert not has_clique(rank_adjacency(graph), mask, s + 1)
+    elif graph.kind == "M_support_t":
+        assert pair_loop_is_support_t_intersecting(seeded.witness, graph.t)
+    else:
+        assert pair_loop_is_t_intersecting(seeded.witness, graph.t)
+
+
+@pytest.mark.parametrize("args, s", [
+    pytest.param(args, s, id=f"{args[0]}{args[1:]}-s{s}")
+    for args in ORBITAL_GRID for s in (1, 2, 3)
+    if (args, s) not in ORBITAL_SLOW and (s == 1 or len(args) == 3)
+])
+def test_seeded_searches_match_unseeded(args, s):
+    # seeds of every size from the unseeded witness: each search keeps its
+    # optimum and status, and its witness passes the pair-loop oracles
+    graph = build_graph(*args)
+    for seed in _prefixes(_search(graph, s).witness):
+        _assert_seeded_matches_unseeded(graph, s, seed)
+
+
+@pytest.mark.parametrize("graph, s, construction", [
+    (("K", 7, 3), 1, lambda: frankl_set(7, 3, 1, 0)),
+    (("M", 6, 3), 1, lambda: star(6, 3, 1)),
+    (("M_t", 5, 4, 2), 1, lambda: frankl_multiset(5, 4, 2, 1)),  # T4.1(5,4,2), m < 2k-t
+    (("M_t", 6, 3, 2), 1, lambda: frankl_multiset(6, 3, 2, 0)),
+    (("M_support_t", 5, 3, 2), 1, lambda: frankl_multiset(5, 3, 2, 0)),
+    (("K_t", 7, 3, 2), 1, lambda: frankl_set(7, 3, 2, 0)),
+    (("K", 8, 2), 2, lambda: hit_s_set(8, 2, (1, 2))),
+    (("M", 7, 2), 2, lambda: hit_s(7, 2, (1, 2))),
+    (("M", 6, 2), 3, lambda: hit_s(6, 2, (1, 2, 3))),
+])
+def test_construction_seeds_match_unseeded(graph, s, construction):
+    graph = build_graph(*graph)
+    fam = construction()
+    for seed in _prefixes(fam):
+        _assert_seeded_matches_unseeded(graph, s, seed)
+
+
+def test_a_seed_below_the_optimum_is_beaten():
+    # M(6,3): the greedy clique has 10 members, the star 21; the star less
+    # five members is adopted over the greedy clique, and the search must
+    # still find, decode and check a 21-member optimum
+    graph = build_graph("M", 6, 3)
+    seed = Family(6, 3, MULTISET, star(6, 3, 1).members[5:])
+    view = graph.ordered
+    greedy = _MaxCliqueSolver(view.rows, view.to_old)
+    greedy._seed()
+    assert greedy.best == 10 < len(seed) == 16
+    result = max_independent_set(graph, seed=seed)
+    assert result.proved and result.optimum == len(result.witness) == 21
+    assert result.witness != seed
+    assert pair_loop_is_t_intersecting(result.witness, 1)
+    # the clique-free search likewise beats a hitting family less members
+    graph = build_graph("K", 8, 2)
+    seed = Family(8, 2, "set", hit_s_set(8, 2, (1, 2)).members[3:])
+    result = clique_free_search(graph, 2, seed=seed)
+    assert result.proved and result.optimum == len(result.witness) == 13
+    assert not has_clique(rank_adjacency(graph), _rank_mask(graph, result.witness), 3)
+
+
+def test_greedy_clique_replaces_only_a_smaller_seed():
+    graph = build_graph("M", 6, 3)
+    view = graph.ordered
+    greedy = _MaxCliqueSolver(view.rows, view.to_old)
+    greedy._seed()
+    assert greedy.best == 10 and greedy.best_mask.bit_count() == 10
+    # a one-vertex seed gives way to the larger greedy clique
+    solver = _MaxCliqueSolver(view.rows, view.to_old, None, None, None, None, 1)
+    solver._seed()
+    assert (solver.best, solver.best_mask) == (greedy.best, greedy.best_mask)
+    # a seed as large as the greedy clique is kept
+    star_slots = _seed_slots(graph, star(6, 3, 1), lambda fam: _is_independent(graph, fam), "")
+    tied = 0
+    for i in bits(star_slots):
+        if tied.bit_count() < 10:
+            tied |= 1 << i
+    assert tied != greedy.best_mask
+    solver = _MaxCliqueSolver(view.rows, view.to_old, None, None, None, None, tied)
+    solver._seed()
+    assert (solver.best, solver.best_mask) == (10, tied)
+    # the small-core solver never takes a greedy clique
+    small = _SmallCoreSolver(build_graph("M_t", 6, 3, 1), 1, None, 0)
+    small._seed()
+    assert (small.best, small.best_mask) == (0, 0)
+
+
+@pytest.mark.parametrize("args, construction", [
+    (("K", 7, 3), lambda: frankl_set(7, 3, 1, 0)),
+    (("M", 8, 4), lambda: star(8, 4, 1)),
+    (("M_t", 8, 4, 2), lambda: frankl_multiset(8, 4, 2, 1)),
+    (("M_t", 9, 4, 3), lambda: frankl_multiset(9, 4, 3, 0)),
+    (("M_support_t", 5, 3, 2), lambda: frankl_multiset(5, 3, 2, 0)),
+])
+def test_seed_slots_map_the_construction(args, construction):
+    # the slot bitset, read back through the branching view, decodes to
+    # the construction itself
+    graph = build_graph(*args)
+    fam = construction()
+    slots = _seed_slots(graph, fam, lambda fam: _is_independent(graph, fam), "")
+    assert slots.bit_count() == len(fam)
+    assert graph.family_from_mask(_slots_to_ranks(graph, slots)) == fam
+    assert _slots_to_ranks(graph, slots) == _rank_mask(graph, fam)
+
+
+def test_invalid_seeds_are_refused_before_any_search(monkeypatch):
+    def fail(self):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(_MaxCliqueSolver, "solve", fail)
+    graph = build_graph("M", 5, 3)
+    stray = Multiset.from_elements(5, (2, 2, 3))  # misses the star's element
+    refused = [
+        # a star plus one member that misses its element
+        lambda: max_independent_set(
+            graph, seed=Family.of_multisets(5, 3, [*star(5, 3, 1).members, stray])),
+        # families from other universes: (m, k) and the member kind
+        lambda: max_independent_set(graph, seed=star(6, 3, 1)),
+        lambda: max_independent_set(graph, seed=star(5, 2, 1)),
+        lambda: max_independent_set(build_graph("K", 5, 3), seed=star(5, 3, 1)),
+        # a 2-intersecting graph refuses a family that is only intersecting
+        lambda: max_independent_set(build_graph("M_t", 5, 3, 2), seed=star(5, 3, 1)),
+        # a member outside the universe, and a repeated member
+        lambda: max_independent_set(
+            graph, seed=Family(5, 3, MULTISET, (Multiset.from_elements(5, (1, 1, 1, 1)),))),
+        lambda: max_independent_set(graph, seed=Family(5, 3, MULTISET, (stray, stray))),
+        # not P(2,1): three pairwise disjoint members
+        lambda: clique_free_search(build_graph("K", 8, 2), 2, seed=Family.of_sets(
+            8, 2, [KSet(8, (1, 2)), KSet(8, (3, 4)), KSet(8, (5, 6))])),
+        # P(1,1) is intersecting: the clique-free entry at s = 1 refuses two
+        # disjoint members
+        lambda: clique_free_search(build_graph("M", 4, 2), 1, seed=Family.of_multisets(
+            4, 2, [Multiset.from_elements(4, (1, 1)), Multiset.from_elements(4, (2, 2))])),
+        # a P(s,1) seed on a graph whose edges are not the disjoint pairs
+        lambda: clique_free_search(build_graph("K_t", 6, 3, 2), 2, seed=hit_s_set(6, 3, (1, 2))),
+        # the small-core searches: not intersecting, then a common element
+        lambda: max_intersecting_empty_common(4, 3, seed=frankl_multiset(4, 3, 2, 0)),
+        lambda: max_intersecting_empty_common(5, 3, seed=star(5, 3, 1)),
+    ]
+    for search in refused:
+        with pytest.raises(ContractError):
+            search()
+
+
+def test_each_family_passes_the_predicate_once(monkeypatch):
+    # a seed the search keeps is checked once and is the witness itself; a
+    # seed the search beats is checked once and its better witness once
+    calls = []
+    real = is_t_intersecting
+
+    def counting(fam, t):
+        calls.append(len(fam))
+        return real(fam, t)
+
+    monkeypatch.setattr("multifam.search.is_t_intersecting", counting)
+    seed = star(6, 3, 1)
+    result = max_independent_set(build_graph("M", 6, 3), seed=seed)
+    assert result.witness is seed and calls == [21]
+    calls.clear()
+    smaller = Family(6, 3, MULTISET, seed.members[5:])
+    result = max_independent_set(build_graph("M", 6, 3), seed=smaller)
+    assert result.optimum == 21 and calls == [16, 21]
 
 
 def test_clique_free_search_deeper_than_the_recursion_limit():
