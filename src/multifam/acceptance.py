@@ -26,6 +26,7 @@ from .core import (
     is_support_t_intersecting,
     is_t_intersecting,
     multichoose,
+    unary_mask,
 )
 from .families import canonical_form, is_isomorphic
 from .graphs import (
@@ -226,7 +227,7 @@ def random_t_intersecting_family(m: int, k: int, t: int, rng: random.Random) -> 
             break
         if rng.random() > rate:
             continue
-        mask = a.unary_mask(k)
+        mask = unary_mask(a.counts, k)
         if all((mask & c).bit_count() >= t for c in chosen_masks):
             chosen.append(a)
             chosen_masks.append(mask)

@@ -19,12 +19,13 @@ membership in the original family.  Only rows holding at least s copies of
 i can move, and a moved row keeps s-1, so each j walks only the movers not
 yet moved.  The output Family is built once, reusing every unmoved member.
 
-|F1 ∩ F2 ∩ T| is the popcount of the AND of three unary masks, one field
-per element as wide as the input's largest multiplicity (T clipped to it).
-No shift raises a multiplicity, so one counts -> mask table, made for the
-input (its pair check reads it) and extended by each row that lands, serves
-the whole run.  Masking by T never raises a pair count, so a kernel check
-also proves t-intersection; the plain check runs only to name a failure.
+|F1 ∩ F2 ∩ T| is the popcount of the AND of three unary masks (core's
+unary_mask), one field per element as wide as min(t, the input's largest
+multiplicity), T clipped to it.  No shift raises a multiplicity, so one
+counts -> mask table, made for the input (its pair check reads it) and
+extended by each row that lands, serves the whole run.  Masking by T
+never raises a pair count, so a kernel check also proves t-intersection;
+the plain check runs only to name a failure.
 
 down_compress_full proves each pass's kernel a t-kernel of its output
 without the full pair loop.  The trivial kernel is a t-kernel of any
@@ -55,9 +56,11 @@ from .core import (
     Family,
     Multiset,
     _all_pairs_share,
+    _unary_width,
     is_support_t_intersecting,
     is_t_intersecting,
     multiplicity_rows,
+    unary_mask,
 )
 
 TraceCallback = Callable[[dict], None]
@@ -125,9 +128,9 @@ def is_t_kernel(fam: Family, T: Multiset, t: int) -> bool:
         raise ContractError("t-kernels are defined for multiset families")
     if T.ground_size != fam.m:
         raise ContractError(f"kernel ground size {T.ground_size} != family ground {fam.m}")
-    width = max((max(a.counts) for a in fam.members), default=0)
-    kernel = T.unary_mask(width)
-    return _all_pairs_share([a.unary_mask(width) & kernel for a in fam.members], t)
+    width = _unary_width([a.counts for a in fam.members], t)
+    kernel = unary_mask(T.counts, width)
+    return _all_pairs_share([unary_mask(a.counts, width) & kernel for a in fam.members], t)
 
 
 def shift_multiset(a: Multiset, p: ShiftParams) -> Multiset:
@@ -280,15 +283,6 @@ def down_compress_pass(
     return result, new_kernel
 
 
-def _unary_mask(row: Row, width: int) -> int:
-    """Multiplicities in unary, one field of `width` bits per element, each
-    clipped to the width (Multiset.unary_mask on a bare row)."""
-    mask = 0
-    for c in reversed(row):
-        mask = mask << width | (1 << (c if c < width else width)) - 1
-    return mask
-
-
 def down_compress_full(
     fam: Family,
     t: int,
@@ -314,8 +308,8 @@ def down_compress_full(
         raise ContractError(f"t must be >= 1, got {t}")
     # a set's 0/1 row in fields of width 1 is its element mask
     rows = multiplicity_rows(fam.members)
-    width = max((max(row, default=0) for row in rows), default=0)
-    masks = {row: _unary_mask(row, width) for row in rows}
+    width = _unary_width(rows, t)
+    masks = {row: unary_mask(row, width) for row in rows}
     if not _all_pairs_share(list(masks.values()), t):
         raise ContractError("input family is not t-intersecting")
     if fam.m < 2 * fam.k - t and not allow_out_of_regime:
@@ -323,14 +317,13 @@ def down_compress_full(
     if fam.kind != MULTISET:
         raise ContractError("down-compression operates on multiset families")
     current = set(rows)
-    kernel = _unary_mask((t,) * fam.m, width)
-    top = min(t, width)
+    kernel = unary_mask((t,) * fam.m, width)
     passes = 0
     moved = False
     for i in range(1, fam.m + 1):
-        passes += t - max(top, 1)  # the passes with s > width: no movers
+        passes += t - max(width, 1)  # the passes with s > width: no movers
         targets = [j for j in range(1, fam.m + 1) if j != i]
-        for s in range(top, 1, -1):
+        for s in range(width, 1, -1):
             passes += 1
             traced = None
             if on_shift is not None:
@@ -343,7 +336,7 @@ def down_compress_full(
             kernel &= ~(1 << ((i - 1) * width + s - 1))
             for b in landed:
                 if b not in masks:
-                    masks[b] = _unary_mask(b, width)
+                    masks[b] = unary_mask(b, width)
             # the pairs the pass can have changed: each landed row against
             # every row, and the blocked movers pairwise
             news = [masks[b] & kernel for b in landed]

@@ -14,14 +14,17 @@ order, which is what the disjointness graphs use for vertex indexing.  A
 k-multiset of [m] is enumerated and ranked through stars and bars: it is
 the (m-1)-subset of bar positions in its word of k stars and m-1 bars, and
 those subsets run in the same order on the k-set code (itertools
-combinations and the combinatorial number system).
+combinations and the combinatorial number system).  Every family predicate
+reads member pairs through one row codec, unary_mask, so whether two
+members meet t times is one AND and popcount; P(s,1) is a clique search
+over the bitsets of the pairs that fail it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import attrgetter
 from typing import Iterator, Iterable
 
@@ -37,8 +40,7 @@ class ScaleExceededError(RuntimeError):
 # the most members any universe walk (core.universe_rows) enumerates
 ENUMERATION_CAP = 200_000
 
-# 1 << i for each element index i, extended by Multiset.support_mask as
-# larger ground sets come along
+# 1 << i for each element index i, extended as longer rows come along
 _POWERS = [1 << i for i in range(64)]
 
 
@@ -123,21 +125,8 @@ class Multiset:
         )
 
     def support_mask(self) -> int:
-        """Bit i set iff element i+1 is held: the sum of the powers of two
-        that the nonzero counts select, in one C-level pass."""
-        counts = self.counts
-        if len(counts) > len(_POWERS):
-            _POWERS.extend(1 << i for i in range(len(_POWERS), len(counts)))
-        return sum(compress(_POWERS, counts))
-
-    def unary_mask(self, width: int) -> int:
-        """Multiplicities in unary, one field of `width` bits per element
-        (bit e*width + j set iff j < min(counts[e], width)): the popcount of
-        the AND of two masks of one width is the intersection size."""
-        mask = 0
-        for c in reversed(self.counts):
-            mask = mask << width | (1 << (c if c < width else width)) - 1
-        return mask
+        """Bit i set iff element i+1 is held."""
+        return _support_mask(self.counts)
 
     def intersect(self, other: "Multiset") -> "Multiset":
         """Element-wise minimum of multiplicities."""
@@ -286,21 +275,55 @@ class Family:
 def multiplicity_rows(members: Iterable) -> list[tuple[int, ...]]:
     """Each member's multiplicities over its ground set: a multiset's
     counts, a k-set's 0/1 membership."""
-    rows = []
-    for x in members:
-        if isinstance(x, Multiset):
-            rows.append(x.counts)
-        else:
-            row = [0] * x.ground_size
-            for e in x.members:
-                row[e - 1] = 1
-            rows.append(tuple(row))
-    return rows
+    return [x.counts if isinstance(x, Multiset) else _set_row(x.ground_size, x.members)
+            for x in members]
+
+
+def _set_row(n: int, elements: Iterable[int]) -> tuple[int, ...]:
+    """The 0/1 membership row over [n] of a set of elements."""
+    row = [0] * n
+    for e in elements:
+        row[e - 1] = 1
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
 # family predicates
 # ---------------------------------------------------------------------------
+
+def unary_mask(row: tuple[int, ...], width: int) -> int:
+    """The row codec: multiplicities in unary, one field of `width` bits
+    per element (bit e*width + j set iff j < min(row[e], width)), so the
+    popcount of the AND of two masks of one width is sum(min(a, b, width))."""
+    mask = 0
+    for c in reversed(row):
+        mask = mask << width | (1 << (c if c < width else width)) - 1
+    return mask
+
+
+def _support_mask(row: tuple[int, ...]) -> int:
+    """unary_mask(row, 1), bit i set iff row[i] > 0, as one C-level sum of
+    the powers of two that the nonzero counts select."""
+    if len(row) > len(_POWERS):
+        _POWERS.extend(1 << i for i in range(len(_POWERS), len(row)))
+    return sum(compress(_POWERS, row))
+
+
+def _unary_width(rows: list[tuple[int, ...]], t: int) -> int:
+    """The narrowest width whose masks decide a pair threshold t on these
+    rows: sum(min(a, b)) >= t iff sum(min(a, b, t)) >= t."""
+    return min(t, max(chain.from_iterable(rows), default=0))
+
+
+def _pair_masks(members, t: int) -> list[int]:
+    """Masks on which two members share t bits iff they meet t times,
+    multiplicities counted: support masks at t = 1, else unary masks."""
+    if t == 1:
+        return [x.support_mask() for x in members]
+    rows = multiplicity_rows(members)
+    width = _unary_width(rows, t)
+    return [unary_mask(row, width) for row in rows]
+
 
 def _all_pairs_share(masks: list[int], t: int) -> bool:
     """True iff every pair of masks shares at least t set bits."""
@@ -311,19 +334,30 @@ def _all_pairs_share(masks: list[int], t: int) -> bool:
     return True
 
 
+def _clique_free(masks: list[int], t: int, s: int) -> bool:
+    """True iff no s+1 masks pairwise share fewer than t bits: a search for an
+    (s+1)-clique of failing pairs on an explicit stack of bitset frames."""
+    fails = [sum(1 << j for j in range(i + 1, len(masks)) if (a & masks[j]).bit_count() < t)
+             for i, a in enumerate(masks)]
+    stack = [((1 << len(masks)) - 1, s + 1)]
+    while stack:
+        cand, need = stack.pop()
+        if cand.bit_count() >= need:
+            if need == 1:
+                return False
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            stack += (cand, need), (cand & fails[v], need - 1)
+    return True
+
+
 def is_t_intersecting(fam: Family, t: int) -> bool:
     """True iff every pair of distinct members shares >= t elements,
     counted with multiplicity for multisets.  Vacuously true for families
-    with fewer than two members.  A pair is one AND and popcount of element
-    masks, or of unary masks whose width is the largest multiplicity present."""
+    with fewer than two members.  A pair is one AND and popcount."""
     if t < 1:
         raise ContractError(f"t must be >= 1, got {t}")
-    if fam.kind == MULTISET:
-        width = max((max(a.counts) for a in fam.members), default=0)
-        masks = [a.unary_mask(width) for a in fam.members]
-    else:
-        masks = [b.mask() for b in fam.members]
-    return _all_pairs_share(masks, t)
+    return _all_pairs_share(_pair_masks(fam.members, t), t)
 
 
 def is_support_t_intersecting(fam: Family, t: int) -> bool:
@@ -339,34 +373,15 @@ def common_intersection(fam: Family):
     intersection for set families).  The family must be nonempty."""
     if not fam.members:
         raise ContractError("common_intersection requires a nonempty family")
-    if fam.kind == MULTISET:
-        counts = list(fam.members[0].counts)
-        for a in fam.members[1:]:
-            counts = [min(c, d) for c, d in zip(counts, a.counts)]
-        return Multiset(fam.m, tuple(counts))
-    common = set(fam.members[0].members)
-    for b in fam.members[1:]:
-        common &= set(b.members)
-    return KSet(fam.m, tuple(sorted(common)))
+    core = tuple(map(min, zip(*multiplicity_rows(fam.members))))
+    return Family.from_rows(fam.m, sum(core), fam.kind, [core]).members[0]
 
 
 def has_property_p_s1(fam: Family, s: int) -> bool:
-    """P(s,1): no s+1 members of the family are pairwise disjoint.
-
-    Checked by an exhaustive scan over (s+1)-subsets; multiset disjointness
-    coincides with support disjointness, so the scan runs on bitmasks.
-    """
+    """P(s,1): no s+1 members are pairwise disjoint (a clique search)."""
     if s < 1:
         raise ContractError(f"s must be >= 1, got {s}")
-    masks = [x.support_mask() for x in fam.members]
-    for combo in combinations(masks, s + 1):
-        if all(
-            combo[i] & combo[j] == 0
-            for i in range(s + 1)
-            for j in range(i + 1, s + 1)
-        ):
-            return False
-    return True
+    return _clique_free(_pair_masks(fam.members, 1), 1, s)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +443,7 @@ def enumerate_k_subsets(n: int, k: int, rows: bool = False) -> Iterator[KSet | t
     if n < 0 or k < 0:
         raise ContractError(f"n, k must be >= 0, got ({n}, {k})")
     for combo in combinations(range(1, n + 1), k):
-        if rows:
-            row = [0] * n
-            for e in combo:
-                row[e - 1] = 1
-            yield tuple(row)
-        else:
-            yield KSet(n, combo)
+        yield _set_row(n, combo) if rows else KSet(n, combo)
 
 
 def universe_rows(

@@ -26,7 +26,6 @@ relabelings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from operator import ge
 from typing import Iterable, Sequence
 
@@ -37,6 +36,7 @@ from .core import (
     Family,
     KSet,
     Multiset,
+    _support_mask,
     binomial,
     enumerate_k_multisets,
     is_t_intersecting,
@@ -86,8 +86,7 @@ def _where(kind: str, m: int, k: int, keep) -> Family:
     Members are tested on their multiplicity rows, and one is built only
     when it is kept.  A universe above core.ENUMERATION_CAP is refused
     (ScaleExceededError) before any row is walked."""
-    bits = [1 << e for e in range(m)]
-    kept = (row for row in universe_rows(m, k, kind) if keep(sum(compress(bits, row))))
+    kept = (row for row in universe_rows(m, k, kind) if keep(_support_mask(row)))
     return Family.from_rows(m, k, kind, kept)
 
 

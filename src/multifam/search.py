@@ -63,10 +63,10 @@ greedy clique.  The seed is checked once against the raw pairwise
 predicate and refused if it fails or comes from another universe.
 
 Every family a search returns passes the raw pairwise predicate, read off
-its members independent of the adjacency structure, exactly once: a
-witness that is still the seed's mask is the checked seed itself, and any
-other witness is decoded and checked.  Honest node-limit reporting
-replaces any silent truncation.
+its members independent of the adjacency structure (for P(s,1), on the
+graph's own pair rule), exactly once: a witness that is still the seed's
+mask is the checked seed itself, and any other witness is decoded and
+checked.  Honest node-limit reporting replaces any silent truncation.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ from operator import add, mul
 from .core import (
     ContractError,
     Family,
+    _clique_free,
+    _pair_masks,
     common_intersection,
-    has_property_p_s1,
     is_support_t_intersecting,
     is_t_intersecting,
     multiplicity_rows,
@@ -484,10 +485,7 @@ def _seed_slots(graph: DisjointnessGraph, seed: Family | None, valid, what: str)
     slots = {slot.get(row) for row in multiplicity_rows(seed.members)}
     if None in slots or len(slots) != len(seed):
         raise ContractError("seed family is not a set of the graph's vertices")
-    mask = 0
-    for i in slots:
-        mask |= 1 << i
-    return mask
+    return sum(1 << i for i in slots)
 
 
 def _seeded_search(graph: DisjointnessGraph, seed: Family | None, valid, what: str, solver_for):
@@ -746,19 +744,19 @@ def clique_free_search(
     graph: DisjointnessGraph, s: int, node_limit: int | None = None, seed: Family | None = None
 ) -> SearchResult:
     """Largest vertex subset of a disjointness graph inducing no
-    (s+1)-clique, i.e. the largest P(s,1) family for that universe.  A
-    P(s,1) family given as `seed` is the first incumbent; P(s,1) speaks of
-    disjoint members, so for s >= 2 a seed needs a graph whose edges join
-    exactly the disjoint pairs (t = 1)."""
+    (s+1)-clique, i.e. the largest P(s,1) family for that universe (on a
+    graph with t >= 2: no s+1 members pairwise meeting fewer than t times).
+    A family given as `seed` is the first incumbent; it and the witness are
+    checked on the graph's own pair rule, not on the adjacency rows."""
     if s < 1:
         raise ContractError(f"s must be >= 1, got {s}")
     if s == 1:
         return max_independent_set(graph, node_limit, seed)
-    if seed is not None and graph.t != 1:
-        raise ContractError(f"a P(s,1) seed needs a disjointness graph, got t={graph.t}")
+    rule = 1 if graph.kind == KIND_MULTISET_SUPPORT_T else graph.t  # at 1: support masks
     view = graph.ordered
     return _seeded_search(
-        graph, seed, lambda fam: has_property_p_s1(fam, s), "the P(s,1) predicate",
+        graph, seed, lambda fam: _clique_free(_pair_masks(fam.members, rule), graph.t, s),
+        "the P(s,1) predicate of the graph",
         lambda slots: _CliqueFreeSolver(
             view.rows, view.to_old, s, node_limit, view.counts, view.orbits, slots
         ),

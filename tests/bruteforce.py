@@ -707,3 +707,13 @@ def loop_support_mask(counts):
         if c:
             mask |= 1 << i
     return mask
+
+
+def loop_unary_mask(counts, width):
+    """Reference unary mask of a count vector, one bit at a time: bit
+    e*width + j for each j below min(counts[e], width)."""
+    mask = 0
+    for e, c in enumerate(counts):
+        for j in range(min(c, width)):
+            mask |= 1 << (e * width + j)
+    return mask

@@ -153,9 +153,12 @@ def test_is_t_kernel_matches_pair_loop_reference(case, data):
         Multiset(m, (k + 1,) * m),  # above every member multiplicity
         Multiset(m, tuple(data.draw(st.lists(st.integers(0, k + 2), min_size=m, max_size=m)))),
     ]
+    # t, thresholds at and above the largest multiplicity, and a huge one
+    top = max((max(a.counts) for a in family.members), default=0)
     for sub in (family, greedy_t_subfamily(family, t)):
         for T in kernels:
-            assert is_t_kernel(sub, T, t) == pair_loop_is_t_kernel(sub, T, t)
+            for u in (t, 2, 3, top, top + 1, 10**9):
+                assert is_t_kernel(sub, T, max(u, 1)) == pair_loop_is_t_kernel(sub, T, max(u, 1))
 
 
 def test_kernel_count_above_the_field_width_does_not_spill():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,19 +25,26 @@ from multifam import (
 from multifam.core import (
     ENUMERATION_CAP,
     ScaleExceededError,
+    _clique_free,
+    _pair_masks,
+    _support_mask,
     count_vectors,
     multiplicity_rows,
+    unary_mask,
     universe_rows,
     universe_size,
 )
 
 from bruteforce import (
     greedy_t_subfamily,
+    has_clique,
     loop_multiset_rank,
     loop_multiset_unrank,
     loop_support_mask,
+    loop_unary_mask,
     pair_loop_is_support_t_intersecting,
     pair_loop_is_t_intersecting,
+    pair_size,
     recursive_count_vectors,
 )
 from conftest import family_and_t, multiset_family, multiset_pair
@@ -128,6 +137,13 @@ def test_is_t_intersecting_examples():
     assert is_t_intersecting(fam(2, 2, (1, 1), (1, 2)), 1)
     assert is_t_intersecting(fam(4, 4, (1, 1, 2, 3), (2, 3, 4, 4)), 2)
     assert not is_t_intersecting(fam(2, 2, (1, 1), (2, 2)), 1)
+    # two members sharing two copies of 1: the mask fields need both bits,
+    # and a huge t builds no wide mask
+    pair = fam(2, 3, (1, 1, 2), (1, 1, 1))
+    assert is_t_intersecting(pair, 2)
+    assert not is_t_intersecting(pair, 3)
+    assert not is_t_intersecting(pair, 10**9)
+    assert is_t_intersecting(fam(2, 3, (1, 1, 2)), 10**9)
 
 
 def test_is_support_t_intersecting_examples():
@@ -148,22 +164,87 @@ def test_support_intersecting_implies_t_intersecting(family, t):
         assert is_t_intersecting(family, t)
 
 
+def _thresholds(family, t):
+    """t, the small thresholds, one above the largest multiplicity (where
+    the mask width stops at that multiplicity) and a huge one."""
+    top = max((max(row, default=0) for row in multiplicity_rows(family.members)), default=0)
+    return (t, 1, 2, 3, top + 1, 10**9)
+
+
 @settings(max_examples=300)
 @given(family_and_t())
 def test_predicates_match_pair_loop_references(case):
     family, t = case
     for sub in (family, greedy_t_subfamily(family, t)):
-        assert is_t_intersecting(sub, t) == pair_loop_is_t_intersecting(sub, t)
-        assert is_support_t_intersecting(sub, t) == pair_loop_is_support_t_intersecting(sub, t)
+        for u in _thresholds(family, t):
+            assert is_t_intersecting(sub, u) == pair_loop_is_t_intersecting(sub, u)
+            assert is_support_t_intersecting(sub, u) == pair_loop_is_support_t_intersecting(sub, u)
     assert is_t_intersecting(greedy_t_subfamily(family, t), t)
 
 
+def _adjacency(members, fails):
+    """Pair-loop adjacency of the members, joined where `fails` holds."""
+    adj = [0] * len(members)
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            if i != j and fails(a, b):
+                adj[i] |= 1 << j
+    return adj
+
+
+@settings(max_examples=200)
+@given(family_and_t(max_members=9), st.integers(1, 3))
+def test_p_s1_matches_the_clique_oracle_under_each_rule(case, s):
+    # P(s,1) and the graph rules' clique-free check: no s+1 members pairwise
+    # fail the pair test, against a subset scan of the pair-loop adjacency
+    family, t = case
+    members = family.members
+    full = (1 << len(members)) - 1
+
+    def support_size(a, b):
+        return sum(1 for x, y in zip(*multiplicity_rows([a, b])) if x and y)
+
+    disjoint = _adjacency(members, lambda a, b: pair_size(a, b) == 0)
+    assert has_property_p_s1(family, s) == (not has_clique(disjoint, full, s + 1))
+    for u in _thresholds(family, t):
+        multiplicity = _adjacency(members, lambda a, b: pair_size(a, b) < u)
+        support = _adjacency(members, lambda a, b: support_size(a, b) < u)
+        assert _clique_free(_pair_masks(members, u), u, s) == (
+            not has_clique(multiplicity, full, s + 1))
+        assert _clique_free(_pair_masks(members, 1), u, s) == (
+            not has_clique(support, full, s + 1))
+
+
+def test_p_s1_searches_deeper_than_the_recursion_limit():
+    # 1101 pairwise disjoint singletons: the clique search takes every one
+    singletons = Family.universe(1101, 1, "set")
+    assert not has_property_p_s1(singletons, 1100)
+    assert has_property_p_s1(singletons, 1101)
+    assert has_property_p_s1(Family(1101, 1, "set", singletons.members[1:]), 1100)
+
+
 def test_unary_mask_counts_multiplicities_and_clips():
-    a = ms(3, 1, 1, 2, 3, 3, 3)
-    assert a.unary_mask(3) == 0b111_001_011
-    assert a.unary_mask(2) == 0b11_01_11
-    assert (a.unary_mask(3) & ms(3, 1, 3, 3).unary_mask(3)).bit_count() == 3
-    assert Multiset(2, (0, 0)).unary_mask(0) == 0
+    a = ms(3, 1, 1, 2, 3, 3, 3).counts
+    assert unary_mask(a, 3) == 0b111_001_011
+    assert unary_mask(a, 2) == 0b11_01_11
+    assert unary_mask(a, 1) == 0b1_1_1
+    assert unary_mask(a, 0) == 0
+    assert (unary_mask(a, 3) & unary_mask((1, 0, 2), 3)).bit_count() == 3
+    assert unary_mask((0, 0), 0) == 0
+    assert unary_mask((), 2) == 0
+
+
+@given(st.lists(st.integers(0, 6), max_size=90), st.lists(st.integers(0, 6), max_size=90),
+       st.integers(0, 8))
+def test_unary_mask_matches_the_field_loop(a, b, width):
+    # rows longer than 64 elements, fields clipped at the width, width 0
+    b = (b + [0] * len(a))[:len(a)]
+    mask = unary_mask(tuple(a), width)
+    assert mask == loop_unary_mask(a, width)
+    assert mask >> len(a) * width == 0
+    shared = (mask & unary_mask(tuple(b), width)).bit_count()
+    assert shared == sum(min(x, y, width) for x, y in zip(a, b))
+    assert _support_mask(tuple(a)) == unary_mask(tuple(a), 1) == loop_support_mask(a)
 
 
 def test_common_intersection():
@@ -171,8 +252,19 @@ def test_common_intersection():
     assert common_intersection(fam(4, 2, (1, 2), (3, 4))).cardinality == 0
     single = fam(3, 2, (1, 3))
     assert common_intersection(single) == ms(3, 1, 3)
+    assert common_intersection(Family.of_sets(4, 2, [KSet(4, (2, 4))])) == KSet(4, (2, 4))
+    assert common_intersection(Family.of_sets(0, 0, [KSet(0, ())])) == KSet(0, ())
     with pytest.raises(ContractError):
         common_intersection(Family.of_multisets(3, 2, ()))
+
+
+@given(family_and_t(max_members=5))
+def test_common_intersection_matches_the_elementwise_minimum(case):
+    family, _t = case
+    if not family.members:
+        return
+    # against the members' own pairwise intersect, folded
+    assert common_intersection(family) == reduce(lambda a, b: a.intersect(b), family.members)
 
 
 def test_has_property_p_s1():
@@ -183,6 +275,11 @@ def test_has_property_p_s1():
         7, 2, (a for a in enumerate_k_multisets(7, 2) if a.support_mask() & 0b11)
     )
     assert has_property_p_s1(hitting, 2)
+    # exactly s+1 pairwise disjoint members, and one fewer
+    family = fam(6, 2, (1, 2), (3, 4), (5, 6), (1, 3))
+    assert not has_property_p_s1(family, 2)
+    assert has_property_p_s1(family, 3)
+    assert has_property_p_s1(Family.of_multisets(6, 2, family.members[1:]), 2)
 
 
 # -- enumeration ------------------------------------------------------------

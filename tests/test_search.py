@@ -1078,8 +1078,7 @@ def _assert_seeded_matches_unseeded(graph, s, seed):
 
 @pytest.mark.parametrize("args, s", [
     pytest.param(args, s, id=f"{args[0]}{args[1:]}-s{s}")
-    for args in ORBITAL_GRID for s in (1, 2, 3)
-    if (args, s) not in ORBITAL_SLOW and (s == 1 or len(args) == 3)
+    for args in ORBITAL_GRID for s in (1, 2, 3) if (args, s) not in ORBITAL_SLOW
 ])
 def test_seeded_searches_match_unseeded(args, s):
     # seeds of every size from the unseeded witness: each search keeps its
@@ -1099,6 +1098,8 @@ def test_seeded_searches_match_unseeded(args, s):
     (("K", 8, 2), 2, lambda: hit_s_set(8, 2, (1, 2))),
     (("M", 7, 2), 2, lambda: hit_s(7, 2, (1, 2))),
     (("M", 6, 2), 3, lambda: hit_s(6, 2, (1, 2, 3))),
+    (("K_t", 6, 3, 2), 2, lambda: frankl_set(6, 3, 2, 0)),
+    (("M_t", 5, 3, 2), 2, lambda: frankl_multiset(5, 3, 2, 0)),
 ])
 def test_construction_seeds_match_unseeded(graph, s, construction):
     graph = build_graph(*graph)
@@ -1201,7 +1202,8 @@ def test_invalid_seeds_are_refused_before_any_search(monkeypatch):
         # disjoint members
         lambda: clique_free_search(build_graph("M", 4, 2), 1, seed=Family.of_multisets(
             4, 2, [Multiset.from_elements(4, (1, 1)), Multiset.from_elements(4, (2, 2))])),
-        # a P(s,1) seed on a graph whose edges are not the disjoint pairs
+        # three members of the hitting family pairwise share one element:
+        # a triangle of K_t(6,3,2), so not P(2,1) under the graph's rule
         lambda: clique_free_search(build_graph("K_t", 6, 3, 2), 2, seed=hit_s_set(6, 3, (1, 2))),
         # the small-core searches: not intersecting, then a common element
         lambda: max_intersecting_empty_common(4, 3, seed=frankl_multiset(4, 3, 2, 0)),
@@ -1210,6 +1212,43 @@ def test_invalid_seeds_are_refused_before_any_search(monkeypatch):
     for search in refused:
         with pytest.raises(ContractError):
             search()
+
+
+def _sets(n, k, *members):
+    return Family.of_sets(n, k, [KSet(n, x) for x in members])
+
+
+def test_clique_free_checks_follow_the_graph_rule(monkeypatch):
+    # on K_t(6,3,2) at s = 2, 123, 145 and 246 pairwise share one element:
+    # no two are disjoint, so the family is P(2,1), yet it is a triangle of
+    # the graph and is refused as a seed
+    graph = build_graph("K_t", 6, 3, 2)
+    triangle = _sets(6, 3, (1, 2, 3), (1, 4, 5), (2, 4, 6))
+    assert has_property_p_s1(triangle, 2)
+    assert has_clique(rank_adjacency(graph), _rank_mask(graph, triangle), 3)
+    with pytest.raises(ContractError, match="fails the P"):
+        clique_free_search(graph, 2, seed=triangle)
+    # a construction that is valid on the graph's rule is adopted and
+    # changes neither the optimum nor the status
+    plain = clique_free_search(graph, 2)
+    seeded = clique_free_search(graph, 2, seed=frankl_set(6, 3, 2, 0))
+    assert (seeded.optimum, seeded.status) == (plain.optimum, plain.status) == (10, PROVED_OPTIMAL)
+    # three multisets pairwise sharing two copies of 1 but one support
+    # element: no pair fails M_t(4,3,2)'s rule, every pair fails
+    # M_support_t(4,3,2)'s
+    heavy = Family.of_multisets(4, 3, [
+        Multiset.from_elements(4, (1, 1, e)) for e in (2, 3, 4)])
+    for kind, s in (("M_t", 2), ("M_t", 3)):
+        plain = clique_free_search(build_graph(kind, 4, 3, 2), s)
+        seeded = clique_free_search(build_graph(kind, 4, 3, 2), s, seed=heavy)
+        assert (seeded.optimum, seeded.status) == (plain.optimum, plain.status)
+    with pytest.raises(ContractError, match="fails the P"):
+        clique_free_search(build_graph("M_support_t", 4, 3, 2), 2, seed=heavy)
+    # the triangle returned by the solver is caught as a wrong witness
+    mask = _rank_mask(graph, triangle)
+    monkeypatch.setattr(_CliqueFreeSolver, "solve", lambda self: (3, mask, 1, False))
+    with pytest.raises(RuntimeError, match="witness fails"):
+        clique_free_search(graph, 2)
 
 
 def test_each_family_passes_the_predicate_once(monkeypatch):
