@@ -17,6 +17,7 @@ from . import families
 from .bijection import BijectionContext, forward, inverse
 from .compression import down_compress_full, is_t_kernel
 from .core import (
+    MULTISET,
     Family,
     Multiset,
     binomial,
@@ -27,6 +28,7 @@ from .core import (
     is_t_intersecting,
     multichoose,
     unary_mask,
+    universe_rows,
 )
 from .families import canonical_form, is_isomorphic
 from .graphs import (
@@ -214,26 +216,26 @@ def _ac6() -> str:
 # ---------------------------------------------------------------------------
 
 def random_t_intersecting_family(m: int, k: int, t: int, rng: random.Random) -> Family:
-    """Random greedy t-intersecting family: shuffle the universe, then keep
-    compatible members with a random acceptance rate up to a random size."""
-    universe = list(enumerate_k_multisets(m, k))
+    """Random greedy t-intersecting family: shuffle the universe's rows, then
+    keep compatible ones with a random acceptance rate up to a random size."""
+    universe = list(universe_rows(m, k, MULTISET))
     rng.shuffle(universe)
     target = rng.randint(1, max(2, len(universe) // 2))
     rate = rng.uniform(0.4, 1.0)
-    chosen: list[Multiset] = []
+    chosen: list[tuple[int, ...]] = []
     chosen_masks: list[int] = []
-    for a in universe:
+    for row in universe:
         if len(chosen) >= target:
             break
         if rng.random() > rate:
             continue
-        mask = unary_mask(a.counts, k)
+        mask = unary_mask(row, k)
         if all((mask & c).bit_count() >= t for c in chosen_masks):
-            chosen.append(a)
+            chosen.append(row)
             chosen_masks.append(mask)
     if not chosen:
         chosen = [universe[0]]
-    return Family.of_multisets(m, k, chosen)
+    return Family.from_rows(m, k, MULTISET, sorted(chosen))
 
 
 def _compression_grid() -> list[tuple[int, int, int]]:

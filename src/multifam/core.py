@@ -14,7 +14,8 @@ order, which is what the disjointness graphs use for vertex indexing.  A
 k-multiset of [m] is enumerated and ranked through stars and bars: it is
 the (m-1)-subset of bar positions in its word of k stars and m-1 bars, and
 those subsets run in the same order on the k-set code (itertools
-combinations and the combinatorial number system).  Every family predicate
+combinations and the combinatorial number system).  Every walk over a
+universe reads universe_rows, its one scale guard.  Every family predicate
 reads member pairs through one row codec, unary_mask, so whether two
 members meet t times is one AND and popcount; P(s,1) is a clique search
 over the bitsets of the pairs that fail it.
@@ -241,10 +242,9 @@ class Family:
 
     @classmethod
     def universe(cls, m: int, k: int, kind: str = MULTISET) -> "Family":
-        """The full universe of k-multisets of [m] (or k-subsets of [n]),
-        in enumeration order, which is the canonical member order."""
-        members = enumerate_k_multisets(m, k) if kind == MULTISET else enumerate_k_subsets(m, k)
-        return cls(m, k, kind, tuple(members))
+        """The full universe of k-multisets of [m] (or k-subsets of [n]) in
+        enumeration order, the canonical member order, walked by universe_rows."""
+        return cls.from_rows(m, k, kind, universe_rows(m, k, kind))
 
     @classmethod
     def from_rows(cls, m: int, k: int, kind: str, rows: Iterable[tuple[int, ...]]) -> "Family":
@@ -457,7 +457,8 @@ def universe_rows(
     This is the scale guard of every walk over a universe: a universe of
     more than `cap` members, counted in closed form, is refused
     (ScaleExceededError) here, before the walk starts."""
-    count = universe_size(m, k, kind)
+    # a negative m or k counts as empty, so the walk reports its own check
+    count = universe_size(max(m, 0), max(k, 0), kind)
     if count > cap:
         raise ScaleExceededError(f"universe has {count} members, exceeding the cap of {cap}")
     enumerate_members = enumerate_k_multisets if kind == MULTISET else enumerate_k_subsets

@@ -6,7 +6,8 @@ member only for a row they keep.  A set constructor and its multiset
 analogue share one filter on member support masks (a set is its own
 support) and one parameter check.  Closed-form sizes are provided where
 one exists, and each runs its constructor's parameter check first; hm_t
-families have no closed form and are counted by enumeration.
+families have no closed form and are counted by enumeration.  One registry,
+keyed by family name, dispatches build_family and family_size_formula.
 
 Isomorphism is relabeling of the ground set.  canonical_form runs an
 individualisation-refinement search (McKay & Piperno, "Practical graph
@@ -38,26 +39,11 @@ from .core import (
     Multiset,
     _support_mask,
     binomial,
-    enumerate_k_multisets,
     is_t_intersecting,
     multichoose,
     multiplicity_rows,
     universe_rows,
 )
-
-FAMILY_NAMES = (
-    "star",
-    "fixed_multiset",
-    "frankl_set",
-    "frankl_multiset",
-    "hm_set",
-    "hm_multiset",
-    "hm_t_set",
-    "hm_t_multiset",
-    "hit_s",
-    "hajnal_rothschild",
-)
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -72,7 +58,7 @@ class FamilySpec:
     anchor: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.name not in FAMILY_NAMES:
+        if self.name not in _REGISTRY:
             raise ContractError(f"unknown family name {self.name!r}")
 
 
@@ -335,18 +321,14 @@ def extend_to_maximal(fam: Family) -> Family:
         raise ContractError(f"need m >= k+1, got m={fam.m}, k={fam.k}")
     if not is_t_intersecting(fam, 1):
         raise ContractError("input family is not intersecting")
-    chosen = list(fam.members)
-    chosen_keys = {a.counts for a in chosen}
-    chosen_masks = [a.support_mask() for a in chosen]
-    for a in enumerate_k_multisets(fam.m, fam.k):
-        if a.counts in chosen_keys:
-            continue
-        mask = a.support_mask()
-        if all(mask & other for other in chosen_masks):
-            chosen.append(a)
-            chosen_keys.add(a.counts)
+    chosen = set(multiplicity_rows(fam.members))
+    chosen_masks = [_support_mask(row) for row in chosen]
+    for row in universe_rows(fam.m, fam.k, MULTISET):
+        mask = _support_mask(row)
+        if row not in chosen and all(mask & other for other in chosen_masks):
+            chosen.add(row)
             chosen_masks.append(mask)
-    return Family.of_multisets(fam.m, fam.k, chosen)
+    return Family.from_rows(fam.m, fam.k, MULTISET, sorted(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -558,70 +540,67 @@ def is_isomorphic(fam1: Family, fam2: Family) -> bool:
 # spec-driven dispatch (CLI surface)
 # ---------------------------------------------------------------------------
 
+# name: (constructor, closed-form size or None), both read off a FamilySpec;
+# each calls its functions by name when it runs, so it sees a rebound one
+_REGISTRY = {
+    "star": (lambda spec: star(spec.m, spec.k, spec.anchor[0] if spec.anchor else 1),
+             lambda spec: star_size(spec.m, spec.k)),
+    "fixed_multiset": (lambda spec: fixed_multiset(spec.m, spec.k, _anchor_multiset(spec)),
+                       lambda spec: fixed_multiset_size(spec.m, spec.k, len(spec.anchor))),
+    "frankl_set": (lambda spec: frankl_set(spec.m, spec.k, *_params(spec, "t", "r")),
+                   lambda spec: frankl_set_size(spec.m, spec.k, *_params(spec, "t", "r"))),
+    "frankl_multiset": (
+        lambda spec: frankl_multiset(spec.m, spec.k, *_params(spec, "t", "r")),
+        lambda spec: frankl_multiset_size(spec.m, spec.k, *_params(spec, "t", "r")),
+    ),
+    "hm_set": (lambda spec: hm_set(spec.m, spec.k), lambda spec: hm_set_size(spec.m, spec.k)),
+    "hm_multiset": (lambda spec: hm_multiset(spec.m, spec.k),
+                    lambda spec: hm_multiset_size(spec.m, spec.k)),
+    # the hm_t families have no closed form: their size runs the check only
+    "hm_t_set": (lambda spec: hm_t_set(spec.m, spec.k, *_params(spec, "t")),
+                 lambda spec: _check_hm_t_params(SET, spec.m, spec.k, *_params(spec, "t"))),
+    "hm_t_multiset": (
+        lambda spec: hm_t_multiset(spec.m, spec.k, *_params(spec, "t")),
+        lambda spec: _check_hm_t_params(MULTISET, spec.m, spec.k, *_params(spec, "t")),
+    ),
+    "hit_s": (lambda spec: hit_s(spec.m, spec.k, _hit_s_anchor(spec)),
+              lambda spec: hit_s_size(spec.m, spec.k, len(_hit_s_anchor(spec)))),
+    "hajnal_rothschild": (
+        lambda spec: hajnal_rothschild_family(spec.m, spec.k, *_params(spec, "t", "s")),
+        lambda spec: hajnal_rothschild_size(spec.m, spec.k, *_params(spec, "t", "s")),
+    ),
+}
+FAMILY_NAMES = tuple(_REGISTRY)
+
+
 def build_family(spec: FamilySpec) -> Family:
-    name, m, k = spec.name, spec.m, spec.k
-    if name == "star":
-        x = spec.anchor[0] if spec.anchor else 1
-        return star(m, k, x)
-    if name == "fixed_multiset":
-        if not spec.anchor:
-            raise ContractError("fixed_multiset requires an anchor multiset")
-        return fixed_multiset(m, k, Multiset.from_elements(m, spec.anchor))
-    if name == "frankl_set":
-        return frankl_set(m, k, _req(spec.t, "t"), _req(spec.r, "r"))
-    if name == "frankl_multiset":
-        return frankl_multiset(m, k, _req(spec.t, "t"), _req(spec.r, "r"))
-    if name == "hm_set":
-        return hm_set(m, k)
-    if name == "hm_multiset":
-        return hm_multiset(m, k)
-    if name == "hm_t_set":
-        return hm_t_set(m, k, _req(spec.t, "t"))
-    if name == "hm_t_multiset":
-        return hm_t_multiset(m, k, _req(spec.t, "t"))
-    if name == "hit_s":
-        return hit_s(m, k, _hit_s_anchor(spec))
-    if name == "hajnal_rothschild":
-        return hajnal_rothschild_family(m, k, _req(spec.t, "t"), _req(spec.s, "s"))
-    raise ContractError(f"unknown family name {name!r}")
+    return _REGISTRY[spec.name][0](spec)
 
 
 def family_size_formula(spec: FamilySpec) -> int | None:
     """Closed-form size for the named family, or None if only enumeration
     is available (the hm_t families)."""
-    name, m, k = spec.name, spec.m, spec.k
-    if name == "star":
-        return star_size(m, k)
-    if name == "fixed_multiset":
-        return fixed_multiset_size(m, k, len(spec.anchor))
-    if name == "frankl_set":
-        return frankl_set_size(m, k, _req(spec.t, "t"), _req(spec.r, "r"))
-    if name == "frankl_multiset":
-        return frankl_multiset_size(m, k, _req(spec.t, "t"), _req(spec.r, "r"))
-    if name == "hm_set":
-        return hm_set_size(m, k)
-    if name == "hm_multiset":
-        return hm_multiset_size(m, k)
-    if name in ("hm_t_set", "hm_t_multiset"):
-        _check_hm_t_params(SET if name == "hm_t_set" else MULTISET, m, k, _req(spec.t, "t"))
-        return None
-    if name == "hit_s":
-        return hit_s_size(m, k, len(_hit_s_anchor(spec)))
-    if name == "hajnal_rothschild":
-        return hajnal_rothschild_size(m, k, _req(spec.t, "t"), _req(spec.s, "s"))
-    raise ContractError(f"unknown family name {name!r}")
+    return _REGISTRY[spec.name][1](spec)
+
+
+def _anchor_multiset(spec: FamilySpec) -> Multiset:
+    if not spec.anchor:
+        raise ContractError("fixed_multiset requires an anchor multiset")
+    return Multiset.from_elements(spec.m, spec.anchor)
 
 
 def _hit_s_anchor(spec: FamilySpec) -> set[int]:
     """The anchor set of a hit_s spec: the --anchor elements, else [1, s]."""
     if spec.anchor:
         return set(spec.anchor)
-    s = _req(spec.s, "s")
+    (s,) = _params(spec, "s")
     _check_hit_s_params(spec.m, spec.k, s)  # a negative s gives an empty [1, s]
     return set(range(1, s + 1))
 
 
-def _req(value: int | None, flag: str) -> int:
-    if value is None:
-        raise ContractError(f"missing required parameter --{flag}")
-    return value
+def _params(spec: FamilySpec, *flags: str) -> list[int]:
+    """The spec's values of these parameters, each one required."""
+    for flag in flags:
+        if getattr(spec, flag) is None:
+            raise ContractError(f"missing required parameter --{flag}")
+    return [getattr(spec, flag) for flag in flags]

@@ -12,7 +12,9 @@ the intersection threshold:
 
 Independent sets are intersecting (resp. t-intersecting, support-t-
 intersecting) families.  M(m,k) and M'(m,k,1) coincide edge for edge, as do
-M(m,k) and M(m,k,1).  The graph is stored as its complement, one
+M(m,k) and M(m,k,1).  Each kind is one table entry (member kind, pairs
+compared on supports or not, label) that GRAPH_KINDS, family_kind, label()
+and the pair rule read.  The graph is stored as its complement, one
 compatibility bitmask per vertex, which is what the search module's
 word-parallel candidate operations consume.
 
@@ -55,7 +57,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import MULTISET, SET, ContractError, Family, binomial, multichoose, universe_rows
+from .core import (
+    MULTISET,
+    SET,
+    ContractError,
+    Family,
+    _pair_masks,
+    binomial,
+    is_support_t_intersecting,
+    is_t_intersecting,
+    multichoose,
+    universe_rows,
+)
 
 KIND_KNESER = "K"
 KIND_MULTISET_DISJOINT = "M"
@@ -63,15 +76,17 @@ KIND_KNESER_T = "K_t"
 KIND_MULTISET_T = "M_t"
 KIND_MULTISET_SUPPORT_T = "M_support_t"
 
-# each graph kind and the kind of member its vertices are
-_FAMILY_KIND = {
-    KIND_KNESER: SET,
-    KIND_MULTISET_DISJOINT: MULTISET,
-    KIND_KNESER_T: SET,
-    KIND_MULTISET_T: MULTISET,
-    KIND_MULTISET_SUPPORT_T: MULTISET,
+# each kind: what its vertices are (SET or MULTISET), whether a pair compares
+# supports, not multiplicity (alike at t = 1 and on sets), and its label
+_Kind = NamedTuple("_Kind", [("family_kind", str), ("supports", bool), ("label", str)])
+_KINDS = {
+    KIND_KNESER: _Kind(SET, False, "K({m},{k})"),
+    KIND_MULTISET_DISJOINT: _Kind(MULTISET, False, "M({m},{k})"),
+    KIND_KNESER_T: _Kind(SET, False, "K({m},{k},{t})"),
+    KIND_MULTISET_T: _Kind(MULTISET, False, "M({m},{k},{t})"),
+    KIND_MULTISET_SUPPORT_T: _Kind(MULTISET, True, "M'({m},{k},{t})"),
 }
-GRAPH_KINDS = tuple(_FAMILY_KIND)
+GRAPH_KINDS = tuple(_KINDS)
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -106,7 +121,7 @@ class DisjointnessGraph:
     @property
     def family_kind(self) -> str:
         """The kind of member the vertices are: SET or MULTISET."""
-        return _FAMILY_KIND[self.kind]
+        return _KINDS[self.kind].family_kind
 
     @property
     def n_vertices(self) -> int:
@@ -135,15 +150,17 @@ class DisjointnessGraph:
         return (n * (n - 1) - sum(row.bit_count() for row in self.ordered.rows)) // 2
 
     def label(self) -> str:
-        if self.kind == KIND_KNESER:
-            return f"K({self.m},{self.k})"
-        if self.kind == KIND_MULTISET_DISJOINT:
-            return f"M({self.m},{self.k})"
-        if self.kind == KIND_KNESER_T:
-            return f"K({self.m},{self.k},{self.t})"
-        if self.kind == KIND_MULTISET_T:
-            return f"M({self.m},{self.k},{self.t})"
-        return f"M'({self.m},{self.k},{self.t})"
+        return _KINDS[self.kind].label.format(m=self.m, k=self.k, t=self.t)
+
+    def is_independent(self, fam: Family) -> bool:
+        """The raw pairwise predicate of the graph's independent sets, read
+        off the members, not the adjacency rows (K and M graphs have t = 1)."""
+        test = is_support_t_intersecting if _KINDS[self.kind].supports else is_t_intersecting
+        return test(fam, self.t)
+
+    def pair_masks(self, members) -> list[int]:
+        """The P(s,1) check's masks: two members share t bits iff compatible."""
+        return _pair_masks(members, 1 if _KINDS[self.kind].supports else self.t)
 
     def family_from_mask(self, mask: int) -> Family:
         # ranks are in canonical member order, and so is any subsequence;
@@ -178,7 +195,7 @@ def build_graph(
     if kind in (KIND_KNESER, KIND_MULTISET_DISJOINT) and t != 1:
         raise ContractError(f"graph kind {kind} does not take a threshold t")
 
-    rows = tuple(universe_rows(m, k, _FAMILY_KIND[kind], vertex_cap))
+    rows = tuple(universe_rows(m, k, _KINDS[kind].family_kind, vertex_cap))
     return DisjointnessGraph(kind, m, k, t, rows)
 
 

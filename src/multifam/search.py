@@ -80,9 +80,7 @@ from .core import (
     ContractError,
     Family,
     _clique_free,
-    _pair_masks,
     common_intersection,
-    is_support_t_intersecting,
     is_t_intersecting,
     multiplicity_rows,
 )
@@ -457,16 +455,8 @@ class _CliqueEnumerator(_MaxCliqueSolver):
             raise _CapHit
 
 
-def _is_independent(graph: DisjointnessGraph, fam: Family) -> bool:
-    """The raw pairwise predicate of the graph's independent sets, read off
-    the members, not the adjacency rows (K and M graphs have t = 1)."""
-    if graph.kind == KIND_MULTISET_SUPPORT_T:
-        return is_support_t_intersecting(fam, graph.t)
-    return is_t_intersecting(fam, graph.t)
-
-
 def _validate_witness(graph: DisjointnessGraph, fam: Family) -> None:
-    if not _is_independent(graph, fam):
+    if not graph.is_independent(fam):
         raise RuntimeError("internal error: witness fails the raw pairwise predicate")
 
 
@@ -514,7 +504,7 @@ def max_independent_set(
     the optimum.  The optimum, witness and node count are deterministic."""
     view = graph.ordered
     return _seeded_search(
-        graph, seed, lambda fam: _is_independent(graph, fam), "the raw pairwise predicate",
+        graph, seed, graph.is_independent, "the raw pairwise predicate",
         lambda slots: _MaxCliqueSolver(
             view.rows, view.to_old, node_limit, view.counts, view.orbits, None, slots
         ),
@@ -752,10 +742,9 @@ def clique_free_search(
         raise ContractError(f"s must be >= 1, got {s}")
     if s == 1:
         return max_independent_set(graph, node_limit, seed)
-    rule = 1 if graph.kind == KIND_MULTISET_SUPPORT_T else graph.t  # at 1: support masks
     view = graph.ordered
     return _seeded_search(
-        graph, seed, lambda fam: _clique_free(_pair_masks(fam.members, rule), graph.t, s),
+        graph, seed, lambda fam: _clique_free(graph.pair_masks(fam.members), graph.t, s),
         "the P(s,1) predicate of the graph",
         lambda slots: _CliqueFreeSolver(
             view.rows, view.to_old, s, node_limit, view.counts, view.orbits, slots

@@ -48,8 +48,6 @@ from .search import (
     max_union_two_intersecting,
 )
 
-THEOREM_IDS = ("T1.1", "T1.4", "T2.3", "T2.4", "T3.3", "T3.4", "T3.5", "T4.1", "T4.8")
-
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
 STATUS_HYPOTHESIS = "hypothesis_not_met"
@@ -295,6 +293,7 @@ _BINDINGS = {
     "T4.1": _bind_t41,
     "T4.8": _bind_t48,
 }
+THEOREM_IDS = tuple(_BINDINGS)
 
 
 def _uniqueness_verdict(binding: _Binding, node_limit) -> tuple[str, list[Family] | None, int]:

@@ -125,9 +125,9 @@ def universe_graph(kind, m, k, t=1):
     Family.universe and the graph's rows read back off them by
     multiplicity_rows, as the graph was built before it held count rows."""
     from multifam.core import Family, multiplicity_rows
-    from multifam.graphs import _FAMILY_KIND, DisjointnessGraph
+    from multifam.graphs import _KINDS, DisjointnessGraph
 
-    vertices = Family.universe(m, k, _FAMILY_KIND[kind]).members
+    vertices = Family.universe(m, k, _KINDS[kind].family_kind).members
     return vertices, DisjointnessGraph(kind, m, k, t, tuple(multiplicity_rows(vertices)))
 
 
@@ -310,9 +310,33 @@ def shift_loop_compress_pass(fam, kernel, i, t, on_shift=None):
     return result, new_kernel
 
 
+def member_walk_universe(m, k, kind):
+    """Reference for Family.universe: the enumerators' members, in their
+    order, with no scale guard."""
+    from multifam.core import MULTISET, Family, enumerate_k_multisets, enumerate_k_subsets
+
+    members = enumerate_k_multisets(m, k) if kind == MULTISET else enumerate_k_subsets(m, k)
+    return Family(m, k, kind, tuple(members))
+
+
+def member_walk_extend_to_maximal(fam):
+    """Reference for families.extend_to_maximal on a valid input: the greedy
+    closure over the universe's Multiset members in enumeration order, each
+    pair of supports intersected one at a time."""
+    from multifam.core import Family, enumerate_k_multisets
+
+    chosen = list(fam.members)
+    for a in enumerate_k_multisets(fam.m, fam.k):
+        support = set(a.elements())
+        if a not in chosen and all(support & set(b.elements()) for b in chosen):
+            chosen.append(a)
+    return Family.of_multisets(fam.m, fam.k, chosen)
+
+
 def greedy_random_t_intersecting_family(m, k, t, rng):
     """Reference for acceptance.random_t_intersecting_family: the same rng
-    draws, with compatibility summed from multiplicity vectors."""
+    draws over the universe's Multiset members, with compatibility summed
+    from multiplicity vectors."""
     from multifam.core import Family, enumerate_k_multisets
 
     universe = list(enumerate_k_multisets(m, k))

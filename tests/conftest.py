@@ -81,3 +81,17 @@ def family_and_t(draw, max_m=7, max_k=4, max_members=6, kinds=("multiset", "set"
         ]
         family = Family.of_sets(m, k, members)
     return family, draw(st.integers(1, k + 1))
+
+
+def refuse_enumeration(monkeypatch):
+    """Make every universe enumeration in the package raise."""
+    import multifam
+
+    def refuse(*args):
+        raise AssertionError("a universe was enumerated")
+
+    for module in vars(multifam).values():
+        if getattr(module, "__name__", "").startswith("multifam."):
+            for name in ("count_vectors", "combinations"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)

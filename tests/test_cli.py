@@ -11,6 +11,8 @@ from multifam.families import FAMILY_NAMES
 from multifam.family_io import save_family
 from multifam.verify import THEOREM_IDS
 
+from conftest import refuse_enumeration
+
 
 def run(*argv):
     return main(list(argv))
@@ -248,6 +250,23 @@ def test_search_constraints(capsys):
     assert "4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, label", [
+    (("--kind", "K", "--m", "5", "--k", "2"), "K(5,2)"),
+    (("--kind", "M", "--m", "4", "--k", "2"), "M(4,2)"),
+    (("--kind", "K_t", "--m", "6", "--k", "3", "--t", "2"), "K(6,3,2)"),
+    (("--kind", "M_t", "--m", "4", "--k", "3", "--t", "2"), "M(4,3,2)"),
+    (("--kind", "M_support_t", "--m", "4", "--k", "3", "--t", "2"), "M'(4,3,2)"),
+    (("--kind", "K", "--m", "5", "--k", "2", "--constraint", "bipartite"), "K(5,2)+bipartite"),
+    (("--kind", "M", "--m", "4", "--k", "2", "--constraint", "clique-free", "--s", "2"),
+     "M(4,2)+P(2,1)"),
+    (("--m", "4", "--k", "2", "--constraint", "empty-common"), "M(4,2)+empty-common"),
+    (("--m", "4", "--k", "3", "--t", "2", "--constraint", "nontrivial-t"), "M(4,3,2)+nontrivial"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_search_prints_the_graph_label(argv, label, capsys):
+    assert run("search", *argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["graph", label]
+
+
 def test_clique_free_search_deeper_than_the_recursion_limit(capsys):
     assert run("search", "--kind", "K", "--m", "1200", "--k", "1", "--constraint", "clique-free",
                "--s", "1100", "--node-limit", "100") == 0
@@ -406,20 +425,6 @@ def test_scale_guard_exit_code(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def _refuse_enumeration(monkeypatch):
-    """Make every universe enumeration in the package raise."""
-    import multifam
-
-    def refuse(*args):
-        raise AssertionError("a universe was enumerated")
-
-    for module in vars(multifam).values():
-        if getattr(module, "__name__", "").startswith("multifam."):
-            for name in ("count_vectors", "combinations"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
-
-
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 @pytest.mark.parametrize("m, k", [(60, 30), (40, 20), (20, 9)])
 def test_verify_refuses_an_oversized_universe_before_enumerating(theorem, m, k, monkeypatch, capsys):
@@ -427,7 +432,7 @@ def test_verify_refuses_an_oversized_universe_before_enumerating(theorem, m, k, 
     # construction, so the graph's cap of 5,000 refuses even the 167,960
     # 9-sets of [20], which the construction's cap of 200,000 would walk;
     # the other bindings construct first, under that cap
-    _refuse_enumeration(monkeypatch)
+    refuse_enumeration(monkeypatch)
     assert run("verify", "--theorem", theorem, "--m", str(m), "--k", str(k), "--t", "2", "--s", "2") == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeding the cap" in captured.err
@@ -436,7 +441,7 @@ def test_verify_refuses_an_oversized_universe_before_enumerating(theorem, m, k, 
 def test_construct_refuses_an_oversized_universe_before_enumerating(tmp_path, monkeypatch, capsys):
     # every constructor walks its universe through the capped row walk;
     # `size` then prints the closed form only
-    _refuse_enumeration(monkeypatch)
+    refuse_enumeration(monkeypatch)
     for family in FAMILY_NAMES:
         t = "2" if family.startswith("hm_t_") else "1"  # hajnal_rothschild builds only t=1
         argv = ("--family", family, "--m", "40", "--k", "20", "--t", t, "--r", "0", "--s", "2",

@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 
 import pytest
@@ -42,12 +43,13 @@ from bruteforce import (
     loop_multiset_unrank,
     loop_support_mask,
     loop_unary_mask,
+    member_walk_universe,
     pair_loop_is_support_t_intersecting,
     pair_loop_is_t_intersecting,
     pair_size,
     recursive_count_vectors,
 )
-from conftest import family_and_t, multiset_family, multiset_pair
+from conftest import family_and_t, multiset_family, multiset_pair, refuse_enumeration
 
 
 def ms(m, *elements):
@@ -297,6 +299,21 @@ def test_count_vectors_checks_its_parameters(m, k, message):
             next(generate(m, k))
 
 
+@pytest.mark.parametrize("m, k, kind, message", [
+    (-1, 2, "multiset", "m must be >= 1, got -1"),
+    (3, -1, "multiset", "k must be >= 0, got -1"),
+    (-1, 2, "set", r"n, k must be >= 0, got \(-1, 2\)"),
+    (2, -1, "set", r"n, k must be >= 0, got \(2, -1\)"),
+])
+def test_universe_walks_report_the_enumerators_check(m, k, kind, message):
+    # the guard's closed-form count does not pre-empt it with the message
+    # of binomial or multichoose
+    with pytest.raises(ContractError, match=message):
+        Family.universe(m, k, kind)
+    with pytest.raises(ContractError, match=message):
+        list(universe_rows(m, k, kind))
+
+
 def test_enumeration_examples():
     assert len(list(enumerate_k_multisets(3, 2))) == 6
     assert len(list(enumerate_k_multisets(5, 4))) == 70
@@ -334,13 +351,27 @@ def test_subset_enumeration():
 
 
 def test_universe_rows_are_the_enumerated_members_rows():
-    # the rows=True walk of each enumerator, with no member built
-    for kind, m, k in [("set", 6, 3), ("set", 5, 5), ("set", 3, 4), ("set", 4, 0),
-                       ("multiset", 4, 3), ("multiset", 1, 3), ("multiset", 5, 0)]:
-        members = Family.universe(m, k, kind).members
+    # the rows=True walk of each enumerator, with no member built; the
+    # universe built from those rows is the enumerators' members
+    grid = [("multiset", m, k) for m in range(1, 6) for k in range(5)]
+    grid += [("set", n, k) for n in range(7) for k in range(n + 3)]  # k > n: empty
+    for kind, m, k in grid:
+        reference = member_walk_universe(m, k, kind)
         rows = list(universe_rows(m, k, kind))
-        assert rows == multiplicity_rows(members)
+        assert rows == multiplicity_rows(reference.members)
         assert len(rows) == universe_size(m, k, kind)
+        assert Family.universe(m, k, kind) == reference, (kind, m, k)
+
+
+def test_universe_refuses_a_universe_above_the_cap_before_walking(monkeypatch):
+    # counted in closed form (4.5e23 30-multisets of [60]), never walked
+    refuse_enumeration(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceededError, match="exceeding the cap of 200000"):
+        Family.universe(60, 30)
+    with pytest.raises(ScaleExceededError, match="exceeding the cap of 200000"):
+        Family.universe(40, 20, "set")
+    assert time.perf_counter() - start < 1
 
 
 def test_universe_rows_refuses_a_universe_above_the_cap_before_walking():

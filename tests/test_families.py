@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,12 +7,16 @@ from hypothesis import strategies as st
 from multifam import (
     ContractError,
     Family,
+    FamilySpec,
     KSet,
     Multiset,
+    ScaleExceededError,
     binomial,
+    build_family,
     common_intersection,
     enumerate_k_subsets,
     extend_to_maximal,
+    family_size_formula,
     fixed_multiset,
     frankl_multiset,
     frankl_multiset_size,
@@ -19,6 +25,7 @@ from multifam import (
     hajnal_rothschild_size,
     has_property_p_s1,
     hit_s,
+    hit_s_set,
     hm_multiset,
     hm_multiset_size,
     hm_set,
@@ -31,15 +38,20 @@ from multifam import (
     star,
 )
 from multifam.families import (
+    FAMILY_NAMES,
     _Canonizer,
     _Orbits,
     apply_permutation,
     canonical_form,
+    fixed_multiset_size,
+    hajnal_rothschild_family,
+    hit_s_size,
     is_isomorphic,
     star_size,
 )
 
-from bruteforce import scan_canonical_form
+from bruteforce import member_walk_extend_to_maximal, scan_canonical_form
+from conftest import refuse_enumeration
 
 
 def ms(m, *elements):
@@ -308,6 +320,83 @@ def test_extend_to_maximal_rejects_bad_input():
     broken = Family.of_multisets(4, 2, [ms(4, 1, 1), ms(4, 2, 2)])
     with pytest.raises(ContractError):
         extend_to_maximal(broken)
+
+
+def test_extend_to_maximal_is_the_member_walk():
+    # from every one-member family and every intersecting pair of members
+    # of small universes, the row walk closes to the reference's family
+    for m in range(2, 6):
+        for k in range(1, min(m - 1, 3) + 1):
+            universe = Family.universe(m, k).members
+            seeds = [(a,) for a in universe]
+            seeds += [(a, b) for i, a in enumerate(universe) for b in universe[i + 1::3]
+                      if a.support_mask() & b.support_mask()]
+            for members in seeds:
+                seed = Family.of_multisets(m, k, members)
+                assert extend_to_maximal(seed) == member_walk_extend_to_maximal(seed), members
+
+
+def test_extend_to_maximal_refuses_a_universe_above_the_cap(monkeypatch):
+    # counted in closed form (2.8e15 20-multisets of [40]), never walked
+    refuse_enumeration(monkeypatch)
+    seed = Family.of_multisets(40, 20, [ms(40, *[1] * 20)])
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceededError, match="exceeding the cap of 200000"):
+        extend_to_maximal(seed)
+    assert time.perf_counter() - start < 1
+
+
+# -- the family registry -----------------------------------------------------
+
+# a small spec of each named family, with the constructor and closed-form
+# size it must dispatch to (None: the hm_t families have no closed form)
+DIRECT_CALLS = {
+    "star": (FamilySpec("star", 5, 3, anchor=(2,)), lambda: star(5, 3, 2), lambda: star_size(5, 3)),
+    "fixed_multiset": (FamilySpec("fixed_multiset", 5, 4, anchor=(1, 1, 3)),
+                       lambda: fixed_multiset(5, 4, ms(5, 1, 1, 3)),
+                       lambda: fixed_multiset_size(5, 4, 3)),
+    "frankl_set": (FamilySpec("frankl_set", 8, 4, t=2, r=1),
+                   lambda: frankl_set(8, 4, 2, 1), lambda: frankl_set_size(8, 4, 2, 1)),
+    "frankl_multiset": (FamilySpec("frankl_multiset", 6, 4, t=2, r=1),
+                        lambda: frankl_multiset(6, 4, 2, 1), lambda: frankl_multiset_size(6, 4, 2, 1)),
+    "hm_set": (FamilySpec("hm_set", 7, 3), lambda: hm_set(7, 3), lambda: hm_set_size(7, 3)),
+    "hm_multiset": (FamilySpec("hm_multiset", 5, 3),
+                    lambda: hm_multiset(5, 3), lambda: hm_multiset_size(5, 3)),
+    "hm_t_set": (FamilySpec("hm_t_set", 7, 4, t=2), lambda: hm_t_set(7, 4, 2), lambda: None),
+    "hm_t_multiset": (FamilySpec("hm_t_multiset", 6, 4, t=2),
+                      lambda: hm_t_multiset(6, 4, 2), lambda: None),
+    "hit_s": (FamilySpec("hit_s", 6, 3, s=2), lambda: hit_s(6, 3, (1, 2)), lambda: hit_s_size(6, 3, 2)),
+    "hajnal_rothschild": (FamilySpec("hajnal_rothschild", 7, 3, t=1, s=2),
+                          lambda: hajnal_rothschild_family(7, 3, 1, 2),
+                          lambda: hajnal_rothschild_size(7, 3, 1, 2)),
+}
+
+
+def test_family_names_keep_their_order():
+    # the CLI offers them as --family choices in this order
+    assert FAMILY_NAMES == (
+        "star", "fixed_multiset", "frankl_set", "frankl_multiset", "hm_set", "hm_multiset",
+        "hm_t_set", "hm_t_multiset", "hit_s", "hajnal_rothschild",
+    )
+    assert set(DIRECT_CALLS) == set(FAMILY_NAMES)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_registry_dispatches_to_the_named_functions(name):
+    spec, construct, size = DIRECT_CALLS[name]
+    assert build_family(spec) == construct()
+    assert family_size_formula(spec) == size()
+
+
+def test_registry_reads_the_constructors_when_called(monkeypatch):
+    # a rebound module attribute (as the benchmark tracer installs) is the
+    # one the registry calls
+    marker = hit_s_set(3, 1, (1,))
+    monkeypatch.setattr("multifam.families.star", lambda m, k, x: marker)
+    monkeypatch.setattr("multifam.families.star_size", lambda m, k: -1)
+    spec = FamilySpec("star", 5, 3)
+    assert build_family(spec) is marker
+    assert family_size_formula(spec) == -1
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -45,7 +45,6 @@ from multifam.search import (
     _MaxCliqueSolver,
     _SmallCoreSolver,
     _greedy_color,
-    _is_independent,
     _max_induced_bipartite,
     _orbit_masks,
     _seed_slots,
@@ -1141,7 +1140,7 @@ def test_greedy_clique_replaces_only_a_smaller_seed():
     solver._seed()
     assert (solver.best, solver.best_mask) == (greedy.best, greedy.best_mask)
     # a seed as large as the greedy clique is kept
-    star_slots = _seed_slots(graph, star(6, 3, 1), lambda fam: _is_independent(graph, fam), "")
+    star_slots = _seed_slots(graph, star(6, 3, 1), graph.is_independent, "")
     tied = 0
     for i in bits(star_slots):
         if tied.bit_count() < 10:
@@ -1168,7 +1167,7 @@ def test_seed_slots_map_the_construction(args, construction):
     # the construction itself
     graph = build_graph(*args)
     fam = construction()
-    slots = _seed_slots(graph, fam, lambda fam: _is_independent(graph, fam), "")
+    slots = _seed_slots(graph, fam, graph.is_independent, "")
     assert slots.bit_count() == len(fam)
     assert graph.family_from_mask(_slots_to_ranks(graph, slots)) == fam
     assert _slots_to_ranks(graph, slots) == _rank_mask(graph, fam)
@@ -1261,7 +1260,7 @@ def test_each_family_passes_the_predicate_once(monkeypatch):
         calls.append(len(fam))
         return real(fam, t)
 
-    monkeypatch.setattr("multifam.search.is_t_intersecting", counting)
+    monkeypatch.setattr("multifam.graphs.is_t_intersecting", counting)
     seed = star(6, 3, 1)
     result = max_independent_set(build_graph("M", 6, 3), seed=seed)
     assert result.witness is seed and calls == [21]

@@ -1,7 +1,7 @@
 import pytest
 
 from multifam import ContractError, build_graph, frankl_set, is_isomorphic, star, verify_theorem
-from multifam.search import _is_independent, _seed_slots
+from multifam.search import _seed_slots
 from multifam.verify import (
     STATUS_HYPOTHESIS,
     STATUS_OK,
@@ -72,7 +72,7 @@ def test_construction_seeds_the_search(theorem_id, params, graph, nodes):
     # nothing beats the seed, so the witness is the construction itself
     assert report.witness is report.constructed
     graph = build_graph(*graph)
-    slots = _seed_slots(graph, report.constructed, lambda fam: _is_independent(graph, fam), "")
+    slots = _seed_slots(graph, report.constructed, graph.is_independent, "")
     to_old = graph.ordered.to_old
     seed_mask = sum(1 << to_old[i] for i in range(graph.n_vertices) if slots >> i & 1)
     assert graph.family_from_mask(seed_mask) == report.constructed
