@@ -25,7 +25,13 @@ from .compression import CompressionInvariantError, down_compress_full
 from .core import MULTISET, SET, ContractError, Family, ScaleExceededError, multichoose
 from .family_io import ParseError, load_family, save_family
 from .families import FamilySpec, build_family, family_size_formula, is_isomorphic
-from .graphs import GRAPH_KINDS, build_graph
+from .graphs import (
+    GRAPH_KINDS,
+    KIND_MULTISET_DISJOINT,
+    KIND_MULTISET_T,
+    build_graph,
+    graph_label,
+)
 from .search import (
     NODE_LIMIT_HIT,
     SearchResult,
@@ -164,15 +170,14 @@ def _cmd_search(args) -> int:
     constraint = args.constraint
     if constraint == "empty-common":
         result = max_intersecting_empty_common(args.m, args.k, args.node_limit)
-        label, vertices = f"M({args.m},{args.k})+empty-common", multichoose(args.m, args.k)
+        label = graph_label(KIND_MULTISET_DISJOINT, args.m, args.k) + "+empty-common"
+        vertices = multichoose(args.m, args.k)
     elif constraint == "nontrivial-t":
         if args.t is None:
             raise ContractError("--constraint nontrivial-t requires --t")
         result = max_t_intersecting_nontrivial(args.m, args.k, args.t, args.node_limit)
-        label, vertices = (
-            f"M({args.m},{args.k},{args.t})+nontrivial",
-            multichoose(args.m, args.k),
-        )
+        label = graph_label(KIND_MULTISET_T, args.m, args.k, args.t) + "+nontrivial"
+        vertices = multichoose(args.m, args.k)
     else:
         graph = build_graph(args.kind, args.m, args.k, 1 if args.t is None else args.t)
         if constraint == "bipartite":

@@ -336,18 +336,40 @@ def _all_pairs_share(masks: list[int], t: int) -> bool:
 
 def _clique_free(masks: list[int], t: int, s: int) -> bool:
     """True iff no s+1 masks pairwise share fewer than t bits: a search for an
-    (s+1)-clique of failing pairs on an explicit stack of bitset frames."""
-    fails = [sum(1 << j for j in range(i + 1, len(masks)) if (a & masks[j]).bit_count() < t)
-             for i, a in enumerate(masks)]
-    stack = [((1 << len(masks)) - 1, s + 1)]
+    (s+1)-clique of failing pairs on an explicit stack of bitset frames.  A
+    clique takes at most one vertex from each class of a colouring with no
+    failing pair inside a class, so a frame whose candidates a greedy
+    colouring puts in fewer than `need` classes is pruned."""
+    n = len(masks)
+    fails = [0] * n
+    for i, a in enumerate(masks):
+        for j in range(i + 1, n):
+            if (a & masks[j]).bit_count() < t:
+                fails[i] |= 1 << j
+                fails[j] |= 1 << i
+    stack = [((1 << n) - 1, s + 1)]
     while stack:
         cand, need = stack.pop()
-        if cand.bit_count() >= need:
-            if need == 1:
-                return False
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            stack += (cand, need), (cand & fails[v], need - 1)
+        size = cand.bit_count()
+        if size < need:
+            continue
+        if need == 1:
+            return False
+        rest, classes = cand, 0
+        while rest and classes < need:
+            classes += 1
+            free = rest
+            while free:
+                low = free & -free
+                rest ^= low
+                free &= ~(fails[low.bit_length() - 1] | low)
+        if classes < need:
+            continue
+        if classes == size:  # one vertex per class: the candidates pairwise fail
+            return False
+        v = (cand & -cand).bit_length() - 1
+        cand ^= 1 << v
+        stack += (cand, need), (cand & fails[v], need - 1)
     return True
 
 

@@ -14,14 +14,17 @@ individualisation-refinement search (McKay & Piperno, "Practical graph
 isomorphism, II", 2014) on the element-member incidence structure: colour
 refinement to an equitable colouring, branching on the first smallest
 non-singleton cell, and pruning of children that an automorphism found
-between two equal leaves maps onto an explored sibling.  A cell of twins
-(elements with identical incidence) is split into singletons without
-branching: swapping two twins fixes every member.  Sets and multisets
-share the code (a set is its 0/1 count vector).  The representative is a
-ground-set relabelling of the input that does not depend on the input's
-labelling, so two families have equal canonical forms iff they are
-isomorphic; it is not, in general, the lexicographic minimum over all m!
-relabelings.
+between two equal leaves maps onto an explored sibling.  A symmetric cell,
+one whose every permutation maps the family onto itself, is split into
+singletons without branching; the test checks the transpositions
+(cell[0] e), which generate all of them, on the set of member rows.  Twins
+(elements with identical incidence) are the special case, and so are the
+interchangeable elements of a star or a Hilton-Milner family, which sit in
+different members.  Sets and multisets share the code (a set is its 0/1
+count vector).  The representative is a ground-set relabelling of the
+input that does not depend on the input's labelling, so two families have
+equal canonical forms iff they are isomorphic; it is not, in general, the
+lexicographic minimum over all m! relabelings.
 """
 
 from __future__ import annotations
@@ -363,11 +366,6 @@ def apply_permutation(fam: Family, perm: Sequence[int]) -> Family:
     )
 
 
-def _supports(fam: Family) -> list[list[tuple[int, int]]]:
-    """Each member as its (element index, multiplicity) pairs."""
-    return [[(e, c) for e, c in enumerate(row) if c] for row in multiplicity_rows(fam.members)]
-
-
 class _Canonizer:
     """Individualisation-refinement search for a canonical relabelling.
 
@@ -377,11 +375,16 @@ class _Canonizer:
     a relabelling; the smallest sorted list of relabelled member codes over
     all leaves is the canonical one.  Two leaves with equal codes give an
     automorphism, used to skip symmetric children and to jump back out of a
-    subtree that mirrors one already explored."""
+    subtree that mirrors one already explored.  A target cell whose every
+    permutation is an automorphism is not branched on: it is split into
+    singletons in index order in one step (see _symmetric)."""
 
     def __init__(self, fam: Family):
         self.m = fam.m
-        self.supports = _supports(fam)
+        self.rows = multiplicity_rows(fam.members)
+        self.row_set = set(self.rows)
+        # each member as its (element index, multiplicity) pairs
+        self.supports = [[(e, c) for e, c in enumerate(row) if c] for row in self.rows]
         self.base = 1 + max((c for sup in self.supports for _, c in sup), default=0)
         self.incidence: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
         for i, sup in enumerate(self.supports):
@@ -433,10 +436,9 @@ class _Canonizer:
             by_colour[c].append(e)
         target = min((cell for cell in by_colour if len(cell) > 1), key=len)
         colour = col[target[0]]
-        incidence = self.incidence
-        if all(incidence[e] == incidence[target[0]] for e in target):
-            # twins: swapping two of them fixes every member, so every order
-            # of individualising them gives the same codes; take one order
+        if self._symmetric(target):
+            # every order of individualising the cell gives the same codes;
+            # take one order
             split = {e: i for i, e in enumerate(target)}
             shift = len(target) - 1
             child = [c + shift if c > colour else c + split.get(e, 0) for e, c in enumerate(col)]
@@ -457,6 +459,27 @@ class _Canonizer:
                 return resume
             explored.append(v)
         return depth - 1
+
+    def _symmetric(self, cell: list[int]) -> bool:
+        """Does every transposition (cell[0] e), e another element of the
+        cell, map the set of member rows onto itself?  Those transpositions
+        generate Sym(cell).  The cell is not a singleton, so it holds no
+        element individualised above this node, and each transposition
+        fixes the node's colouring: Sym(cell) lies in its stabiliser in the
+        automorphism group.  Twins (a transposition fixing every member)
+        are the special case.  Only a member meeting a = cell[0] or b with
+        different counts moves under (a b), so only those are looked up.
+        The cell is in index order, so a < b."""
+        a = cell[0]
+        rows, row_set, incidence = self.rows, self.row_set, self.incidence
+        for b in cell[1:]:
+            for i, _ in incidence[a] + incidence[b]:
+                row = rows[i]
+                if row[a] != row[b]:
+                    swapped = row[:a] + (row[b],) + row[a + 1:b] + (row[a],) + row[b + 1:]
+                    if swapped not in row_set:
+                        return False
+        return True
 
     def _leaf(self, col: list[int], path: list[int]) -> int:
         """Score a discrete colouring.  If its codes repeat the first or the

@@ -13,10 +13,11 @@ the intersection threshold:
 Independent sets are intersecting (resp. t-intersecting, support-t-
 intersecting) families.  M(m,k) and M'(m,k,1) coincide edge for edge, as do
 M(m,k) and M(m,k,1).  Each kind is one table entry (member kind, pairs
-compared on supports or not, label) that GRAPH_KINDS, family_kind, label()
-and the pair rule read.  The graph is stored as its complement, one
-compatibility bitmask per vertex, which is what the search module's
-word-parallel candidate operations consume.
+compared on supports or not, threshold taken or not, label) that
+GRAPH_KINDS, family_kind, label(), build_graph and the pair rule read.
+The graph is stored as its complement, one compatibility bitmask per
+vertex, which is what the search module's word-parallel candidate
+operations consume.
 
 All five kinds share one bit-sliced construction.  Each vertex is its row
 of per-element multiplicities (core.universe_rows: a multiset's count
@@ -77,16 +78,25 @@ KIND_MULTISET_T = "M_t"
 KIND_MULTISET_SUPPORT_T = "M_support_t"
 
 # each kind: what its vertices are (SET or MULTISET), whether a pair compares
-# supports, not multiplicity (alike at t = 1 and on sets), and its label
-_Kind = NamedTuple("_Kind", [("family_kind", str), ("supports", bool), ("label", str)])
+# supports, not multiplicity (alike at t = 1 and on sets), whether it takes a
+# threshold t (K and M are t = 1 only), and its label
+_Kind = NamedTuple(
+    "_Kind", [("family_kind", str), ("supports", bool), ("threshold", bool), ("label", str)]
+)
 _KINDS = {
-    KIND_KNESER: _Kind(SET, False, "K({m},{k})"),
-    KIND_MULTISET_DISJOINT: _Kind(MULTISET, False, "M({m},{k})"),
-    KIND_KNESER_T: _Kind(SET, False, "K({m},{k},{t})"),
-    KIND_MULTISET_T: _Kind(MULTISET, False, "M({m},{k},{t})"),
-    KIND_MULTISET_SUPPORT_T: _Kind(MULTISET, True, "M'({m},{k},{t})"),
+    KIND_KNESER: _Kind(SET, False, False, "K({m},{k})"),
+    KIND_MULTISET_DISJOINT: _Kind(MULTISET, False, False, "M({m},{k})"),
+    KIND_KNESER_T: _Kind(SET, False, True, "K({m},{k},{t})"),
+    KIND_MULTISET_T: _Kind(MULTISET, False, True, "M({m},{k},{t})"),
+    KIND_MULTISET_SUPPORT_T: _Kind(MULTISET, True, True, "M'({m},{k},{t})"),
 }
 GRAPH_KINDS = tuple(_KINDS)
+
+
+def graph_label(kind: str, m: int, k: int, t: int = 1) -> str:
+    """The kind's label at these parameters, e.g. M(4,3,2) for M_t."""
+    return _KINDS[kind].label.format(m=m, k=k, t=t)
+
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -150,7 +160,7 @@ class DisjointnessGraph:
         return (n * (n - 1) - sum(row.bit_count() for row in self.ordered.rows)) // 2
 
     def label(self) -> str:
-        return _KINDS[self.kind].label.format(m=self.m, k=self.k, t=self.t)
+        return graph_label(self.kind, self.m, self.k, self.t)
 
     def is_independent(self, fam: Family) -> bool:
         """The raw pairwise predicate of the graph's independent sets, read
@@ -192,7 +202,7 @@ def build_graph(
         raise ContractError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     if t < 1:
         raise ContractError(f"t must be >= 1, got {t}")
-    if kind in (KIND_KNESER, KIND_MULTISET_DISJOINT) and t != 1:
+    if not _KINDS[kind].threshold and t != 1:
         raise ContractError(f"graph kind {kind} does not take a threshold t")
 
     rows = tuple(universe_rows(m, k, _KINDS[kind].family_kind, vertex_cap))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from multifam import Family, KSet, hit_s, hm_multiset, load_family, star
+from multifam import Family, KSet, graphs, hit_s, hm_multiset, load_family, star
 from multifam.cli import main
 from multifam.families import FAMILY_NAMES
 from multifam.family_io import save_family
@@ -263,6 +263,20 @@ def test_search_constraints(capsys):
     (("--m", "4", "--k", "3", "--t", "2", "--constraint", "nontrivial-t"), "M(4,3,2)+nontrivial"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_search_prints_the_graph_label(argv, label, capsys):
+    assert run("search", *argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["graph", label]
+
+
+@pytest.mark.parametrize("kind, argv, label", [
+    ("M", ("--m", "4", "--k", "2", "--constraint", "empty-common"), "M*(4,2)+empty-common"),
+    ("M_t", ("--m", "4", "--k", "3", "--t", "2", "--constraint", "nontrivial-t"),
+     "M*(4,3,2)+nontrivial"),
+])
+def test_constrained_search_labels_read_the_kind_table(kind, argv, label, monkeypatch, capsys):
+    # the constrained searches have no graph object, yet their label is the
+    # kind's own format: a change in the table reaches them too
+    entry = graphs._KINDS[kind]
+    monkeypatch.setitem(graphs._KINDS, kind, entry._replace(label=entry.label.replace("M(", "M*(")))
     assert run("search", *argv) == 0
     assert capsys.readouterr().out.splitlines()[0].split() == ["graph", label]
 

@@ -1,5 +1,6 @@
 import time
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from multifam import (
     enumerate_k_multisets,
     enumerate_k_subsets,
     has_property_p_s1,
+    hit_s_set,
     is_support_t_intersecting,
     is_t_intersecting,
     kset_rank,
@@ -215,6 +217,31 @@ def test_p_s1_matches_the_clique_oracle_under_each_rule(case, s):
             not has_clique(multiplicity, full, s + 1))
         assert _clique_free(_pair_masks(members, 1), u, s) == (
             not has_clique(support, full, s + 1))
+
+
+def _scan_clique_free(masks, t, s):
+    """No s+1 masks pairwise share fewer than t bits, by scanning every
+    (s+1)-subset."""
+    return not any(
+        all((a & b).bit_count() < t for a, b in combinations(combo, 2))
+        for combo in combinations(masks, s + 1)
+    )
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 255), max_size=14), st.integers(1, 3), st.integers(1, 4))
+def test_clique_free_matches_the_subset_scan(masks, t, s):
+    # the colouring bound prunes only frames that hold no (s+1)-clique
+    assert _clique_free(masks, t, s) == _scan_clique_free(masks, t, s)
+
+
+@pytest.mark.parametrize("n, k, s", [(6, 2, 2), (7, 2, 3), (8, 2, 4), (8, 3, 2)])
+def test_clique_free_on_hitting_families_matches_the_subset_scan(n, k, s):
+    # the k-sets meeting [s] hold s pairwise disjoint members but not s+1,
+    # and have many s-cliques of disjoint pairs for the bound to cut
+    masks = _pair_masks(hit_s_set(n, k, range(1, s + 1)).members, 1)
+    for u in (s - 1, s):
+        assert _clique_free(masks, 1, u) == _scan_clique_free(masks, 1, u) == (u == s)
 
 
 def test_p_s1_searches_deeper_than_the_recursion_limit():

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -508,6 +509,89 @@ def test_twin_elements_are_split_without_branching(monkeypatch):
     assert len(calls) <= 5
     assert canonical_form(apply_permutation(fam, list(range(m, 0, -1)))) == canon
     assert len(canon) == 2 and is_isomorphic(canon, fam)
+
+
+def test_symmetric_cells_are_split_without_branching(monkeypatch):
+    # elements 2..40 of a star each sit in different members, so no two are
+    # twins, yet every permutation of them fixes the family; branching on
+    # them one at a time took 780 search nodes
+    calls = []
+    node = _Canonizer._node
+    monkeypatch.setattr(_Canonizer, "_node", lambda self, *args: calls.append(1) or node(self, *args))
+    canon = canonical_form(star(40, 2, 1))
+    assert len(calls) <= 3
+    calls.clear()
+    assert canonical_form(star(40, 2, 17)) == canon
+    assert len(calls) <= 3
+
+
+def _structured(draw, kind, m):
+    """One of the named extremal families of this kind, with drawn valid
+    parameters, built on [g] for a drawn 3 <= g <= m and read on [m]; half
+    the time united with a relabelled copy of itself."""
+    g = draw(st.sampled_from(range(3, m + 1)))
+    k = draw(st.integers(2, 3 if kind == "multiset" else g - 1))
+    anchor = draw(st.sets(st.integers(1, g), min_size=1))
+    t = draw(st.integers(1, min(k, g)))
+    r = draw(st.integers(0, min(k - t, (g - t) // 2)))
+    choices = [
+        lambda: (hit_s if kind == "multiset" else hit_s_set)(g, k, anchor),
+        lambda: (frankl_multiset if kind == "multiset" else frankl_set)(g, k, t, r),
+    ]
+    if kind == "multiset":
+        choices.append(lambda: star(g, k, min(anchor)))
+    if g >= k + 1:
+        choices.append(lambda: (hm_multiset if kind == "multiset" else hm_set)(g, k))
+        if k >= 3:
+            u = draw(st.integers(2, k - 1))
+            choices.append(lambda: (hm_t_multiset if kind == "multiset" else hm_t_set)(g, k, u))
+    fam = draw(st.sampled_from(choices))()
+    if kind == "multiset":
+        members = [Multiset(m, a.counts + (0,) * (m - g)) for a in fam.members]
+    else:
+        members = [KSet(m, b.members) for b in fam.members]
+    fam = _family(m, k, kind, members)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(list(range(1, m + 1))))
+        fam = _family(m, k, kind, fam.members + apply_permutation(fam, perm).members)
+    return fam
+
+
+@st.composite
+def structured_pair(draw, max_m=6):
+    """Two structured families of one kind on one [m] (see _structured),
+    and a relabelling of [m]."""
+    kind = draw(st.sampled_from(["multiset", "set"]))
+    m = draw(st.sampled_from(range(3, max_m + 1)))  # not skewed to small m
+    return _structured(draw, kind, m), _structured(draw, kind, m), draw(
+        st.permutations(list(range(1, m + 1))))
+
+
+@given(structured_pair())
+def test_canonical_form_of_structured_families_matches_the_scan(pair):
+    # the extremal families have large symmetric cells, so this is where
+    # the one-step split carries the search
+    first, second, perm = pair
+    canon = canonical_form(first)
+    scan = scan_canonical_form(first)
+    assert scan_canonical_form(canon) == scan
+    assert canonical_form(apply_permutation(first, perm)) == canon
+    assert (canonical_form(second) == canon) == (scan_canonical_form(second) == scan)
+
+
+def test_a_cell_is_split_only_when_every_transposition_is_an_automorphism():
+    # two disjoint triangles and the hexagon, as 2-subsets of [6]: colour
+    # refinement leaves one cell of all six elements in both, and (1 2)
+    # fixes the triangles but (1 4) does not, so the cell must be branched
+    # on; splitting it after testing (1 2) alone gave 4 different forms
+    triangles = Family.of_sets(6, 2, [KSet(6, e) for e in [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]])
+    hexagon = Family.of_sets(6, 2, [KSet(6, e) for e in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]])
+    relabellings = list(itertools.permutations(range(1, 7)))
+    forms = {canonical_form(apply_permutation(triangles, p)) for p in relabellings}
+    hexagon_forms = {canonical_form(apply_permutation(hexagon, p)) for p in relabellings}
+    assert len(forms) == len(hexagon_forms) == 1
+    assert forms != hexagon_forms
+    assert not is_isomorphic(triangles, hexagon)
 
 
 def test_sibling_orbit_tests_fold_each_automorphism_once_per_node(monkeypatch):

@@ -356,8 +356,9 @@ def test_graph_cap_and_kind_validation(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ContractError):
         build_graph("Q", 4, 2)
-    with pytest.raises(ContractError):
-        build_graph("M", 4, 2, t=2)
+    for kind in ("K", "M"):
+        with pytest.raises(ContractError, match=f"graph kind {kind} does not take a threshold t"):
+            build_graph(kind, 4, 2, t=2)
 
 
 # -- maximum independent set ---------------------------------------------------
