@@ -57,7 +57,6 @@ from .core import (
     Multiset,
     _all_pairs_share,
     _unary_width,
-    is_support_t_intersecting,
     is_t_intersecting,
     multiplicity_rows,
     unary_mask,
@@ -300,9 +299,9 @@ def down_compress_full(
     Each pass's kernel is proved a t-kernel of its output by re-checking
     only the pairs the pass can have changed (see the module docstring);
     the input check proves the trivial kernel, and the final check covers
-    every pair of supports.  The output has the same size, is
-    t-intersecting, and its member supports pairwise share at least t
-    elements.
+    every pair of supports, read off the same mask table.  The output has
+    the same size, is t-intersecting, and its member supports pairwise
+    share at least t elements.
     """
     if t < 1:
         raise ContractError(f"t must be >= 1, got {t}")
@@ -350,8 +349,9 @@ def down_compress_full(
             moved = moved or bool(landed)
     if passes != (t - 1) * fam.m:
         raise CompressionInvariantError(f"expected {(t - 1) * fam.m} passes, ran {passes}")
-    result = _family(fam, current) if moved else fam
-    if not is_support_t_intersecting(result, t):
+    # bit 0 of every field: a row's mask ANDed with it is its support
+    support = unary_mask((1,) * fam.m, width)
+    if not _all_pairs_share([masks[a] & support for a in current], t):
         raise CompressionInvariantError("output supports do not pairwise t-intersect")
-    return result
+    return _family(fam, current) if moved else fam
 

@@ -11,10 +11,12 @@ pure function, so values are safe to share freely.
 Enumeration order is lexicographic on multiplicity vectors (multisets) and
 lexicographic on element tuples (sets); ranks are consistent with that
 order, which is what the disjointness graphs use for vertex indexing.  A
-k-multiset of [m] is enumerated and ranked through stars and bars: it is
-the (m-1)-subset of bar positions in its word of k stars and m-1 bars, and
-those subsets run in the same order on the k-set code (itertools
-combinations and the combinatorial number system).  Every walk over a
+k-multiset of [m] is ranked through stars and bars: it is the (m-1)-subset
+of bar positions in its word of k stars and m-1 bars, and those subsets
+run in the order of the count vectors on the k-set code (the
+combinatorial number system).  The count vectors themselves are walked by
+lexicographic successor, which changes at most three counts a step and
+numbers each row's multiplicity type on the way.  Every walk over a
 universe reads universe_rows, its one scale guard.  Every family predicate
 reads member pairs through one row codec, unary_mask, so whether two
 members meet t times is one AND and popcount; P(s,1) is a clique search
@@ -434,29 +436,86 @@ def _bars(a: Multiset) -> KSet:
 
 
 def enumerate_k_multisets(
-    m: int, k: int, rows: bool = False
+    m: int, k: int, rows: bool = False, types: list[int] | None = None
 ) -> Iterator[Multiset | tuple[int, ...]]:
     """All k-multisets of [m] in lexicographic multiplicity-vector order;
     with rows=True, their count vectors instead, with no Multiset built.
+    With a list `types`, each one's type number is appended to it (see
+    count_vectors).
 
-    Walks the (m-1)-subsets of bar positions in a word of m+k-1 stars and
-    bars; their lexicographic order is that of the multiplicity vectors.
-    Emits exactly multichoose(m, k) distinct multisets, deterministically.
+    Walks the count vectors by lexicographic successor (count_vectors).
+    That order is the lexicographic order of the (m-1)-subsets of bar
+    positions in their words of m+k-1 stars and bars, through which
+    multiset_rank ranks them.  Emits exactly multichoose(m, k) distinct
+    multisets, deterministically.
     """
-    for counts in count_vectors(m, k):
-        yield counts if rows else Multiset(m, counts)
+    if rows:
+        yield from count_vectors(m, k, types)
+        return
+    for counts in count_vectors(m, k, types):
+        yield Multiset(m, counts)
 
 
-def count_vectors(m: int, k: int) -> Iterator[tuple[int, ...]]:
+def count_vectors(
+    m: int, k: int, types: list[int] | None = None
+) -> Iterator[tuple[int, ...]]:
     """The multiplicity vectors of enumerate_k_multisets(m, k), in its
-    order, with no Multiset built."""
+    order, with no Multiset built.
+
+    A lexicographic successor walk (Knuth, TAOCP 4A, 7.2.1.3) from
+    (0, ..., 0, k): while the last count is nonzero it hands one unit to
+    its neighbour; once it is empty, the last nonzero count p passes one
+    unit to p-1 and the rest to the last element.  A step changes at most
+    three counts, and as a multiset of counts it moves one unit from a
+    count x to a count a.
+
+    With a list `types`, each row's type number is appended to it as the
+    row is yielded: rows share a number iff they have the same sorted row
+    (the orbits of the permutations of [m]), and numbers run from 0 in
+    order of first appearance.  The type key sum_e (m+1)**row[e] is
+    injective on sorted rows, since at most m counts share a value, and a
+    step updates it in O(1) from the counts x and a."""
     if m < 1:
         raise ContractError(f"m must be >= 1, got {m}")
     if k < 0:
         raise ContractError(f"k must be >= 0, got {k}")
-    n = m + k - 1
-    for bars in combinations(range(1, n + 1), m - 1):
-        yield _stars(bars, n)
+    if m == 1:
+        if types is not None:
+            types.append(0)
+        yield (k,)
+        return
+    if types is None:
+        step, key = [0] * k, 0  # zero steps: the key stays 0, unread
+    else:
+        power = [(m + 1) ** c for c in range(k + 1)]
+        step, key = [power[c + 1] - power[c] for c in range(k)], m - 1 + power[k]
+    numbers: dict[int, int] = {}
+    row = [0] * m
+    row[-1] = k
+    last = -1  # the last nonzero count before the last element, or -1
+    while True:
+        if types is not None:
+            number = numbers.get(key)
+            if number is None:
+                number = numbers[key] = len(numbers)
+            types.append(number)
+        yield tuple(row)
+        x = row[-1]
+        if x:
+            a = row[-2]
+            row[-2] = a + 1
+            row[-1] = x - 1
+            last = m - 2
+        elif last > 0:
+            x = row[last]
+            row[last] = 0
+            last -= 1
+            a = row[last]
+            row[last] = a + 1
+            row[-1] = x - 1
+        else:
+            return
+        key += step[a] - step[x - 1]
 
 
 def enumerate_k_subsets(n: int, k: int, rows: bool = False) -> Iterator[KSet | tuple[int, ...]]:
@@ -469,12 +528,14 @@ def enumerate_k_subsets(n: int, k: int, rows: bool = False) -> Iterator[KSet | t
 
 
 def universe_rows(
-    m: int, k: int, kind: str, cap: int = ENUMERATION_CAP
+    m: int, k: int, kind: str, cap: int = ENUMERATION_CAP, types: list[int] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """The multiplicity rows of Family.universe(m, k, kind), in its order,
     with no member built: count vectors for multisets, 0/1 membership rows
     for sets.  It is the enumerators' rows=True walk, so members and rows
-    share one walk per kind.
+    share one walk per kind.  With a list `types`, each row's type number
+    (see count_vectors) is appended to it by the time the walk ends; every
+    k-subset has the same sorted row, so a set universe's rows all get 0.
 
     This is the scale guard of every walk over a universe: a universe of
     more than `cap` members, counted in closed form, is refused
@@ -483,8 +544,11 @@ def universe_rows(
     count = universe_size(max(m, 0), max(k, 0), kind)
     if count > cap:
         raise ScaleExceededError(f"universe has {count} members, exceeding the cap of {cap}")
-    enumerate_members = enumerate_k_multisets if kind == MULTISET else enumerate_k_subsets
-    return enumerate_members(m, k, rows=True)
+    if kind == MULTISET:
+        return enumerate_k_multisets(m, k, rows=True, types=types)
+    if types is not None:
+        types += [0] * count
+    return enumerate_k_subsets(m, k, rows=True)
 
 
 def universe_size(m: int, k: int, kind: str) -> int:

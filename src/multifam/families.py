@@ -4,10 +4,14 @@ Constructors build the family by filtering the multiplicity rows of the
 enumerated universe, so the member order is always canonical, and build a
 member only for a row they keep.  A set constructor and its multiset
 analogue share one filter on member support masks (a set is its own
-support) and one parameter check.  Closed-form sizes are provided where
-one exists, and each runs its constructor's parameter check first; hm_t
-families have no closed form and are counted by enumeration.  One registry,
-keyed by family name, dispatches build_family and family_size_formula.
+support) and one parameter check.  Two of those filters, hitting and
+frankl, also take a given row sequence in place of a walk: the universe's
+rows in rank order, as a disjointness graph already holds them, so a
+caller that built the graph filters its rows instead of walking the
+universe again.  Closed-form sizes are provided where one exists, and each
+runs its constructor's parameter check first; hm_t families have no closed
+form and are counted by enumeration.  One registry, keyed by family name,
+dispatches build_family and family_size_formula.
 
 Isomorphism is relabeling of the ground set.  canonical_form runs an
 individualisation-refinement search (McKay & Piperno, "Practical graph
@@ -69,19 +73,26 @@ class FamilySpec:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _where(kind: str, m: int, k: int, keep) -> Family:
+def _where(kind: str, m: int, k: int, keep, rows=None) -> Family:
     """The members of the (m, k) universe of `kind` whose support mask
-    passes `keep`.  The universe is in canonical order, so the result is.
-    Members are tested on their multiplicity rows, and one is built only
-    when it is kept.  A universe above core.ENUMERATION_CAP is refused
-    (ScaleExceededError) before any row is walked."""
-    kept = (row for row in universe_rows(m, k, kind) if keep(_support_mask(row)))
+    passes `keep`.  `rows` are that universe's multiplicity rows in rank
+    order (a graph's `multiplicities`); without them the universe is
+    walked, and one above core.ENUMERATION_CAP is refused
+    (ScaleExceededError) before any row is.  The rows are in canonical
+    order, so the result is.  Members are tested on their multiplicity
+    rows, and one is built only when it is kept."""
+    if rows is None:
+        rows = universe_rows(m, k, kind)
+    kept = (row for row in rows if keep(_support_mask(row)))
     return Family.from_rows(m, k, kind, kept)
 
 
-def _hitting(kind: str, m: int, k: int, anchor: Iterable[int]) -> Family:
+def hitting(kind: str, m: int, k: int, anchor: Iterable[int], rows=None) -> Family:
+    """The members of the (m, k) universe of `kind` whose support meets
+    the anchor set, filtered from `rows` when given (see _where).  This is
+    the filter of star, hit_s and hit_s_set, without their checks."""
     mask = KSet.from_elements(m, anchor).mask()
-    return _where(kind, m, k, lambda support: support & mask)
+    return _where(kind, m, k, lambda support: support & mask, rows)
 
 
 def _check_star_params(m: int, k: int, x: int) -> None:
@@ -97,7 +108,7 @@ def star(m: int, k: int, x: int) -> Family:
     Size is multichoose(m, k-1) = C(m+k-2, k-1).
     """
     _check_star_params(m, k, x)
-    return _hitting(MULTISET, m, k, (x,))
+    return hitting(MULTISET, m, k, (x,))
 
 
 def star_size(m: int, k: int) -> int:
@@ -140,15 +151,18 @@ def _check_frankl_params(ground: int, k: int, t: int, r: int) -> None:
         raise ContractError(f"need t+r <= k, got t+r={t + r}, k={k}")
 
 
-def _frankl(kind: str, ground: int, k: int, t: int, r: int) -> Family:
+def frankl(kind: str, ground: int, k: int, t: int, r: int, rows=None) -> Family:
+    """The members of the (ground, k) universe of `kind` whose support
+    meets [t+2r] in at least t+r elements, filtered from `rows` when given
+    (see _where): frankl_set and frankl_multiset, checks included."""
     _check_frankl_params(ground, k, t, r)
     window = (1 << (t + 2 * r)) - 1
-    return _where(kind, ground, k, lambda support: (support & window).bit_count() >= t + r)
+    return _where(kind, ground, k, lambda support: (support & window).bit_count() >= t + r, rows)
 
 
 def frankl_set(n: int, k: int, t: int, r: int) -> Family:
     """All k-subsets of [n] meeting [t+2r] in at least t+r elements."""
-    return _frankl(SET, n, k, t, r)
+    return frankl(SET, n, k, t, r)
 
 
 def frankl_set_size(n: int, k: int, t: int, r: int) -> int:
@@ -161,7 +175,7 @@ def frankl_set_size(n: int, k: int, t: int, r: int) -> int:
 
 def frankl_multiset(m: int, k: int, t: int, r: int) -> Family:
     """All k-multisets of [m] whose support meets [t+2r] in >= t+r elements."""
-    return _frankl(MULTISET, m, k, t, r)
+    return frankl(MULTISET, m, k, t, r)
 
 
 def frankl_multiset_size(m: int, k: int, t: int, r: int) -> int:
@@ -264,7 +278,7 @@ def hit_s(m: int, k: int, anchor: Iterable[int]) -> Family:
     """
     anchor = set(anchor)
     _check_hit_s_params(m, k, len(anchor))
-    return _hitting(MULTISET, m, k, anchor)
+    return hitting(MULTISET, m, k, anchor)
 
 
 def hit_s_size(m: int, k: int, s: int) -> int:
@@ -274,7 +288,7 @@ def hit_s_size(m: int, k: int, s: int) -> int:
 
 def hit_s_set(n: int, k: int, anchor: Iterable[int]) -> Family:
     """All k-subsets of [n] meeting the anchor set (the t=1 fixed family)."""
-    return _hitting(SET, n, k, anchor)
+    return hitting(SET, n, k, anchor)
 
 
 def _check_hajnal_rothschild_params(n: int, k: int, t: int, s: int) -> None:

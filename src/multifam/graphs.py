@@ -43,13 +43,15 @@ object: the compatibility graph (the complement, whose cliques are the
 intersecting families) in the clique engine's branching order, descending
 compatibility degree with rank breaking ties.  Every kind is invariant
 under permuting [m], so a vertex's degree depends only on its multiplicity
-type (its sorted row), and it is counted once per type in closed form,
-before any column exists.  The columns are then built once, by one
-transpose of the rows listed in branching order, so each vertex's bit is
-its branching slot and one walk yields the engine's rows with no bit
-permutation.  For K kinds all vertices share one type and the
-order is rank order.  The view keeps each type's vertices as one bitset:
-the orbits the searches' orbital front starts from.
+type (its sorted row).  The universe walk numbers each row's type as it
+goes (core.count_vectors), the graph keeps those numbers (`types`), and
+the degree is counted once per type in closed form, on the type's first
+row, before any column exists; no row is sorted.  The columns are then
+built once, by one transpose of the rows listed in branching order, so
+each vertex's bit is its branching slot and one walk yields the engine's
+rows with no bit permutation.  For K kinds all vertices share one type
+and the order is rank order.  The view keeps each type's vertices as one
+bitset: the orbits the searches' orbital front starts from.
 """
 
 from __future__ import annotations
@@ -118,15 +120,19 @@ class BranchingView(NamedTuple):
 @dataclass
 class DisjointnessGraph:
     """One universe's disjointness graph; immutable in practice.  It holds
-    each vertex's multiplicity row in rank order (`multiplicities`).  Its
-    one view, `ordered`, is computed on first read and cached outside the
-    dataclass fields, so it takes no part in equality or repr."""
+    each vertex's multiplicity row in rank order (`multiplicities`) and its
+    type number (`types`: vertices share a number iff their sorted rows
+    are equal, numbered in rank order of the types' first vertices, as
+    core.universe_rows reports them).  Its one view, `ordered`, is computed
+    on first read and cached outside the dataclass fields, so it takes no
+    part in equality or repr."""
 
     kind: str
     m: int
     k: int
     t: int
     multiplicities: tuple[tuple[int, ...], ...]
+    types: tuple[int, ...]
 
     @property
     def family_kind(self) -> str:
@@ -149,7 +155,7 @@ class DisjointnessGraph:
         rows = self.multiplicities
         levels = self._levels
         multisets = self.family_kind == MULTISET
-        to_old, slot, orbits = _branching_order(rows, self.t, levels, multisets)
+        to_old, slot, orbits = _branching_order(rows, self.types, self.t, levels, multisets)
         counts = [rows[v] for v in to_old]
         compat = _compatibility(_columns(counts, levels), slot, self.k, self.t, multisets)
         return BranchingView(compat, to_old, counts, orbits)
@@ -205,8 +211,9 @@ def build_graph(
     if not _KINDS[kind].threshold and t != 1:
         raise ContractError(f"graph kind {kind} does not take a threshold t")
 
-    rows = tuple(universe_rows(m, k, _KINDS[kind].family_kind, vertex_cap))
-    return DisjointnessGraph(kind, m, k, t, rows)
+    types: list[int] = []
+    rows = tuple(universe_rows(m, k, _KINDS[kind].family_kind, vertex_cap, types))
+    return DisjointnessGraph(kind, m, k, t, rows, tuple(types))
 
 
 def _columns(rows, levels: int) -> list[list[int]]:
@@ -304,7 +311,8 @@ def _compatibility(columns, slot, k: int, t: int, multisets: bool) -> list[int]:
 
 def _type_degree(shape, t: int, levels: int, multisets: bool) -> int:
     """The compatibility degree of every vertex whose sorted multiplicity
-    row is `shape`, counted without a ladder.
+    row is that of `shape` (any row of the type, sorted or not), counted
+    without a ladder.
 
     Another member b meets the vertex in sum_e min(b[e], c_e) units, c_e
     its multiplicity at a held element e capped at `levels`.  A table over
@@ -333,27 +341,25 @@ def _type_degree(shape, t: int, levels: int, multisets: bool) -> int:
     return degree - (sum(caps) >= t)
 
 
-def _branching_order(rows, t: int, levels: int, multisets: bool):
+def _branching_order(rows, types, t: int, levels: int, multisets: bool):
     """(to_old, slot, orbits): vertices by descending compatibility degree,
     rank breaking ties, the position of each rank in that order, and the
     bitset of each multiplicity type's vertices in that order.  Permuting
     [m] is an automorphism of every graph kind, so vertices of one type
-    share a degree, counted once per type by _type_degree."""
-    types: dict[tuple[int, ...], tuple[int, int]] = {}  # shape: (number, -degree)
-    type_of = []
-    key = []
-    for row in rows:
-        shape = tuple(sorted(row))
-        entry = types.get(shape)
-        if entry is None:
-            entry = types[shape] = (len(types), -_type_degree(shape, t, levels, multisets))
-        type_of.append(entry[0])
-        key.append(entry[1])
+    share a degree, counted by _type_degree on the type's first row.  Type
+    numbers run in order of first appearance, so type j first appears
+    after type j-1 does."""
+    degrees = []  # minus each type's degree
+    first = 0
+    for number in range(max(types, default=-1) + 1):
+        first = types.index(number, first)
+        degrees.append(-_type_degree(rows[first], t, levels, multisets))
+    key = [degrees[number] for number in types]
     # one type: every key ties and the stable sort keeps rank order
     to_old = sorted(range(len(rows)), key=key.__getitem__)
     slot = [0] * len(rows)
-    orbits = [0] * len(types)
+    orbits = [0] * len(degrees)
     for i, v in enumerate(to_old):
         slot[v] = i
-        orbits[type_of[v]] |= 1 << i
+        orbits[types[v]] |= 1 << i
     return to_old, slot, orbits

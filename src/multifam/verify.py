@@ -19,11 +19,14 @@ unions T2.4 and T3.5) hands its construction to that search as the first
 incumbent: the search checks it once against the raw pairwise predicate
 and refuses it (ContractError) if it fails, and the branch and bound then
 only has to prove that nothing beats it.  When nothing does, the witness
-is the construction itself.  A violated hypothesis never
-hard-fails: the search still runs (that is the exploration mode for open
-parameter regimes) and the report carries a hypothesis_not_met status
-instead of a verdict.  For the ground-size flag, set-system theorems read
-"m" as the set ground size n.
+is the construction itself.  A binding that builds its own graph (T1.1,
+T1.4, T2.3, T2.4, T3.4, T4.1) filters the construction from the graph's
+rows with the family's support-mask filter (families.hitting and
+families.frankl), so each run walks its universe once.  A violated
+hypothesis never hard-fails: the search still runs (that is the
+exploration mode for open parameter regimes) and the report carries a
+hypothesis_not_met status instead of a verdict.  For the ground-size flag,
+set-system theorems read "m" as the set ground size n.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import families
-from .core import ContractError, Family, binomial, multichoose
+from .core import MULTISET, SET, ContractError, Family, binomial, multichoose
 from .families import canonical_form
 from .graphs import KIND_KNESER, KIND_MULTISET_DISJOINT, build_graph
 from .search import (
@@ -126,7 +129,7 @@ def _bind_t11(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis n >= 2k not met (n={n}, k={k})"]
     bound = binomial(n - 1, k - 1)
     graph = build_graph(KIND_KNESER, n, k)
-    constructed = families.frankl_set(n, k, 1, 0)
+    constructed = families.frankl(SET, n, k, 1, 0, graph.multiplicities)
     result = max_independent_set(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
@@ -137,7 +140,7 @@ def _bind_t14(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis m >= k+1 not met (m={m}, k={k})"]
     bound = binomial(m + k - 2, k - 1)
     graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
-    constructed = families.star(m, k, 1)
+    constructed = families.hitting(MULTISET, m, k, (1,), graph.multiplicities)
     result = max_independent_set(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
@@ -150,7 +153,7 @@ def _bind_t23(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis n >= (2s+1)k-s not met (n={n}, k={k}, s={s})"]
     bound = binomial(n, k) - binomial(n - s, k)
     graph = build_graph(KIND_KNESER, n, k)
-    constructed = families.hit_s_set(n, k, range(1, s + 1))
+    constructed = families.hitting(SET, n, k, range(1, s + 1), graph.multiplicities)
     result = clique_free_search(graph, s, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -164,7 +167,7 @@ def _bind_t24(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis n > (3+sqrt(5))k/2 not met (n={n}, k={k})"]
     bound = binomial(n - 1, k - 1) + binomial(n - 2, k - 1)
     graph = build_graph(KIND_KNESER, n, k)
-    constructed = families.hit_s_set(n, k, (1, 2))
+    constructed = families.hitting(SET, n, k, (1, 2), graph.multiplicities)
     result = induced_bipartite_search(graph, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -190,7 +193,7 @@ def _bind_t34(params, node_limit) -> _Binding:
     notes = [] if hyp else [f"hypothesis m > (2k-1)s not met (m={m}, k={k}, s={s})"]
     bound = families.hit_s_size(m, k, s)
     graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
-    constructed = families.hit_s(m, k, range(1, s + 1))
+    constructed = families.hitting(MULTISET, m, k, range(1, s + 1), graph.multiplicities)
     result = clique_free_search(graph, s, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -234,7 +237,7 @@ def _bind_t41(params, node_limit) -> _Binding:
     constructed = None
     for cand in candidates:
         if cand <= k - t and t + 2 * cand <= m:
-            constructed = families.frankl_multiset(m, k, t, cand)
+            constructed = families.frankl(MULTISET, m, k, t, cand, graph.multiplicities)
             break
     if constructed is None and candidates:
         notes.append(

@@ -128,7 +128,40 @@ def universe_graph(kind, m, k, t=1):
     from multifam.graphs import _KINDS, DisjointnessGraph
 
     vertices = Family.universe(m, k, _KINDS[kind].family_kind).members
-    return vertices, DisjointnessGraph(kind, m, k, t, tuple(multiplicity_rows(vertices)))
+    rows = tuple(multiplicity_rows(vertices))
+    return vertices, DisjointnessGraph(kind, m, k, t, rows, sorted_row_types(rows))
+
+
+def sorted_row_types(rows):
+    """Reference type numbers: rows share a number iff their sorted rows
+    are equal, numbered in order of first appearance."""
+    numbers = {}
+    return tuple(numbers.setdefault(tuple(sorted(row)), len(numbers)) for row in rows)
+
+
+def sorted_row_branching_order(rows, t, levels, multisets):
+    """Reference graphs._branching_order, as it was before the walk handed
+    over type numbers: each row's type found by sorting it and looking the
+    sorted row up, its degree counted on the sorted row."""
+    from multifam.graphs import _type_degree
+
+    types = {}  # shape: (number, -degree)
+    type_of = []
+    key = []
+    for row in rows:
+        shape = tuple(sorted(row))
+        entry = types.get(shape)
+        if entry is None:
+            entry = types[shape] = (len(types), -_type_degree(shape, t, levels, multisets))
+        type_of.append(entry[0])
+        key.append(entry[1])
+    to_old = sorted(range(len(rows)), key=key.__getitem__)
+    slot = [0] * len(rows)
+    orbits = [0] * len(types)
+    for i, v in enumerate(to_old):
+        slot[v] = i
+        orbits[type_of[v]] |= 1 << i
+    return to_old, slot, orbits
 
 
 def rank_adjacency(graph):
@@ -681,15 +714,16 @@ def brute_small_core(counts, t, core_limit):
     return best[0], best[1]
 
 
-def recursive_count_vectors(m, k):
+def recursive_count_vectors(m, k, prefix=()):
     """Reference multiset enumeration: the k-multisets of [m] as count
-    vectors in lexicographic order, by recursion on the first count."""
-    if m == 1:
-        yield (k,)
+    vectors in lexicographic order, by recursion on the first count, each
+    after `prefix`.  The prefix is handed down, so a row is built once, at
+    its leaf; the recursion nests one generator per element of [m]."""
+    if m == 1 or k == 0:
+        yield prefix + (0,) * (m - 1) + (k,)
         return
     for first in range(k + 1):
-        for rest in recursive_count_vectors(m - 1, k - first):
-            yield (first,) + rest
+        yield from recursive_count_vectors(m - 1, k - first, prefix + (first,))
 
 
 def loop_multiset_rank(counts):

@@ -1,3 +1,4 @@
+import sys
 import time
 from functools import reduce
 from itertools import combinations
@@ -50,6 +51,7 @@ from bruteforce import (
     pair_loop_is_t_intersecting,
     pair_size,
     recursive_count_vectors,
+    sorted_row_types,
 )
 from conftest import family_and_t, multiset_family, multiset_pair, refuse_enumeration
 
@@ -359,6 +361,40 @@ def test_stars_and_bars_order_matches_the_recursive_reference():
         for k in range(0, 7):
             got = [a.counts for a in enumerate_k_multisets(m, k)]
             assert got == list(recursive_count_vectors(m, k))
+
+
+# m <= 8, k <= 7, and the corners: one element, a long last count, a wide
+# ground set
+WALK_CASES = [(m, k) for m in range(1, 9) for k in range(8)] + [
+    (1, 0), (1, 5), (2, 300), (3, 60), (1200, 1),
+]
+
+
+def test_successor_walk_matches_the_recursive_reference():
+    # the reference nests one generator per element of [m]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        for m, k in WALK_CASES:
+            assert list(count_vectors(m, k)) == list(recursive_count_vectors(m, k)), (m, k)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_walk_type_numbers_split_rows_as_their_sorted_rows_do():
+    for m, k in WALK_CASES:
+        types = []
+        rows = list(count_vectors(m, k, types))
+        assert tuple(types) == sorted_row_types(rows), (m, k)
+        assert rows == list(count_vectors(m, k)), (m, k)
+        types = []
+        assert list(universe_rows(m, k, "multiset", types=types)) == rows
+        assert tuple(types) == sorted_row_types(rows), (m, k)
+    # every k-subset has the sorted row (0, ..., 0, 1, ..., 1)
+    for n, k in ((0, 0), (3, 4), (6, 3), (9, 9)):
+        types = []
+        rows = list(universe_rows(n, k, "set", types=types))
+        assert types == [0] * len(rows) and tuple(types) == sorted_row_types(rows), (n, k)
 
 
 def test_enumeration_of_a_wide_ground_set():

@@ -76,6 +76,8 @@ from bruteforce import (
     recursive_max_clique,
     relabel_by_bits,
     scan_small_core_filter,
+    sorted_row_branching_order,
+    sorted_row_types,
     two_sided_max_induced_bipartite,
     universe_graph,
     vertex_small_core_search,
@@ -156,6 +158,18 @@ def test_branching_view_is_the_sorted_relabelled_complement():
             shape = tuple(sorted(row))
             types[shape] = types.get(shape, 0) | 1 << i
         assert sorted(view.orbits) == sorted(types.values()), (kind, m, k, t)
+
+
+def test_branching_order_matches_the_sorted_row_reference():
+    # the type numbers the walk hands over, against sorting every row
+    for kind, m, k, t in _graph_instances(max_m=8, max_k=5):
+        graph = build_graph(kind, m, k, t)
+        rows = graph.multiplicities
+        multisets = graph.family_kind == MULTISET
+        assert graph.types == sorted_row_types(rows), (kind, m, k, t)
+        assert graphs._branching_order(rows, graph.types, t, graph._levels, multisets) == (
+            sorted_row_branching_order(rows, t, graph._levels, multisets)
+        ), (kind, m, k, t)
 
 
 def test_graph_rows_match_the_universe_reference():

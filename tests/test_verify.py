@@ -1,6 +1,18 @@
 import pytest
 
-from multifam import ContractError, build_graph, frankl_set, is_isomorphic, star, verify_theorem
+from multifam import (
+    ContractError,
+    build_graph,
+    families,
+    frankl_multiset,
+    frankl_set,
+    hit_s,
+    hit_s_set,
+    is_isomorphic,
+    star,
+    verify_theorem,
+)
+from multifam import core
 from multifam.search import _seed_slots
 from multifam.verify import (
     STATUS_HYPOTHESIS,
@@ -76,6 +88,61 @@ def test_construction_seeds_the_search(theorem_id, params, graph, nodes):
     to_old = graph.ordered.to_old
     seed_mask = sum(1 << to_old[i] for i in range(graph.n_vertices) if slots >> i & 1)
     assert graph.family_from_mask(seed_mask) == report.constructed
+
+
+# each theorem whose binding builds its own graph, with its construction by
+# the public constructor, which walks the universe itself; T4.1(5,4,2) is
+# below its hypothesis m >= 2k-t, and its construction takes r = 1
+GRAPH_CONSTRUCTIONS = [
+    ("T1.1", {"m": 7, "k": 3}, lambda p: frankl_set(p["m"], p["k"], 1, 0)),
+    ("T1.4", {"m": 5, "k": 3}, lambda p: star(p["m"], p["k"], 1)),
+    ("T2.3", {"m": 9, "k": 2, "s": 2}, lambda p: hit_s_set(p["m"], p["k"], range(1, p["s"] + 1))),
+    ("T2.4", {"m": 6, "k": 2}, lambda p: hit_s_set(p["m"], p["k"], (1, 2))),
+    ("T3.4", {"m": 7, "k": 2, "s": 2}, lambda p: hit_s(p["m"], p["k"], range(1, p["s"] + 1))),
+    ("T4.1", {"m": 5, "k": 4, "t": 2}, lambda p: frankl_multiset(p["m"], p["k"], p["t"], 1)),
+    ("T4.1", {"m": 6, "k": 4, "t": 2}, lambda p: frankl_multiset(p["m"], p["k"], p["t"], 0)),
+]
+
+
+@pytest.mark.parametrize("theorem_id, params, public", GRAPH_CONSTRUCTIONS)
+def test_construction_from_graph_rows_is_the_public_constructors_family(
+    theorem_id, params, public
+):
+    assert verify_theorem(theorem_id, params).constructed == public(params)
+
+
+def test_filters_on_graph_rows_equal_their_constructors():
+    for m in range(1, 8):
+        for k in range(0, 5):
+            rows = build_graph("M", m, k).multiplicities
+            for anchor in ([1], [2, 3], range(1, m + 1)):
+                if max(anchor) <= m:
+                    assert families.hitting("multiset", m, k, anchor, rows) == hit_s(m, k, anchor)
+            if k:
+                assert families.hitting("multiset", m, k, (1,), rows) == star(m, k, 1)
+            sets = build_graph("K", m, k).multiplicities
+            assert families.hitting("set", m, k, (1,), sets) == hit_s_set(m, k, (1,))
+            for t in range(1, k + 1):
+                for r in range(0, k - t + 1):
+                    if t + 2 * r <= m:
+                        assert families.frankl("multiset", m, k, t, r, rows) == (
+                            frankl_multiset(m, k, t, r)
+                        )
+                        assert families.frankl("set", m, k, t, r, sets) == frankl_set(m, k, t, r)
+
+
+@pytest.mark.parametrize("theorem_id, params, public", GRAPH_CONSTRUCTIONS)
+def test_each_verify_walks_its_universe_once(monkeypatch, theorem_id, params, public):
+    # a spy on both walks: count vectors for multisets, combinations for sets
+    walks = []
+    for name in ("count_vectors", "combinations"):
+        def spy(*args, real=getattr(core, name), name=name):
+            walks.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(core, name, spy)
+    verify_theorem(theorem_id, params)
+    assert len(walks) == 1, walks
 
 
 def test_report_json_schema():
