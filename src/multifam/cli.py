@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compress.set_defaults(func=_cmd_compress)
 
     p_search = sub.add_parser("search", help="exact extremal search")
-    p_search.add_argument("--kind", choices=GRAPH_KINDS, default="M")
+    p_search.add_argument("--kind", choices=GRAPH_KINDS, default=KIND_MULTISET_DISJOINT)
     p_search.add_argument("--m", type=int, required=True)
     p_search.add_argument("--k", type=int, required=True)
     p_search.add_argument("--t", type=int)

@@ -13,17 +13,18 @@ Each supported theorem id binds three routes together at desk scale:
   T4.8  largest t-intersecting k-multiset family, common core below t
 
 The report records the closed-form bound, the size of the constructed
-extremal family, and the exact search optimum.  Every theorem whose search
-is a clique search on the graph's own vertices (all but the two-family
-unions T2.4 and T3.5) hands its construction to that search as the first
-incumbent: the search checks it once against the raw pairwise predicate
-and refuses it (ContractError) if it fails, and the branch and bound then
-only has to prove that nothing beats it.  When nothing does, the witness
-is the construction itself.  A binding that builds its own graph (T1.1,
-T1.4, T2.3, T2.4, T3.4, T4.1) filters the construction from the graph's
-rows with the family's support-mask filter (families.hitting and
-families.frankl), so each run walks its universe once.  A violated
-hypothesis never hard-fails: the search still runs (that is the
+extremal family, and the exact search optimum.  The paper maps K(n, k)
+onto M(m, k) at n = m+k-1, so a multiset theorem's bound and hypothesis
+are its set twin's read at that n: T1.4, T3.4 and T3.5 run through the
+bindings of T1.1, T2.3 and T2.4, and T3.3 reads Hilton-Milner's at n.
+Every theorem but the unions T2.4 and T3.5 seeds its clique search with
+its construction: the search checks it once against the raw pairwise
+predicate, refuses it (ContractError) if it fails, and then only has to
+prove that nothing beats it, in which case the construction is the
+witness.  A binding that builds its own graph (T1.1, T1.4, T2.3, T2.4,
+T3.4, T3.5, T4.1) filters the construction from the graph's rows
+(families.hitting, families.frankl), so it walks its universe once.  A
+violated hypothesis never hard-fails: the search still runs (the
 exploration mode for open parameter regimes) and the report carries a
 hypothesis_not_met status instead of a verdict.  For the ground-size flag,
 set-system theorems read "m" as the set ground size n.
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import families
-from .core import MULTISET, SET, ContractError, Family, binomial, multichoose
+from .core import MULTISET, SET, ContractError, Family, binomial
 from .families import canonical_form
-from .graphs import KIND_KNESER, KIND_MULTISET_DISJOINT, build_graph
+from .graphs import KIND_KNESER, KIND_MULTISET_DISJOINT, KIND_MULTISET_T, build_graph
 from .search import (
     NODE_LIMIT_HIT,
     SearchResult,
@@ -48,7 +50,6 @@ from .search import (
     max_independent_set,
     max_intersecting_empty_common,
     max_t_intersecting_nontrivial,
-    max_union_two_intersecting,
 )
 
 STATUS_OK = "ok"
@@ -123,51 +124,54 @@ class _Binding:
     graph_for_uniqueness: object | None = None
 
 
-def _bind_t11(params, node_limit) -> _Binding:
-    n, k = _require(params, "m", "k")
-    hyp = n >= 2 * k
-    notes = [] if hyp else [f"hypothesis n >= 2k not met (n={n}, k={k})"]
-    bound = binomial(n - 1, k - 1)
-    graph = build_graph(KIND_KNESER, n, k)
-    constructed = families.frankl(SET, n, k, 1, 0, graph.multiplicities)
-    result = max_independent_set(graph, node_limit, seed=constructed)
-    return _Binding(bound, constructed, result, hyp, notes, graph)
+def _twin(kind: str, m: int, k: int):
+    """The (m, k) graph of `kind` and the ground size n its set theorem is
+    read at: n = m on k-sets, n = m+k-1 on k-multisets."""
+    graph = build_graph(kind, m, k)
+    return graph, m if graph.family_kind == SET else m + k - 1
 
 
-def _bind_t14(params, node_limit) -> _Binding:
+def _hypothesis(met: bool, rule: str, kind: str, m: int, n: int, **params) -> list[str]:
+    """The note of a hypothesis on n that is not met."""
+    ground = f"n={n}" if kind == SET else f"n = m+k-1 = {n}, m={m}"
+    values = "".join(f", {key}={value}" for key, value in params.items())
+    return [] if met else [f"hypothesis {rule} not met ({ground}{values})"]
+
+
+def _bind_intersecting(kind, params, node_limit) -> _Binding:
     m, k = _require(params, "m", "k")
-    hyp = m >= k + 1
-    notes = [] if hyp else [f"hypothesis m >= k+1 not met (m={m}, k={k})"]
-    bound = binomial(m + k - 2, k - 1)
-    graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
-    constructed = families.hitting(MULTISET, m, k, (1,), graph.multiplicities)
+    graph, n = _twin(kind, m, k)
+    hyp = n >= 2 * k
+    notes = _hypothesis(hyp, "n >= 2k", graph.family_kind, m, n, k=k)
+    bound = binomial(n - 1, k - 1)
+    constructed = families.hitting(graph.family_kind, m, k, (1,), graph.multiplicities)
     result = max_independent_set(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
 
-def _bind_t23(params, node_limit) -> _Binding:
-    n, k, s = _require(params, "m", "k", "s")
-    if n < s:
-        raise ContractError(f"T2.3 needs m >= s, got m={n}, s={s}")
+def _bind_p_s1(theorem_id, kind, params, node_limit) -> _Binding:
+    m, k, s = _require(params, "m", "k", "s")
+    if m < s:
+        raise ContractError(f"{theorem_id} needs m >= s, got m={m}, s={s}")
+    graph, n = _twin(kind, m, k)
     hyp = n >= (2 * s + 1) * k - s
-    notes = [] if hyp else [f"hypothesis n >= (2s+1)k-s not met (n={n}, k={k}, s={s})"]
+    notes = _hypothesis(hyp, "n >= (2s+1)k-s", graph.family_kind, m, n, k=k, s=s)
     bound = binomial(n, k) - binomial(n - s, k)
-    graph = build_graph(KIND_KNESER, n, k)
-    constructed = families.hitting(SET, n, k, range(1, s + 1), graph.multiplicities)
+    constructed = families.hitting(graph.family_kind, m, k, range(1, s + 1), graph.multiplicities)
     result = clique_free_search(graph, s, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
 
 
-def _bind_t24(params, node_limit) -> _Binding:
-    n, k = _require(params, "m", "k")
-    if n < 2:
-        raise ContractError(f"T2.4 needs m >= 2, got m={n}")
+def _bind_union(theorem_id, kind, params, node_limit) -> _Binding:
+    m, k = _require(params, "m", "k")
+    if m < 2:
+        raise ContractError(f"{theorem_id} needs m >= 2, got m={m}")
+    graph, n = _twin(kind, m, k)
     # n > (3+sqrt(5))k/2 checked exactly: 2n-3k > 0 and (2n-3k)^2 > 5k^2
     hyp = (2 * n - 3 * k) > 0 and (2 * n - 3 * k) ** 2 > 5 * k * k
-    notes = [] if hyp else [f"hypothesis n > (3+sqrt(5))k/2 not met (n={n}, k={k})"]
+    notes = _hypothesis(hyp, "n > (3+sqrt(5))k/2", graph.family_kind, m, n, k=k)
     bound = binomial(n - 1, k - 1) + binomial(n - 2, k - 1)
-    graph = build_graph(KIND_KNESER, n, k)
-    constructed = families.hitting(SET, n, k, (1, 2), graph.multiplicities)
+    constructed = families.hitting(graph.family_kind, m, k, (1, 2), graph.multiplicities)
     result = induced_bipartite_search(graph, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 
@@ -176,39 +180,13 @@ def _bind_t33(params, node_limit) -> _Binding:
     m, k = _require(params, "m", "k")
     if m < 2:
         raise ContractError(f"T3.3 needs m >= 2, got m={m}")
-    hyp = 1 < k <= m - 1
-    notes = [] if hyp else [f"hypothesis 1 < k <= m-1 not met (m={m}, k={k})"]
+    n = m + k - 1
+    hyp = k >= 2 and n >= 2 * k
+    notes = _hypothesis(hyp, "k >= 2 and n >= 2k", MULTISET, m, n, k=k)
     # the closed form, evaluated also outside the hypothesis
-    bound = binomial(m + k - 2, k - 1) - binomial(m - 2, k - 1) + 1
-    constructed = families.hm_multiset(m, k) if m >= k + 1 and k >= 2 else None
+    bound = binomial(n - 1, k - 1) - binomial(n - k - 1, k - 1) + 1
+    constructed = families.hm_multiset(m, k) if hyp else None
     result = max_intersecting_empty_common(m, k, node_limit, seed=constructed)
-    return _Binding(bound, constructed, result, hyp, notes)
-
-
-def _bind_t34(params, node_limit) -> _Binding:
-    m, k, s = _require(params, "m", "k", "s")
-    if m < s:
-        raise ContractError(f"T3.4 needs m >= s, got m={m}, s={s}")
-    hyp = m > (2 * k - 1) * s
-    notes = [] if hyp else [f"hypothesis m > (2k-1)s not met (m={m}, k={k}, s={s})"]
-    bound = families.hit_s_size(m, k, s)
-    graph = build_graph(KIND_MULTISET_DISJOINT, m, k)
-    constructed = families.hitting(MULTISET, m, k, range(1, s + 1), graph.multiplicities)
-    result = clique_free_search(graph, s, node_limit, seed=constructed)
-    return _Binding(bound, constructed, result, hyp, notes)
-
-
-def _bind_t35(params, node_limit) -> _Binding:
-    m, k = _require(params, "m", "k")
-    if m < 2:
-        raise ContractError(f"T3.5 needs m >= 2, got m={m}")
-    # m > (1+sqrt(5))k/2 + 1 checked exactly via (2(m-1)-k)^2 > 5k^2
-    lhs = 2 * (m - 1) - k
-    hyp = lhs > 0 and lhs * lhs > 5 * k * k
-    notes = [] if hyp else [f"hypothesis m > (1+sqrt(5))k/2+1 not met (m={m}, k={k})"]
-    bound = multichoose(m, k - 1) + multichoose(m - 1, k - 1)
-    constructed = families.hit_s(m, k, (1, 2))
-    result = max_union_two_intersecting(m, k, node_limit)
     return _Binding(bound, constructed, result, hyp, notes)
 
 
@@ -216,7 +194,7 @@ def _bind_t41(params, node_limit) -> _Binding:
     m, k, t = _require(params, "m", "k", "t")
     hyp = m >= 2 * k - t
     notes = [] if hyp else [f"hypothesis m >= 2k-t not met (m={m}, k={k}, t={t})"]
-    graph = build_graph("M_t", m, k, t)
+    graph = build_graph(KIND_MULTISET_T, m, k, t)
     n = m + k - 1
     if m > k - t + 1:
         threshold = ak_threshold_r(m, k, t)
@@ -240,9 +218,7 @@ def _bind_t41(params, node_limit) -> _Binding:
             constructed = families.frankl(MULTISET, m, k, t, cand, graph.multiplicities)
             break
     if constructed is None and candidates:
-        notes.append(
-            f"extremal family not constructible on [{m}]: window t+2r exceeds m"
-        )
+        notes.append(f"extremal family not constructible on [{m}]: window t+2r exceeds m")
     result = max_independent_set(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
@@ -285,14 +261,16 @@ def _bind_t48(params, node_limit) -> _Binding:
     return _Binding(bound, constructed, result, hyp, notes)
 
 
+# a set theorem and its multiset twin share one body, which reads the set
+# theorem at the twin's n
 _BINDINGS = {
-    "T1.1": _bind_t11,
-    "T1.4": _bind_t14,
-    "T2.3": _bind_t23,
-    "T2.4": _bind_t24,
+    "T1.1": partial(_bind_intersecting, KIND_KNESER),
+    "T1.4": partial(_bind_intersecting, KIND_MULTISET_DISJOINT),
+    "T2.3": partial(_bind_p_s1, "T2.3", KIND_KNESER),
+    "T2.4": partial(_bind_union, "T2.4", KIND_KNESER),
     "T3.3": _bind_t33,
-    "T3.4": _bind_t34,
-    "T3.5": _bind_t35,
+    "T3.4": partial(_bind_p_s1, "T3.4", KIND_MULTISET_DISJOINT),
+    "T3.5": partial(_bind_union, "T3.5", KIND_MULTISET_DISJOINT),
     "T4.1": _bind_t41,
     "T4.8": _bind_t48,
 }

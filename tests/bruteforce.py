@@ -775,3 +775,20 @@ def loop_unary_mask(counts, width):
         for j in range(min(c, width)):
             mask |= 1 << (e * width + j)
     return mask
+
+
+def multiset_theorem_closed_form(theorem_id, m, k, s=1):
+    """(bound, hypothesis met) of T1.4, T3.3, T3.4 or T3.5 as stated on the
+    multiset ground [m], with no reference to the set theorem at m+k-1."""
+    from multifam.core import binomial, multichoose
+    from multifam.families import hit_s_size
+
+    if theorem_id == "T1.4":
+        return binomial(m + k - 2, k - 1), m >= k + 1
+    if theorem_id == "T3.3":
+        return binomial(m + k - 2, k - 1) - binomial(m - 2, k - 1) + 1, 1 < k <= m - 1
+    if theorem_id == "T3.4":
+        return hit_s_size(m, k, s), m > (2 * k - 1) * s
+    # T3.5: m > (1+sqrt(5))k/2 + 1, checked exactly via (2(m-1)-k)^2 > 5k^2
+    lhs = 2 * (m - 1) - k
+    return multichoose(m, k - 1) + multichoose(m - 1, k - 1), lhs > 0 and lhs * lhs > 5 * k * k

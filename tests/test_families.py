@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -523,6 +524,31 @@ def test_symmetric_cells_are_split_without_branching(monkeypatch):
     calls.clear()
     assert canonical_form(star(40, 2, 17)) == canon
     assert len(calls) <= 3
+
+
+def test_a_later_smaller_leaf_becomes_the_canonical_one(monkeypatch):
+    # a 4-regular graph on [7] as a family of 2-subsets, labelled so that
+    # its first leaf is not its smallest: the search must replace the best
+    # leaf (2,160 of its 5,040 relabellings do)
+    edges = (12, 15, 16, 17, 23, 24, 27, 35, 36, 37, 45, 46, 47, 56)
+    fam = Family.of_sets(7, 2, [KSet(7, divmod(edge, 10)) for edge in edges])
+    replaced = []
+    leaf = _Canonizer._leaf
+
+    def spy(self, col, path):
+        best = self.best
+        resume = leaf(self, col, path)
+        replaced.append(best is not None and self.best is not best)
+        return resume
+
+    monkeypatch.setattr(_Canonizer, "_leaf", spy)
+    canon = canonical_form(fam)
+    assert any(replaced)
+    assert scan_canonical_form(canon) == scan_canonical_form(fam)
+    rng = random.Random(7)
+    for _ in range(50):
+        perm = rng.sample(range(1, 8), 7)
+        assert canonical_form(apply_permutation(fam, perm)) == canon
 
 
 def _structured(draw, kind, m):

@@ -607,6 +607,13 @@ def test_enumerate_cap_flags_partial_output():
     assert len(enum.families) == 2
 
 
+def test_enumerate_with_an_unproved_optimum_returns_the_incumbent():
+    # the search behind the enumeration stops before proving 56 on K(9,4)
+    enum = enumerate_maximum_independent_sets(build_graph("K", 9, 4), node_limit=10)
+    assert not enum.complete
+    assert enum.optimum == 56 and len(enum.families) == 1
+
+
 ENUM_GRID = [
     ("K", 3, 4), ("K", 5, 2), ("K", 6, 2), ("K", 7, 3), ("K", 8, 3),
     ("M", 3, 1), ("M", 4, 2), ("M", 4, 3), ("M", 5, 3), ("M", 6, 2),

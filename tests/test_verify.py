@@ -23,6 +23,8 @@ from multifam.verify import (
     UNIQUE,
 )
 
+from bruteforce import multiset_theorem_closed_form
+
 QUICK_INSTANCES = {
     "T1.1": {"m": 5, "k": 2},
     "T1.4": {"m": 4, "k": 3},
@@ -101,6 +103,7 @@ GRAPH_CONSTRUCTIONS = [
     ("T3.4", {"m": 7, "k": 2, "s": 2}, lambda p: hit_s(p["m"], p["k"], range(1, p["s"] + 1))),
     ("T4.1", {"m": 5, "k": 4, "t": 2}, lambda p: frankl_multiset(p["m"], p["k"], p["t"], 1)),
     ("T4.1", {"m": 6, "k": 4, "t": 2}, lambda p: frankl_multiset(p["m"], p["k"], p["t"], 0)),
+    ("T3.5", {"m": 7, "k": 2}, lambda p: hit_s(p["m"], p["k"], (1, 2))),
 ]
 
 
@@ -143,6 +146,21 @@ def test_each_verify_walks_its_universe_once(monkeypatch, theorem_id, params, pu
         monkeypatch.setattr(core, name, spy)
     verify_theorem(theorem_id, params)
     assert len(walks) == 1, walks
+
+
+@pytest.mark.parametrize("theorem_id", ["T1.4", "T3.3", "T3.4", "T3.5"])
+def test_multiset_theorems_read_at_n_keep_their_closed_forms_on_m(theorem_id):
+    # each is read off its set twin at n = m+k-1; the reference is the
+    # theorem's own statement on [m]
+    for m in range(2, 10):
+        for k in range(1, 5):
+            for s in (1, 2, 3) if theorem_id == "T3.4" else (1,):
+                if m >= s:
+                    report = verify_theorem(theorem_id, {"m": m, "k": k, "s": s}, node_limit=1)
+                    assert (report.analytic_bound, report.hypothesis_met) == (
+                        multiset_theorem_closed_form(theorem_id, m, k, s)
+                    ), (m, k, s)
+                    assert report.hypothesis_met or "n = m+k-1" in report.notes[0]
 
 
 def test_report_json_schema():
@@ -239,6 +257,28 @@ def test_t41_exploration_outside_the_regime():
 def test_t41_boundary_note():
     report = verify_theorem("T4.1", {"m": 4, "k": 3, "t": 2})
     assert any("boundary" in note for note in report.notes)
+
+
+def test_t41_window_beyond_m_has_no_construction():
+    # the boundary r = 2 needs the window [t+2r] = [6] on [4]
+    report = verify_theorem("T4.1", {"m": 4, "k": 4, "t": 2})
+    assert (report.analytic_bound, report.constructed_size, report.search_optimum) == (15, None, 13)
+    assert report.status == STATUS_HYPOTHESIS
+    assert any("not constructible on [4]" in note for note in report.notes)
+
+
+def test_t48_case_k_above_2t_plus_1():
+    report = verify_theorem("T4.8", {"m": 4, "k": 4, "t": 1})
+    assert (report.analytic_bound, report.constructed_size, report.search_optimum) == (22, 22, 22)
+    assert any("k > 2t+1" in note for note in report.notes)
+
+
+def test_uniqueness_cut_by_the_node_limit_is_not_checked():
+    # the seeded search proves 21 within 25 nodes; the enumeration does not finish
+    report = verify_theorem("T1.4", {"m": 6, "k": 3}, uniqueness=True, node_limit=25)
+    assert report.status == STATUS_OK
+    assert report.uniqueness_verdict == NOT_CHECKED
+    assert len(report.optimum_classes) == 1
 
 
 def test_t48_records_its_case_split():
