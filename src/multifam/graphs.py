@@ -21,10 +21,10 @@ operations consume.
 
 All five kinds share one bit-sliced construction.  Each vertex is its row
 of per-element multiplicities (core.universe_rows: a multiset's count
-vector, a k-set's 0/1 membership row), read up to min(k, t) levels for
-M(m,k,t) (an intersection is only compared with t) and up to one level,
-its support, for the others, and columns[e][j] is the bitset of vertices
-whose multiplicity at e exceeds j.
+vector, a k-set's 0/1 membership row), and columns[e][j] is the bitset of
+vertices whose multiplicity at e exceeds j.  The ladder reads them up to
+min(k, t) levels for M(m,k,t) (an intersection is only compared with t)
+and up to one level, its support, for the others.
 |A ∩ B| is then the number of A's columns that contain B, so OR-ing A's
 columns through a saturating ladder of t bitsets yields every vertex
 meeting A at least t times at once.  The t bitsets are lanes 1..t of one
@@ -51,7 +51,9 @@ built once, by one transpose of the rows listed in branching order, so
 each vertex's bit is its branching slot and one walk yields the engine's
 rows with no bit permutation.  For K kinds all vertices share one type
 and the order is rank order.  The view keeps each type's vertices as one
-bitset: the orbits the searches' orbital front starts from.
+bitset: the orbits the searches' orbital front starts from.  It also
+keeps the columns, up to the largest multiplicity present (k levels for
+multisets, one for sets), which the front splits those orbits on.
 """
 
 from __future__ import annotations
@@ -109,12 +111,15 @@ class BranchingView(NamedTuple):
     compatible with it and counts[i] its multiplicity row.  orbits holds
     the bitset of new vertices of each multiplicity type (sorted row), in
     rank order of the types' first members: the orbits of the
-    permutations of [m]."""
+    permutations of [m].  columns[e][j] is the bitset of new vertices
+    whose multiplicity at e exceeds j, for every j below the largest
+    multiplicity present (k for multisets, 1 for sets)."""
 
     rows: list[int]
     to_old: list[int]
     counts: list[tuple[int, ...]]
     orbits: list[int]
+    columns: list[list[int]]
 
 
 @dataclass
@@ -157,8 +162,9 @@ class DisjointnessGraph:
         multisets = self.family_kind == MULTISET
         to_old, slot, orbits = _branching_order(rows, self.types, self.t, levels, multisets)
         counts = [rows[v] for v in to_old]
-        compat = _compatibility(_columns(counts, levels), slot, self.k, self.t, multisets)
-        return BranchingView(compat, to_old, counts, orbits)
+        columns = _columns(counts, self.k if multisets else min(self.k, 1))
+        compat = _compatibility(columns, slot, self.k, self.t, multisets, levels)
+        return BranchingView(compat, to_old, counts, orbits, columns)
 
     def edge_count(self) -> int:
         # counted on the branching view, which every search builds anyway
@@ -244,11 +250,11 @@ def _columns(rows, levels: int) -> list[list[int]]:
     return columns
 
 
-def _compatibility(columns, slot, k: int, t: int, multisets: bool) -> list[int]:
+def _compatibility(columns, slot, k: int, t: int, multisets: bool, levels: int) -> list[int]:
     """The full ladder: out[slot[v]] = bitset of the vertices u != v with
     sum_e min(c_v(e), c_u(e), levels) >= t, for the vertex of rank v and
-    `columns` (levels of them per element) in slot order, as `_columns`
-    builds them from the slot-ordered rows.
+    `columns` in slot order, as `_columns` builds them from the
+    slot-ordered rows; only the first `levels` of each element are read.
 
     A row occupies exactly the columns (e, j < min(row[e], levels)), and
     its intersection with u is the number of those columns that contain u.
@@ -274,7 +280,7 @@ def _compatibility(columns, slot, k: int, t: int, multisets: bool) -> list[int]:
     m = len(columns)
     lane = (1 << n) - 1
     rep = ((1 << t * n) - 1) // lane  # a one at the base of lanes t..1
-    packed = [[col * rep for col in levels] for levels in columns]
+    packed = [[col * rep for col in cols[:levels]] for cols in columns]
     leaves = iter(slot)
     stack = [(0, k, lane << t * n)]  # (next element, units left, ladder)
     while stack:

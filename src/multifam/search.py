@@ -44,11 +44,15 @@ bounded by memory, not by the interpreter's recursion limit.  Every graph
 kind is invariant under permuting [m], so every search but the full
 enumeration of optima branches on orbits in that loop: a node branches one
 orbit of the permutations of [m] fixing the chosen members at a time.  Two
-members lie in one orbit when their counts agree on the classes of
-elements the chosen members cannot tell apart, so no group computation is
-needed.  The root orbits are the multiplicity types the graph builder
-already sorted the vertices by; the G □ K₂ product adds the side swap to
-the group through two marker elements.  A node none of whose candidate
+members lie in one orbit when they hold the same multiset of counts on
+each class of elements the chosen members cannot tell apart, so no group
+computation is needed.  The root orbits are the multiplicity types the
+graph builder already sorted the vertices by; the G □ K₂ product adds the
+side swap to the group through two marker elements.  A child's orbits are
+its parent's, cut by bitsets: when the member just chosen splits a class
+into parts, each orbit is cut by the bitsets "at least i elements of the
+part hold more than j" read off the graph's per-element count columns
+(_cut), never by a key per vertex.  A node none of whose candidate
 orbits holds two vertices only walks its colour order, as every node does
 when the loop is given no orbits.  A search needs one optimum only up to
 those permutations, and a uniqueness verdict one optimum from each
@@ -74,7 +78,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
 
 from .core import (
     ContractError,
@@ -90,7 +93,6 @@ from .graphs import (
     KIND_MULTISET_T,
     DisjointnessGraph,
     _bits,
-    _columns,
     build_graph,
 )
 
@@ -185,37 +187,78 @@ def _greedy_color(
     return order, bounds
 
 
-def _orbit_masks(cls: tuple[int, ...], rows, vertices) -> dict[tuple, int]:
-    """The vertices grouped by orbit under the permutations of [m] fixing
-    every chosen member, in order of first appearance.  cls[e] numbers the
-    signature class of element e under the chosen members, and a vertex's
-    orbit key is the sorted list of its (class, multiplicity) pairs, each
-    coded as multiplicity * m + class (cls[e] < m)."""
-    scale = (len(cls),) * len(cls)
-    orbits: dict[tuple, int] = {}
-    for v in vertices:
-        key = tuple(sorted(map(add, map(mul, rows[v], scale), cls)))
-        orbits[key] = orbits.get(key, 0) | 1 << v
-    return orbits
-
-
-def _split(cls: tuple[int, ...], rows, mask: int) -> tuple[list[int], int]:
-    """The orbits of two or more vertices of mask, and their union."""
-    groups = []
-    union = 0
-    for o in _orbit_masks(cls, rows, _bits(mask)).values():
-        if o & (o - 1):
-            groups.append(o)
-            union |= o
-    return groups, union
-
-
-def _refine(cls: tuple[int, ...], row) -> tuple[int, ...]:
-    """cls once one more member with multiplicities `row` is chosen: two
-    elements keep one class iff they shared one and row agrees on them."""
+def _refine(cls: tuple[int, ...], row) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(cls once one more member with multiplicities `row` is chosen, the
+    parts to cut the orbits on).  Two elements keep one class iff they
+    shared one and row agrees on them, and classes are numbered by rank of
+    (old class, count).  A class that splits breaks into one part per
+    count row holds on it; every part but the class's last is listed, in
+    ascending element order.  No part is listed when no class splits, and
+    cls is then returned as it is."""
     pairs = list(zip(cls, row))
-    rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-    return tuple(rank[pair] for pair in pairs)
+    keys = set(pairs)
+    if len(keys) == len(set(cls)):
+        return cls, []
+    keys = sorted(keys)
+    rank = {key: i for i, key in enumerate(keys)}
+    child = tuple(map(rank.__getitem__, pairs))
+    parts: list[list[int]] = [[] for _ in keys]
+    for e, i in enumerate(child):
+        parts[i].append(e)
+    return child, [parts[i] for i in range(len(keys) - 1) if keys[i][0] == keys[i + 1][0]]
+
+
+def _cut(
+    groups: list[int], parts: list[list[int]], columns: list[list[int]]
+) -> tuple[list[int], int]:
+    """The orbits of two or more vertices left once the groups, orbits
+    under the old classes, are cut by the parts _refine listed; and their
+    union.  Vertices of one group agree on the multiset of their counts
+    over each old class C.  Under the new classes they must also agree on
+    it over every part P of C, and agreeing on all parts but one fixes the
+    last.  The multiset over P is fixed by N_j = #{e in P : count > j} for
+    each level j, so each group is cut by the bitsets "N_j >= i" of every
+    listed part: columns[e][j] itself for a part of one element, and for a
+    larger part the rungs of a saturating ladder over its columns at that
+    level.  A part's levels stop at the first at which no grouped vertex
+    exceeds j; the columns are nested in j, so every later level is empty
+    too.  A piece of one vertex is an orbit by itself and is dropped."""
+    grouped = 0
+    for g in groups:
+        grouped |= g
+    for part in parts:
+        for j in range(len(columns[part[0]])):
+            rungs: list[int] = []  # rungs[i]: above j at i+1 or more elements of P seen
+            for e in part:
+                col = columns[e][j]
+                # the new top rung reads the old top before the lower rungs move
+                rungs.append(rungs[-1] & col if rungs else col)
+                for i in range(len(rungs) - 2, 0, -1):
+                    rungs[i] |= rungs[i - 1] & col
+                if len(rungs) > 1:
+                    rungs[0] |= col
+            if not rungs[0] & grouped:
+                break
+            for b in rungs:
+                if not b & grouped:
+                    break  # the rungs are nested: none above holds a grouped vertex
+                if not grouped & ~b:
+                    continue
+                kept = []
+                for g in groups:
+                    h = g & b
+                    if not h or h == g:
+                        kept.append(g)
+                        continue
+                    for piece in (h, g ^ h):
+                        if piece & (piece - 1):
+                            kept.append(piece)
+                        else:
+                            grouped ^= piece
+                groups = kept
+                if not groups:
+                    return groups, 0
+    return groups, grouped
 
 
 class _MaxCliqueSolver:
@@ -236,18 +279,21 @@ class _MaxCliqueSolver:
     graph invariant under permuting [m], the loop branches on orbits
     (Ostrowski, Linderoth, Rossi & Smriglio 2011).  A node (chosen members
     r, candidates p) carries cls, the signature classes of the elements
-    under r, so a candidate's orbit under the permutations fixing every
-    member of r is read off _orbit_masks.  The root classes are all one
-    unless `cls` gives others: the G □ K₂ product keeps its side markers
-    apart from the real elements that way.  A node walks the colour order
-    from the top, trimmed and bounded against the current incumbent,
-    branches on each vertex not yet barred and then bars its whole orbit.
-    p stays a union of orbits, so a clique through any member of an orbit
-    maps onto one through the vertex branched on.  Orbits are split only
-    at a node that has colours to branch on.  Once no candidate orbit holds
-    two vertices nothing is left to prune: the node and every node below
-    it skip _refine and _split and bar only the vertex branched on, as
-    every node does given no orbits.
+    under r, and its candidate orbits under the permutations fixing every
+    member of r.  A child's orbits are its parent's, cut on the parts of
+    the classes its new member splits (_refine, _cut) through `columns`,
+    the count columns as the graph's view holds them (columns[e][j] is the
+    bitset of vertices whose count at e exceeds j).  The root classes are
+    all one unless `cls` gives others: the G □ K₂ product keeps its side
+    markers apart from the real elements that way.  A node walks the
+    colour order from the top, trimmed and bounded against the current
+    incumbent, branches on each vertex not yet barred and then bars its
+    whole orbit.  p stays a union of orbits, so a clique through any
+    member of an orbit maps onto one through the vertex branched on.
+    Orbits are split only at a node that has colours to branch on.  Once
+    no candidate orbit holds two vertices nothing is left to prune: the
+    node and every node below it skip _refine and _cut and bar only the
+    vertex branched on, as every node does given no orbits.
 
     A subclass that sets `core` (the small-core searches) also carries a
     running core in every node and supplies _filter, the branches of a
@@ -264,6 +310,7 @@ class _MaxCliqueSolver:
         node_limit: int | None = None,
         counts: list[tuple[int, ...]] | None = None,
         orbits: list[int] | None = None,
+        columns: list[list[int]] | None = None,
         cls: tuple[int, ...] | None = None,
         seed: int = 0,
     ):
@@ -274,6 +321,7 @@ class _MaxCliqueSolver:
         self.to_old = to_old
         self.counts = counts
         self.orbits = orbits
+        self.columns = columns
         self.cls = cls
         self.counter = _NodeCounter(node_limit)
         self.seed = seed
@@ -332,6 +380,7 @@ class _MaxCliqueSolver:
         and the frame ends once the colour bound can no longer beat the
         incumbent or the order runs out."""
         counts = self.counts
+        columns = self.columns
         color = self._color
         children = self._children
         tick = self.counter.tick
@@ -393,10 +442,10 @@ class _MaxCliqueSolver:
                 order, colors = self._filter(core, p_mask, colors[-1])
             i = len(order)
             if groups and order:  # orbits are split only at a node with colours to branch on
-                child_cls = _refine(cls, counts[v])
-                if child_cls != cls:
+                child_cls, parts = _refine(cls, counts[v])
+                if parts:
                     cls = child_cls
-                    groups, grouped = _split(cls, counts, grouped)
+                    groups, grouped = _cut(groups, parts, columns)
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
         """Candidates in branching order with non-decreasing bounds, cut to
@@ -506,7 +555,8 @@ def max_independent_set(
     return _seeded_search(
         graph, seed, graph.is_independent, "the raw pairwise predicate",
         lambda slots: _MaxCliqueSolver(
-            view.rows, view.to_old, node_limit, view.counts, view.orbits, None, slots
+            view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns,
+            seed=slots,
         ),
     )
 
@@ -542,7 +592,9 @@ def enumerate_optimum_orbits(
     (up to `cap` sets), for a proved `optimum`; isomorphic sets may repeat.
     complete=False flags a truncated enumeration."""
     view = graph.ordered
-    solver = _CliqueEnumerator(view.rows, view.to_old, node_limit, view.counts, view.orbits)
+    solver = _CliqueEnumerator(
+        view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns
+    )
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     return EnumerationResult(optimum, _validated(graph, masks), complete, nodes)
 
@@ -580,17 +632,21 @@ class _SmallCoreSolver(_MaxCliqueSolver):
     incumbent is the seed alone (see _MaxCliqueSolver._seed).
 
     over[e][j] is the bitset of the vertices whose count at e exceeds j,
-    for j up to k (graphs._columns), so the candidates that shrink a core
-    and the least count each element keeps among them are bitset tests."""
+    for j up to k (the view's columns, and an empty level k), so the
+    candidates that shrink a core and the least count each element keeps
+    among them are bitset tests."""
 
     def __init__(
         self, graph: DisjointnessGraph, core_limit: int, node_limit: int | None, seed: int
     ):
         view = graph.ordered
-        super().__init__(view.rows, view.to_old, node_limit, view.counts, view.orbits, None, seed)
+        super().__init__(
+            view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns, seed=seed
+        )
         self.core = (graph.k + 1,) * graph.m
         self.limit = core_limit
-        self.over = _columns(view.counts, graph.k + 1)
+        # the root core, k+1 at every element, reads level k: no vertex exceeds it
+        self.over = [[*col, 0] for col in view.columns]
 
     def _filter(self, core, p_mask: int, bound: int) -> tuple[list[int], list[int]]:
         """The branches of a node whose core is still at or above the limit:
@@ -692,9 +748,10 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
         node_limit: int | None,
         counts: list[tuple[int, ...]] | None = None,
         orbits: list[int] | None = None,
+        columns: list[list[int]] | None = None,
         seed: int = 0,
     ):
-        super().__init__(rows, to_old, node_limit, counts, orbits, None, seed)
+        super().__init__(rows, to_old, node_limit, counts, orbits, columns, seed=seed)
         self.s = s
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
@@ -747,7 +804,7 @@ def clique_free_search(
         graph, seed, lambda fam: _clique_free(graph.pair_masks(fam.members), graph.t, s),
         "the P(s,1) predicate of the graph",
         lambda slots: _CliqueFreeSolver(
-            view.rows, view.to_old, s, node_limit, view.counts, view.orbits, slots
+            view.rows, view.to_old, s, node_limit, view.counts, view.orbits, view.columns, slots
         ),
     )
 
@@ -775,12 +832,13 @@ def _max_induced_bipartite(
     node_limit: int | None,
     counts: list[tuple[int, ...]] | None = None,
     orbits: list[int] | None = None,
+    columns: list[list[int]] | None = None,
 ) -> tuple[int, tuple[int, int], int, bool]:
     """Largest induced bipartite subgraph of G as a maximum clique of the
     complement of G □ K₂, given G's compatibility rows (its complement),
-    their multiplicity rows and orbits as in _MaxCliqueSolver; returns
-    (size, (side one, side two) masks with vertex i at bit to_old[i], nodes
-    explored, limit_hit).
+    their multiplicity rows, orbits and count columns as in
+    _MaxCliqueSolver; returns (size, (side one, side two) masks with
+    vertex i at bit to_old[i], nodes explored, limit_hit).
 
     Vertex v is product vertex 2v on side one and 2v+1 on side two, so
     each side keeps the rows' order and a vertex's two copies are
@@ -791,7 +849,9 @@ def _max_induced_bipartite(
     from the root: swapping them swaps the sides, so the loop's orbits
     are those of the permutations of [m] together with the side swap, and
     orbit o of G gives the root orbit holding both copies of its
-    vertices."""
+    vertices.  The product's count columns are G's with both copies of
+    each vertex set (spread, times 3), no real element above level k, and
+    a marker's column holding every vertex of its side at each level."""
     n = len(rows)
     others = _spread((1 << n) - 1)
     product = []
@@ -799,13 +859,17 @@ def _max_induced_bipartite(
         same = _spread(row)
         other = others ^ 1 << 2 * v
         product += (same | other << 1, other | same << 1)
-    p_counts = p_orbits = cls = None
+    p_counts = p_orbits = p_columns = cls = None
     if counts:
         top = sum(counts[0]) + 1
         p_counts = [c + marker for c in counts for marker in ((top, 0), (0, top))]
         p_orbits = [_spread(o) * 3 for o in orbits]
+        p_columns = [[_spread(c) * 3 for c in cols] + [0] * (top - len(cols)) for cols in columns]
+        p_columns += ([others] * top, [others << 1] * top)
         cls = (0,) * len(counts[0]) + (1, 1)
-    solver = _MaxCliqueSolver(product, range(2 * n), node_limit, p_counts, p_orbits, cls)
+    solver = _MaxCliqueSolver(
+        product, range(2 * n), node_limit, p_counts, p_orbits, p_columns, cls
+    )
     best, mask, nodes, limited = solver.solve()
     sides = [0, 0]
     for v in _bits(mask):
@@ -818,7 +882,7 @@ def induced_bipartite_search(graph: DisjointnessGraph, node_limit: int | None = 
     subgraph; the two colour classes are two intersecting families."""
     view = graph.ordered
     best, (a_mask, b_mask), nodes, limited = _max_induced_bipartite(
-        view.rows, view.to_old, node_limit, view.counts, view.orbits
+        view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns
     )
     if a_mask & b_mask:
         raise RuntimeError("internal error: the two sides of the witness share a member")

@@ -207,6 +207,29 @@ def ladder_meeting(columns, row, t):
     return ge[-1]
 
 
+def sorted_key_orbit_masks(cls, rows, vertices):
+    """The vertices grouped by orbit under the permutations of [m] fixing
+    every chosen member, in order of first appearance: cls[e] numbers the
+    signature class of element e under the chosen members (cls[e] < m),
+    and a vertex's orbit key is the sorted list of its (class,
+    multiplicity) pairs, each coded as multiplicity * m + class."""
+    width = len(cls)
+    orbits = {}
+    for v in vertices:
+        key = tuple(sorted(c * width + cls[e] for e, c in enumerate(rows[v])))
+        orbits[key] = orbits.get(key, 0) | 1 << v
+    return orbits
+
+
+def signature_refine(cls, row):
+    """cls once one more member with multiplicities `row` is chosen: two
+    elements keep one class iff they shared one and row agrees on them,
+    numbered by rank of (old class, count)."""
+    pairs = list(zip(cls, row))
+    rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+    return tuple(rank[pair] for pair in pairs)
+
+
 def per_row_compatibility(rows, m, levels, t):
     """Reference compatibility rows in the order of `rows`: one full ladder
     per row, the row's own bit cleared."""

@@ -1,5 +1,7 @@
+from itertools import permutations
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multifam import (
@@ -34,7 +36,7 @@ from multifam import (
     star,
     verify_theorem,
 )
-from multifam import KSet, Multiset, graphs
+from multifam import KSet, Multiset, graphs, search
 from multifam.core import MULTISET, multiplicity_rows
 from multifam.search import (
     NODE_LIMIT_HIT,
@@ -44,9 +46,10 @@ from multifam.search import (
     _CliqueFreeSolver,
     _MaxCliqueSolver,
     _SmallCoreSolver,
+    _cut,
     _greedy_color,
     _max_induced_bipartite,
-    _orbit_masks,
+    _refine,
     _seed_slots,
     _validate_witness,
     enumerate_optimum_orbits,
@@ -76,6 +79,8 @@ from bruteforce import (
     recursive_max_clique,
     relabel_by_bits,
     scan_small_core_filter,
+    signature_refine,
+    sorted_key_orbit_masks,
     sorted_row_branching_order,
     sorted_row_types,
     two_sided_max_induced_bipartite,
@@ -284,10 +289,12 @@ def test_counted_type_degree_matches_pair_loop():
     assert ("M", 1, 5, 1, (5,)) in checked and ("K", 1, 1, 1, (1,)) in checked
 
 
-def test_trie_walk_matches_per_row_ladder():
+def test_trie_walk_matches_per_row_ladder(monkeypatch):
     # the old path: columns one bit at a time and one full ladder per row,
     # both in the rows' order, here the branching order; levels = k for
     # M_t, which counts the same as the builder's min(k, t)
+    ladders = _count_calls(monkeypatch, "_compatibility")
+
     def check(graph):
         levels = graph.k if graph.kind == "M_t" else 1
         view = graph.ordered
@@ -298,6 +305,14 @@ def test_trie_walk_matches_per_row_ladder():
             built = graphs._columns(view.counts, graph._levels)
             assert built == [col[: graph._levels] for col in over], graph.label()
             assert graphs._columns(view.counts, graph.k + 1) == over, graph.label()
+            # the view's stored table holds every level below the largest
+            # count present (k for multisets, 1 for sets, 0 at k = 0), and
+            # the ladder reads only the builder's levels of it
+            top = max(map(max, view.counts))
+            assert top == (graph.k if graph.family_kind == MULTISET else min(graph.k, 1))
+            assert view.columns == [col[:top] for col in over], graph.label()
+            columns, *_args, read = ladders[-1]
+            assert columns is view.columns and read == graph._levels, graph.label()
 
     for kind, m, k, t in _graph_instances():
         check(build_graph(kind, m, k, t))
@@ -857,11 +872,14 @@ def test_small_core_matches_subset_bruteforce(m, k):
 
 def _record_front_orbits(monkeypatch):
     """Record the orbits the orbital loop reads: at its root, and at every
-    split, where the shared orbit helper is called.  Each record is (chosen
-    members, cls, multiplicity rows, the vertices grouped, their orbits)."""
+    cut, where _refine has listed parts and _cut splits the groups.  Each
+    record is (chosen members, cls, multiplicity rows, the vertices
+    grouped, their orbits); a grouped vertex the cut leaves in no group is
+    recorded as an orbit by itself."""
     seen = []
-    at = []
+    at = {}
     front, children = _MaxCliqueSolver._front, _MaxCliqueSolver._children
+    refine, cut = search._refine, search._cut
 
     def recording_front(self):
         root = self.cls or (0,) * len(self.counts[0])
@@ -869,18 +887,25 @@ def _record_front_orbits(monkeypatch):
         front(self)
 
     def recording_children(self, r_mask, v, p_mask):
-        at[:] = [r_mask | 1 << v]  # the node whose orbits a split computes next
+        # the node whose orbits a cut computes next
+        at.update(chosen=r_mask | 1 << v, rows=self.counts)
         return children(self, r_mask, v, p_mask)
 
-    def record(cls, rows, vertices):
-        vertices = list(vertices)
-        orbits = _orbit_masks(cls, rows, vertices)
-        seen.append((at[0], cls, rows, sum(1 << v for v in vertices), list(orbits.values())))
-        return orbits
+    def recording_refine(cls, row):
+        at["cls"], parts = refine(cls, row)
+        return at["cls"], parts
+
+    def record(groups, parts, columns):
+        vertices = sum(groups)  # the groups are disjoint
+        kept, grouped = cut(groups, parts, columns)
+        alone = [1 << v for v in bits(vertices & ~grouped)]
+        seen.append((at["chosen"], at["cls"], at["rows"], vertices, kept + alone))
+        return kept, grouped
 
     monkeypatch.setattr(_MaxCliqueSolver, "_front", recording_front)
     monkeypatch.setattr(_MaxCliqueSolver, "_children", recording_children)
-    monkeypatch.setattr("multifam.search._orbit_masks", record)
+    monkeypatch.setattr("multifam.search._refine", recording_refine)
+    monkeypatch.setattr("multifam.search._cut", record)
     return seen
 
 
@@ -913,8 +938,6 @@ def _assert_stabiliser_orbits(seen, group, root_cls):
 @pytest.mark.parametrize("m", range(2, 6))
 def test_small_core_orbits_are_stabiliser_orbits(m, monkeypatch):
     # the group is the m! permutations of [m]
-    from itertools import permutations
-
     group = list(permutations(range(m)))
     seen = _record_front_orbits(monkeypatch)
     for k in range(1, 5):
@@ -929,8 +952,6 @@ def test_small_core_orbits_are_stabiliser_orbits(m, monkeypatch):
 def test_product_orbits_are_stabiliser_orbits(m, monkeypatch):
     # the group is S_m × Z₂: the m! permutations of [m], each with and
     # without the swap of the two side markers
-    from itertools import permutations
-
     group = [p + swap for p in permutations(range(m)) for swap in ((m, m + 1), (m + 1, m))]
     seen = _record_front_orbits(monkeypatch)
     for kind in ("K", "M"):
@@ -942,6 +963,103 @@ def test_product_orbits_are_stabiliser_orbits(m, monkeypatch):
     _assert_stabiliser_orbits(seen, group, (0,) * m + (1, 1))
     for _r_mask, cls, *_rest in seen:
         assert not set(cls[:m]) & set(cls[m:])  # no marker shares a real element's class
+
+
+def _orbital_paths(graph, limit):
+    """Every orbital search on `graph`, each stopped after `limit` nodes:
+    the MIS proof, the optimum orbit enumeration (when the proof ends), the
+    clique-free search at s = 2, the small-core search (on M_t) and the
+    G □ K₂ product."""
+    mis = max_independent_set(graph, limit)
+    if mis.proved:
+        enumerate_optimum_orbits(graph, mis.optimum, node_limit=limit)
+    clique_free_search(graph, 2, limit)
+    if graph.kind == "M_t" and graph.t <= graph.k:
+        max_t_intersecting_nontrivial(graph.m, graph.k, graph.t, limit)
+    induced_bipartite_search(graph, limit)
+
+
+@pytest.mark.parametrize("kind", graphs.GRAPH_KINDS)
+def test_every_cut_is_the_sorted_key_partition(kind, monkeypatch):
+    # every split the orbital loop makes, and its root orbits, against the
+    # sorted-key orbits of the same vertices, compared as sets; and every
+    # refined cls against the signature reference
+    seen = _record_front_orbits(monkeypatch)
+    recording_refine = search._refine
+    refined = []
+
+    def checked_refine(cls, row):
+        child, parts = recording_refine(cls, row)
+        assert child == signature_refine(cls, row)
+        assert bool(parts) == (child != cls)
+        refined.append(bool(parts))
+        return child, parts
+
+    monkeypatch.setattr("multifam.search._refine", checked_refine)
+    for graph_kind, m, k, t in _graph_instances():
+        if graph_kind == kind:
+            _orbital_paths(build_graph(graph_kind, m, k, t), 1000)
+    cuts = 0
+    for r_mask, cls, rows, vertices, orbits in seen:
+        expected = sorted_key_orbit_masks(cls, rows, bits(vertices)).values()
+        assert set(orbits) == set(expected), (r_mask, cls)
+        cuts += r_mask != 0
+    assert cuts > 50 and False in refined
+
+
+@st.composite
+def _rows_and_classes(draw):
+    """Rows closed under permuting [m] (every arrangement of a few drawn
+    rows, so orbits are large), of counts 0..3 and any sums (so a part's
+    top level can decide a cut); cls in rank form; and the row of the
+    member chosen next."""
+    m = draw(st.integers(1, 5))
+    row = st.tuples(*[st.integers(0, 3)] * m)
+    rows = sorted({p for base in draw(st.lists(row, min_size=1, max_size=3))
+                   for p in permutations(base)})
+    raw = draw(st.tuples(*[st.integers(0, 1)] * m))
+    return rows, signature_refine((0,) * m, raw), draw(st.tuples(*[st.integers(0, 2)] * m))
+
+
+# (1,2,0) and (2,1,0) agree on the part {0, 1} of the class [3] that
+# (0,0,1) splits, yet differ on each of its elements at level 1
+@example((sorted(permutations((0, 1, 2))), (0, 0, 0), (0, 0, 1)))
+@given(_rows_and_classes())
+def test_cut_is_the_sorted_key_partition_on_random_rows(case):
+    rows, cls, row = case
+
+    def groups_under(classes):
+        orbits = sorted_key_orbit_masks(classes, rows, range(len(rows))).values()
+        return [o for o in orbits if o & (o - 1)]
+
+    child, parts = _refine(cls, row)
+    assert child == signature_refine(cls, row)
+    columns = ladder_columns(rows, len(cls), max(map(max, rows)))
+    kept, grouped = _cut(groups_under(cls), parts, columns)
+    assert set(kept) == set(groups_under(child)) and len(kept) == len(set(kept))
+    assert grouped == sum(kept)
+
+
+def test_product_columns_are_the_ladder_columns_of_its_rows(monkeypatch):
+    # the G □ K₂ table derived from the view's, against the product's own
+    # rows: k+1 levels, both copies of each real column, the side markers
+    tables = []
+    front = _MaxCliqueSolver._front
+
+    def recording_front(self):
+        tables.append((self.counts, self.columns))
+        front(self)
+
+    monkeypatch.setattr(_MaxCliqueSolver, "_front", recording_front)
+    for kind, m, k, t in _graph_instances():
+        graph = build_graph(kind, m, k, t)
+        if not graph.n_vertices:
+            continue
+        tables.clear()
+        induced_bipartite_search(graph, node_limit=1)
+        (counts, columns), = tables
+        assert len(counts) == 2 * graph.n_vertices
+        assert columns == ladder_columns(counts, m + 2, k + 1), (kind, m, k, t)
 
 
 def test_small_core_filter_matches_the_row_scan(monkeypatch):
@@ -1158,7 +1276,7 @@ def test_greedy_clique_replaces_only_a_smaller_seed():
     greedy._seed()
     assert greedy.best == 10 and greedy.best_mask.bit_count() == 10
     # a one-vertex seed gives way to the larger greedy clique
-    solver = _MaxCliqueSolver(view.rows, view.to_old, None, None, None, None, 1)
+    solver = _MaxCliqueSolver(view.rows, view.to_old, seed=1)
     solver._seed()
     assert (solver.best, solver.best_mask) == (greedy.best, greedy.best_mask)
     # a seed as large as the greedy clique is kept
@@ -1168,7 +1286,7 @@ def test_greedy_clique_replaces_only_a_smaller_seed():
         if tied.bit_count() < 10:
             tied |= 1 << i
     assert tied != greedy.best_mask
-    solver = _MaxCliqueSolver(view.rows, view.to_old, None, None, None, None, tied)
+    solver = _MaxCliqueSolver(view.rows, view.to_old, seed=tied)
     solver._seed()
     assert (solver.best, solver.best_mask) == (10, tied)
     # the small-core solver never takes a greedy clique
@@ -1348,7 +1466,7 @@ def _assert_product_matches_reference(graph):
         best, _sides = two_sided_max_induced_bipartite(rank_adjacency(graph))
     view = graph.ordered
     _best, (a_mask, b_mask), _nodes, _limited = _max_induced_bipartite(
-        view.rows, view.to_old, None, view.counts, view.orbits
+        view.rows, view.to_old, None, view.counts, view.orbits, view.columns
     )
     assert a_mask & b_mask == 0
     for side in (a_mask, b_mask):
