@@ -168,6 +168,13 @@ def _search_result_rows(label: str, vertices: int, result: SearchResult) -> list
 
 def _cmd_search(args) -> int:
     constraint = args.constraint
+    small_core = ("empty-common", "nontrivial-t")
+    if constraint in small_core and args.kind not in (KIND_MULTISET_DISJOINT, KIND_MULTISET_T):
+        # the small-core searches run on k-multisets only: another kind is another question
+        raise ContractError(
+            f"--constraint {constraint} searches k-multisets (--kind M or M_t), "
+            f"got --kind {args.kind}"
+        )
     if constraint == "empty-common":
         result = max_intersecting_empty_common(args.m, args.k, args.node_limit)
         label = graph_label(KIND_MULTISET_DISJOINT, args.m, args.k) + "+empty-common"

@@ -365,19 +365,15 @@ def _relabel_counts(counts: tuple[int, ...], perm: Sequence[int]) -> tuple[int, 
 
 
 def apply_permutation(fam: Family, perm: Sequence[int]) -> Family:
-    """Relabel the ground set: element i becomes perm[i-1]."""
+    """Relabel the ground set: element i becomes perm[i-1].  The relabelled
+    multiplicity rows are sorted into the canonical member order, ascending
+    count vectors for multisets and descending 0/1 rows (element-tuple
+    order) for k-sets; a permutation keeps the members valid and distinct,
+    so they are not checked again."""
     _check_permutation(perm, fam.m)
-    if fam.kind == MULTISET:
-        return Family.of_multisets(
-            fam.m,
-            fam.k,
-            (Multiset(fam.m, _relabel_counts(a.counts, perm)) for a in fam.members),
-        )
-    return Family.of_sets(
-        fam.m,
-        fam.k,
-        (KSet(fam.m, tuple(sorted(perm[x - 1] for x in b.members))) for b in fam.members),
-    )
+    rows = [_relabel_counts(row, perm) for row in multiplicity_rows(fam.members)]
+    rows.sort(reverse=fam.kind == SET)
+    return Family.from_rows(fam.m, fam.k, fam.kind, rows)
 
 
 class _Canonizer:

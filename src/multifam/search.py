@@ -8,8 +8,8 @@ descending degree with rank as the tie-break, so every run is
 deterministic: optima, witnesses and node counts never vary.  The graph
 builder hands the searches their rows already in that order (the graph's
 `ordered` view, cached per graph object; see the graphs module), so no
-search renumbers a graph, and the G □ K₂ product below is built straight
-from those rows.
+search renumbers a graph.  Every solver takes that one BranchingView, and
+the G □ K₂ product below is built as a view straight from it.
 
 The upper bound is a greedy sequential colouring of the candidate set,
 trimmed as in MCS (Tomita et al. 2010) and masked with precomputed rows as
@@ -54,11 +54,11 @@ into parts, each orbit is cut by the bitsets "at least i elements of the
 part hold more than j" read off the graph's per-element count columns
 (_cut), never by a key per vertex.  A node none of whose candidate
 orbits holds two vertices only walks its colour order, as every node does
-when the loop is given no orbits.  A search needs one optimum only up to
-those permutations, and a uniqueness verdict one optimum from each
-isomorphism class.  Enumerating all optima runs the loop with no orbits:
-the incumbent is held at one below the proved optimum and each leaf is
-recorded instead of adopted.
+on a view with no orbits: the plain loop.  A search needs one optimum only
+up to those permutations, and a uniqueness verdict one optimum from each
+isomorphism class.  Enumerating all optima runs the plain loop, the
+graph's view with its orbits dropped: the incumbent is held at one below
+the proved optimum and each leaf is recorded instead of adopted.
 
 The incumbent a search starts from is its seed, an explicit extremal
 family the caller hands over (verify passes each theorem's construction),
@@ -91,6 +91,7 @@ from .graphs import (
     KIND_MULTISET_DISJOINT,
     KIND_MULTISET_SUPPORT_T,
     KIND_MULTISET_T,
+    BranchingView,
     DisjointnessGraph,
     _bits,
     build_graph,
@@ -262,11 +263,11 @@ def _cut(
 
 
 class _MaxCliqueSolver:
-    """Exact maximum clique on rows already in branching order; new vertex
-    i is vertex to_old[i] of the caller's graph.  It holds the incumbent,
-    the node budget and the one branch-and-bound loop _front (Tomita-style
-    colouring bounds); a subclass may override the loop's steps _color,
-    _children and _leaf.
+    """Exact maximum clique on a BranchingView: rows already in branching
+    order, new vertex i being vertex to_old[i] of the caller's graph.  It
+    holds the incumbent, the node budget and the one branch-and-bound loop
+    _front (Tomita-style colouring bounds); a subclass may override the
+    loop's steps _color, _children and _leaf.
 
     The incumbent starts at `seed`, a clique given as a bitset of branching
     slots (a validated construction, or none), or at a greedy clique when
@@ -274,26 +275,26 @@ class _MaxCliqueSolver:
     Goldengorin, Maslov & Pardalos 2014) and never changes the optimum:
     the loop still proves that nothing beats it.
 
-    Given each vertex's multiplicity row (counts) and the orbits of the
-    permutations of [m] (orbits, one bitset per multiplicity type), for a
-    graph invariant under permuting [m], the loop branches on orbits
+    Through the view's multiplicity rows (counts) and its orbits of the
+    permutations of [m] (one bitset per multiplicity type), for a graph
+    invariant under permuting [m], the loop branches on orbits
     (Ostrowski, Linderoth, Rossi & Smriglio 2011).  A node (chosen members
     r, candidates p) carries cls, the signature classes of the elements
     under r, and its candidate orbits under the permutations fixing every
     member of r.  A child's orbits are its parent's, cut on the parts of
-    the classes its new member splits (_refine, _cut) through `columns`,
-    the count columns as the graph's view holds them (columns[e][j] is the
-    bitset of vertices whose count at e exceeds j).  The root classes are
-    all one unless `cls` gives others: the G □ K₂ product keeps its side
-    markers apart from the real elements that way.  A node walks the
-    colour order from the top, trimmed and bounded against the current
-    incumbent, branches on each vertex not yet barred and then bars its
-    whole orbit.  p stays a union of orbits, so a clique through any
-    member of an orbit maps onto one through the vertex branched on.
-    Orbits are split only at a node that has colours to branch on.  Once
-    no candidate orbit holds two vertices nothing is left to prune: the
-    node and every node below it skip _refine and _cut and bar only the
-    vertex branched on, as every node does given no orbits.
+    the classes its new member splits (_refine, _cut) through the view's
+    count columns (columns[e][j] is the bitset of vertices whose count at
+    e exceeds j).  The root classes are all one unless `cls` gives others:
+    the G □ K₂ product keeps its side markers apart from the real elements
+    that way.  A node walks the colour order from the top, trimmed and
+    bounded against the current incumbent, branches on each vertex not yet
+    barred and then bars its whole orbit.  p stays a union of orbits, so
+    a clique through any member of an orbit maps onto one through the
+    vertex branched on.  Orbits are split only at a node that has colours
+    to branch on.  Once no candidate orbit holds two vertices nothing is
+    left to prune: the node and every node below it skip _refine and _cut
+    and bar only the vertex branched on, as every node does on a view with
+    no orbits (the plain loop, which reads neither counts nor columns).
 
     A subclass that sets `core` (the small-core searches) also carries a
     running core in every node and supplies _filter, the branches of a
@@ -305,23 +306,15 @@ class _MaxCliqueSolver:
 
     def __init__(
         self,
-        rows: list[int],
-        to_old,
+        view: BranchingView,
         node_limit: int | None = None,
-        counts: list[tuple[int, ...]] | None = None,
-        orbits: list[int] | None = None,
-        columns: list[list[int]] | None = None,
-        cls: tuple[int, ...] | None = None,
         seed: int = 0,
+        cls: tuple[int, ...] | None = None,
     ):
-        self.rows = rows
-        self.n = len(rows)
+        self.rows, self.to_old, self.counts, self.orbits, self.columns = view
+        self.n = len(self.rows)
         full = (1 << self.n) - 1
-        self.free = [full & ~(row | 1 << v) for v, row in enumerate(rows)]
-        self.to_old = to_old
-        self.counts = counts
-        self.orbits = orbits
-        self.columns = columns
+        self.free = [full & ~(row | 1 << v) for v, row in enumerate(self.rows)]
         self.cls = cls
         self.counter = _NodeCounter(node_limit)
         self.seed = seed
@@ -373,7 +366,7 @@ class _MaxCliqueSolver:
         `grouped`, their union; every other candidate is an orbit by
         itself.  A child keeps the groups that still hold two or more of
         its candidates, and splits them only when its cls is finer; a node
-        with no groups (every node, given no orbits) only walks its colour
+        with no groups (every node of the plain loop) only walks its colour
         order.  Each stack frame is (r_size, r_mask, cls, core, p_mask,
         groups, grouped, colour order, colours, index); the index walks the
         trimmed order from its last vertex, the one with the highest colour,
@@ -385,7 +378,7 @@ class _MaxCliqueSolver:
         children = self._children
         tick = self.counter.tick
         p_mask = (1 << self.n) - 1
-        groups = [o for o in self.orbits or () if o & (o - 1)]
+        groups = [o for o in self.orbits if o & (o - 1)]
         grouped = 0
         for o in groups:
             grouped |= o
@@ -467,9 +460,9 @@ class _MaxCliqueSolver:
 
 
 class _CliqueEnumerator(_MaxCliqueSolver):
-    """Every clique of the clique number `target`, on the shared loop; with
-    counts and orbits, at least one from every class under the
-    permutations of [m].
+    """Every clique of the clique number `target`, on the shared loop: on
+    the plain loop all of them, on a graph's view with its orbits at least
+    one from every class under the permutations of [m].
 
     The incumbent stays at target - 1, so the colour bound keeps exactly
     the branches that can still reach target, and a leaf is recorded
@@ -551,13 +544,9 @@ def max_independent_set(
     graph's threshold).  An independent set of the graph given as `seed`
     (an explicit extremal family) is the first incumbent; it never changes
     the optimum.  The optimum, witness and node count are deterministic."""
-    view = graph.ordered
     return _seeded_search(
         graph, seed, graph.is_independent, "the raw pairwise predicate",
-        lambda slots: _MaxCliqueSolver(
-            view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns,
-            seed=slots,
-        ),
+        lambda slots: _MaxCliqueSolver(graph.ordered, node_limit, slots),
     )
 
 
@@ -576,8 +565,7 @@ def enumerate_maximum_independent_sets(
             return EnumerationResult(base.optimum, [base.witness], False, base.nodes_explored)
         optimum = base.optimum
         nodes_total = base.nodes_explored
-    view = graph.ordered
-    solver = _CliqueEnumerator(view.rows, view.to_old, node_limit)
+    solver = _CliqueEnumerator(graph.ordered._replace(orbits=[]), node_limit)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     return EnumerationResult(optimum, _validated(graph, masks), complete, nodes_total + nodes)
 
@@ -591,10 +579,7 @@ def enumerate_optimum_orbits(
     """At least one maximum independent set from every isomorphism class
     (up to `cap` sets), for a proved `optimum`; isomorphic sets may repeat.
     complete=False flags a truncated enumeration."""
-    view = graph.ordered
-    solver = _CliqueEnumerator(
-        view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns
-    )
+    solver = _CliqueEnumerator(graph.ordered, node_limit)
     masks, complete, nodes = solver.enumerate_target(optimum, cap)
     return EnumerationResult(optimum, _validated(graph, masks), complete, nodes)
 
@@ -639,14 +624,11 @@ class _SmallCoreSolver(_MaxCliqueSolver):
     def __init__(
         self, graph: DisjointnessGraph, core_limit: int, node_limit: int | None, seed: int
     ):
-        view = graph.ordered
-        super().__init__(
-            view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns, seed=seed
-        )
+        super().__init__(graph.ordered, node_limit, seed)
         self.core = (graph.k + 1,) * graph.m
         self.limit = core_limit
         # the root core, k+1 at every element, reads level k: no vertex exceeds it
-        self.over = [[*col, 0] for col in view.columns]
+        self.over = [[*col, 0] for col in self.columns]
 
     def _filter(self, core, p_mask: int, bound: int) -> tuple[list[int], list[int]]:
         """The branches of a node whose core is still at or above the limit:
@@ -733,25 +715,17 @@ def max_t_intersecting_nontrivial(
 
 class _CliqueFreeSolver(_MaxCliqueSolver):
     """Maximum vertex subset of G whose induced subgraph has no
-    (s+1)-clique, for s >= 2, as a clique search on the complement rows.
+    (s+1)-clique, for s >= 2, as a clique search on the complement rows:
+    the rows of G's branching view, on the shared loop with its orbits.
 
     A greedy colour class of the complement is a clique of G, so at most s
     of its vertices can be chosen: the colour bound counts min(|class|, s)
-    per class (the colouring kernel with cap = s).  A candidate leaves when it would close an (s+1)-clique of G
-    with the new member and s-1 chosen ones."""
+    per class (the colouring kernel with cap = s).  A candidate leaves
+    when it would close an (s+1)-clique of G with the new member and s-1
+    chosen ones."""
 
-    def __init__(
-        self,
-        rows: list[int],
-        to_old: list[int],
-        s: int,
-        node_limit: int | None,
-        counts: list[tuple[int, ...]] | None = None,
-        orbits: list[int] | None = None,
-        columns: list[list[int]] | None = None,
-        seed: int = 0,
-    ):
-        super().__init__(rows, to_old, node_limit, counts, orbits, columns, seed=seed)
+    def __init__(self, view: BranchingView, s: int, node_limit: int | None, seed: int = 0):
+        super().__init__(view, node_limit, seed)
         self.s = s
 
     def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
@@ -799,13 +773,10 @@ def clique_free_search(
         raise ContractError(f"s must be >= 1, got {s}")
     if s == 1:
         return max_independent_set(graph, node_limit, seed)
-    view = graph.ordered
     return _seeded_search(
         graph, seed, lambda fam: _clique_free(graph.pair_masks(fam.members), graph.t, s),
         "the P(s,1) predicate of the graph",
-        lambda slots: _CliqueFreeSolver(
-            view.rows, view.to_old, s, node_limit, view.counts, view.orbits, view.columns, slots
-        ),
+        lambda slots: _CliqueFreeSolver(graph.ordered, s, node_limit, slots),
     )
 
 
@@ -827,18 +798,14 @@ def _spread(mask: int) -> int:
 
 
 def _max_induced_bipartite(
-    rows: list[int],
-    to_old,
-    node_limit: int | None,
-    counts: list[tuple[int, ...]] | None = None,
-    orbits: list[int] | None = None,
-    columns: list[list[int]] | None = None,
+    view: BranchingView, node_limit: int | None
 ) -> tuple[int, tuple[int, int], int, bool]:
     """Largest induced bipartite subgraph of G as a maximum clique of the
-    complement of G □ K₂, given G's compatibility rows (its complement),
-    their multiplicity rows, orbits and count columns as in
-    _MaxCliqueSolver; returns (size, (side one, side two) masks with
-    vertex i at bit to_old[i], nodes explored, limit_hit).
+    complement of G □ K₂, given G's branching view (its rows are G's
+    compatibility rows, the complement); returns (size, (side one, side
+    two) masks with vertex i at bit view.to_old[i], nodes explored,
+    limit_hit).  The product is itself a view, and the only one that
+    starts the loop with root classes of its own (`cls`).
 
     Vertex v is product vertex 2v on side one and 2v+1 on side two, so
     each side keeps the rows' order and a vertex's two copies are
@@ -851,39 +818,35 @@ def _max_induced_bipartite(
     orbit o of G gives the root orbit holding both copies of its
     vertices.  The product's count columns are G's with both copies of
     each vertex set (spread, times 3), no real element above level k, and
-    a marker's column holding every vertex of its side at each level."""
-    n = len(rows)
+    a marker's column holding every vertex of its side at each level.  A
+    view with no orbits gives a product with none: the plain loop."""
+    n = len(view.rows)
     others = _spread((1 << n) - 1)
     product = []
-    for v, row in enumerate(rows):
+    for v, row in enumerate(view.rows):
         same = _spread(row)
         other = others ^ 1 << 2 * v
         product += (same | other << 1, other | same << 1)
-    p_counts = p_orbits = p_columns = cls = None
-    if counts:
-        top = sum(counts[0]) + 1
-        p_counts = [c + marker for c in counts for marker in ((top, 0), (0, top))]
-        p_orbits = [_spread(o) * 3 for o in orbits]
-        p_columns = [[_spread(c) * 3 for c in cols] + [0] * (top - len(cols)) for cols in columns]
-        p_columns += ([others] * top, [others << 1] * top)
-        cls = (0,) * len(counts[0]) + (1, 1)
+    top = max(map(sum, view.counts), default=0) + 1  # k+1: above every real count
+    counts = [c + marker for c in view.counts for marker in ((top, 0), (0, top))]
+    orbits = [_spread(o) * 3 for o in view.orbits]
+    columns = [[_spread(c) * 3 for c in cols] + [0] * (top - len(cols)) for cols in view.columns]
+    columns += ([others] * top, [others << 1] * top)
+    cls = (0,) * len(view.columns) + (1, 1)
     solver = _MaxCliqueSolver(
-        product, range(2 * n), node_limit, p_counts, p_orbits, p_columns, cls
+        BranchingView(product, range(2 * n), counts, orbits, columns), node_limit, cls=cls
     )
     best, mask, nodes, limited = solver.solve()
     sides = [0, 0]
     for v in _bits(mask):
-        sides[v & 1] |= 1 << to_old[v >> 1]
+        sides[v & 1] |= 1 << view.to_old[v >> 1]
     return best, (sides[0], sides[1]), nodes, limited
 
 
 def induced_bipartite_search(graph: DisjointnessGraph, node_limit: int | None = None) -> SearchResult:
     """Largest vertex subset of a disjointness graph inducing a bipartite
     subgraph; the two colour classes are two intersecting families."""
-    view = graph.ordered
-    best, (a_mask, b_mask), nodes, limited = _max_induced_bipartite(
-        view.rows, view.to_old, node_limit, view.counts, view.orbits, view.columns
-    )
+    best, (a_mask, b_mask), nodes, limited = _max_induced_bipartite(graph.ordered, node_limit)
     if a_mask & b_mask:
         raise RuntimeError("internal error: the two sides of the witness share a member")
     _validate_witness(graph, graph.family_from_mask(a_mask))

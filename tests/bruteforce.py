@@ -468,6 +468,24 @@ def complement(adj):
     return [full & ~(row | 1 << v) for v, row in enumerate(adj)]
 
 
+def memberwise_apply_permutation(fam, perm):
+    """Reference relabelling (element i becomes perm[i-1]): each member
+    relabelled on its own and the family built, sorted and checked, by its
+    kind's constructor."""
+    from multifam.core import MULTISET, Family, KSet, Multiset
+
+    if fam.kind == MULTISET:
+        members = []
+        for a in fam.members:
+            out = [0] * fam.m
+            for i, c in enumerate(a.counts):
+                out[perm[i] - 1] = c
+            members.append(Multiset(fam.m, tuple(out)))
+        return Family.of_multisets(fam.m, fam.k, members)
+    members = (KSet(fam.m, tuple(sorted(perm[x - 1] for x in b.members))) for b in fam.members)
+    return Family.of_sets(fam.m, fam.k, members)
+
+
 def scan_canonical_form(fam):
     """Reference canonical form: the lexicographic minimum, over all m!
     relabelings, of the sorted member list (counts tuples for multisets,

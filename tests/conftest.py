@@ -12,6 +12,14 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def plain_view(rows):
+    """Raw compatibility rows as a branching view in identity order, with
+    no multiplicity rows, orbits or count columns: the plain loop."""
+    from multifam.graphs import BranchingView
+
+    return BranchingView(rows, range(len(rows)), [], [], [])
+
+
 @st.composite
 def multiset_pair(draw, max_m=5, max_k=5):
     """Two multisets over the same ground set."""

@@ -281,6 +281,20 @@ def test_constrained_search_labels_read_the_kind_table(kind, argv, label, monkey
     assert capsys.readouterr().out.splitlines()[0].split() == ["graph", label]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "K", "--m", "5", "--k", "2", "--constraint", "empty-common"),
+    ("--kind", "K_t", "--m", "6", "--k", "3", "--t", "2", "--constraint", "nontrivial-t"),
+    ("--kind", "M_support_t", "--m", "5", "--k", "3", "--t", "2", "--constraint", "nontrivial-t"),
+], ids=lambda argv: f"{argv[1]}-{argv[-1]}")
+def test_small_core_search_refuses_another_kind(argv, capsys):
+    # the small-core searches run on k-multisets only: answering on M or M_t
+    # for another kind would answer a different question
+    assert run("search", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--constraint {argv[-1]} searches k-multisets" in captured.err
+
+
 def test_clique_free_search_deeper_than_the_recursion_limit(capsys):
     assert run("search", "--kind", "K", "--m", "1200", "--k", "1", "--constraint", "clique-free",
                "--s", "1100", "--node-limit", "100") == 0

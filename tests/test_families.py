@@ -52,8 +52,12 @@ from multifam.families import (
     star_size,
 )
 
-from bruteforce import member_walk_extend_to_maximal, scan_canonical_form
-from conftest import refuse_enumeration
+from bruteforce import (
+    member_walk_extend_to_maximal,
+    memberwise_apply_permutation,
+    scan_canonical_form,
+)
+from conftest import family_and_t, refuse_enumeration
 
 
 def ms(m, *elements):
@@ -410,6 +414,20 @@ def test_apply_permutation_preserves_isomorphism(perm):
     assert len(relabeled) == len(family)
     assert canonical_form(relabeled).members == canonical_form(family).members
     assert is_isomorphic(family, relabeled)
+
+
+@given(family_and_t(), st.data())
+def test_apply_permutation_matches_the_member_wise_reference(case, data):
+    # the whole family, member order included, on both member kinds
+    fam, _t = case
+    perm = data.draw(st.permutations(range(1, fam.m + 1)))
+    assert apply_permutation(fam, perm) == memberwise_apply_permutation(fam, perm)
+
+
+@pytest.mark.parametrize("fam", [hm_set(5, 3), hm_multiset(4, 3)], ids=("set", "multiset"))
+def test_apply_permutation_matches_the_reference_on_every_relabelling(fam):
+    for perm in itertools.permutations(range(1, fam.m + 1)):
+        assert apply_permutation(fam, perm) == memberwise_apply_permutation(fam, perm)
 
 
 def test_stars_are_isomorphic():

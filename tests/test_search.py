@@ -87,13 +87,13 @@ from bruteforce import (
     universe_graph,
     vertex_small_core_search,
 )
-from conftest import random_adjacency
+from conftest import plain_view, random_adjacency
 
 
 def _solve_mis_raw(adj):
     """Drive the solver core directly on a raw adjacency, its rows in
     identity order."""
-    best, mask, _nodes, limited = _MaxCliqueSolver(complement(adj), range(len(adj))).solve()
+    best, mask, _nodes, limited = _MaxCliqueSolver(plain_view(complement(adj))).solve()
     assert not limited
     return best, mask
 
@@ -402,10 +402,10 @@ def test_mis_matches_bruteforce(adj):
 
 @given(random_adjacency(max_n=12))
 def test_clique_loop_matches_recursive_reference(adj):
-    # optimum, witness and node count: the loop given no orbits walks the
+    # optimum, witness and node count: the plain loop walks the
     # reference's traversal node for node
     rows = complement(adj)
-    assert _MaxCliqueSolver(rows, range(len(rows))).solve() == (*recursive_max_clique(rows), False)
+    assert _MaxCliqueSolver(plain_view(rows)).solve() == (*recursive_max_clique(rows), False)
 
 
 # -- the colouring kernel -----------------------------------------------------
@@ -420,7 +420,7 @@ def test_color_kernel_is_the_trimmed_reference_colouring(adj, data):
     bounds = colors if cap == 1 else capacity_bounds(order, colors, cap)
     kept = [i for i, bound in enumerate(bounds) if bound >= kmin]
     assert kept == list(range(len(order) - len(kept), len(order)))  # a suffix
-    free = _MaxCliqueSolver(adj, range(n)).free
+    free = _MaxCliqueSolver(plain_view(adj)).free
     expected = ([order[i] for i in kept], [bounds[i] for i in kept])
     assert _greedy_color(p_mask, free, kmin, cap) == expected
     assert _greedy_color(p_mask, free, min(kmin, 1), cap) == (order, bounds)
@@ -459,12 +459,13 @@ def test_mis_determinism():
 
 def _plain(graph, s=1):
     """The MIS (s = 1) or clique-free search on the plain loop: the solver
-    given no multiplicity rows, so its loop branches on single vertices."""
-    view = graph.ordered
+    given the graph's view with no orbits, so its loop branches on single
+    vertices."""
+    view = graph.ordered._replace(orbits=[])
     if s == 1:
-        solver = _MaxCliqueSolver(view.rows, view.to_old)
+        solver = _MaxCliqueSolver(view)
     else:
-        solver = _CliqueFreeSolver(view.rows, view.to_old, s, None)
+        solver = _CliqueFreeSolver(view, s, None)
     best, mask, nodes, limited = solver.solve()
     assert not limited
     return SearchResult(best, graph.family_from_mask(mask), PROVED_OPTIMAL, nodes)
@@ -1112,7 +1113,7 @@ def test_p_s1_delegates_for_s_equal_one():
 
 @given(random_adjacency(max_n=9), st.sampled_from((2, 3)))
 def test_clique_free_matches_bruteforce(adj, s):
-    solver = _CliqueFreeSolver(complement(adj), range(len(adj)), s, None)
+    solver = _CliqueFreeSolver(plain_view(complement(adj)), s, None)
     best, mask, _nodes, limited = solver.solve()
     assert not limited
     assert best == brute_max_clique_free(adj, s)
@@ -1253,8 +1254,7 @@ def test_a_seed_below_the_optimum_is_beaten():
     # still find, decode and check a 21-member optimum
     graph = build_graph("M", 6, 3)
     seed = Family(6, 3, MULTISET, star(6, 3, 1).members[5:])
-    view = graph.ordered
-    greedy = _MaxCliqueSolver(view.rows, view.to_old)
+    greedy = _MaxCliqueSolver(graph.ordered)
     greedy._seed()
     assert greedy.best == 10 < len(seed) == 16
     result = max_independent_set(graph, seed=seed)
@@ -1272,11 +1272,11 @@ def test_a_seed_below_the_optimum_is_beaten():
 def test_greedy_clique_replaces_only_a_smaller_seed():
     graph = build_graph("M", 6, 3)
     view = graph.ordered
-    greedy = _MaxCliqueSolver(view.rows, view.to_old)
+    greedy = _MaxCliqueSolver(view)
     greedy._seed()
     assert greedy.best == 10 and greedy.best_mask.bit_count() == 10
     # a one-vertex seed gives way to the larger greedy clique
-    solver = _MaxCliqueSolver(view.rows, view.to_old, seed=1)
+    solver = _MaxCliqueSolver(view, seed=1)
     solver._seed()
     assert (solver.best, solver.best_mask) == (greedy.best, greedy.best_mask)
     # a seed as large as the greedy clique is kept
@@ -1286,7 +1286,7 @@ def test_greedy_clique_replaces_only_a_smaller_seed():
         if tied.bit_count() < 10:
             tied |= 1 << i
     assert tied != greedy.best_mask
-    solver = _MaxCliqueSolver(view.rows, view.to_old, seed=tied)
+    solver = _MaxCliqueSolver(view, seed=tied)
     solver._seed()
     assert (solver.best, solver.best_mask) == (10, tied)
     # the small-core solver never takes a greedy clique
@@ -1434,7 +1434,7 @@ def test_p_s1_saturated_s_takes_whole_universe():
 @given(random_adjacency(max_n=9))
 def test_bipartite_matches_bruteforce(adj):
     best, (a_mask, b_mask), _nodes, limited = _max_induced_bipartite(
-        complement(adj), range(len(adj)), None
+        plain_view(complement(adj)), None
     )
     assert not limited
     assert best == brute_max_induced_bipartite(adj) == two_sided_max_induced_bipartite(adj)[0]
@@ -1464,10 +1464,7 @@ def _assert_product_matches_reference(graph):
         best = PRODUCT_CLOSED_FORM[key]
     else:
         best, _sides = two_sided_max_induced_bipartite(rank_adjacency(graph))
-    view = graph.ordered
-    _best, (a_mask, b_mask), _nodes, _limited = _max_induced_bipartite(
-        view.rows, view.to_old, None, view.counts, view.orbits, view.columns
-    )
+    _best, (a_mask, b_mask), _nodes, _limited = _max_induced_bipartite(graph.ordered, None)
     assert a_mask & b_mask == 0
     for side in (a_mask, b_mask):
         fam = graph.family_from_mask(side)
