@@ -22,16 +22,10 @@ from pathlib import Path
 from . import acceptance, families
 from .bijection import BijectionContext, forward, inverse
 from .compression import CompressionInvariantError, down_compress_full
-from .core import MULTISET, SET, ContractError, Family, ScaleExceededError, multichoose
+from .core import MULTISET, SET, ContractError, Family, ScaleExceededError
 from .family_io import ParseError, load_family, save_family
 from .families import FamilySpec, build_family, family_size_formula, is_isomorphic
-from .graphs import (
-    GRAPH_KINDS,
-    KIND_MULTISET_DISJOINT,
-    KIND_MULTISET_T,
-    build_graph,
-    graph_label,
-)
+from .graphs import GRAPH_KINDS, KIND_MULTISET_DISJOINT, KIND_MULTISET_T, build_graph
 from .search import (
     NODE_LIMIT_HIT,
     SearchResult,
@@ -168,39 +162,41 @@ def _search_result_rows(label: str, vertices: int, result: SearchResult) -> list
 
 def _cmd_search(args) -> int:
     constraint = args.constraint
-    small_core = ("empty-common", "nontrivial-t")
-    if constraint in small_core and args.kind not in (KIND_MULTISET_DISJOINT, KIND_MULTISET_T):
-        # the small-core searches run on k-multisets only: another kind is another question
-        raise ContractError(
-            f"--constraint {constraint} searches k-multisets (--kind M or M_t), "
-            f"got --kind {args.kind}"
-        )
-    if constraint == "empty-common":
-        result = max_intersecting_empty_common(args.m, args.k, args.node_limit)
-        label = graph_label(KIND_MULTISET_DISJOINT, args.m, args.k) + "+empty-common"
-        vertices = multichoose(args.m, args.k)
-    elif constraint == "nontrivial-t":
-        if args.t is None:
+    if args.s is not None and constraint != "clique-free":
+        raise ContractError("--s is read by --constraint clique-free only")
+    kind, t = args.kind, 1 if args.t is None else args.t
+    if constraint in ("empty-common", "nontrivial-t"):
+        if kind not in (KIND_MULTISET_DISJOINT, KIND_MULTISET_T):
+            # the small-core searches run on k-multisets only: another kind is another question
+            raise ContractError(
+                f"--constraint {constraint} searches k-multisets (--kind M or M_t), "
+                f"got --kind {kind}"
+            )
+        if constraint == "empty-common" and t != 1:
+            raise ContractError(f"--constraint empty-common is the t = 1 search, got --t {t}")
+        if constraint == "nontrivial-t" and args.t is None:
             raise ContractError("--constraint nontrivial-t requires --t")
-        result = max_t_intersecting_nontrivial(args.m, args.k, args.t, args.node_limit)
-        label = graph_label(KIND_MULTISET_T, args.m, args.k, args.t) + "+nontrivial"
-        vertices = multichoose(args.m, args.k)
+        kind = KIND_MULTISET_DISJOINT if constraint == "empty-common" else KIND_MULTISET_T
+    graph = build_graph(kind, args.m, args.k, t)
+    label = graph.label()
+    if constraint == "empty-common":
+        result = max_intersecting_empty_common(graph, args.node_limit)
+        label += "+empty-common"
+    elif constraint == "nontrivial-t":
+        result = max_t_intersecting_nontrivial(graph, args.node_limit)
+        label += "+nontrivial"
+    elif constraint == "bipartite":
+        result = induced_bipartite_search(graph, args.node_limit)
+        label += "+bipartite"
+    elif constraint == "clique-free":
+        if args.s is None:
+            raise ContractError("--constraint clique-free requires --s")
+        result = clique_free_search(graph, args.s, args.node_limit)
+        label += f"+P({args.s},1)"
     else:
-        graph = build_graph(args.kind, args.m, args.k, 1 if args.t is None else args.t)
-        if constraint == "bipartite":
-            result = induced_bipartite_search(graph, args.node_limit)
-            label = graph.label() + "+bipartite"
-        elif constraint == "clique-free":
-            if args.s is None:
-                raise ContractError("--constraint clique-free requires --s")
-            result = clique_free_search(graph, args.s, args.node_limit)
-            label = graph.label() + f"+P({args.s},1)"
-        else:
-            result = max_independent_set(graph, args.node_limit)
-            label = graph.label()
-        vertices = graph.n_vertices
+        result = max_independent_set(graph, args.node_limit)
 
-    rows = _search_result_rows(label, vertices, result)
+    rows = _search_result_rows(label, graph.n_vertices, result)
     # the files go first, so an unusable path leaves stdout empty
     if args.witness:
         save_family(result.witness, args.witness)

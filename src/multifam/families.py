@@ -4,13 +4,13 @@ Constructors build the family by filtering the multiplicity rows of the
 enumerated universe, so the member order is always canonical, and build a
 member only for a row they keep.  A set constructor and its multiset
 analogue share one filter on member support masks (a set is its own
-support) and one parameter check.  Two of those filters, hitting and
-frankl, also take a given row sequence in place of a walk: the universe's
-rows in rank order, as a disjointness graph already holds them, so a
-caller that built the graph filters its rows instead of walking the
-universe again.  Closed-form sizes are provided where one exists, and each
-runs its constructor's parameter check first; hm_t families have no closed
-form and are counted by enumeration.  One registry, keyed by family name,
+support) and one parameter check.  Those shared filters (hitting,
+frankl, _hm, _hm_t) also take a given row sequence in place of a walk:
+the universe's rows in rank order, as a disjointness graph already holds
+them, so a caller that built the graph filters its rows instead of
+walking the universe again.  Closed-form sizes are provided where one
+exists, and each runs its constructor's parameter check first; hm_t
+families have no closed form and are counted by enumeration.  One registry, keyed by family name,
 dispatches build_family and family_size_formula.
 
 Isomorphism is relabeling of the ground set.  canonical_form runs an
@@ -198,12 +198,14 @@ def _check_hm_params(kind: str, ground: int, k: int) -> None:
         raise ContractError(f"need {letter} >= k+1, got {letter}={ground}, k={k}")
 
 
-def _hm(kind: str, ground: int, k: int) -> Family:
+def _hm(kind: str, ground: int, k: int, rows=None) -> Family:
+    """hm_set and hm_multiset, filtered from `rows` when given (see _where)."""
     _check_hm_params(kind, ground, k)
     window = ((1 << (k + 1)) - 1) & ~1  # elements 2..k+1
     # a k-member with support [2, k+1] is that set itself
     return _where(
-        kind, ground, k, lambda support: support & 1 and support & window or support == window
+        kind, ground, k, lambda support: support & 1 and support & window or support == window,
+        rows,
     )
 
 
@@ -235,7 +237,8 @@ def _check_hm_t_params(kind: str, ground: int, k: int, t: int) -> None:
     _check_hm_params(kind, ground, k)
 
 
-def _hm_t(kind: str, ground: int, k: int, t: int) -> Family:
+def _hm_t(kind: str, ground: int, k: int, t: int, rows=None) -> Family:
+    """hm_t_set and hm_t_multiset, filtered from `rows` when given."""
     _check_hm_t_params(kind, ground, k, t)
     full = (1 << (k + 1)) - 1
     head = (1 << t) - 1
@@ -247,6 +250,7 @@ def _hm_t(kind: str, ground: int, k: int, t: int) -> Family:
         ground,
         k,
         lambda support: (support & head) == head and support & window or support in adjoined,
+        rows,
     )
 
 

@@ -97,11 +97,6 @@ _KINDS = {
 GRAPH_KINDS = tuple(_KINDS)
 
 
-def graph_label(kind: str, m: int, k: int, t: int = 1) -> str:
-    """The kind's label at these parameters, e.g. M(4,3,2) for M_t."""
-    return _KINDS[kind].label.format(m=m, k=k, t=t)
-
-
 DEFAULT_VERTEX_CAP = 5000
 
 
@@ -172,7 +167,8 @@ class DisjointnessGraph:
         return (n * (n - 1) - sum(row.bit_count() for row in self.ordered.rows)) // 2
 
     def label(self) -> str:
-        return graph_label(self.kind, self.m, self.k, self.t)
+        """The kind's label at the graph's parameters, e.g. M(4,3,2) for M_t."""
+        return _KINDS[self.kind].label.format(m=self.m, k=self.k, t=self.t)
 
     def is_independent(self, fam: Family) -> bool:
         """The raw pairwise predicate of the graph's independent sets, read

@@ -26,11 +26,12 @@ capacity bound below.
 
 Constrained variants:
 
-  * families whose common intersection must end below a cardinality limit
-    (maximum intersecting family with empty common intersection; maximum
-    t-intersecting family with no common t-multiset) carry the running
-    core through the orbital loop below and, while it is still too
-    large, branch only on the members that shrink it;
+  * families whose common intersection must end below the caller's graph's
+    t (on M_t(m,k,t), the maximum t-intersecting family with no common
+    t-multiset; on M(m,k), t = 1, the maximum intersecting family with
+    empty common intersection) carry the running core through the
+    orbital loop below and, while it is still too large, branch only on
+    the members that shrink it;
   * P(s,1) families (no s+1 pairwise disjoint members) are cliques of
     the complement in which a candidate leaves once it would close an
     (s+1)-clique of G; a colour class of the complement is a clique of G,
@@ -84,7 +85,6 @@ from .core import (
     Family,
     _clique_free,
     common_intersection,
-    is_t_intersecting,
     multiplicity_rows,
 )
 from .graphs import (
@@ -598,14 +598,15 @@ def _validated(graph: DisjointnessGraph, masks: list[int]) -> list[Family]:
 # ---------------------------------------------------------------------------
 
 class _SmallCoreSolver(_MaxCliqueSolver):
-    """Maximum pairwise t_pair-intersecting multiset family whose common
-    intersection ends with cardinality below core_limit, on the orbital
-    loop over the graph's branching view.
+    """Maximum clique of an M or M_t graph's view (a t-intersecting
+    family) whose common intersection ends with cardinality below
+    core_limit, on the orbital loop.
 
     The loop carries the running core, the elementwise minimum of the
-    chosen members' rows.  It starts at (k+1,)*m, which every member
-    shrinks.  While the core is at or above the limit, a node branches only
-    on the candidates that shrink it, one orbit of them at a time (the core
+    chosen members' rows.  It starts at (k+1,)*m, read off the view as
+    the G □ K₂ product reads its marker count, and every member shrinks
+    it.  While the core is at or above the limit, a node branches only on
+    the candidates that shrink it, one orbit of them at a time (the core
     is invariant under the permutations fixing the chosen members, so the
     set of such candidates is a union of orbits).  The others stay
     candidates for every branch, so a branch through a vertex coloured
@@ -621,11 +622,10 @@ class _SmallCoreSolver(_MaxCliqueSolver):
     candidates that shrink a core and the least count each element keeps
     among them are bitset tests."""
 
-    def __init__(
-        self, graph: DisjointnessGraph, core_limit: int, node_limit: int | None, seed: int
-    ):
-        super().__init__(graph.ordered, node_limit, seed)
-        self.core = (graph.k + 1,) * graph.m
+    def __init__(self, view: BranchingView, core_limit: int, node_limit: int | None, seed: int):
+        super().__init__(view, node_limit, seed)
+        top = max(map(sum, view.counts), default=0) + 1  # k+1: above every count
+        self.core = (top,) * len(view.columns)
         self.limit = core_limit
         # the root core, k+1 at every element, reads level k: no vertex exceeds it
         self.over = [[*col, 0] for col in self.columns]
@@ -661,52 +661,47 @@ class _SmallCoreSolver(_MaxCliqueSolver):
 
 
 def _small_core_search(
-    m: int,
-    k: int,
-    t_pair: int,
-    core_limit: int,
-    node_limit: int | None,
-    seed: Family | None,
+    graph: DisjointnessGraph, node_limit: int | None, seed: Family | None
 ) -> SearchResult:
-    graph = build_graph(KIND_MULTISET_T, m, k, t_pair)
+    """The largest independent set of an M or M_t graph whose common
+    intersection has cardinality below the graph's t."""
+    if graph.kind not in (KIND_MULTISET_DISJOINT, KIND_MULTISET_T):
+        raise ContractError(f"the small-core searches run on M or M_t graphs, got {graph.label()}")
+    t = graph.t
+    if not t <= graph.k:
+        raise ContractError(f"need 1 <= t <= k, got t={t}, k={graph.k}")
 
     def valid(fam: Family) -> bool:
-        if not is_t_intersecting(fam, t_pair):
+        if not graph.is_independent(fam):
             return False
-        return not len(fam) or common_intersection(fam).cardinality < core_limit
+        return not len(fam) or common_intersection(fam).cardinality < t
 
     return _seeded_search(
         graph, seed, valid, "pairwise compatibility with a common core below the limit",
-        lambda slots: _SmallCoreSolver(graph, core_limit, node_limit, slots),
+        lambda slots: _SmallCoreSolver(graph.ordered, t, node_limit, slots),
     )
 
 
 def max_intersecting_empty_common(
-    m: int,
-    k: int,
-    node_limit: int | None = None,
-    seed: Family | None = None,
+    graph: DisjointnessGraph, node_limit: int | None = None, seed: Family | None = None
 ) -> SearchResult:
     """Largest intersecting family of k-multisets of [m] whose common
-    intersection is empty.  A verified seed family may provide the initial
-    incumbent; it never changes the optimum."""
-    if k < 1 or m < 1:
-        raise ContractError(f"need m, k >= 1, got ({m}, {k})")
-    return _small_core_search(m, k, 1, 1, node_limit, seed)
+    intersection is empty, on M(m,k) (or M_t(m,k,1)).  A verified seed
+    family may provide the initial incumbent; it never changes the
+    optimum."""
+    if graph.t != 1:
+        raise ContractError(
+            f"the empty-common search runs on M or M_t graphs at t = 1, got {graph.label()}"
+        )
+    return _small_core_search(graph, node_limit, seed)
 
 
 def max_t_intersecting_nontrivial(
-    m: int,
-    k: int,
-    t: int,
-    node_limit: int | None = None,
-    seed: Family | None = None,
+    graph: DisjointnessGraph, node_limit: int | None = None, seed: Family | None = None
 ) -> SearchResult:
     """Largest t-intersecting family of k-multisets whose common
-    intersection has cardinality below t."""
-    if not 1 <= t <= k:
-        raise ContractError(f"need 1 <= t <= k, got t={t}, k={k}")
-    return _small_core_search(m, k, t, t, node_limit, seed)
+    intersection has cardinality below t, on M_t(m,k,t) (M(m,k) is t = 1)."""
+    return _small_core_search(graph, node_limit, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ Every theorem but the unions T2.4 and T3.5 seeds its clique search with
 its construction: the search checks it once against the raw pairwise
 predicate, refuses it (ContractError) if it fails, and then only has to
 prove that nothing beats it, in which case the construction is the
-witness.  A binding that builds its own graph (T1.1, T1.4, T2.3, T2.4,
-T3.4, T3.5, T4.1) filters the construction from the graph's rows
-(families.hitting, families.frankl), so it walks its universe once.  A
-violated hypothesis never hard-fails: the search still runs (the
-exploration mode for open parameter regimes) and the report carries a
-hypothesis_not_met status instead of a verdict.  For the ground-size flag,
-set-system theorems read "m" as the set ground size n.
+witness.  Every binding builds its graph first (T3.3 on M(m,k), T4.8 on
+M_t(m,k,t)), so a universe above the vertex cap is refused before any
+walk, and filters its construction from the graph's rows
+(families.hitting, families.frankl, families._hm, families._hm_t), so it
+walks its universe once.  A violated hypothesis never hard-fails: the
+search still runs (the exploration mode for open parameter regimes) and
+the report carries a hypothesis_not_met status instead of a verdict.  For
+the ground-size flag, set-system theorems read "m" as the set ground n.
 """
 
 from __future__ import annotations
@@ -180,13 +181,13 @@ def _bind_t33(params, node_limit) -> _Binding:
     m, k = _require(params, "m", "k")
     if m < 2:
         raise ContractError(f"T3.3 needs m >= 2, got m={m}")
-    n = m + k - 1
+    graph, n = _twin(KIND_MULTISET_DISJOINT, m, k)
     hyp = k >= 2 and n >= 2 * k
     notes = _hypothesis(hyp, "k >= 2 and n >= 2k", MULTISET, m, n, k=k)
     # the closed form, evaluated also outside the hypothesis
     bound = binomial(n - 1, k - 1) - binomial(n - k - 1, k - 1) + 1
-    constructed = families.hm_multiset(m, k) if hyp else None
-    result = max_intersecting_empty_common(m, k, node_limit, seed=constructed)
+    constructed = families._hm(MULTISET, m, k, graph.multiplicities) if hyp else None
+    result = max_intersecting_empty_common(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
 
 
@@ -233,16 +234,18 @@ def _bind_t48(params, node_limit) -> _Binding:
         notes.append(
             f"hypothesis (1<t<k, m>=2k-t, m>t(k-t)+2) not met (m={m}, k={k}, t={t})"
         )
+    graph = build_graph(KIND_MULTISET_T, m, k, t)
+    rows = graph.multiplicities
     # two candidate extremal families; which one wins splits on k vs 2t+1
     f1_size = None
     f1 = None
     if t + 2 <= m and t + 1 <= k:
-        f1 = families.frankl_multiset(m, k, t, 1)
+        f1 = families.frankl(MULTISET, m, k, t, 1, rows)
         f1_size = len(f1)
     hmt = None
     hmt_size = None
     if 1 < t < k and m >= k + 1:
-        hmt = families.hm_t_multiset(m, k, t)
+        hmt = families._hm_t(MULTISET, m, k, t, rows)
         hmt_size = len(hmt)
     if k <= 2 * t + 1:
         notes.append("case split: k <= 2t+1, bound is the r=1 family size")
@@ -257,7 +260,7 @@ def _bind_t48(params, node_limit) -> _Binding:
         "case-split convention follows the set-system analogue; "
         "recorded here because the two cases are stated ambiguously upstream"
     )
-    result = max_t_intersecting_nontrivial(m, k, t, node_limit, seed=constructed)
+    result = max_t_intersecting_nontrivial(graph, node_limit, seed=constructed)
     return _Binding(bound, constructed, result, hyp, notes)
 
 

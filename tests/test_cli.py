@@ -273,8 +273,8 @@ def test_search_prints_the_graph_label(argv, label, capsys):
      "M*(4,3,2)+nontrivial"),
 ])
 def test_constrained_search_labels_read_the_kind_table(kind, argv, label, monkeypatch, capsys):
-    # the constrained searches have no graph object, yet their label is the
-    # kind's own format: a change in the table reaches them too
+    # the small-core searches print their graph's label, the kind's own
+    # format: a change in the table reaches them too
     entry = graphs._KINDS[kind]
     monkeypatch.setitem(graphs._KINDS, kind, entry._replace(label=entry.label.replace("M(", "M*(")))
     assert run("search", *argv) == 0
@@ -293,6 +293,35 @@ def test_small_core_search_refuses_another_kind(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--constraint {argv[-1]} searches k-multisets" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "M_t", "--m", "5", "--k", "3", "--t", "2", "--constraint", "empty-common"),
+     "--constraint empty-common is the t = 1 search, got --t 2"),
+    (("--m", "4", "--k", "3", "--t", "2", "--constraint", "empty-common"),
+     "--constraint empty-common is the t = 1 search, got --t 2"),
+    (("--m", "5", "--k", "2", "--s", "2", "--constraint", "bipartite"),
+     "--s is read by --constraint clique-free only"),
+    (("--m", "5", "--k", "2", "--s", "2"), "--s is read by --constraint clique-free only"),
+    (("--m", "5", "--k", "3", "--t", "2", "--s", "2", "--constraint", "nontrivial-t"),
+     "--s is read by --constraint clique-free only"),
+], ids=["M_t-t2-empty-common", "M-t2-empty-common", "s-bipartite", "s-independent-set",
+        "s-nontrivial-t"])
+def test_search_refuses_a_flag_its_search_does_not_read(argv, message, capsys):
+    # answering without the flag would answer another question: empty-common
+    # at t = 1, or a search with no s at all
+    assert run("search", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_empty_common_takes_m_t_at_t_one(capsys):
+    assert run("search", "--kind", "M_t", "--m", "5", "--k", "3", "--t", "1",
+               "--constraint", "empty-common") == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split() == ["graph", "M(5,3)+empty-common"]
+    assert re.search(r"optimum\s+13\n", out)
 
 
 def test_clique_free_search_deeper_than_the_recursion_limit(capsys):

@@ -356,17 +356,19 @@ def test_small_core_compat_matches_pairwise_masks(monkeypatch):
     seen = []
 
     class Recording(_SmallCoreSolver):
-        def __init__(self, graph, core_limit, node_limit, seed_mask):
-            super().__init__(graph, core_limit, node_limit, seed_mask)
-            seen.append((graph.multiplicities, self, core_limit))
+        def __init__(self, view, core_limit, node_limit, seed_mask):
+            super().__init__(view, core_limit, node_limit, seed_mask)
+            seen.append((self, core_limit))
 
     monkeypatch.setattr("multifam.search._SmallCoreSolver", Recording)
-    max_intersecting_empty_common(5, 3)
-    max_t_intersecting_nontrivial(5, 3, 2)
-    assert [limit for _c, _s, limit in seen] == [1, 2]
-    for (counts, solver, _limit), t in zip(seen, (1, 2)):
+    searched = (build_graph("M", 5, 3), build_graph("M_t", 5, 3, 2))
+    max_intersecting_empty_common(searched[0])
+    max_t_intersecting_nontrivial(searched[1])
+    assert [limit for _s, limit in seen] == [1, 2]
+    for (solver, _limit), graph in zip(seen, searched):
+        counts = graph.multiplicities
         assert solver.counts == [counts[v] for v in solver.to_old]
-        assert solver.rows == relabel_by_bits(pairwise_compat_masks(counts, t), solver.to_old)
+        assert solver.rows == relabel_by_bits(pairwise_compat_masks(counts, graph.t), solver.to_old)
 
 
 def test_graph_cap_and_kind_validation(monkeypatch):
@@ -497,18 +499,20 @@ PINNED_NODE_COUNTS = [
      (4, 5, 6, 7, 8, 9, 13, 14, 15, 18, 23, 24, 25, 28, 32, 38, 39, 40, 43, 47, 52)),
     (lambda: max_independent_set(build_graph("K", 10, 4)), 84, 506, tuple(range(84))),
     # the small-core searches run on the same front, their core in its frames
-    (lambda: max_intersecting_empty_common(6, 3), 16, 47,
+    (lambda: max_intersecting_empty_common(build_graph("M", 6, 3)), 16, 47,
      (26, 27, 28, 29, 33, *range(41, 50), 53, 54)),
-    (lambda: max_intersecting_empty_common(5, 3), 13, 39,
+    (lambda: max_intersecting_empty_common(build_graph("M", 5, 3)), 13, 39,
      (13, 14, 15, 18, 23, 24, 25, 26, 27, 28, 29, 32, 33)),
-    (lambda: max_t_intersecting_nontrivial(6, 4, 2), 21, 111,
+    (lambda: max_t_intersecting_nontrivial(build_graph("M_t", 6, 4, 2)), 21, 111,
      (48, 49, 50, 53, 63, 83, 84, 85, 88, *range(93, 100), 102, 103, 113, 117, 118)),
-    (lambda: max_t_intersecting_nontrivial(7, 3, 1), 19, 72,
+    (lambda: max_t_intersecting_nontrivial(build_graph("M_t", 7, 3, 1)), 19, 72,
      (45, 46, 47, 48, 49, 54, *range(66, 77), 81, 82)),
     # the small-core items of the search benchmark, seeded as verify does
-    (lambda: max_intersecting_empty_common(7, 3, seed=hm_multiset(7, 3)), 19, 58,
+    (lambda: max_intersecting_empty_common(build_graph("M", 7, 3), seed=hm_multiset(7, 3)),
+     19, 58,
      (48, *range(62, 77), 80, 81, 82)),
-    (lambda: max_t_intersecting_nontrivial(8, 3, 2, seed=frankl_multiset(8, 3, 2, 1)), 4, 9,
+    (lambda: max_t_intersecting_nontrivial(
+        build_graph("M_t", 8, 3, 2), seed=frankl_multiset(8, 3, 2, 1)), 4, 9,
      (75, 103, 109, 110)),
     # the G □ K₂ product on the same front: T3.5(7,2), T2.4(7,2), T3.5(6,3)
     (lambda: max_union_two_intersecting(7, 2), 13, 16, tuple(range(15, 28))),
@@ -571,8 +575,8 @@ def test_node_limit_below_one_is_rejected(limit):
     for search in (
         lambda: max_independent_set(graph, node_limit=limit),
         lambda: enumerate_maximum_independent_sets(graph, node_limit=limit, optimum=4),
-        lambda: max_intersecting_empty_common(4, 2, node_limit=limit),
-        lambda: max_t_intersecting_nontrivial(4, 2, 1, node_limit=limit),
+        lambda: max_intersecting_empty_common(build_graph("M", 4, 2), node_limit=limit),
+        lambda: max_t_intersecting_nontrivial(build_graph("M_t", 4, 2, 1), node_limit=limit),
         lambda: max_p_s1_family(4, 2, 2, node_limit=limit),
         lambda: max_union_two_intersecting(4, 2, node_limit=limit),
     ):
@@ -582,8 +586,8 @@ def test_node_limit_below_one_is_rejected(limit):
 
 def test_node_limit_on_every_constrained_solver():
     for result in (
-        max_intersecting_empty_common(5, 3, node_limit=2),
-        max_t_intersecting_nontrivial(5, 3, 2, node_limit=2),
+        max_intersecting_empty_common(build_graph("M", 5, 3), node_limit=2),
+        max_t_intersecting_nontrivial(build_graph("M_t", 5, 3, 2), node_limit=2),
         max_p_s1_family(5, 2, 2, node_limit=1),
         max_union_two_intersecting(4, 2, node_limit=2),
     ):
@@ -772,26 +776,52 @@ def test_optimum_orbits_of_a_deep_optimum():
 # -- empty common intersection ---------------------------------------------------
 
 def test_empty_common_reference_values():
-    assert max_intersecting_empty_common(6, 3).optimum == 16
-    assert max_intersecting_empty_common(4, 3).optimum == 10
-    assert max_intersecting_empty_common(3, 1).optimum == 0
+    assert max_intersecting_empty_common(build_graph("M", 6, 3)).optimum == 16
+    assert max_intersecting_empty_common(build_graph("M", 4, 3)).optimum == 10
+    assert max_intersecting_empty_common(build_graph("M", 3, 1)).optimum == 0
 
 
 def test_empty_common_seed_equals_unseeded():
-    seeded = max_intersecting_empty_common(5, 3, seed=hm_multiset(5, 3))
-    plain = max_intersecting_empty_common(5, 3)
+    seeded = max_intersecting_empty_common(build_graph("M", 5, 3), seed=hm_multiset(5, 3))
+    plain = max_intersecting_empty_common(build_graph("M", 5, 3))
     assert seeded.optimum == plain.optimum
 
 
 def test_empty_common_witness_is_valid():
-    result = max_intersecting_empty_common(5, 3)
+    result = max_intersecting_empty_common(build_graph("M", 5, 3))
     assert is_t_intersecting(result.witness, 1)
     assert common_intersection(result.witness).cardinality == 0
 
 
 def test_empty_common_rejects_invalid_seed():
     with pytest.raises(ContractError):
-        max_intersecting_empty_common(4, 3, seed=frankl_multiset(4, 3, 2, 0))
+        max_intersecting_empty_common(build_graph("M", 4, 3), seed=frankl_multiset(4, 3, 2, 0))
+
+
+@pytest.mark.parametrize("graph", [
+    build_graph("K", 6, 3), build_graph("K_t", 6, 3, 2), build_graph("M_support_t", 5, 3, 2),
+], ids=lambda graph: graph.kind)
+def test_small_core_searches_refuse_another_kind(graph):
+    # fed to the solver, K(6,3) broke in _filter and M'(5,3,2) answered a
+    # support question; the entries refuse both before any search
+    for search in (max_intersecting_empty_common, max_t_intersecting_nontrivial):
+        with pytest.raises(ContractError, match="on M or M_t graphs"):
+            search(graph)
+
+
+def test_empty_common_refuses_a_threshold_above_one():
+    # empty common intersection is the t = 1 question; M_t(5,3,2) asks another
+    with pytest.raises(ContractError, match=r"at t = 1, got M\(5,3,2\)"):
+        max_intersecting_empty_common(build_graph("M_t", 5, 3, 2))
+    assert max_intersecting_empty_common(build_graph("M_t", 5, 3, 1)).optimum == 13
+
+
+def test_small_core_searches_refuse_t_above_k():
+    for search in (max_intersecting_empty_common, max_t_intersecting_nontrivial):
+        with pytest.raises(ContractError, match="need 1 <= t <= k, got t=1, k=0"):
+            search(build_graph("M", 3, 0))
+    with pytest.raises(ContractError, match="need 1 <= t <= k, got t=3, k=2"):
+        max_t_intersecting_nontrivial(build_graph("M_t", 4, 2, 3))
 
 
 def _small_core_instance(m, k, t):
@@ -851,9 +881,9 @@ def test_small_core_matches_vertex_reference(m, k):
             _assert_small_core_family(graph.family_from_mask(mask), t)
         seed = _construction_seed(m, k, t)
         for seed in (None, seed) if seed is not None else (None,):
-            searches = [max_t_intersecting_nontrivial(m, k, t, seed=seed)]
+            searches = [max_t_intersecting_nontrivial(graph, seed=seed)]
             if t == 1:
-                searches.append(max_intersecting_empty_common(m, k, seed=seed))
+                searches.append(max_intersecting_empty_common(build_graph("M", m, k), seed=seed))
             for result in searches:
                 _assert_small_core_result(result, t)
                 assert result.optimum == expected, (m, k, t, seed is not None)
@@ -866,7 +896,7 @@ def test_small_core_matches_subset_bruteforce(m, k):
         _graph, counts, compat = _small_core_instance(m, k, t)
         best, _mask = brute_small_core(counts, t, t)
         assert vertex_small_core_search(counts, compat, t)[0] == best, (m, k, t)
-        result = max_t_intersecting_nontrivial(m, k, t)
+        result = max_t_intersecting_nontrivial(build_graph("M_t", m, k, t))
         _assert_small_core_result(result, t)
         assert result.optimum == best, (m, k, t)
 
@@ -943,7 +973,7 @@ def test_small_core_orbits_are_stabiliser_orbits(m, monkeypatch):
     seen = _record_front_orbits(monkeypatch)
     for k in range(1, 5):
         for t in range(1, k + 1):
-            solver = _SmallCoreSolver(build_graph("M_t", m, k, t), t, None, 0)
+            solver = _SmallCoreSolver(build_graph("M_t", m, k, t).ordered, t, None, 0)
             assert not solver.solve()[3]
     assert seen and (m == 2 or any(r_mask for r_mask, *_rest in seen))
     _assert_stabiliser_orbits(seen, group, (0,) * m)
@@ -976,7 +1006,7 @@ def _orbital_paths(graph, limit):
         enumerate_optimum_orbits(graph, mis.optimum, node_limit=limit)
     clique_free_search(graph, 2, limit)
     if graph.kind == "M_t" and graph.t <= graph.k:
-        max_t_intersecting_nontrivial(graph.m, graph.k, graph.t, limit)
+        max_t_intersecting_nontrivial(graph, limit)
     induced_bipartite_search(graph, limit)
 
 
@@ -1080,18 +1110,19 @@ def test_small_core_filter_matches_the_row_scan(monkeypatch):
     for m in range(1, 8):
         for k in range(1, 5):
             for t in range(1, k + 1):
+                graph = build_graph("M_t", m, k, t)
                 seed = _construction_seed(m, k, t)
                 for seed in (None, seed) if seed is not None else (None,):
-                    _assert_small_core_result(max_t_intersecting_nontrivial(m, k, t, seed=seed), t)
+                    _assert_small_core_result(max_t_intersecting_nontrivial(graph, seed=seed), t)
     assert outcomes == {True, False}
 
 
 def test_small_core_front_end_prunes_on_an_empty_trimmed_order(monkeypatch):
     # seeded at its optimum, a front-end node whose candidates cannot beat
     # the seed gets an empty trimmed colour order and is pruned
-    seed = max_intersecting_empty_common(6, 3).witness
+    seed = max_intersecting_empty_common(build_graph("M", 6, 3)).witness
     seen = _colourings(monkeypatch, _SmallCoreSolver)
-    result = max_intersecting_empty_common(6, 3, seed=seed)
+    result = max_intersecting_empty_common(build_graph("M", 6, 3), seed=seed)
     assert result.proved and result.optimum == 16
     assert any(p_mask and not order for p_mask, order in seen)
 
@@ -1290,7 +1321,7 @@ def test_greedy_clique_replaces_only_a_smaller_seed():
     solver._seed()
     assert (solver.best, solver.best_mask) == (10, tied)
     # the small-core solver never takes a greedy clique
-    small = _SmallCoreSolver(build_graph("M_t", 6, 3, 1), 1, None, 0)
+    small = _SmallCoreSolver(build_graph("M_t", 6, 3, 1).ordered, 1, None, 0)
     small._seed()
     assert (small.best, small.best_mask) == (0, 0)
 
@@ -1345,8 +1376,9 @@ def test_invalid_seeds_are_refused_before_any_search(monkeypatch):
         # a triangle of K_t(6,3,2), so not P(2,1) under the graph's rule
         lambda: clique_free_search(build_graph("K_t", 6, 3, 2), 2, seed=hit_s_set(6, 3, (1, 2))),
         # the small-core searches: not intersecting, then a common element
-        lambda: max_intersecting_empty_common(4, 3, seed=frankl_multiset(4, 3, 2, 0)),
-        lambda: max_intersecting_empty_common(5, 3, seed=star(5, 3, 1)),
+        lambda: max_intersecting_empty_common(
+            build_graph("M", 4, 3), seed=frankl_multiset(4, 3, 2, 0)),
+        lambda: max_intersecting_empty_common(build_graph("M", 5, 3), seed=star(5, 3, 1)),
     ]
     for search in refused:
         with pytest.raises(ContractError):
@@ -1535,7 +1567,7 @@ def test_tiny_ground_set_forces_common_t_multiset():
 
 
 def test_nontrivial_t_reference_value():
-    result = max_t_intersecting_nontrivial(5, 3, 2)
+    result = max_t_intersecting_nontrivial(build_graph("M_t", 5, 3, 2))
     assert result.proved and result.optimum == 4
     assert common_intersection(result.witness).cardinality < 2
     unconstrained = max_t_intersecting(5, 3, 2)

@@ -2,12 +2,17 @@ import pytest
 
 from multifam import (
     ContractError,
+    ScaleExceededError,
     build_graph,
     families,
     frankl_multiset,
     frankl_set,
     hit_s,
     hit_s_set,
+    hm_multiset,
+    hm_set,
+    hm_t_multiset,
+    hm_t_set,
     is_isomorphic,
     star,
     verify_theorem,
@@ -104,6 +109,8 @@ GRAPH_CONSTRUCTIONS = [
     ("T4.1", {"m": 5, "k": 4, "t": 2}, lambda p: frankl_multiset(p["m"], p["k"], p["t"], 1)),
     ("T4.1", {"m": 6, "k": 4, "t": 2}, lambda p: frankl_multiset(p["m"], p["k"], p["t"], 0)),
     ("T3.5", {"m": 7, "k": 2}, lambda p: hit_s(p["m"], p["k"], (1, 2))),
+    ("T3.3", {"m": 7, "k": 3}, lambda p: hm_multiset(p["m"], p["k"])),
+    ("T4.8", {"m": 8, "k": 3, "t": 2}, lambda p: frankl_multiset(p["m"], p["k"], p["t"], 1)),
 ]
 
 
@@ -134,6 +141,28 @@ def test_filters_on_graph_rows_equal_their_constructors():
                         assert families.frankl("set", m, k, t, r, sets) == frankl_set(m, k, t, r)
 
 
+def test_hilton_milner_filters_on_graph_rows_equal_their_constructors():
+    for m in range(1, 9):
+        for k in range(2, 6):
+            if m < k + 1:
+                continue
+            rows = build_graph("M", m, k).multiplicities
+            sets = build_graph("K", m, k).multiplicities
+            assert families._hm("multiset", m, k, rows) == hm_multiset(m, k)
+            assert families._hm("set", m, k, sets) == hm_set(m, k)
+            for t in range(2, k):
+                assert families._hm_t("multiset", m, k, t, rows) == hm_t_multiset(m, k, t)
+                assert families._hm_t("set", m, k, t, sets) == hm_t_set(m, k, t)
+
+
+def test_m_and_m_t_at_one_share_their_view():
+    # the small-core searches take either graph at t = 1: one view, so one
+    # search and one node count
+    for m in range(1, 9):
+        for k in range(0, 6):
+            assert build_graph("M", m, k).ordered == build_graph("M_t", m, k, 1).ordered, (m, k)
+
+
 @pytest.mark.parametrize("theorem_id, params, public", GRAPH_CONSTRUCTIONS)
 def test_each_verify_walks_its_universe_once(monkeypatch, theorem_id, params, public):
     # a spy on both walks: count vectors for multisets, combinations for sets
@@ -146,6 +175,23 @@ def test_each_verify_walks_its_universe_once(monkeypatch, theorem_id, params, pu
         monkeypatch.setattr(core, name, spy)
     verify_theorem(theorem_id, params)
     assert len(walks) == 1, walks
+
+
+@pytest.mark.parametrize("theorem_id, params", [
+    ("T3.3", {"m": 16, "k": 7}),
+    ("T4.8", {"m": 16, "k": 7, "t": 3}),
+])
+def test_small_core_theorems_refuse_a_large_universe_before_any_walk(
+    monkeypatch, theorem_id, params
+):
+    # C(22,7) = 170,544 members: the graph refuses them before a
+    # construction could walk them
+    walks = []
+    real = core.count_vectors
+    monkeypatch.setattr(core, "count_vectors", lambda *args: walks.append(args) or real(*args))
+    with pytest.raises(ScaleExceededError):
+        verify_theorem(theorem_id, params)
+    assert walks == []
 
 
 @pytest.mark.parametrize("theorem_id", ["T1.4", "T3.3", "T3.4", "T3.5"])
