@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import families
 from .bijection import BijectionContext, forward, inverse
@@ -27,8 +28,6 @@ from .core import (
     is_support_t_intersecting,
     is_t_intersecting,
     multichoose,
-    unary_mask,
-    universe_rows,
 )
 from .families import canonical_form, is_isomorphic
 from .graphs import (
@@ -215,27 +214,54 @@ def _ac6() -> str:
 # AC-7: down-compression battery
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _draw_tables(m: int, k: int, t: int):
+    """(rows, slot, compat) of M_t(m,k,t): each rank's multiplicity row,
+    its branching slot (the inverse of ordered.to_old) and, per slot, the
+    bitset of slots compatible with it (ordered.rows).  One entry is
+    enough: every caller draws its families one (m, k, t) after another."""
+    graph = build_graph(KIND_MULTISET_T, m, k, t)
+    view = graph.ordered
+    slot = [0] * len(view.to_old)
+    for new, old in enumerate(view.to_old):
+        slot[old] = new
+    return graph.multiplicities, tuple(slot), tuple(view.rows)
+
+
 def random_t_intersecting_family(m: int, k: int, t: int, rng: random.Random) -> Family:
-    """Random greedy t-intersecting family: shuffle the universe's rows, then
-    keep compatible ones with a random acceptance rate up to a random size."""
-    universe = list(universe_rows(m, k, MULTISET))
-    rng.shuffle(universe)
-    target = rng.randint(1, max(2, len(universe) // 2))
+    """Random greedy t-intersecting family: shuffle the universe's ranks,
+    then keep compatible ones with a random acceptance rate up to a random
+    size.
+
+    The draw is a random greedy independent set of the M_t(m,k,t) graph.
+    `allowed` is the AND of the compatibility rows of the members kept so
+    far, so a visited rank is kept iff its slot's bit is set there: one bit
+    test and one AND per kept member.  The graph's tables are cached for
+    one (m, k, t) at a time.  Like build_graph, the draw refuses t < 1
+    (ContractError) and a universe above graphs.DEFAULT_VERTEX_CAP members
+    (ScaleExceededError), both before the rng is read."""
+    rows, slot, compat = _draw_tables(m, k, t)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    target = rng.randint(1, max(2, len(order) // 2))
     rate = rng.uniform(0.4, 1.0)
-    chosen: list[tuple[int, ...]] = []
-    chosen_masks: list[int] = []
-    for row in universe:
-        if len(chosen) >= target:
-            break
-        if rng.random() > rate:
+    chosen: list[int] = []
+    allowed = -1
+    draw = rng.random
+    for v in order:
+        if draw() > rate:
             continue
-        mask = unary_mask(row, k)
-        if all((mask & c).bit_count() >= t for c in chosen_masks):
-            chosen.append(row)
-            chosen_masks.append(mask)
+        s = slot[v]
+        if allowed >> s & 1:
+            chosen.append(v)
+            allowed &= compat[s]
+            # the next rank would draw nothing before the size check
+            if len(chosen) >= target:
+                break
     if not chosen:
-        chosen = [universe[0]]
-    return Family.from_rows(m, k, MULTISET, sorted(chosen))
+        chosen = [order[0]]
+    # ranks run in canonical member order
+    return Family.from_rows(m, k, MULTISET, [rows[v] for v in sorted(chosen)])
 
 
 def _compression_grid() -> list[tuple[int, int, int]]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import acceptance, families
@@ -252,6 +253,11 @@ def _cmd_isomorphic(args) -> int:
 
 def _cmd_suite(args) -> int:
     results = acceptance.run_profile(args.profile)
+    # the report file goes first, so an unusable path leaves stdout empty
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps([asdict(res) for res in results], indent=2, sort_keys=True) + "\n"
+        )
     failures = 0
     for res in results:
         mark = "pass" if res.passed else "FAIL"
@@ -335,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run the acceptance criteria")
     p_suite.add_argument("--profile", choices=("quick", "full"), default="quick")
+    p_suite.add_argument("--json")
     p_suite.set_defaults(func=_cmd_suite)
 
     return parser

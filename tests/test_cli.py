@@ -223,6 +223,7 @@ VERIFY_ARGV = ("verify", "--theorem", "T1.4", "--m", "4", "--k", "3")
 
 @pytest.mark.parametrize("argv, flag", [
     (SEARCH_ARGV, "--witness"), (SEARCH_ARGV, "--json"), (VERIFY_ARGV, "--json"),
+    (("suite", "--profile", "quick"), "--json"),
 ])
 def test_unusable_output_path_leaves_stdout_empty(argv, flag, tmp_path, capsys):
     assert run(*argv, flag, str(tmp_path / "nodir" / "out.txt")) == 2
@@ -524,3 +525,22 @@ def test_suite_quick_profile(capsys):
     for cid in ("AC-1", "AC-2", "AC-3", "AC-4", "AC-5", "AC-6"):
         assert f"{cid:<6} pass" in out
     assert "6/6 criteria passed" in out
+
+
+def test_suite_json_report(tmp_path, capsys):
+    assert run("suite", "--profile", "quick") == 0
+    plain = capsys.readouterr().out
+    report = tmp_path / "suite.json"
+    assert run("suite", "--profile", "quick", "--json", str(report)) == 0
+    captured = capsys.readouterr()
+    # stdout is the text matrix, byte for byte; the timings stay on stderr
+    assert captured.out == plain
+    payload = json.loads(report.read_text())
+    cids = ["AC-1", "AC-2", "AC-3", "AC-4", "AC-5", "AC-6"]
+    assert [record["cid"] for record in payload] == cids
+    for record in payload:
+        assert set(record) == {"cid", "passed", "detail", "elapsed_ms"}
+        assert record["passed"] is True
+        assert isinstance(record["elapsed_ms"], int) and record["elapsed_ms"] >= 0
+        assert f"{record['cid']:<6} pass  {record['detail']}\n" in captured.out
+        assert f"{record['cid']} finished in {record['elapsed_ms']} ms" in captured.err

@@ -12,6 +12,7 @@ from multifam import (
     Family,
     Kernel,
     Multiset,
+    ScaleExceededError,
     ShiftParams,
     common_intersection,
     down_compress_full,
@@ -36,7 +37,7 @@ from bruteforce import (
     shift_loop_compress_pass,
     shift_loop_shift_family,
 )
-from conftest import family_and_t, multiset_family
+from conftest import family_and_t, multiset_family, refuse_enumeration
 
 
 def ms(m, *elements):
@@ -531,9 +532,9 @@ def test_structured_families_are_fixed_points():
 
 
 def test_random_family_generator_matches_reference():
-    # the reference walks Multiset members, the generator count rows: the
-    # same draws give the same families on the AC-7 grid and on the
-    # benchmark's compression points (8,4,2) and (9,5,3)
+    # the reference walks Multiset members, the generator the M_t graph's
+    # compatibility rows: the same draws give the same families on the AC-7
+    # grid and on the benchmark's compression points (8,4,2) and (9,5,3)
     for seed in range(200):
         rng, reference_rng = random.Random(seed), random.Random(seed)
         for m, k, t in _compression_grid() + [(8, 4, 2), (9, 5, 3)]:
@@ -541,6 +542,43 @@ def test_random_family_generator_matches_reference():
                 greedy_random_t_intersecting_family(m, k, t, reference_rng)
             ), (seed, m, k, t)
         assert rng.getstate() == reference_rng.getstate()
+
+
+def test_random_family_generator_matches_reference_under_interleaved_calls():
+    # the generator caches one graph at a time, so alternating points
+    # rebuild it on every call; each draw must still match the reference
+    points = [(8, 4, 2), (9, 5, 3), (6, 4, 3)]
+    for seed in range(50):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for m, k, t in points * 2:
+            family = random_t_intersecting_family(m, k, t, rng)
+            assert family == greedy_random_t_intersecting_family(m, k, t, reference_rng), (
+                seed, m, k, t,
+            )
+            assert is_t_intersecting(family, t)
+        assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_random_family_generator_refuses_t_below_one(t, monkeypatch):
+    # at t = 0 every pair would pass; the refusal comes before any draw
+    # and before any universe walk
+    refuse_enumeration(monkeypatch)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ContractError, match="t must be >= 1"):
+        random_t_intersecting_family(5, 3, t, rng)
+    assert rng.getstate() == state
+
+
+def test_random_family_generator_refuses_a_universe_above_the_graph_cap(monkeypatch):
+    # 12,376 members of M_t(12,6,2), above graphs.DEFAULT_VERTEX_CAP (5000)
+    refuse_enumeration(monkeypatch)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ScaleExceededError, match="12376 members"):
+        random_t_intersecting_family(12, 6, 2, rng)
+    assert rng.getstate() == state
 
 
 def test_random_compression_battery_small():
