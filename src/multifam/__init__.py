@@ -58,7 +58,9 @@ from .families import (
     hm_set,
     hm_set_size,
     hm_t_multiset,
+    hm_t_multiset_size,
     hm_t_set,
+    hm_t_set_size,
     is_isomorphic,
     star,
 )

@@ -77,7 +77,7 @@ def _cmd_size(args) -> int:
         except ScaleExceededError:
             pass  # too large a universe to walk: the closed form only
         else:
-            if formula is not None and enumerated != formula:
+            if enumerated != formula:
                 print(
                     f"error: closed form {formula} disagrees with enumeration {enumerated}",
                     file=sys.stderr,
@@ -87,7 +87,7 @@ def _cmd_size(args) -> int:
         [
             ("family", spec.name),
             ("params", _params_string(spec)),
-            ("closed_form", formula if formula is not None else "-"),
+            ("closed_form", formula),
             ("enumerated", enumerated),
         ]
     )

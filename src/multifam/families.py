@@ -8,10 +8,9 @@ support) and one parameter check.  Those shared filters (hitting,
 frankl, _hm, _hm_t) also take a given row sequence in place of a walk:
 the universe's rows in rank order, as a disjointness graph already holds
 them, so a caller that built the graph filters its rows instead of
-walking the universe again.  Closed-form sizes are provided where one
-exists, and each runs its constructor's parameter check first; hm_t
-families have no closed form and are counted by enumeration.  One registry, keyed by family name,
-dispatches build_family and family_size_formula.
+walking the universe again.  Every named family has a closed-form size,
+and each runs its constructor's parameter check first.  One registry,
+keyed by family name, dispatches build_family and family_size_formula.
 
 Isomorphism is relabeling of the ground set.  canonical_form runs an
 individualisation-refinement search (McKay & Piperno, "Practical graph
@@ -260,10 +259,25 @@ def hm_t_set(n: int, k: int, t: int) -> Family:
     return _hm_t(SET, n, k, t)
 
 
+def hm_t_set_size(n: int, k: int, t: int) -> int:
+    """The sets through [t], less those missing [t+1, k+1], plus the t
+    adjoined sets."""
+    _check_hm_t_params(SET, n, k, t)
+    return binomial(n - t, k - t) - binomial(n - k - 1, k - t) + t
+
+
 def hm_t_multiset(m: int, k: int, t: int) -> Family:
-    """Multiset analogue of hm_t_set.  No closed-form size; count by
-    enumerating.  The common intersection has cardinality below t."""
+    """Multiset analogue of hm_t_set.  The common intersection has
+    cardinality below t."""
     return _hm_t(MULTISET, m, k, t)
+
+
+def hm_t_multiset_size(m: int, k: int, t: int) -> int:
+    """hm_t_set_size at n = m+k-1: one copy of each of [t] and the other
+    k-t copies anywhere in [m], less the placements that miss [t+1, k+1],
+    plus the t adjoined sets."""
+    _check_hm_t_params(MULTISET, m, k, t)
+    return binomial(m + k - 1 - t, k - t) - binomial(m - 2, k - t) + t
 
 
 def _check_hit_s_params(m: int, k: int, s: int) -> None:
@@ -577,7 +591,7 @@ def is_isomorphic(fam1: Family, fam2: Family) -> bool:
 # spec-driven dispatch (CLI surface)
 # ---------------------------------------------------------------------------
 
-# name: (constructor, closed-form size or None), both read off a FamilySpec;
+# name: (constructor, closed-form size), both read off a FamilySpec;
 # each calls its functions by name when it runs, so it sees a rebound one
 _REGISTRY = {
     "star": (lambda spec: star(spec.m, spec.k, spec.anchor[0] if spec.anchor else 1),
@@ -593,12 +607,11 @@ _REGISTRY = {
     "hm_set": (lambda spec: hm_set(spec.m, spec.k), lambda spec: hm_set_size(spec.m, spec.k)),
     "hm_multiset": (lambda spec: hm_multiset(spec.m, spec.k),
                     lambda spec: hm_multiset_size(spec.m, spec.k)),
-    # the hm_t families have no closed form: their size runs the check only
     "hm_t_set": (lambda spec: hm_t_set(spec.m, spec.k, *_params(spec, "t")),
-                 lambda spec: _check_hm_t_params(SET, spec.m, spec.k, *_params(spec, "t"))),
+                 lambda spec: hm_t_set_size(spec.m, spec.k, *_params(spec, "t"))),
     "hm_t_multiset": (
         lambda spec: hm_t_multiset(spec.m, spec.k, *_params(spec, "t")),
-        lambda spec: _check_hm_t_params(MULTISET, spec.m, spec.k, *_params(spec, "t")),
+        lambda spec: hm_t_multiset_size(spec.m, spec.k, *_params(spec, "t")),
     ),
     "hit_s": (lambda spec: hit_s(spec.m, spec.k, _hit_s_anchor(spec)),
               lambda spec: hit_s_size(spec.m, spec.k, len(_hit_s_anchor(spec)))),
@@ -614,9 +627,8 @@ def build_family(spec: FamilySpec) -> Family:
     return _REGISTRY[spec.name][0](spec)
 
 
-def family_size_formula(spec: FamilySpec) -> int | None:
-    """Closed-form size for the named family, or None if only enumeration
-    is available (the hm_t families)."""
+def family_size_formula(spec: FamilySpec) -> int:
+    """Closed-form size for the named family."""
     return _REGISTRY[spec.name][1](spec)
 
 

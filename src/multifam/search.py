@@ -29,9 +29,9 @@ Constrained variants:
   * families whose common intersection must end below the caller's graph's
     t (on M_t(m,k,t), the maximum t-intersecting family with no common
     t-multiset; on M(m,k), t = 1, the maximum intersecting family with
-    empty common intersection) carry the running core through the
-    orbital loop below and, while it is still too large, branch only on
-    the members that shrink it;
+    empty common intersection) read the chosen members' core off their
+    count columns at each node and, while it is still too large, branch
+    only on the members that shrink it;
   * P(s,1) families (no s+1 pairwise disjoint members) are cliques of
     the complement in which a candidate leaves once it would close an
     (s+1)-clique of G; a colour class of the complement is a clique of G,
@@ -59,7 +59,9 @@ on a view with no orbits: the plain loop.  A search needs one optimum only
 up to those permutations, and a uniqueness verdict one optimum from each
 isomorphism class.  Enumerating all optima runs the plain loop, the
 graph's view with its orbits dropped: the incumbent is held at one below
-the proved optimum and each leaf is recorded instead of adopted.
+the proved optimum and each leaf is recorded instead of adopted.  Every
+solver is that one loop with its own hooks (see _MaxCliqueSolver), and
+every search and enumeration runs through its one solve().
 
 The incumbent a search starts from is its seed, an explicit extremal
 family the caller hands over (verify passes each theorem's construction),
@@ -125,7 +127,7 @@ class _Budget(Exception):
     pass
 
 
-class _CapHit(Exception):
+class _CapHit(_Budget):
     pass
 
 
@@ -266,8 +268,10 @@ class _MaxCliqueSolver:
     """Exact maximum clique on a BranchingView: rows already in branching
     order, new vertex i being vertex to_old[i] of the caller's graph.  It
     holds the incumbent, the node budget and the one branch-and-bound loop
-    _front (Tomita-style colouring bounds); a subclass may override the
-    loop's steps _color, _children and _leaf.
+    _front (Tomita-style colouring bounds), which keeps no state of any
+    constraint.  A subclass overrides the loop's four hooks: _seed, the
+    first incumbent; _color, a node's branches and their bounds; _children,
+    a child's candidates; and _leaf, a clique that beats the incumbent.
 
     The incumbent starts at `seed`, a clique given as a bitset of branching
     slots (a validated construction, or none), or at a greedy clique when
@@ -294,15 +298,7 @@ class _MaxCliqueSolver:
     to branch on.  Once no candidate orbit holds two vertices nothing is
     left to prune: the node and every node below it skip _refine and _cut
     and bar only the vertex branched on, as every node does on a view with
-    no orbits (the plain loop, which reads neither counts nor columns).
-
-    A subclass that sets `core` (the small-core searches) also carries a
-    running core in every node and supplies _filter, the branches of a
-    node whose core is still too large, and _shrink, a child's core or
-    None once no constraint is left; a clique counts as a leaf only once
-    its core is None."""
-
-    core = None
+    no orbits (the plain loop, which reads neither counts nor columns)."""
 
     def __init__(
         self,
@@ -317,9 +313,8 @@ class _MaxCliqueSolver:
         self.free = [full & ~(row | 1 << v) for v, row in enumerate(self.rows)]
         self.cls = cls
         self.counter = _NodeCounter(node_limit)
-        self.seed = seed
-        self.best = 0
-        self.best_mask = 0
+        self.best = seed.bit_count()
+        self.best_mask = seed
 
     def solve(self) -> tuple[int, int, int, bool]:
         """Returns (optimum, witness mask in original indexing, nodes
@@ -334,13 +329,8 @@ class _MaxCliqueSolver:
         return self.best, self._remap(self.best_mask), self.counter.nodes, limited
 
     def _seed(self) -> None:
-        """The first incumbent: the seed, or a greedy clique (lowest index
-        first) when that is strictly larger.  A solver with a core takes
-        the seed alone, since a greedy clique can break its constraint."""
-        self.best = self.seed.bit_count()
-        self.best_mask = self.seed
-        if self.core is not None:
-            return
+        """The first incumbent: the seed (set in __init__), or a greedy
+        clique (lowest index first) when that is strictly larger."""
         chosen = 0
         size = 0
         cand = (1 << self.n) - 1
@@ -367,10 +357,10 @@ class _MaxCliqueSolver:
         itself.  A child keeps the groups that still hold two or more of
         its candidates, and splits them only when its cls is finer; a node
         with no groups (every node of the plain loop) only walks its colour
-        order.  Each stack frame is (r_size, r_mask, cls, core, p_mask,
-        groups, grouped, colour order, colours, index); the index walks the
-        trimmed order from its last vertex, the one with the highest colour,
-        and the frame ends once the colour bound can no longer beat the
+        order.  Each stack frame is (r_size, r_mask, cls, p_mask, groups,
+        grouped, colour order, colours, index); the index walks the trimmed
+        order from its last vertex, the one with the highest colour, and
+        the frame ends once the colour bound can no longer beat the
         incumbent or the order runs out."""
         counts = self.counts
         columns = self.columns
@@ -384,19 +374,17 @@ class _MaxCliqueSolver:
             grouped |= o
         # cls is read only while some orbit holds two candidates
         cls = (self.cls or (0,) * len(counts[0])) if groups else None
-        r_size, r_mask, core = 0, 0, self.core
+        r_size, r_mask = 0, 0
         stack = []
         tick()
-        order, colors = color(p_mask, self.best - r_size + 1)
-        if core is not None and order:
-            order, colors = self._filter(core, p_mask, colors[-1])
+        order, colors = color(r_mask, p_mask, self.best - r_size + 1)
         i = len(order)
         while True:
             i -= 1
             if i < 0 or r_size + colors[i] <= self.best:
                 if not stack:
                     return
-                r_size, r_mask, cls, core, p_mask, groups, grouped, order, colors, i = stack.pop()
+                r_size, r_mask, cls, p_mask, groups, grouped, order, colors, i = stack.pop()
                 continue
             v = order[i]
             bit = 1 << v
@@ -410,12 +398,11 @@ class _MaxCliqueSolver:
                         break
             else:
                 p_mask ^= bit
-            child_core = None if core is None else self._shrink(core, counts[v])
             if not new_p:
-                if child_core is None and r_size + 1 > self.best:
+                if r_size + 1 > self.best:
                     self._leaf(r_size + 1, r_mask | bit)
                 continue
-            stack.append((r_size, r_mask, cls, core, p_mask, groups, grouped, order, colors, i))
+            stack.append((r_size, r_mask, cls, p_mask, groups, grouped, order, colors, i))
             if groups:
                 kept = []
                 grouped = 0
@@ -428,11 +415,8 @@ class _MaxCliqueSolver:
             r_size += 1
             r_mask |= bit
             p_mask = new_p
-            core = child_core
             tick()
-            order, colors = color(p_mask, self.best - r_size + 1)
-            if core is not None and order:
-                order, colors = self._filter(core, p_mask, colors[-1])
+            order, colors = color(r_mask, p_mask, self.best - r_size + 1)
             i = len(order)
             if groups and order:  # orbits are split only at a node with colours to branch on
                 child_cls, parts = _refine(cls, counts[v])
@@ -440,11 +424,12 @@ class _MaxCliqueSolver:
                     cls = child_cls
                     groups, grouped = _cut(groups, parts, columns)
 
-    def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
-        """Candidates in branching order with non-decreasing bounds, cut to
-        the suffix whose bound is at least kmin: no clique among order[i]
-        and the candidates coloured before it has more than colors[i]
-        vertices.  A node with r_size chosen members passes kmin =
+    def _color(self, r_mask: int, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
+        """The branches of the node (chosen members r_mask, candidates
+        p_mask): candidates in branching order with non-decreasing bounds,
+        cut to the suffix whose bound is at least kmin, so no clique among
+        order[i] and the candidates coloured before it has more than
+        colors[i] vertices.  A node with r_size chosen members passes kmin =
         best - r_size + 1, since a candidate whose bound is below it is
         never branched on."""
         return _greedy_color(p_mask, self.free, kmin)
@@ -460,32 +445,27 @@ class _MaxCliqueSolver:
 
 
 class _CliqueEnumerator(_MaxCliqueSolver):
-    """Every clique of the clique number `target`, on the shared loop: on
-    the plain loop all of them, on a graph's view with its orbits at least
-    one from every class under the permutations of [m].
+    """Every clique of the clique number `target` (up to `cap`, in
+    `found`), on the shared loop: on the plain loop all of them, on a
+    graph's view with its orbits at least one from every class under the
+    permutations of [m].  A larger clique is a contract error.
 
-    The incumbent stays at target - 1, so the colour bound keeps exactly
-    the branches that can still reach target, and a leaf is recorded
-    instead of adopted.  The loop drops each branched vertex from its later
+    The incumbent stays at target - 1 (_seed), so the colour bound keeps
+    exactly the branches that can still reach target, and a leaf is
+    recorded instead of adopted (_leaf); the cap stops the loop as the
+    node budget does.  The loop drops each branched vertex from its later
     siblings, so every clique is reached by one path."""
 
-    def enumerate_target(self, target: int, cap: int | None) -> tuple[list[int], bool, int]:
-        """All cliques of `target` vertices, up to `cap`; returns (masks in
-        original indexing, complete, nodes).  `target` must be the clique
-        number: a larger clique is a contract error."""
-        self.found: list[int] = []
-        self.cap = cap
+    def __init__(self, view: BranchingView, target: int, cap: int | None, node_limit: int | None):
+        super().__init__(view, node_limit)
         self.target = target
-        self.best = target - 1
-        complete = True
-        try:
-            if self.n:
-                self._front()
-            elif target == 0:
-                self.found.append(0)  # the empty clique of the empty graph
-        except (_CapHit, _Budget):
-            complete = False
-        return [self._remap(m) for m in self.found], complete, self.counter.nodes
+        self.cap = cap
+        self.found: list[int] = []
+
+    def _seed(self) -> None:
+        self.best = self.target - 1
+        if not self.n and self.target == 0:
+            self.found.append(0)  # the empty clique of the empty graph
 
     def _leaf(self, size: int, mask: int) -> None:
         if size > self.target:
@@ -565,9 +545,7 @@ def enumerate_maximum_independent_sets(
             return EnumerationResult(base.optimum, [base.witness], False, base.nodes_explored)
         optimum = base.optimum
         nodes_total = base.nodes_explored
-    solver = _CliqueEnumerator(graph.ordered._replace(orbits=[]), node_limit)
-    masks, complete, nodes = solver.enumerate_target(optimum, cap)
-    return EnumerationResult(optimum, _validated(graph, masks), complete, nodes_total + nodes)
+    return _enumerate(graph, graph.ordered._replace(orbits=[]), optimum, cap, node_limit, nodes_total)
 
 
 def enumerate_optimum_orbits(
@@ -579,18 +557,23 @@ def enumerate_optimum_orbits(
     """At least one maximum independent set from every isomorphism class
     (up to `cap` sets), for a proved `optimum`; isomorphic sets may repeat.
     complete=False flags a truncated enumeration."""
-    solver = _CliqueEnumerator(graph.ordered, node_limit)
-    masks, complete, nodes = solver.enumerate_target(optimum, cap)
-    return EnumerationResult(optimum, _validated(graph, masks), complete, nodes)
+    return _enumerate(graph, graph.ordered, optimum, cap, node_limit)
 
 
-def _validated(graph: DisjointnessGraph, masks: list[int]) -> list[Family]:
+def _enumerate(
+    graph: DisjointnessGraph, view: BranchingView, optimum: int, cap: int | None,
+    node_limit: int | None, nodes: int = 0,
+) -> EnumerationResult:
+    """The cliques of `optimum` vertices of `view`, a view of graph, each
+    checked on the raw pairwise predicate; `nodes` already spent count."""
+    solver = _CliqueEnumerator(view, optimum, cap, node_limit)
+    _best, _mask, more, limited = solver.solve()
     families = []
-    for mask in masks:
-        fam = graph.family_from_mask(mask)
+    for mask in solver.found:
+        fam = graph.family_from_mask(solver._remap(mask))
         _validate_witness(graph, fam)
         families.append(fam)
-    return families
+    return EnumerationResult(optimum, families, not limited, nodes + more)
 
 
 # ---------------------------------------------------------------------------
@@ -600,64 +583,71 @@ def _validated(graph: DisjointnessGraph, masks: list[int]) -> list[Family]:
 class _SmallCoreSolver(_MaxCliqueSolver):
     """Maximum clique of an M or M_t graph's view (a t-intersecting
     family) whose common intersection ends with cardinality below
-    core_limit, on the orbital loop.
+    core_limit, as three hooks of the orbital loop.
 
-    The loop carries the running core, the elementwise minimum of the
-    chosen members' rows.  It starts at (k+1,)*m, read off the view as
-    the G □ K₂ product reads its marker count, and every member shrinks
-    it.  While the core is at or above the limit, a node branches only on
-    the candidates that shrink it, one orbit of them at a time (the core
-    is invariant under the permutations fixing the chosen members, so the
-    set of such candidates is a union of orbits).  The others stay
-    candidates for every branch, so a branch through a vertex coloured
-    early may still take candidates coloured after it: each branch is
-    bounded by the node's whole colour bound, not by its prefix bound, and
-    the branches are listed from the untrimmed candidates.  Once the core
-    drops below the limit it can never grow again, and the node is an
-    ordinary one.  A greedy clique can break the constraint, so the
-    incumbent is the seed alone (see _MaxCliqueSolver._seed).
+    The core of the chosen members is the elementwise minimum of their
+    rows, read off their count columns at each node (_core).  While it is
+    at or above the limit, _color lets a node branch only on the
+    candidates that shrink it, one orbit of them at a time (the core is
+    invariant under the permutations fixing the chosen members, so the set
+    of such candidates is a union of orbits).  The others stay candidates
+    for every branch, so a branch through a vertex coloured early may
+    still take candidates coloured after it: each branch is bounded by the
+    node's whole colour bound, not by its prefix bound, and the branches
+    are listed from the untrimmed candidates.  Once the core drops below
+    the limit it can never grow again, and the node is an ordinary one.
+    _leaf adopts only a clique whose core is below the limit, and _seed
+    takes no greedy clique.
 
     over[e][j] is the bitset of the vertices whose count at e exceeds j,
-    for j up to k (the view's columns, and an empty level k), so the
-    candidates that shrink a core and the least count each element keeps
+    for j up to k (the view's columns, and an empty level k), so a core,
+    the candidates that shrink it and the least count each element keeps
     among them are bitset tests."""
 
     def __init__(self, view: BranchingView, core_limit: int, node_limit: int | None, seed: int):
         super().__init__(view, node_limit, seed)
-        top = max(map(sum, view.counts), default=0) + 1  # k+1: above every count
-        self.core = (top,) * len(view.columns)
         self.limit = core_limit
-        # the root core, k+1 at every element, reads level k: no vertex exceeds it
         self.over = [[*col, 0] for col in self.columns]
 
-    def _filter(self, core, p_mask: int, bound: int) -> tuple[list[int], list[int]]:
-        """The branches of a node whose core is still at or above the limit:
+    def _seed(self) -> None:
+        """The seed alone: a greedy clique can break the constraint."""
+
+    def _core(self, r_mask: int) -> list[int]:
+        """The core of the chosen members r_mask: at element e, the number
+        of leading levels of over[e] holding all of them, so the empty
+        r_mask reads k+1 (no vertex exceeds level k), above every count."""
+        core = []
+        for col in self.over:
+            c = 0
+            while c < len(col) and not r_mask & ~col[c]:
+                c += 1
+            core.append(c)
+        return core
+
+    def _color(self, r_mask: int, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
+        """The colour order, or, while the core is at or above the limit,
         the candidates that shrink it, in ascending order, each bounded by
-        the node's whole colour bound; none once even all of them together
-        cannot bring the core below the limit.  All of them bring element e
-        down to the least count j < core[e] one of them holds there, if
-        any; the others never lower it."""
-        over = self.over
+        the node's whole colour bound; none once even all of them together,
+        read as chosen with the chosen members, leave a core at or above
+        the limit.  The other candidates never lower it."""
+        order, colors = _greedy_color(p_mask, self.free, kmin)
+        if not order:
+            return order, colors
+        core = self._core(r_mask)
+        if sum(core) < self.limit:
+            return order, colors
         fixed = p_mask  # the candidates that lower no element of the core
-        for col, c in zip(over, core):
+        for col, c in zip(self.over, core):
             if c:
                 fixed &= col[c - 1]
         reducers = p_mask ^ fixed
-        low = 0
-        for col, c in zip(over, core):
-            j = 0
-            while j < c and not reducers & ~col[j]:
-                j += 1
-            low += j
-            if low >= self.limit:
-                return [], []
-        return list(_bits(reducers)), [bound] * reducers.bit_count()
+        if sum(self._core(r_mask | reducers)) >= self.limit:
+            return [], []
+        return list(_bits(reducers)), [colors[-1]] * reducers.bit_count()
 
-    def _shrink(self, core, row):
-        """The core once a member with multiplicities `row` joins, or None
-        once it is below the limit."""
-        core = tuple(map(min, core, row))
-        return core if sum(core) >= self.limit else None
+    def _leaf(self, size: int, mask: int) -> None:
+        if sum(self._core(mask)) < self.limit:
+            super()._leaf(size, mask)
 
 
 def _small_core_search(
@@ -723,7 +713,7 @@ class _CliqueFreeSolver(_MaxCliqueSolver):
         super().__init__(view, node_limit, seed)
         self.s = s
 
-    def _color(self, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
+    def _color(self, r_mask: int, p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
         return _greedy_color(p_mask, self.free, kmin, self.s)
 
     def _children(self, r_mask: int, v: int, p_mask: int) -> int:

@@ -235,27 +235,29 @@ def _bind_t48(params, node_limit) -> _Binding:
             f"hypothesis (1<t<k, m>=2k-t, m>t(k-t)+2) not met (m={m}, k={k}, t={t})"
         )
     graph = build_graph(KIND_MULTISET_T, m, k, t)
-    rows = graph.multiplicities
-    # two candidate extremal families; which one wins splits on k vs 2t+1
-    f1_size = None
-    f1 = None
-    if t + 2 <= m and t + 1 <= k:
-        f1 = families.frankl(MULTISET, m, k, t, 1, rows)
-        f1_size = len(f1)
-    hmt = None
-    hmt_size = None
-    if 1 < t < k and m >= k + 1:
-        hmt = families._hm_t(MULTISET, m, k, t, rows)
-        hmt_size = len(hmt)
+    n = m + k - 1
+    # two candidate extremal families, each read in closed form at n where
+    # its parameters allow; which one wins splits on k vs 2t+1, and the
+    # r = 1 family wins a tie.  Neither exists at t = k (nor on [1] at
+    # t = k-1), where the empty family is the only nontrivial one.
+    r1_size = families.frankl_set_size(n, k, t, 1) if t + 2 <= n and t < k else 0
     if k <= 2 * t + 1:
         notes.append("case split: k <= 2t+1, bound is the r=1 family size")
-        bound = f1_size if f1_size is not None else 0
-        constructed = f1
+        hm_t_size = 0
     else:
         notes.append("case split: k > 2t+1, bound is max(r=1 family, adjoined-core family)")
-        sizes = [x for x in (f1_size, hmt_size) if x is not None]
-        bound = max(sizes) if sizes else 0
-        constructed = f1 if (f1_size or 0) >= (hmt_size or 0) else hmt
+        hm_t_size = families.hm_t_set_size(n, k, t) if 1 < t and n >= k + 1 else 0
+    bound = max(r1_size, hm_t_size)
+    # only the winning family is filtered from the graph's rows
+    if r1_size >= hm_t_size:
+        window, build = t + 2, partial(families.frankl, MULTISET, m, k, t, 1)
+    else:
+        window, build = k + 1, partial(families._hm_t, MULTISET, m, k, t)
+    constructed = None
+    if bound and window <= m:
+        constructed = build(graph.multiplicities)
+    elif bound:
+        notes.append(f"extremal family not constructible on [{m}]: its window [{window}] exceeds m")
     notes.append(
         "case-split convention follows the set-system analogue; "
         "recorded here because the two cases are stated ambiguously upstream"

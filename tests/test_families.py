@@ -33,7 +33,9 @@ from multifam import (
     hm_set,
     hm_set_size,
     hm_t_multiset,
+    hm_t_multiset_size,
     hm_t_set,
+    hm_t_set_size,
     is_support_t_intersecting,
     is_t_intersecting,
     multichoose,
@@ -182,6 +184,19 @@ def test_hm_t_multiset_size_matches_exhaustive_filter():
     for i in (1, 2):
         expected.add(ms(5, *(x for x in range(1, 6) if x != i)).counts)
     assert {a.counts for a in family.members} == expected
+
+
+def test_hm_t_closed_forms_count_their_constructions():
+    points = 0
+    for k in range(3, 7):
+        for t in range(2, k):
+            for m in range(k + 1, 9):
+                assert hm_t_set_size(m, k, t) == len(hm_t_set(m, k, t)), (m, k, t)
+                assert hm_t_multiset_size(m, k, t) == len(hm_t_multiset(m, k, t)), (m, k, t)
+                points += 1
+    assert points == 30
+    # the multiset form is the set form at n = m+k-1
+    assert hm_t_multiset_size(7, 4, 2) == hm_t_set_size(10, 4, 2) == 20
 
 
 # -- hitting families and inclusion-exclusion sizes -------------------------
@@ -355,7 +370,7 @@ def test_extend_to_maximal_refuses_a_universe_above_the_cap(monkeypatch):
 # -- the family registry -----------------------------------------------------
 
 # a small spec of each named family, with the constructor and closed-form
-# size it must dispatch to (None: the hm_t families have no closed form)
+# size it must dispatch to
 DIRECT_CALLS = {
     "star": (FamilySpec("star", 5, 3, anchor=(2,)), lambda: star(5, 3, 2), lambda: star_size(5, 3)),
     "fixed_multiset": (FamilySpec("fixed_multiset", 5, 4, anchor=(1, 1, 3)),
@@ -368,9 +383,10 @@ DIRECT_CALLS = {
     "hm_set": (FamilySpec("hm_set", 7, 3), lambda: hm_set(7, 3), lambda: hm_set_size(7, 3)),
     "hm_multiset": (FamilySpec("hm_multiset", 5, 3),
                     lambda: hm_multiset(5, 3), lambda: hm_multiset_size(5, 3)),
-    "hm_t_set": (FamilySpec("hm_t_set", 7, 4, t=2), lambda: hm_t_set(7, 4, 2), lambda: None),
+    "hm_t_set": (FamilySpec("hm_t_set", 7, 4, t=2),
+                 lambda: hm_t_set(7, 4, 2), lambda: hm_t_set_size(7, 4, 2)),
     "hm_t_multiset": (FamilySpec("hm_t_multiset", 6, 4, t=2),
-                      lambda: hm_t_multiset(6, 4, 2), lambda: None),
+                      lambda: hm_t_multiset(6, 4, 2), lambda: hm_t_multiset_size(6, 4, 2)),
     "hit_s": (FamilySpec("hit_s", 6, 3, s=2), lambda: hit_s(6, 3, (1, 2)), lambda: hit_s_size(6, 3, 2)),
     "hajnal_rothschild": (FamilySpec("hajnal_rothschild", 7, 3, t=1, s=2),
                           lambda: hajnal_rothschild_family(7, 3, 1, 2),

@@ -433,8 +433,8 @@ def _colourings(monkeypatch, solver):
     seen = []
     color = solver._color
 
-    def recording_color(self, p_mask, kmin):
-        order, bounds = color(self, p_mask, kmin)
+    def recording_color(self, r_mask, p_mask, kmin):
+        order, bounds = color(self, r_mask, p_mask, kmin)
         seen.append((p_mask, order))
         return order, bounds
 
@@ -1095,18 +1095,26 @@ def test_product_columns_are_the_ladder_columns_of_its_rows(monkeypatch):
 
 def test_small_core_filter_matches_the_row_scan(monkeypatch):
     # the bitset filter against the per-candidate scan it replaced, at every
-    # node the small-core searches filter
+    # node the small-core searches colour; the core is the elementwise
+    # minimum of the chosen rows, (k+1,)*m at the root
     outcomes = set()
-    real = _SmallCoreSolver._filter
+    real = _SmallCoreSolver._color
 
-    def checked(self, core, p_mask, bound):
-        order, bounds = real(self, core, p_mask, bound)
-        assert order == scan_small_core_filter(self.counts, core, p_mask, self.limit)
-        assert bounds == [bound] * len(order)
-        outcomes.add(bool(order))
+    def checked(self, r_mask, p_mask, kmin):
+        order, bounds = real(self, r_mask, p_mask, kmin)
+        plain = _greedy_color(p_mask, self.free, kmin)
+        core = (sum(self.counts[0]) + 1,) * len(self.counts[0])
+        for v in bits(r_mask):
+            core = tuple(map(min, core, self.counts[v]))
+        if not plain[0] or sum(core) < self.limit:
+            assert (order, bounds) == plain
+        else:
+            assert order == scan_small_core_filter(self.counts, core, p_mask, self.limit)
+            assert bounds == [plain[1][-1]] * len(order)
+            outcomes.add(bool(order))
         return order, bounds
 
-    monkeypatch.setattr(_SmallCoreSolver, "_filter", checked)
+    monkeypatch.setattr(_SmallCoreSolver, "_color", checked)
     for m in range(1, 8):
         for k in range(1, 5):
             for t in range(1, k + 1):

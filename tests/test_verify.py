@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from multifam import (
@@ -21,6 +23,7 @@ from multifam import core
 from multifam.search import _seed_slots
 from multifam.verify import (
     STATUS_HYPOTHESIS,
+    STATUS_MISMATCH,
     STATUS_OK,
     THEOREM_IDS,
     MULTIPLE,
@@ -317,6 +320,27 @@ def test_t48_case_k_above_2t_plus_1():
     report = verify_theorem("T4.8", {"m": 4, "k": 4, "t": 1})
     assert (report.analytic_bound, report.constructed_size, report.search_optimum) == (22, 22, 22)
     assert any("k > 2t+1" in note for note in report.notes)
+
+
+def test_t48_bound_is_its_closed_form_where_nothing_is_constructible():
+    # the r = 1 window [t+2] = [4] does not fit [3]; the bound is still
+    # the r = 1 size at n = m+k-1 = 5
+    report = verify_theorem("T4.8", {"m": 3, "k": 3, "t": 2})
+    assert (report.analytic_bound, report.constructed_size, report.search_optimum) == (4, None, 3)
+    assert report.status == STATUS_HYPOTHESIS
+    assert any("not constructible on [3]" in note for note in report.notes)
+    # neither candidate family exists at t = k
+    assert verify_theorem("T4.8", {"m": 3, "k": 2, "t": 2}).analytic_bound == 0
+
+
+def test_t48_bound_does_not_read_its_construction(monkeypatch):
+    frankl = families.frankl
+    monkeypatch.setattr(
+        families, "frankl", lambda *args: replace(fam := frankl(*args), members=fam.members[1:])
+    )
+    report = verify_theorem("T4.8", {"m": 8, "k": 3, "t": 2})
+    assert (report.analytic_bound, report.constructed_size, report.search_optimum) == (4, 3, 4)
+    assert report.status == STATUS_MISMATCH
 
 
 def test_uniqueness_cut_by_the_node_limit_is_not_checked():
