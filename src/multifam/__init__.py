@@ -27,10 +27,9 @@ from .core import (
     multiset_rank,
     multiset_unrank,
 )
-from .bijection import BijectionContext, class_size, forward, inverse
+from .bijection import BijectionContext, forward, inverse
 from .compression import (
     CompressionInvariantError,
-    Kernel,
     ShiftParams,
     down_compress_full,
     down_compress_pass,

@@ -23,7 +23,6 @@ from .core import (
     ContractError,
     KSet,
     Multiset,
-    binomial,
     kset_rank,
     kset_unrank,
     multiset_rank,
@@ -45,15 +44,6 @@ class BijectionContext:
     @property
     def n(self) -> int:
         return self.m + self.k - 1
-
-
-def class_size(ctx: BijectionContext, support_size: int) -> int:
-    """Number of k-sets B with |B ∩ [m]| = j for a fixed j-subset of [m];
-    equals the number of k-multisets with that exact support, C(k-1, k-j)."""
-    j = support_size
-    if not 1 <= j <= min(ctx.k, ctx.m):
-        raise ContractError(f"support size {j} outside [1, {min(ctx.k, ctx.m)}]")
-    return binomial(ctx.k - 1, ctx.k - j)
 
 
 def forward(ctx: BijectionContext, b: KSet) -> Multiset:

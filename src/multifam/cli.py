@@ -70,19 +70,17 @@ def _cmd_size(args) -> int:
     spec = _family_spec(args)
     formula = family_size_formula(spec)
     enumerated: object = "-"
-    formula_only = spec.name == "hajnal_rothschild" and spec.t not in (None, 1)
-    if not formula_only:
-        try:
-            enumerated = len(build_family(spec))
-        except ScaleExceededError:
-            pass  # too large a universe to walk: the closed form only
-        else:
-            if enumerated != formula:
-                print(
-                    f"error: closed form {formula} disagrees with enumeration {enumerated}",
-                    file=sys.stderr,
-                )
-                return 1
+    try:
+        enumerated = len(build_family(spec))
+    except ScaleExceededError:
+        pass  # too large a universe to walk: the closed form only
+    else:
+        if enumerated != formula:
+            print(
+                f"error: closed form {formula} disagrees with enumeration {enumerated}",
+                file=sys.stderr,
+            )
+            return 1
     _print_table(
         [
             ("family", spec.name),

@@ -88,36 +88,6 @@ class ShiftParams:
             raise ContractError(f"elements must be >= 1, got i={self.i}, j={self.j}")
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """A kernel multiset T that contains [m] (every multiplicity >= 1)."""
-
-    T: Multiset
-
-    def __post_init__(self) -> None:
-        if any(c < 1 for c in self.T.counts):
-            raise ContractError("kernel must contain [m]: every multiplicity >= 1")
-
-    @classmethod
-    def trivial(cls, m: int, t: int) -> "Kernel":
-        """t copies of every element of [m]; a t-kernel for any
-        t-intersecting family."""
-        if t < 1:
-            raise ContractError(f"t must be >= 1, got {t}")
-        return cls(Multiset(m, (t,) * m))
-
-    def surplus_elements(self) -> tuple[int, ...]:
-        """Elements held more than once (the support of T minus [m])."""
-        return tuple(i + 1 for i, c in enumerate(self.T.counts) if c >= 2)
-
-    def remove_copy(self, i: int) -> "Kernel":
-        if self.T.multiplicity(i) < 2:
-            raise ContractError(f"kernel holds element {i} only once")
-        counts = list(self.T.counts)
-        counts[i - 1] -= 1
-        return Kernel(Multiset(self.T.ground_size, tuple(counts)))
-
-
 def is_t_kernel(fam: Family, T: Multiset, t: int) -> bool:
     """True iff every pair of distinct members F1, F2 satisfies
     |F1 ∩ F2 ∩ T| >= t (vacuous for families with fewer than two members)."""
@@ -241,17 +211,19 @@ def _pass_failure(intersecting: bool) -> CompressionInvariantError:
 
 def down_compress_pass(
     fam: Family,
-    kernel: Kernel,
+    T: Multiset,
     i: int,
     t: int,
     *,
     allow_out_of_regime: bool = False,
     on_shift: TraceCallback | None = None,
-) -> tuple[Family, Kernel]:
+) -> tuple[Family, Multiset]:
     """One compression pass: shift (i, s=m(i,T)) onto every j = 1..m in
-    order, then drop one copy of i from the kernel.  The shifts are the row
-    step of down_compress_full; the family is rebuilt once at the end (the
-    input itself when nothing moved).
+    order, then drop one copy of i from the kernel T, which must contain
+    [m] (every multiplicity >= 1) and hold i at least twice.  Returns the
+    output family and the shrunken kernel.  The shifts are the row step of
+    down_compress_full; the family is rebuilt once at the end (the input
+    itself when nothing moved).
 
     Postconditions (size preserved, output t-intersecting, shrunken kernel
     still a t-kernel) are asserted; a failure raises
@@ -262,22 +234,26 @@ def down_compress_pass(
     """
     if fam.kind != MULTISET:
         raise ContractError("down-compression operates on multiset families")
-    if kernel.T.ground_size != fam.m:
+    if T.ground_size != fam.m:
         raise ContractError("kernel ground size does not match the family")
-    if i not in kernel.surplus_elements():
+    if any(c < 1 for c in T.counts):
+        raise ContractError("kernel must contain [m]: every multiplicity >= 1")
+    if not 1 <= i <= fam.m or T.counts[i - 1] < 2:
         raise ContractError(f"element {i} is not held more than once by the kernel")
     if fam.m < 2 * fam.k - t and not allow_out_of_regime:
         raise _regime_error(fam, t)
-    s = kernel.T.multiplicity(i)
+    s = T.counts[i - 1]
     movers = [a.counts for a in fam.members if a.counts[i - 1] >= s]
     current = {a.counts for a in fam.members}
     targets = [j for j in range(1, fam.m + 1) if j != i]
     _, landed = _shift_rows(movers, current, i, s, targets, on_shift)
     result = _family(fam, current) if landed else fam
-    new_kernel = kernel.remove_copy(i)
+    counts = list(T.counts)
+    counts[i - 1] -= 1
+    new_kernel = Multiset(fam.m, tuple(counts))
     if len(current) != len(fam):
         raise CompressionInvariantError("compression pass changed the family size")
-    if not is_t_kernel(result, new_kernel.T, t):
+    if not is_t_kernel(result, new_kernel, t):
         raise _pass_failure(is_t_intersecting(result, t))
     return result, new_kernel
 

@@ -260,10 +260,6 @@ class Family:
             members = (KSet(m, tuple(compress(ground, row))) for row in rows)
         return cls(m, k, kind, tuple(members))
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -333,13 +333,11 @@ def hajnal_rothschild_size(n: int, k: int, t: int, s: int) -> int:
 
 
 def hajnal_rothschild_family(n: int, k: int, t: int, s: int) -> Family:
-    """The k-subsets of [n] fixed by the s disjoint t-blocks
-    [1..t], [t+1..2t], ...  Constructed only for t = 1 (where it is the
-    s-set hitting family); larger t is available as a size formula only."""
-    if t != 1:
-        raise ContractError("construction is only supported for t=1; use the size formula")
+    """The k-subsets of [n] that contain one of the s disjoint t-blocks
+    [jt+1, (j+1)t], j = 0..s-1; for t = 1 the s-set hitting family."""
     _check_hajnal_rothschild_params(n, k, t, s)
-    return hit_s_set(n, k, range(1, s + 1))
+    blocks = [((1 << t) - 1) << (j * t) for j in range(s)]
+    return _where(SET, n, k, lambda support: any(support & b == b for b in blocks))
 
 
 # ---------------------------------------------------------------------------

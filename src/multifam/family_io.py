@@ -3,7 +3,9 @@
 Line 1 is a header ``m=<int> k=<int> kind=<set|multiset>``.  Every further
 non-empty line that does not start with ``#`` is one member, written as k
 space-separated integers: non-decreasing for multisets, strictly increasing
-for sets.  Duplicate member lines are a parse error.  parse(emit(F)) == F.
+for sets.  Duplicate member lines are a parse error.  The empty member
+(k = 0) would be a blank line, which parse skips, so emit refuses a family
+that holds it; parse(emit(F)) == F for every family emit writes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .core import MULTISET, Family, KSet, Multiset
+from .core import MULTISET, ContractError, Family, KSet, Multiset
 
 _HEADER_RE = re.compile(r"^m=(\d+) k=(\d+) kind=(set|multiset)$")
 
@@ -25,6 +27,8 @@ class ParseError(ValueError):
 
 
 def emit_family(fam: Family) -> str:
+    if fam.k == 0 and fam.members:
+        raise ContractError("a family file cannot hold the empty member (k = 0)")
     lines = [f"m={fam.m} k={fam.k} kind={fam.kind}"]
     for member in fam.members:
         if fam.kind == MULTISET:

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     ContractError,
@@ -887,10 +886,14 @@ class AkThreshold:
 
 def ak_threshold_r(m: int, k: int, t: int) -> AkThreshold:
     """Locate n = m+k-1 within the open threshold intervals
-    (k-t+1)(2 + (t-1)/(r+1)) < n < (k-t+1)(2 + (t-1)/r), evaluated in exact
-    rational arithmetic ((t-1)/r is taken as infinity for r = 0).
+    (k-t+1)(2 + (t-1)/(r+1)) < n < (k-t+1)(2 + (t-1)/r), with (t-1)/r
+    taken as infinity for r = 0.
 
     Requires m > k-t+1 so that n > 2k-t and the classification applies.
+    With w = k-t+1 and d = n-2w >= 0 the intervals read
+    r < (t-1)w/d < r+1: r is the floor of (t-1)w/d, and n is on the
+    boundary (r, r+1) when d divides (t-1)w with quotient r+1 >= 1, or
+    when d = 0 (t = 1, n = 2k: boundary (0, 1)).
     """
     if t < 1 or k < t:
         raise ContractError(f"need 1 <= t <= k, got t={t}, k={k}")
@@ -898,18 +901,11 @@ def ak_threshold_r(m: int, k: int, t: int) -> AkThreshold:
         raise ContractError(
             f"need m > k-t+1 (i.e. n > 2k-t), got m={m}, k={k}, t={t}"
         )
-    n = m + k - 1
-    for r in range(0, k - t + 1):
-        lower = (k - t + 1) * (2 + Fraction(t - 1, r + 1))
-        if n == lower:
-            return AkThreshold(r, True, (r, r + 1))
-        if r == 0:
-            if n > lower:
-                return AkThreshold(0, False, None)
-        else:
-            upper = (k - t + 1) * (2 + Fraction(t - 1, r))
-            if lower < n < upper:
-                return AkThreshold(r, False, None)
-    raise RuntimeError(
-        f"internal error: no structural r found for m={m}, k={k}, t={t}"
-    )
+    w = k - t + 1
+    d = m + k - 1 - 2 * w
+    if d == 0:
+        return AkThreshold(0, True, (0, 1))
+    q, rem = divmod((t - 1) * w, d)
+    if rem or not q:
+        return AkThreshold(q, False, None)
+    return AkThreshold(q - 1, True, (q - 1, q))

@@ -5,6 +5,7 @@ over bitmask adjacency and one-pair-at-a-time intersection counts, kept
 deliberately dumb so disagreement always indicts the fast path.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -344,24 +345,25 @@ def shift_loop_shift_family(fam, p, on_shift=None):
     return Family.of_multisets(fam.m, fam.k, current)
 
 
-def shift_loop_compress_pass(fam, kernel, i, t, on_shift=None):
+def shift_loop_compress_pass(fam, T, i, t, on_shift=None):
     """Reference compression pass: one shift_loop_shift_family call per
     j = 1..m (each walks and rebuilds the whole family), then the
     t-intersection and t-kernel postconditions as separate pair loops.
-    Takes valid arguments only (i a surplus element of the kernel)."""
+    Takes valid arguments only (i held at least twice by the kernel T)."""
     from multifam.compression import CompressionInvariantError, ShiftParams
+    from multifam.core import Multiset
 
-    s = kernel.T.multiplicity(i)
+    s = T.multiplicity(i)
     result = fam
     for j in range(1, fam.m + 1):
         if j != i:
             result = shift_loop_shift_family(result, ShiftParams(i, s, j), on_shift)
-    new_kernel = kernel.remove_copy(i)
+    new_kernel = Multiset(T.ground_size, tuple(c - (e == i) for e, c in enumerate(T.counts, 1)))
     if len(result) != len(fam):
         raise CompressionInvariantError("compression pass changed the family size")
     if not pair_loop_is_t_intersecting(result, t):
         raise CompressionInvariantError("compression pass broke t-intersection")
-    if not pair_loop_is_t_kernel(result, new_kernel.T, t):
+    if not pair_loop_is_t_kernel(result, new_kernel, t):
         raise CompressionInvariantError("shrunken kernel is not a t-kernel for the output")
     return result, new_kernel
 
@@ -833,3 +835,24 @@ def multiset_theorem_closed_form(theorem_id, m, k, s=1):
     # T3.5: m > (1+sqrt(5))k/2 + 1, checked exactly via (2(m-1)-k)^2 > 5k^2
     lhs = 2 * (m - 1) - k
     return multichoose(m, k - 1) + multichoose(m - 1, k - 1), lhs > 0 and lhs * lhs > 5 * k * k
+
+
+def scan_ak_threshold(m, k, t):
+    """Reference ak_threshold_r as (r, boundary, tied): scan r = 0..k-t for
+    the open interval (k-t+1)(2 + (t-1)/(r+1)) < n < (k-t+1)(2 + (t-1)/r)
+    holding n = m+k-1, or its lower end, in exact rationals ((t-1)/r is
+    infinity for r = 0).  Takes valid arguments only (1 <= t <= k,
+    m > k-t+1)."""
+    n = m + k - 1
+    for r in range(0, k - t + 1):
+        lower = (k - t + 1) * (2 + Fraction(t - 1, r + 1))
+        if n == lower:
+            return r, True, (r, r + 1)
+        if r == 0:
+            if n > lower:
+                return 0, False, None
+        else:
+            upper = (k - t + 1) * (2 + Fraction(t - 1, r))
+            if lower < n < upper:
+                return r, False, None
+    raise AssertionError(f"no r found for m={m}, k={k}, t={t}")

@@ -8,7 +8,6 @@ from multifam import (
     KSet,
     Multiset,
     binomial,
-    class_size,
     enumerate_k_multisets,
     enumerate_k_subsets,
     forward,
@@ -60,17 +59,6 @@ def test_support_property():
         assert forward(ctx, b).support_mask() == b.mask() & m_mask
 
 
-def test_class_size_values():
-    ctx = BijectionContext(5, 4)
-    assert class_size(ctx, 4) == 1
-    assert class_size(ctx, 1) == 1
-    assert class_size(ctx, 2) == binomial(3, 2) == 3
-    with pytest.raises(ContractError):
-        class_size(ctx, 0)
-    with pytest.raises(ContractError):
-        class_size(ctx, 5)
-
-
 def test_per_class_counts_agree_on_both_sides():
     for m in range(1, 6):
         for k in range(1, 6):
@@ -83,7 +71,7 @@ def test_per_class_counts_agree_on_both_sides():
                 multi_classes[a.support().members] += 1
             assert set_classes == multi_classes
             for support, count in set_classes.items():
-                assert count == class_size(ctx, len(support))
+                assert count == binomial(k - 1, k - len(support))
 
 
 def test_homomorphism_thresholds():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from multifam import Family, KSet, graphs, hit_s, hm_multiset, load_family, star
+from multifam import (
+    Family, KSet, acceptance, graphs, hit_s, hit_s_set, hm_multiset, load_family, star,
+)
 from multifam.cli import main
 from multifam.families import FAMILY_NAMES
 from multifam.family_io import save_family
@@ -91,6 +93,21 @@ def test_hit_s_anchor_is_a_set(tmp_path, capsys):
     assert load_family(out) == hit_s(4, 2, (1,))
 
 
+def test_size_enumerates_hajnal_rothschild_for_every_t(capsys):
+    assert run("size", "--family", "hajnal_rothschild", "--m", "10", "--k", "4", "--t", "2",
+               "--s", "2") == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^closed_form +55$", out, re.M)
+    assert re.search(r"^enumerated +55$", out, re.M)
+
+
+def test_size_rejects_a_non_integer_anchor(capsys):
+    assert run("size", "--family", "hit_s", "--m", "4", "--k", "2", "--anchor", "1,x") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "anchor must be a list of integers, got '1,x'" in captured.err
+
+
 def test_map_roundtrip(tmp_path):
     multis = tmp_path / "multis.txt"
     sets = tmp_path / "sets.txt"
@@ -107,6 +124,29 @@ def test_map_rejects_wrong_kind(tmp_path, capsys):
     multis = tmp_path / "multis.txt"
     save_family(star(4, 2, 1), multis)
     assert run("map", "--direction", "forward", "-i", str(multis), "-o", str(tmp_path / "x.txt")) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("map", "--direction", "inverse"), "inverse mapping expects a kind=multiset family file"),
+    (("compress", "-t", "1"), "compression expects a kind=multiset family file"),
+], ids=["map-inverse", "compress"])
+def test_multiset_commands_reject_a_set_file(argv, message, tmp_path, capsys):
+    sets = tmp_path / "sets.txt"
+    out = tmp_path / "x.txt"
+    save_family(hit_s_set(4, 2, (1,)), sets)
+    assert run(*argv, "-i", str(sets), "-o", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_map_forward_rejects_a_ground_below_k(tmp_path, capsys):
+    # n = 2 < k = 3 leaves m = n-k+1 = 0 for the multiset side
+    sets = tmp_path / "sets.txt"
+    sets.write_text("m=2 k=3 kind=set\n")
+    out = tmp_path / "x.txt"
+    assert run("map", "--direction", "forward", "-i", str(sets), "-o", str(out)) == 2
+    assert "n=2 is too small for k=3: need n >= k" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compress_with_trace(tmp_path):
@@ -317,6 +357,30 @@ def test_search_refuses_a_flag_its_search_does_not_read(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "M_t", "--m", "5", "--k", "3", "--constraint", "nontrivial-t"),
+     "--constraint nontrivial-t requires --t"),
+    (("--m", "5", "--k", "2", "--constraint", "clique-free"),
+     "--constraint clique-free requires --s"),
+], ids=["nontrivial-t", "clique-free"])
+def test_search_requires_the_flag_its_constraint_reads(argv, message, capsys):
+    assert run("search", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_witness_with_the_empty_member_is_refused(tmp_path, capsys):
+    # the k = 0 witness holds the empty member, which a family file cannot
+    # hold: its line would be blank and read back as no member at all
+    witness = tmp_path / "w.txt"
+    assert run("search", "--kind", "M", "--m", "3", "--k", "0", "--witness", str(witness)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot hold the empty member" in captured.err
+    assert not witness.exists()
+
+
 def test_empty_common_takes_m_t_at_t_one(capsys):
     assert run("search", "--kind", "M_t", "--m", "5", "--k", "3", "--t", "1",
                "--constraint", "empty-common") == 0
@@ -469,6 +533,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_header_with_an_empty_ground_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# no ground set\nm=0 k=1 kind=set\n")
+    assert run("isomorphic", str(bad), str(bad)) == 2
+    assert "line 2: ground size must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path):
     assert run("isomorphic", str(tmp_path / "nope.txt"), str(tmp_path / "nope.txt")) == 2
 
@@ -501,7 +572,7 @@ def test_construct_refuses_an_oversized_universe_before_enumerating(tmp_path, mo
     # `size` then prints the closed form only
     refuse_enumeration(monkeypatch)
     for family in FAMILY_NAMES:
-        t = "2" if family.startswith("hm_t_") else "1"  # hajnal_rothschild builds only t=1
+        t = "2" if family.startswith("hm_t_") else "1"
         argv = ("--family", family, "--m", "40", "--k", "20", "--t", t, "--r", "0", "--s", "2",
                 "--anchor", "1,1")
         out = tmp_path / f"{family}.txt"
@@ -525,6 +596,20 @@ def test_suite_quick_profile(capsys):
     for cid in ("AC-1", "AC-2", "AC-3", "AC-4", "AC-5", "AC-6"):
         assert f"{cid:<6} pass" in out
     assert "6/6 criteria passed" in out
+
+
+def test_suite_reports_a_failed_criterion(monkeypatch, capsys):
+    def fail():
+        raise acceptance.CriterionFailure("the optimum moved")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {
+        cid: ((fail if cid == "AC-2" else lambda: "held"), "") for cid in acceptance.QUICK_PROFILE
+    })
+    assert run("suite", "--profile", "quick") == 1
+    out = capsys.readouterr().out
+    assert "AC-1   pass  held\n" in out
+    assert "AC-2   FAIL  the optimum moved\n" in out
+    assert out.endswith("5/6 criteria passed\n")
 
 
 def test_suite_json_report(tmp_path, capsys):

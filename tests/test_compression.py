@@ -10,7 +10,6 @@ from multifam import (
     CompressionInvariantError,
     ContractError,
     Family,
-    Kernel,
     Multiset,
     ScaleExceededError,
     ShiftParams,
@@ -133,7 +132,7 @@ def test_trivial_kernel_is_a_kernel_for_t_intersecting_families():
     rng = random.Random(5)
     for _ in range(25):
         family = random_t_intersecting_family(5, 3, 2, rng)
-        assert is_t_kernel(family, Kernel.trivial(5, 2).T, 2)
+        assert is_t_kernel(family, Multiset(5, (2,) * 5), 2)
 
 
 def test_ground_set_kernel_iff_supports_intersect():
@@ -170,27 +169,39 @@ def test_kernel_count_above_the_field_width_does_not_spill():
     assert is_t_kernel(family, Multiset(2, (0, 3)), 1)
 
 
+def _surplus(T):
+    """The elements a kernel holds more than once, the ones a pass may take."""
+    return [i for i, c in enumerate(T.counts, 1) if c >= 2]
+
+
 def test_kernel_validation():
-    with pytest.raises(ContractError):
-        Kernel(Multiset(3, (1, 0, 2)))
-    kernel = Kernel.trivial(3, 2)
-    assert kernel.surplus_elements() == (1, 2, 3)
-    smaller = kernel.remove_copy(2)
-    assert smaller.T.counts == (2, 1, 2)
-    with pytest.raises(ContractError):
-        smaller.remove_copy(2)
+    family = frankl_multiset(3, 2, 1, 0)
+    # a kernel missing an element of [m], one over another ground, and
+    # elements outside [m]
+    for T, i, message in (
+        (Multiset(3, (1, 0, 2)), 3, "kernel must contain [m]"),
+        (Multiset(4, (2, 2, 2, 2)), 1, "kernel ground size does not match"),
+        (Multiset(3, (2, 2, 2)), 4, "element 4 is not held more than once"),
+        (Multiset(3, (2, 2, 2)), 0, "element 0 is not held more than once"),
+    ):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            down_compress_pass(family, T, i, 1)
+    result, smaller = down_compress_pass(family, Multiset(3, (2, 2, 2)), 2, 1)
+    assert smaller.counts == (2, 1, 2)
+    with pytest.raises(ContractError, match="element 2 is not held more than once"):
+        down_compress_pass(result, smaller, 2, 1)
 
 
 # -- compression passes --------------------------------------------------------
 
 def test_single_pass_on_fixed_pair_family():
     family = fixed_multiset(5, 4, ms(5, 1, 1))
-    kernel = Kernel.trivial(5, 2)
+    kernel = Multiset(5, (2,) * 5)
     result, new_kernel = down_compress_pass(family, kernel, 1, 2, allow_out_of_regime=True)
     assert len(result) == 15
     assert is_t_intersecting(result, 2)
-    assert is_t_kernel(result, new_kernel.T, 2)
-    assert new_kernel.T.counts == (1, 2, 2, 2, 2)
+    assert is_t_kernel(result, new_kernel, 2)
+    assert new_kernel.counts == (1, 2, 2, 2, 2)
 
 
 def _run_pass(run_pass):
@@ -242,9 +253,9 @@ def test_pass_matches_shift_loop_reference(case, data):
     family, drawn, t = case
     start, m = family, family.m
     # a chain of passes from the trivial kernel, each element picked at random
-    kernel = Kernel.trivial(m, t)
-    while kernel.surplus_elements():
-        i = data.draw(st.sampled_from(kernel.surplus_elements()))
+    kernel = Multiset(m, (t,) * m)
+    while _surplus(kernel):
+        i = data.draw(st.sampled_from(_surplus(kernel)))
         outcome = _assert_pass_matches_reference(family, kernel, i, t)
         if not isinstance(outcome, tuple):
             break
@@ -255,7 +266,7 @@ def test_pass_matches_shift_loop_reference(case, data):
     i = data.draw(st.integers(1, m))
     counts[i - 1] = max(counts[i - 1], 2)
     for family in (start, drawn):
-        _assert_pass_matches_reference(family, Kernel(Multiset(m, tuple(counts))), i, t)
+        _assert_pass_matches_reference(family, Multiset(m, tuple(counts)), i, t)
 
 
 def _patched_step(replace):
@@ -282,21 +293,21 @@ def test_pass_postconditions_raise_their_own_message(monkeypatch, replace, messa
     family = fam(4, 3, (1, 1, 2), (1, 1, 3))
     monkeypatch.setattr(compression, "_shift_rows", _patched_step(replace))
     with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
-        down_compress_pass(family, Kernel.trivial(4, 2), 1, 2)
+        down_compress_pass(family, Multiset(4, (2,) * 4), 1, 2)
 
 
 def _reference_full(family, t, on_shift):
     """down_compress_full as a chain of reference passes, each re-running
     both full pair loops, then the support check as a pair loop."""
-    kernel = Kernel.trivial(family.m, t)
+    kernel = Multiset(family.m, (t,) * family.m)
     passes = 0
-    while kernel.surplus_elements():
+    while _surplus(kernel):
         passes += 1
 
         def traced(record, _pass_no=passes):
             on_shift({"pass": _pass_no, **record})
 
-        i = kernel.surplus_elements()[0]
+        i = _surplus(kernel)[0]
         family, kernel = shift_loop_compress_pass(family, kernel, i, t, traced)
     if not pair_loop_is_support_t_intersecting(family, t):
         raise CompressionInvariantError("output supports do not pairwise t-intersect")
@@ -423,7 +434,7 @@ def test_single_pass_checks_raise_their_own_message(monkeypatch, step, members, 
     family = fam(4, 3, *members)
     monkeypatch.setattr(compression, "_shift_rows", step)
     with pytest.raises(CompressionInvariantError, match=f"^{re.escape(message)}$"):
-        down_compress_pass(family, Kernel.trivial(4, 2), 1, 2)
+        down_compress_pass(family, Multiset(4, (2,) * 4), 1, 2)
 
 
 def test_full_run_rechecks_only_the_changed_pairs(monkeypatch):
@@ -437,7 +448,7 @@ def test_full_run_rechecks_only_the_changed_pairs(monkeypatch):
     monkeypatch.setattr(compression, "is_t_kernel", refuse)
     assert down_compress_full(family, 2) == want
     with pytest.raises(AssertionError, match="is_t_kernel called"):
-        down_compress_pass(family, Kernel.trivial(8, 2), 4, 2)
+        down_compress_pass(family, Multiset(8, (2,) * 8), 4, 2)
 
 
 def _handing(monkeypatch, handed):
@@ -475,7 +486,7 @@ def test_a_pass_builds_a_multiset_only_for_members_that_land(monkeypatch):
             built.append(self.counts)
 
     family = fixed_multiset(8, 5, ms(8, 4, 4))
-    trivial = Kernel.trivial(8, 2)
+    trivial = Multiset(8, (2,) * 8)
     handed = []
     _handing(monkeypatch, handed)
     monkeypatch.setattr(compression, "Multiset", Counting)
@@ -484,7 +495,7 @@ def test_a_pass_builds_a_multiset_only_for_members_that_land(monkeypatch):
     landed = [ms(8, *map(int, r["member_after"].split())).counts for r in records]
     assert len(landed) < len(handed) == 120
     # the output is built once: the landed rows in canonical order, then the kernel
-    assert built == sorted(landed) + [kernel.T.counts]
+    assert built == sorted(landed) + [kernel.counts]
     assert set(landed) <= {a.counts for a in result.members}
     reused = {id(a) for a in family.members}
     assert all(id(a) in reused for a in result.members if a.counts not in landed)
@@ -492,7 +503,7 @@ def test_a_pass_builds_a_multiset_only_for_members_that_land(monkeypatch):
 
 def test_pass_requires_surplus_element():
     family = frankl_multiset(6, 3, 2, 1)
-    kernel = Kernel(Multiset(6, (1, 1, 1, 1, 1, 1)))
+    kernel = Multiset(6, (1, 1, 1, 1, 1, 1))
     with pytest.raises(ContractError):
         down_compress_pass(family, kernel, 1, 2)
 

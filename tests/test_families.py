@@ -225,6 +225,26 @@ def test_hajnal_rothschild_sizes():
     assert hajnal_rothschild_size(10, 4, 2, 2) == brute == 55
 
 
+def test_hajnal_rothschild_family_for_every_t():
+    # the k-subsets of [n] holding one of the blocks [jt+1, (j+1)t], read
+    # off every k-subset, against the construction and the closed form
+    rows = 0
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            subsets = list(enumerate_k_subsets(n, k))
+            for t in range(1, k + 1):
+                for s in range(1, n // t + 1):
+                    blocks = [set(range(j * t + 1, (j + 1) * t + 1)) for j in range(s)]
+                    want = [b for b in subsets if any(x <= set(b.members) for x in blocks)]
+                    got = hajnal_rothschild_family(n, k, t, s)
+                    assert got == Family.of_sets(n, k, want), (n, k, t, s)
+                    assert len(got) == hajnal_rothschild_size(n, k, t, s), (n, k, t, s)
+                    if t == 1:
+                        assert got == hit_s_set(n, k, range(1, s + 1))
+                    rows += 1
+    assert rows == 358
+
+
 def test_constructor_sizes_match_formulas_on_the_full_grid():
     for m in range(1, 8):
         for k in range(1, 6):
@@ -448,6 +468,13 @@ def test_apply_permutation_matches_the_reference_on_every_relabelling(fam):
 
 def test_stars_are_isomorphic():
     assert is_isomorphic(star(4, 3, 1), star(4, 3, 2))
+
+
+def test_different_sizes_are_not_isomorphic(monkeypatch):
+    # the sizes decide before any canonical form is computed
+    monkeypatch.setattr("multifam.families.canonical_form", None)
+    full = star(4, 3, 1)
+    assert not is_isomorphic(full, Family.of_multisets(4, 3, full.members[1:]))
 
 
 def test_equal_sizes_but_not_isomorphic():

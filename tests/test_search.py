@@ -78,6 +78,7 @@ from bruteforce import (
     recursive_enumerate_cliques,
     recursive_max_clique,
     relabel_by_bits,
+    scan_ak_threshold,
     scan_small_core_filter,
     signature_refine,
     sorted_key_orbit_masks,
@@ -793,6 +794,19 @@ def test_empty_common_witness_is_valid():
     assert common_intersection(result.witness).cardinality == 0
 
 
+@pytest.mark.parametrize("search, graph, seed", [
+    # two disjoint members: not intersecting
+    (max_intersecting_empty_common, ("M", 5, 3),
+     Family.of_multisets(5, 3, [Multiset.from_elements(5, (1, 1, 1)),
+                                Multiset.from_elements(5, (2, 2, 2))])),
+    # star pairs such as 122 and 133 share one element where M_t(5,3,2) asks for two
+    (max_t_intersecting_nontrivial, ("M_t", 5, 3, 2), star(5, 3, 1)),
+], ids=["empty-common", "nontrivial-t"])
+def test_small_core_seed_failing_the_raw_predicate_is_refused(search, graph, seed):
+    with pytest.raises(ContractError, match="^seed family fails pairwise compatibility"):
+        search(build_graph(*graph), seed=seed)
+
+
 def test_empty_common_rejects_invalid_seed():
     with pytest.raises(ContractError):
         max_intersecting_empty_common(build_graph("M", 4, 3), seed=frankl_multiset(4, 3, 2, 0))
@@ -1383,7 +1397,7 @@ def test_invalid_seeds_are_refused_before_any_search(monkeypatch):
         # three members of the hitting family pairwise share one element:
         # a triangle of K_t(6,3,2), so not P(2,1) under the graph's rule
         lambda: clique_free_search(build_graph("K_t", 6, 3, 2), 2, seed=hit_s_set(6, 3, (1, 2))),
-        # the small-core searches: not intersecting, then a common element
+        # the small-core searches: a common core {1,2}, then a common element
         lambda: max_intersecting_empty_common(
             build_graph("M", 4, 3), seed=frankl_multiset(4, 3, 2, 0)),
         lambda: max_intersecting_empty_common(build_graph("M", 5, 3), seed=star(5, 3, 1)),
@@ -1609,3 +1623,16 @@ def test_threshold_contract_errors():
         ak_threshold_r(3, 4, 2)  # m <= k-t+1
     with pytest.raises(ContractError):
         ak_threshold_r(5, 3, 4)  # t > k
+
+
+def test_threshold_matches_the_interval_scan_on_a_grid():
+    # every valid row with k < 25 and m < 80: both sides of each boundary,
+    # t = 1 at n = 2k, and the largest r = k-t at m = k-t+2
+    rows = 0
+    for k in range(1, 25):
+        for t in range(1, k + 1):
+            for m in range(k - t + 2, 80):
+                got = ak_threshold_r(m, k, t)
+                assert (got.r, got.boundary, got.tied) == scan_ak_threshold(m, k, t), (m, k, t)
+                rows += 1
+    assert rows == 21100
