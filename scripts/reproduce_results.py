@@ -2,11 +2,11 @@
 """Reproduce the desk-scale reference results in one table.
 
 Runs every supported theorem verification at its reference parameters
-(bound vs constructed family vs exact search), then optionally the full
-acceptance battery.
+(bound vs constructed family vs exact search).  The acceptance battery
+is `multifam suite --profile full`.
 
 Usage:
-    python scripts/reproduce_results.py [--uniqueness] [--acceptance]
+    python scripts/reproduce_results.py [--uniqueness]
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from multifam import acceptance
 from multifam.verify import verify_theorem
 
 # (theorem, params, note) -- reference instances; the two entries outside a
@@ -44,8 +43,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--uniqueness", action="store_true",
                         help="also enumerate optimum classes where supported")
-    parser.add_argument("--acceptance", action="store_true",
-                        help="run the full acceptance battery afterwards")
     args = parser.parse_args()
 
     header = f"{'theorem':<8} {'params':<18} {'bound':>5} {'built':>5} {'search':>6} {'status':<18} note"
@@ -64,14 +61,6 @@ def main() -> int:
             print(f"{'':<8} {'':<18} uniqueness: {report.uniqueness_verdict}")
         if not report.match and report.hypothesis_met:
             failures += 1
-
-    if args.acceptance:
-        print()
-        for result in acceptance.run_profile("full"):
-            mark = "pass" if result.passed else "FAIL"
-            print(f"{result.cid:<6} {mark}  [{result.elapsed_ms:>6} ms]  {result.detail}")
-            if not result.passed:
-                failures += 1
 
     return 1 if failures else 0
 

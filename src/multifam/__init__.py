@@ -42,7 +42,6 @@ from .families import (
     apply_permutation,
     build_family,
     canonical_form,
-    extend_to_maximal,
     family_size_formula,
     fixed_multiset,
     frankl_multiset,

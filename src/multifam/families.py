@@ -45,7 +45,6 @@ from .core import (
     Multiset,
     _support_mask,
     binomial,
-    is_t_intersecting,
     multichoose,
     multiplicity_rows,
     universe_rows,
@@ -53,7 +52,11 @@ from .core import (
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Name plus parameters for a named family; see build_family."""
+    """Name plus parameters for a named family; see build_family.  A
+    parameter the named family does not read (t, r, s or anchor) is
+    refused (ContractError) here, before anything is built, and so are a
+    star anchor of more than one element and a hit_s given both its
+    anchor and s."""
 
     name: str
     m: int
@@ -66,6 +69,17 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.name not in _REGISTRY:
             raise ContractError(f"unknown family name {self.name!r}")
+        reads = _REGISTRY[self.name][2]
+        for flag in ("t", "r", "s", "anchor"):
+            if getattr(self, flag) not in (None, ()) and flag not in reads:
+                raise ContractError(
+                    f"{self.name} does not read --{flag}: it reads "
+                    + (", ".join(f"--{f}" for f in reads) or "only --m and --k")
+                )
+        if self.name == "star" and len(self.anchor) > 1:
+            raise ContractError(f"star reads one --anchor element, got {len(self.anchor)}")
+        if self.name == "hit_s" and self.anchor and self.s is not None:
+            raise ContractError("hit_s reads --anchor or --s, not both")
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +355,6 @@ def hajnal_rothschild_family(n: int, k: int, t: int, s: int) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# maximality
-# ---------------------------------------------------------------------------
-
-def extend_to_maximal(fam: Family) -> Family:
-    """Greedy closure of an intersecting multiset family: scan the universe
-    in enumeration order and add every multiset compatible with the current
-    family.  Deterministic; the result is maximal intersecting."""
-    if fam.kind != MULTISET:
-        raise ContractError("extend_to_maximal operates on multiset families")
-    if fam.m < fam.k + 1:
-        raise ContractError(f"need m >= k+1, got m={fam.m}, k={fam.k}")
-    if not is_t_intersecting(fam, 1):
-        raise ContractError("input family is not intersecting")
-    chosen = set(multiplicity_rows(fam.members))
-    chosen_masks = [_support_mask(row) for row in chosen]
-    for row in universe_rows(fam.m, fam.k, MULTISET):
-        mask = _support_mask(row)
-        if row not in chosen and all(mask & other for other in chosen_masks):
-            chosen.add(row)
-            chosen_masks.append(mask)
-    return Family.from_rows(fam.m, fam.k, MULTISET, sorted(chosen))
-
-
-# ---------------------------------------------------------------------------
 # permutation action and isomorphism
 # ---------------------------------------------------------------------------
 
@@ -589,33 +579,40 @@ def is_isomorphic(fam1: Family, fam2: Family) -> bool:
 # spec-driven dispatch (CLI surface)
 # ---------------------------------------------------------------------------
 
-# name: (constructor, closed-form size), both read off a FamilySpec;
-# each calls its functions by name when it runs, so it sees a rebound one
+# name: (constructor, closed-form size, the parameters beyond m and k it
+# reads), the first two read off a FamilySpec; each calls its functions by
+# name when it runs, so it sees a rebound one
 _REGISTRY = {
     "star": (lambda spec: star(spec.m, spec.k, spec.anchor[0] if spec.anchor else 1),
-             lambda spec: star_size(spec.m, spec.k)),
+             lambda spec: star_size(spec.m, spec.k), ("anchor",)),
     "fixed_multiset": (lambda spec: fixed_multiset(spec.m, spec.k, _anchor_multiset(spec)),
-                       lambda spec: fixed_multiset_size(spec.m, spec.k, len(spec.anchor))),
+                       lambda spec: fixed_multiset_size(spec.m, spec.k, len(spec.anchor)),
+                       ("anchor",)),
     "frankl_set": (lambda spec: frankl_set(spec.m, spec.k, *_params(spec, "t", "r")),
-                   lambda spec: frankl_set_size(spec.m, spec.k, *_params(spec, "t", "r"))),
+                   lambda spec: frankl_set_size(spec.m, spec.k, *_params(spec, "t", "r")),
+                   ("t", "r")),
     "frankl_multiset": (
         lambda spec: frankl_multiset(spec.m, spec.k, *_params(spec, "t", "r")),
         lambda spec: frankl_multiset_size(spec.m, spec.k, *_params(spec, "t", "r")),
+        ("t", "r"),
     ),
-    "hm_set": (lambda spec: hm_set(spec.m, spec.k), lambda spec: hm_set_size(spec.m, spec.k)),
+    "hm_set": (lambda spec: hm_set(spec.m, spec.k), lambda spec: hm_set_size(spec.m, spec.k), ()),
     "hm_multiset": (lambda spec: hm_multiset(spec.m, spec.k),
-                    lambda spec: hm_multiset_size(spec.m, spec.k)),
+                    lambda spec: hm_multiset_size(spec.m, spec.k), ()),
     "hm_t_set": (lambda spec: hm_t_set(spec.m, spec.k, *_params(spec, "t")),
-                 lambda spec: hm_t_set_size(spec.m, spec.k, *_params(spec, "t"))),
+                 lambda spec: hm_t_set_size(spec.m, spec.k, *_params(spec, "t")), ("t",)),
     "hm_t_multiset": (
         lambda spec: hm_t_multiset(spec.m, spec.k, *_params(spec, "t")),
         lambda spec: hm_t_multiset_size(spec.m, spec.k, *_params(spec, "t")),
+        ("t",),
     ),
     "hit_s": (lambda spec: hit_s(spec.m, spec.k, _hit_s_anchor(spec)),
-              lambda spec: hit_s_size(spec.m, spec.k, len(_hit_s_anchor(spec)))),
+              lambda spec: hit_s_size(spec.m, spec.k, len(_hit_s_anchor(spec))),
+              ("anchor", "s")),
     "hajnal_rothschild": (
         lambda spec: hajnal_rothschild_family(spec.m, spec.k, *_params(spec, "t", "s")),
         lambda spec: hajnal_rothschild_size(spec.m, spec.k, *_params(spec, "t", "s")),
+        ("t", "s"),
     ),
 }
 FAMILY_NAMES = tuple(_REGISTRY)

@@ -194,16 +194,10 @@ def _bits(mask: int):
         mask ^= bit
 
 
-def build_graph(
-    kind: str,
-    m: int,
-    k: int,
-    t: int = 1,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> DisjointnessGraph:
+def build_graph(kind: str, m: int, k: int, t: int = 1) -> DisjointnessGraph:
     """Build the requested disjointness graph; refuses (ScaleExceededError)
-    a universe of more than vertex_cap members before enumerating anything.
-    Vertex order is the enumeration (= rank) order.  Only the universe's
+    a universe of more than DEFAULT_VERTEX_CAP members before enumerating
+    anything.  Vertex order is the enumeration (= rank) order.  Only the universe's
     rows are enumerated here: `ordered` runs the ladder when first read
     (module docstring)."""
     if kind not in GRAPH_KINDS:
@@ -214,7 +208,7 @@ def build_graph(
         raise ContractError(f"graph kind {kind} does not take a threshold t")
 
     types: list[int] = []
-    rows = tuple(universe_rows(m, k, _KINDS[kind].family_kind, vertex_cap, types))
+    rows = tuple(universe_rows(m, k, _KINDS[kind].family_kind, DEFAULT_VERTEX_CAP, types))
     return DisjointnessGraph(kind, m, k, t, rows, tuple(types))
 
 

@@ -49,19 +49,20 @@ members lie in one orbit when they hold the same multiset of counts on
 each class of elements the chosen members cannot tell apart, so no group
 computation is needed.  The root orbits are the multiplicity types the
 graph builder already sorted the vertices by; the G □ K₂ product adds the
-side swap to the group through two marker elements.  A child's orbits are
-its parent's, cut by bitsets: when the member just chosen splits a class
-into parts, each orbit is cut by the bitsets "at least i elements of the
-part hold more than j" read off the graph's per-element count columns
-(_cut), never by a key per vertex.  A node none of whose candidate
-orbits holds two vertices only walks its colour order, as every node does
-on a view with no orbits: the plain loop.  A search needs one optimum only
-up to those permutations, and a uniqueness verdict one optimum from each
-isomorphism class.  Enumerating all optima runs the plain loop, the
-graph's view with its orbits dropped: the incumbent is held at one below
-the proved optimum and each leaf is recorded instead of adopted.  Every
-solver is that one loop with its own hooks (see _MaxCliqueSolver), and
-every search and enumeration runs through its one solve().
+side swap to the group through two marker elements whose counts no real
+element holds.  A child's orbits are its parent's, cut by bitsets: when
+the member just chosen splits a class into parts, each orbit is cut by the
+bitsets "at least i elements of the part hold more than j" read off the
+graph's per-element count columns (_cut), never by a key per vertex.  A
+node none of whose candidate orbits holds two vertices only walks its
+colour order, as every node does on a view with no orbits: the plain loop.
+A search needs one optimum only up to those permutations, and a uniqueness
+verdict one optimum from each isomorphism class.  Enumerating all optima
+runs the plain loop, the graph's view with its orbits dropped: the
+incumbent is held at one below the proved optimum and each leaf is
+recorded instead of adopted.  Every solver is that one loop with its own
+hooks (see _MaxCliqueSolver), and every search and enumeration runs
+through its one solve().
 
 The incumbent a search starts from is its seed, an explicit extremal
 family the caller hands over (verify passes each theorem's construction),
@@ -287,14 +288,12 @@ class _MaxCliqueSolver:
     member of r.  A child's orbits are its parent's, cut on the parts of
     the classes its new member splits (_refine, _cut) through the view's
     count columns (columns[e][j] is the bitset of vertices whose count at
-    e exceeds j).  The root classes are all one unless `cls` gives others:
-    the G □ K₂ product keeps its side markers apart from the real elements
-    that way.  A node walks the colour order from the top, trimmed and
-    bounded against the current incumbent, branches on each vertex not yet
-    barred and then bars its whole orbit.  p stays a union of orbits, so
-    a clique through any member of an orbit maps onto one through the
-    vertex branched on.  Orbits are split only at a node that has colours
-    to branch on.  Once no candidate orbit holds two vertices nothing is
+    e exceeds j).  Every element starts in one root class.  A node walks
+    the colour order from the top, trimmed and bounded against the
+    current incumbent, branches on each vertex not yet barred and then
+    bars its whole orbit.  p stays a union of orbits, so a clique through
+    any member of an orbit maps onto one through the vertex branched on.
+    Orbits are split only at a node that has colours to branch on.  Once no candidate orbit holds two vertices nothing is
     left to prune: the node and every node below it skip _refine and _cut
     and bar only the vertex branched on, as every node does on a view with
     no orbits (the plain loop, which reads neither counts nor columns)."""
@@ -304,13 +303,11 @@ class _MaxCliqueSolver:
         view: BranchingView,
         node_limit: int | None = None,
         seed: int = 0,
-        cls: tuple[int, ...] | None = None,
     ):
         self.rows, self.to_old, self.counts, self.orbits, self.columns = view
         self.n = len(self.rows)
         full = (1 << self.n) - 1
         self.free = [full & ~(row | 1 << v) for v, row in enumerate(self.rows)]
-        self.cls = cls
         self.counter = _NodeCounter(node_limit)
         self.best = seed.bit_count()
         self.best_mask = seed
@@ -372,7 +369,7 @@ class _MaxCliqueSolver:
         for o in groups:
             grouped |= o
         # cls is read only while some orbit holds two candidates
-        cls = (self.cls or (0,) * len(counts[0])) if groups else None
+        cls = (0,) * len(counts[0]) if groups else None
         r_size, r_mask = 0, 0
         stack = []
         tick()
@@ -788,22 +785,23 @@ def _max_induced_bipartite(
     complement of G □ K₂, given G's branching view (its rows are G's
     compatibility rows, the complement); returns (size, (side one, side
     two) masks with vertex i at bit view.to_old[i], nodes explored,
-    limit_hit).  The product is itself a view, and the only one that
-    starts the loop with root classes of its own (`cls`).
+    limit_hit).  The product is itself a view, run by the plain solver.
 
     Vertex v is product vertex 2v on side one and 2v+1 on side two, so
     each side keeps the rows' order and a vertex's two copies are
     neighbours.  Copies on one side are joined when the vertices are
     compatible, copies on opposite sides when they are distinct.  Each
     product vertex carries v's multiplicity row and two marker elements,
-    (k+1, 0) on side one and (0, k+1) on side two, in a class of their own
-    from the root: swapping them swaps the sides, so the loop's orbits
-    are those of the permutations of [m] together with the side swap, and
-    orbit o of G gives the root orbit holding both copies of its
-    vertices.  The product's count columns are G's with both copies of
-    each vertex set (spread, times 3), no real element above level k, and
-    a marker's column holding every vertex of its side at each level.  A
-    view with no orbits gives a product with none: the plain loop."""
+    (k+1, k+2) on side one and (k+2, k+1) on side two: swapping them swaps
+    the sides, so the loop's orbits are those of the permutations of [m]
+    together with the side swap, and orbit o of G gives the root orbit
+    holding both copies of its vertices.  No real element holds more than
+    k, so the first chosen member splits the markers off from the real
+    elements, and from each other, by count alone.  The product's count
+    columns are G's with both copies of each vertex set (spread, times 3),
+    padded to k+2 levels, and a marker's column holds every vertex at
+    levels 0..k and, at level k+1, the side on which it holds k+2.  A view
+    with no orbits gives a product with none: the plain loop."""
     n = len(view.rows)
     others = _spread((1 << n) - 1)
     product = []
@@ -812,15 +810,14 @@ def _max_induced_bipartite(
         other = others ^ 1 << 2 * v
         product += (same | other << 1, other | same << 1)
     top = max(map(sum, view.counts), default=0) + 1  # k+1: above every real count
-    counts = [c + marker for c in view.counts for marker in ((top, 0), (0, top))]
+    counts = [c + marker for c in view.counts for marker in ((top, top + 1), (top + 1, top))]
     orbits = [_spread(o) * 3 for o in view.orbits]
-    columns = [[_spread(c) * 3 for c in cols] + [0] * (top - len(cols)) for cols in view.columns]
-    columns += ([others] * top, [others << 1] * top)
-    cls = (0,) * len(view.columns) + (1, 1)
-    solver = _MaxCliqueSolver(
-        BranchingView(product, range(2 * n), counts, orbits, columns), node_limit, cls=cls
-    )
-    best, mask, nodes, limited = solver.solve()
+    pad = [0] * (top + 1)
+    columns = [[_spread(c) * 3 for c in cols] + pad[len(cols):] for cols in view.columns]
+    both = others * 3
+    columns += ([both] * top + [others << 1], [both] * top + [others])
+    product_view = BranchingView(product, range(2 * n), counts, orbits, columns)
+    best, mask, nodes, limited = _MaxCliqueSolver(product_view, node_limit).solve()
     sides = [0, 0]
     for v in _bits(mask):
         sides[v & 1] |= 1 << view.to_old[v >> 1]
@@ -876,12 +873,10 @@ class AkThreshold:
     """Structural parameter r for the t-intersecting maximum at n = m+k-1.
 
     boundary=True means n sits exactly on the threshold between r and r+1,
-    where the two candidate families have equal size; `tied` then carries
-    the pair."""
+    where the two candidate families, at r and at r+1, have equal size."""
 
     r: int
     boundary: bool
-    tied: tuple[int, int] | None
 
 
 def ak_threshold_r(m: int, k: int, t: int) -> AkThreshold:
@@ -904,8 +899,8 @@ def ak_threshold_r(m: int, k: int, t: int) -> AkThreshold:
     w = k - t + 1
     d = m + k - 1 - 2 * w
     if d == 0:
-        return AkThreshold(0, True, (0, 1))
+        return AkThreshold(0, True)
     q, rem = divmod((t - 1) * w, d)
     if rem or not q:
-        return AkThreshold(q, False, None)
-    return AkThreshold(q - 1, True, (q - 1, q))
+        return AkThreshold(q, False)
+    return AkThreshold(q - 1, True)

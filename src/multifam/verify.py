@@ -139,8 +139,7 @@ def _hypothesis(met: bool, rule: str, kind: str, m: int, n: int, **params) -> li
     return [] if met else [f"hypothesis {rule} not met ({ground}{values})"]
 
 
-def _bind_intersecting(kind, params, node_limit) -> _Binding:
-    m, k = _require(params, "m", "k")
+def _bind_intersecting(kind, m, k, node_limit) -> _Binding:
     graph, n = _twin(kind, m, k)
     hyp = n >= 2 * k
     notes = _hypothesis(hyp, "n >= 2k", graph.family_kind, m, n, k=k)
@@ -150,8 +149,7 @@ def _bind_intersecting(kind, params, node_limit) -> _Binding:
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
 
-def _bind_p_s1(theorem_id, kind, params, node_limit) -> _Binding:
-    m, k, s = _require(params, "m", "k", "s")
+def _bind_p_s1(theorem_id, kind, m, k, s, node_limit) -> _Binding:
     if m < s:
         raise ContractError(f"{theorem_id} needs m >= s, got m={m}, s={s}")
     graph, n = _twin(kind, m, k)
@@ -163,8 +161,7 @@ def _bind_p_s1(theorem_id, kind, params, node_limit) -> _Binding:
     return _Binding(bound, constructed, result, hyp, notes)
 
 
-def _bind_union(theorem_id, kind, params, node_limit) -> _Binding:
-    m, k = _require(params, "m", "k")
+def _bind_union(theorem_id, kind, m, k, node_limit) -> _Binding:
     if m < 2:
         raise ContractError(f"{theorem_id} needs m >= 2, got m={m}")
     graph, n = _twin(kind, m, k)
@@ -177,8 +174,7 @@ def _bind_union(theorem_id, kind, params, node_limit) -> _Binding:
     return _Binding(bound, constructed, result, hyp, notes)
 
 
-def _bind_t33(params, node_limit) -> _Binding:
-    m, k = _require(params, "m", "k")
+def _bind_t33(m, k, node_limit) -> _Binding:
     if m < 2:
         raise ContractError(f"T3.3 needs m >= 2, got m={m}")
     graph, n = _twin(KIND_MULTISET_DISJOINT, m, k)
@@ -191,8 +187,7 @@ def _bind_t33(params, node_limit) -> _Binding:
     return _Binding(bound, constructed, result, hyp, notes)
 
 
-def _bind_t41(params, node_limit) -> _Binding:
-    m, k, t = _require(params, "m", "k", "t")
+def _bind_t41(m, k, t, node_limit) -> _Binding:
     hyp = m >= 2 * k - t
     notes = [] if hyp else [f"hypothesis m >= 2k-t not met (m={m}, k={k}, t={t})"]
     graph = build_graph(KIND_MULTISET_T, m, k, t)
@@ -224,8 +219,7 @@ def _bind_t41(params, node_limit) -> _Binding:
     return _Binding(bound, constructed, result, hyp, notes, graph)
 
 
-def _bind_t48(params, node_limit) -> _Binding:
-    m, k, t = _require(params, "m", "k", "t")
+def _bind_t48(m, k, t, node_limit) -> _Binding:
     if not 1 <= t <= k:
         raise ContractError(f"need 1 <= t <= k, got t={t}, k={k}")
     hyp = (1 < t < k) and m >= 2 * k - t and m > t * (k - t) + 2
@@ -266,18 +260,20 @@ def _bind_t48(params, node_limit) -> _Binding:
     return _Binding(bound, constructed, result, hyp, notes)
 
 
-# a set theorem and its multiset twin share one body, which reads the set
-# theorem at the twin's n
+# each theorem: its binding, called as binding(m, k, *values, node_limit),
+# and the parameters beyond m and k whose values it takes.  A set theorem
+# and its multiset twin share one body, which reads the set theorem at the
+# twin's n
 _BINDINGS = {
-    "T1.1": partial(_bind_intersecting, KIND_KNESER),
-    "T1.4": partial(_bind_intersecting, KIND_MULTISET_DISJOINT),
-    "T2.3": partial(_bind_p_s1, "T2.3", KIND_KNESER),
-    "T2.4": partial(_bind_union, "T2.4", KIND_KNESER),
-    "T3.3": _bind_t33,
-    "T3.4": partial(_bind_p_s1, "T3.4", KIND_MULTISET_DISJOINT),
-    "T3.5": partial(_bind_union, "T3.5", KIND_MULTISET_DISJOINT),
-    "T4.1": _bind_t41,
-    "T4.8": _bind_t48,
+    "T1.1": (partial(_bind_intersecting, KIND_KNESER), ()),
+    "T1.4": (partial(_bind_intersecting, KIND_MULTISET_DISJOINT), ()),
+    "T2.3": (partial(_bind_p_s1, "T2.3", KIND_KNESER), ("s",)),
+    "T2.4": (partial(_bind_union, "T2.4", KIND_KNESER), ()),
+    "T3.3": (_bind_t33, ()),
+    "T3.4": (partial(_bind_p_s1, "T3.4", KIND_MULTISET_DISJOINT), ("s",)),
+    "T3.5": (partial(_bind_union, "T3.5", KIND_MULTISET_DISJOINT), ()),
+    "T4.1": (_bind_t41, ("t",)),
+    "T4.8": (_bind_t48, ("t",)),
 }
 THEOREM_IDS = tuple(_BINDINGS)
 
@@ -307,17 +303,26 @@ def verify_theorem(
     node_limit: int | None = None,
     uniqueness: bool = False,
 ) -> VerifyReport:
-    """Run the bound / construction / search pipeline for one theorem."""
+    """Run the bound / construction / search pipeline for one theorem.
+    `params` holds m, k and the parameters the theorem reads (s for T2.3
+    and T3.4, t for T4.1 and T4.8); any other parameter that is not None
+    is refused (ContractError)."""
     if theorem_id not in _BINDINGS:
         raise ContractError(
             f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}"
         )
+    bind, keys = _BINDINGS[theorem_id]
     m, k = _require(params, "m", "k")
     for key, value in (("m", m), ("k", k)):
         if value < 1:
             raise ContractError(f"{key} must be >= 1, got {value}")
+    reads = ("m", "k", *keys)
+    for key, value in params.items():
+        if value is not None and key not in reads:
+            raise ContractError(f"{theorem_id} does not read {key!r}: it reads {', '.join(reads)}")
+    values = _require(params, *keys)
     start = time.perf_counter()
-    binding = _BINDINGS[theorem_id](params, node_limit)
+    binding = bind(m, k, *values, node_limit)
     constructed_size = len(binding.constructed) if binding.constructed is not None else None
     search_optimum = binding.result.optimum
     nodes = binding.result.nodes_explored

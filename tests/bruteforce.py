@@ -377,20 +377,6 @@ def member_walk_universe(m, k, kind):
     return Family(m, k, kind, tuple(members))
 
 
-def member_walk_extend_to_maximal(fam):
-    """Reference for families.extend_to_maximal on a valid input: the greedy
-    closure over the universe's Multiset members in enumeration order, each
-    pair of supports intersected one at a time."""
-    from multifam.core import Family, enumerate_k_multisets
-
-    chosen = list(fam.members)
-    for a in enumerate_k_multisets(fam.m, fam.k):
-        support = set(a.elements())
-        if a not in chosen and all(support & set(b.elements()) for b in chosen):
-            chosen.append(a)
-    return Family.of_multisets(fam.m, fam.k, chosen)
-
-
 def greedy_random_t_intersecting_family(m, k, t, rng):
     """Reference for acceptance.random_t_intersecting_family: the same rng
     draws over the universe's Multiset members, with compatibility summed
@@ -838,7 +824,7 @@ def multiset_theorem_closed_form(theorem_id, m, k, s=1):
 
 
 def scan_ak_threshold(m, k, t):
-    """Reference ak_threshold_r as (r, boundary, tied): scan r = 0..k-t for
+    """Reference ak_threshold_r as (r, boundary): scan r = 0..k-t for
     the open interval (k-t+1)(2 + (t-1)/(r+1)) < n < (k-t+1)(2 + (t-1)/r)
     holding n = m+k-1, or its lower end, in exact rationals ((t-1)/r is
     infinity for r = 0).  Takes valid arguments only (1 <= t <= k,
@@ -847,12 +833,12 @@ def scan_ak_threshold(m, k, t):
     for r in range(0, k - t + 1):
         lower = (k - t + 1) * (2 + Fraction(t - 1, r + 1))
         if n == lower:
-            return r, True, (r, r + 1)
+            return r, True
         if r == 0:
             if n > lower:
-                return 0, False, None
+                return 0, False
         else:
             upper = (k - t + 1) * (2 + Fraction(t - 1, r))
             if lower < n < upper:
-                return r, False, None
+                return r, False
     raise AssertionError(f"no r found for m={m}, k={k}, t={t}")

@@ -20,6 +20,24 @@ def run(*argv):
     return main(list(argv))
 
 
+# the flag beyond --m and --k each theorem reads, none for the others
+THEOREM_FLAG = {"T2.3": "--s", "T3.4": "--s", "T4.1": "--t", "T4.8": "--t"}
+
+# valid values of the flags beyond --m and --k each named family reads
+FAMILY_FLAGS = {
+    "star": ("--anchor", "1"),
+    "fixed_multiset": ("--anchor", "1,1"),
+    "frankl_set": ("--t", "1", "--r", "0"),
+    "frankl_multiset": ("--t", "1", "--r", "0"),
+    "hm_set": (),
+    "hm_multiset": (),
+    "hm_t_set": ("--t", "2"),
+    "hm_t_multiset": ("--t", "2"),
+    "hit_s": ("--s", "2"),
+    "hajnal_rothschild": ("--t", "1", "--s", "2"),
+}
+
+
 def test_construct_then_size(tmp_path, capsys):
     out = tmp_path / "star.txt"
     assert run("construct", "--family", "star", "--m", "4", "--k", "3", "--anchor", "1", "-o", str(out)) == 0
@@ -99,6 +117,41 @@ def test_size_enumerates_hajnal_rothschild_for_every_t(capsys):
     out = capsys.readouterr().out
     assert re.search(r"^closed_form +55$", out, re.M)
     assert re.search(r"^enumerated +55$", out, re.M)
+
+
+@pytest.mark.parametrize("command", ["size", "construct"])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_a_family_flag_the_family_does_not_read_is_refused(command, family, tmp_path, monkeypatch,
+                                                            capsys):
+    # the flag used to be printed and then ignored; it is refused before any walk
+    reads = FAMILY_FLAGS[family][::2]
+    unread = next(flag for flag in ("--r", "--t", "--s") if flag not in reads)
+    out = tmp_path / "family.txt"
+    extra = ("-o", str(out)) if command == "construct" else ()
+    refuse_enumeration(monkeypatch)
+    argv = ("--family", family, "--m", "6", "--k", "3", *FAMILY_FLAGS[family], unread, "2")
+    assert run(command, *argv, *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{family} does not read {unread}" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("star", "--anchor", "1,2"), "star reads one --anchor element, got 2"),
+    (("hit_s", "--anchor", "1", "--s", "2"), "hit_s reads --anchor or --s, not both"),
+    (("hm_set", "--anchor", "1"), "hm_set does not read --anchor: it reads only --m and --k"),
+])
+def test_size_refuses_an_anchor_the_family_cannot_take(argv, message, capsys):
+    # star used to count the star of the first element and print anchor=1,2
+    assert run("size", "--family", argv[0], "--m", "5", "--k", "2", *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_verify_refuses_a_flag_its_theorem_does_not_read(capsys):
+    assert run("verify", "--theorem", "T1.1", "--m", "5", "--k", "2", "--t", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "T1.1 does not read 't'" in captured.err
 
 
 def test_size_rejects_a_non_integer_anchor(capsys):
@@ -456,7 +509,8 @@ def test_verify_cli(tmp_path, capsys):
 @pytest.mark.parametrize("k", ["0", "1"])
 def test_verify_tiny_parameters_get_a_parameter_message(theorem, m, k, capsys):
     # a closed form evaluated outside its range would leak its own message
-    for extra in ((), ("--t", "1", "--s", "1"), ("--t", "2", "--s", "2")):
+    flag = THEOREM_FLAG.get(theorem)
+    for extra in ((), *((flag, value) for value in ("1", "2") if flag)):
         assert run("verify", "--theorem", theorem, "--m", m, "--k", k, *extra) in (0, 2)
         err = capsys.readouterr().err
         assert "binomial requires" not in err and "multichoose requires" not in err
@@ -557,12 +611,13 @@ def test_scale_guard_exit_code(capsys):
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 @pytest.mark.parametrize("m, k", [(60, 30), (40, 20), (20, 9)])
 def test_verify_refuses_an_oversized_universe_before_enumerating(theorem, m, k, monkeypatch, capsys):
-    # a binding that searches its own graph builds it before its
-    # construction, so the graph's cap of 5,000 refuses even the 167,960
-    # 9-sets of [20], which the construction's cap of 200,000 would walk;
-    # the other bindings construct first, under that cap
+    # every binding builds its graph before its construction, so the
+    # graph's cap of 5,000 refuses even the 167,960 9-sets of [20], which
+    # the construction's cap of 200,000 would walk
     refuse_enumeration(monkeypatch)
-    assert run("verify", "--theorem", theorem, "--m", str(m), "--k", str(k), "--t", "2", "--s", "2") == 3
+    flag = THEOREM_FLAG.get(theorem)
+    extra = (flag, "2") if flag else ()
+    assert run("verify", "--theorem", theorem, "--m", str(m), "--k", str(k), *extra) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeding the cap" in captured.err
 
@@ -571,10 +626,9 @@ def test_construct_refuses_an_oversized_universe_before_enumerating(tmp_path, mo
     # every constructor walks its universe through the capped row walk;
     # `size` then prints the closed form only
     refuse_enumeration(monkeypatch)
+    assert set(FAMILY_FLAGS) == set(FAMILY_NAMES)
     for family in FAMILY_NAMES:
-        t = "2" if family.startswith("hm_t_") else "1"
-        argv = ("--family", family, "--m", "40", "--k", "20", "--t", t, "--r", "0", "--s", "2",
-                "--anchor", "1,1")
+        argv = ("--family", family, "--m", "40", "--k", "20", *FAMILY_FLAGS[family])
         out = tmp_path / f"{family}.txt"
         assert run("construct", *argv, "-o", str(out)) == 3, family
         assert not out.exists()

@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given
@@ -12,12 +11,10 @@ from multifam import (
     FamilySpec,
     KSet,
     Multiset,
-    ScaleExceededError,
     binomial,
     build_family,
     common_intersection,
     enumerate_k_subsets,
-    extend_to_maximal,
     family_size_formula,
     fixed_multiset,
     frankl_multiset,
@@ -55,11 +52,10 @@ from multifam.families import (
 )
 
 from bruteforce import (
-    member_walk_extend_to_maximal,
     memberwise_apply_permutation,
     scan_canonical_form,
 )
-from conftest import family_and_t, refuse_enumeration
+from conftest import family_and_t
 
 
 def ms(m, *elements):
@@ -340,51 +336,6 @@ def test_set_constructors_build_only_the_members_they_keep(monkeypatch):
     family = hit_s_set(7, 3, (1, 5))
     assert built == [(1, 5)] + [b.members for b in family.members]
     assert len(family) == binomial(7, 3) - binomial(5, 3)
-
-
-# -- maximality --------------------------------------------------------------
-
-def test_extend_to_maximal_reaches_full_support():
-    seed = Family.of_multisets(5, 3, [ms(5, 1, 1, 2)])
-    maximal = extend_to_maximal(seed)
-    assert is_t_intersecting(maximal, 1)
-    assert any(len(a.support().members) == 3 for a in maximal.members)
-
-
-def test_extend_to_maximal_fixpoint_and_star_closure():
-    closure = extend_to_maximal(Family.of_multisets(4, 3, [ms(4, 1, 1, 1)]))
-    assert closure == star(4, 3, 1)
-    assert extend_to_maximal(closure) == closure
-
-
-def test_extend_to_maximal_rejects_bad_input():
-    broken = Family.of_multisets(4, 2, [ms(4, 1, 1), ms(4, 2, 2)])
-    with pytest.raises(ContractError):
-        extend_to_maximal(broken)
-
-
-def test_extend_to_maximal_is_the_member_walk():
-    # from every one-member family and every intersecting pair of members
-    # of small universes, the row walk closes to the reference's family
-    for m in range(2, 6):
-        for k in range(1, min(m - 1, 3) + 1):
-            universe = Family.universe(m, k).members
-            seeds = [(a,) for a in universe]
-            seeds += [(a, b) for i, a in enumerate(universe) for b in universe[i + 1::3]
-                      if a.support_mask() & b.support_mask()]
-            for members in seeds:
-                seed = Family.of_multisets(m, k, members)
-                assert extend_to_maximal(seed) == member_walk_extend_to_maximal(seed), members
-
-
-def test_extend_to_maximal_refuses_a_universe_above_the_cap(monkeypatch):
-    # counted in closed form (2.8e15 20-multisets of [40]), never walked
-    refuse_enumeration(monkeypatch)
-    seed = Family.of_multisets(40, 20, [ms(40, *[1] * 20)])
-    start = time.perf_counter()
-    with pytest.raises(ScaleExceededError, match="exceeding the cap of 200000"):
-        extend_to_maximal(seed)
-    assert time.perf_counter() - start < 1
 
 
 # -- the family registry -----------------------------------------------------

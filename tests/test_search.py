@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multifam import (
+    AkThreshold,
     ContractError,
     Family,
     ScaleExceededError,
@@ -381,7 +382,7 @@ def test_graph_cap_and_kind_validation(monkeypatch):
     monkeypatch.setattr("multifam.core.combinations", refuse)
     for kind, t in (("M", 1), ("K", 1), ("M_t", 2), ("K_t", 2), ("M_support_t", 2)):
         with pytest.raises(ScaleExceededError):
-            build_graph(kind, 20, 10, t, vertex_cap=100)
+            build_graph(kind, 20, 10, t)
     for kind in ("M", "K"):
         with pytest.raises(AssertionError, match="enumerated"):
             build_graph(kind, 4, 2)
@@ -515,10 +516,13 @@ PINNED_NODE_COUNTS = [
     (lambda: max_t_intersecting_nontrivial(
         build_graph("M_t", 8, 3, 2), seed=frankl_multiset(8, 3, 2, 1)), 4, 9,
      (75, 103, 109, 110)),
-    # the G □ K₂ product on the same front: T3.5(7,2), T2.4(7,2), T3.5(6,3)
+    # the G □ K₂ product on the same front: T3.5(7,2), T2.4(7,2), T3.5(6,3),
+    # T3.5(8,3) and T2.4(9,3)
     (lambda: max_union_two_intersecting(7, 2), 13, 16, tuple(range(15, 28))),
     (lambda: induced_bipartite_search(build_graph("K", 7, 2)), 11, 10, tuple(range(11))),
     (lambda: max_union_two_intersecting(6, 3), 36, 1864, tuple(range(20, 56))),
+    (lambda: max_union_two_intersecting(8, 3), 64, 12311, tuple(range(56, 120))),
+    (lambda: induced_bipartite_search(build_graph("K", 9, 3)), 49, 3539, tuple(range(49))),
     (lambda: clique_free_search(build_graph("K", 10, 2), 2), 17, 12, tuple(range(17))),
     (lambda: clique_free_search(build_graph("K", 8, 2), 2), 13, 9, tuple(range(13))),
     (lambda: clique_free_search(build_graph("K", 12, 2), 2), 21, 10, tuple(range(21))),
@@ -927,7 +931,7 @@ def _record_front_orbits(monkeypatch):
     refine, cut = search._refine, search._cut
 
     def recording_front(self):
-        root = self.cls or (0,) * len(self.counts[0])
+        root = (0,) * len(self.counts[0])  # every element in one root class
         seen.append((0, root, self.counts, (1 << self.n) - 1, list(self.orbits)))
         front(self)
 
@@ -1005,9 +1009,10 @@ def test_product_orbits_are_stabiliser_orbits(m, monkeypatch):
                 result = induced_bipartite_search(build_graph(kind, m, k))
                 assert result.proved
     assert seen and (m == 2 or any(r_mask for r_mask, *_rest in seen))
-    _assert_stabiliser_orbits(seen, group, (0,) * m + (1, 1))
-    for _r_mask, cls, *_rest in seen:
-        assert not set(cls[:m]) & set(cls[m:])  # no marker shares a real element's class
+    _assert_stabiliser_orbits(seen, group, (0,) * (m + 2))
+    for r_mask, cls, *_rest in seen:
+        if r_mask:  # a chosen member splits the markers off by count alone
+            assert not set(cls[:m]) & set(cls[m:])  # no marker shares a real element's class
 
 
 def _orbital_paths(graph, limit):
@@ -1087,7 +1092,7 @@ def test_cut_is_the_sorted_key_partition_on_random_rows(case):
 
 def test_product_columns_are_the_ladder_columns_of_its_rows(monkeypatch):
     # the G □ K₂ table derived from the view's, against the product's own
-    # rows: k+1 levels, both copies of each real column, the side markers
+    # rows: k+2 levels, both copies of each real column, the side markers
     tables = []
     front = _MaxCliqueSolver._front
 
@@ -1104,7 +1109,7 @@ def test_product_columns_are_the_ladder_columns_of_its_rows(monkeypatch):
         induced_bipartite_search(graph, node_limit=1)
         (counts, columns), = tables
         assert len(counts) == 2 * graph.n_vertices
-        assert columns == ladder_columns(counts, m + 2, k + 1), (kind, m, k, t)
+        assert columns == ladder_columns(counts, m + 2, k + 2), (kind, m, k, t)
 
 
 def test_small_core_filter_matches_the_row_scan(monkeypatch):
@@ -1606,16 +1611,17 @@ def test_threshold_examples():
 
 
 def test_threshold_boundaries():
-    assert ak_threshold_r(5, 4, 3).tied == (0, 1)
-    assert ak_threshold_r(4, 3, 1).tied == (0, 1)  # m = k+1 for t = 1
-    boundary = ak_threshold_r(4, 4, 2)
-    assert boundary.boundary and boundary.tied == (2, 3)
+    # boundary (r, r+1) reads r and boundary=True
+    assert ak_threshold_r(5, 4, 3) == AkThreshold(0, True)
+    assert ak_threshold_r(4, 3, 1) == AkThreshold(0, True)  # m = k+1 for t = 1
+    assert ak_threshold_r(4, 4, 2) == AkThreshold(2, True)
 
 
 def test_threshold_boundary_sizes_tie():
     threshold = ak_threshold_r(5, 4, 3)
     n = 5 + 4 - 1
-    assert frankl_set_size(n, 4, 3, threshold.tied[0]) == frankl_set_size(n, 4, 3, threshold.tied[1])
+    assert threshold.boundary
+    assert frankl_set_size(n, 4, 3, threshold.r) == frankl_set_size(n, 4, 3, threshold.r + 1)
 
 
 def test_threshold_contract_errors():
@@ -1633,6 +1639,6 @@ def test_threshold_matches_the_interval_scan_on_a_grid():
         for t in range(1, k + 1):
             for m in range(k - t + 2, 80):
                 got = ak_threshold_r(m, k, t)
-                assert (got.r, got.boundary, got.tied) == scan_ak_threshold(m, k, t), (m, k, t)
+                assert (got.r, got.boundary) == scan_ak_threshold(m, k, t), (m, k, t)
                 rows += 1
     assert rows == 21100

@@ -32,6 +32,7 @@ from multifam.verify import (
 )
 
 from bruteforce import multiset_theorem_closed_form
+from conftest import refuse_enumeration
 
 QUICK_INSTANCES = {
     "T1.1": {"m": 5, "k": 2},
@@ -205,7 +206,8 @@ def test_multiset_theorems_read_at_n_keep_their_closed_forms_on_m(theorem_id):
         for k in range(1, 5):
             for s in (1, 2, 3) if theorem_id == "T3.4" else (1,):
                 if m >= s:
-                    report = verify_theorem(theorem_id, {"m": m, "k": k, "s": s}, node_limit=1)
+                    params = {"m": m, "k": k, "s": s if theorem_id == "T3.4" else None}
+                    report = verify_theorem(theorem_id, params, node_limit=1)
                     assert (report.analytic_bound, report.hypothesis_met) == (
                         multiset_theorem_closed_form(theorem_id, m, k, s)
                     ), (m, k, s)
@@ -362,6 +364,19 @@ def test_unknown_theorem_and_missing_params():
         verify_theorem("T9.9", {"m": 4, "k": 2})
     with pytest.raises(ContractError):
         verify_theorem("T3.4", {"m": 4, "k": 2})
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_every_theorem_refuses_a_parameter_it_does_not_read(theorem_id, monkeypatch):
+    # T1.1 --t 3 used to run and report ok; the refusal comes before any walk
+    params = QUICK_INSTANCES[theorem_id]
+    unread = "s" if "t" in params else "t"
+    refuse_enumeration(monkeypatch)
+    with pytest.raises(ContractError, match=f"{theorem_id} does not read '{unread}'"):
+        verify_theorem(theorem_id, {**params, unread: 3})
+    monkeypatch.undo()
+    # a parameter left at None is not given
+    assert verify_theorem(theorem_id, {**params, unread: None}).status == STATUS_OK
 
 
 @pytest.mark.parametrize("theorem_id, m", [("T2.3", 4), ("T3.4", 3)])
